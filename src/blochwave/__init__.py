@@ -71,6 +71,7 @@ from .operators import (
     match_labels,
     offblock_norm,
     projector_derivative,
+    projector_derivatives,
     spectral_norm,
     track_spectral_path,
 )

@@ -18,6 +18,7 @@ are written with 17 significant digits so oracle comparisons stay bit-stable.
 
 Exit codes: 0 success, 2 config error, 3 blow-up, 4 theorem bound violated
 (a defect signal, never a warning), 5 other solver errors, 1 unexpected.
+When the runs of a sweep fail differently, the precedence is 4 > 5 > 3 > 2.
 """
 
 from __future__ import annotations
@@ -76,6 +77,14 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_BOUND = 4
 EXIT_SOLVER = 5
+#: which code a mixed sweep exits with: the theorem-violation defect signal
+#: first, so no other failure can mask it
+EXIT_PRECEDENCE = (EXIT_BOUND, EXIT_SOLVER, EXIT_BLOWUP, EXIT_CONFIG)
+
+
+def _gamma_label(gamma: float) -> str:
+    """Output-directory and summary-key stem of one sweep gamma."""
+    return f"gamma_{gamma:g}"
 
 
 @dataclass
@@ -115,8 +124,19 @@ class ExperimentConfig:
         for n in self.norms:
             if n not in NORMS:
                 raise ConfigError(f"unknown norm {n!r}")
-        if self.sweep_gammas is not None and len(self.sweep_gammas) < 1:
-            raise ConfigError("sweep gamma list is empty")
+        if self.sweep_gammas is not None:
+            if len(self.sweep_gammas) < 1:
+                raise ConfigError("sweep gamma list is empty")
+            by_label: dict[str, list[float]] = {}
+            for gamma in self.sweep_gammas:
+                by_label.setdefault(_gamma_label(gamma), []).append(gamma)
+            for label, values in by_label.items():
+                if len(values) > 1:
+                    raise ConfigError(
+                        f"sweep gammas {', '.join(repr(g) for g in values)} share "
+                        f"the output label {label!r}; sweep gammas must differ "
+                        "within 6 significant digits"
+                    )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -488,7 +508,7 @@ def sweep(config: ExperimentConfig) -> dict:
     jobs = []
     for ic_kind in ics:
         for gamma in gammas:
-            label = f"gamma_{gamma:g}_{ic_kind}"
+            label = f"{_gamma_label(gamma)}_{ic_kind}"
             sub = replace(
                 config,
                 model_params={**config.model_params, "gamma": float(gamma)},
@@ -509,7 +529,7 @@ def sweep(config: ExperimentConfig) -> dict:
     rows = []
     for ic_kind in ics:
         for gamma in gammas:
-            s = summaries[f"gamma_{gamma:g}_{ic_kind}"]
+            s = summaries[f"{_gamma_label(gamma)}_{ic_kind}"]
             rows.append(
                 {
                     "gamma": gamma,
@@ -577,9 +597,7 @@ def _exit_code(summaries) -> int:
             codes.add(EXIT_CONFIG)
         else:
             codes.add(EXIT_SOLVER)
-    if not codes:
-        return EXIT_OK
-    return max(codes)
+    return next((code for code in EXIT_PRECEDENCE if code in codes), EXIT_OK)
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ from .models import GeneratorModel
 from .operators import (
     SpectralDecomposition,
     match_labels,
-    projector_derivative,
+    projector_derivatives,
     spectral_norm,
 )
 from .propagation import PropagatorPath, propagate
@@ -46,23 +46,29 @@ __all__ = [
 DERIVATIVE_STEP_FACTOR = 1e-5
 
 
-def kato_generator(model: GeneratorModel, t: float, h: float = 1e-5) -> np.ndarray:
+def kato_generator(
+    model: GeneratorModel,
+    t: float,
+    h: float = 1e-5,
+    anchor: SpectralDecomposition | None = None,
+) -> np.ndarray:
     """Generator ``A(t) = (1/2) sum_k [P'_k(t), P_k(t)]`` of the adiabatic
     transporter.  Skew-Hermitian by the Hermiticity of the projectors.
 
     Models carrying a closed form for the whole commutator sum expose it as
     ``analytic_kato``; otherwise this assembles the sum from the projector
     derivatives (``h`` is the central-difference step used when those are
-    numerical too).
+    numerical too).  One anchor decomposition of the drift at ``t`` serves
+    all blocks, for both the projectors and their derivatives; pass it as
+    ``anchor`` when the caller already holds it, else it is taken here.
     """
     if model.analytic_kato is not None:
         return model.analytic_kato(t)
-    dec = model.spectral_at(t)
-    dim = dec.dim
+    if anchor is None:
+        anchor = model.spectral_at(t)
+    dim = anchor.dim
     out = np.zeros((dim, dim), dtype=complex)
-    for k in range(dec.n_blocks):
-        pdot = projector_derivative(model, k, t, h)
-        p = dec.projectors[k]
+    for p, pdot in zip(anchor.projectors, projector_derivatives(model, t, h, anchor)):
         out += 0.5 * (pdot @ p - p @ pdot)
     return out
 
@@ -129,23 +135,40 @@ class AdiabaticFrame:
     def transporter_at(self, t: float) -> np.ndarray:
         return self.w_path.at(t)
 
-    def drift_at(self, t: float) -> np.ndarray:
-        """Frame drift ``B(t) = sum_k b_k(t) P_k(t0)``."""
-        return np.einsum(
-            "k,kij->ij", self.model.eigenvalues_at(t), self._proj_stack
-        )
+    def drift_at(
+        self, t: float, anchor: SpectralDecomposition | None = None
+    ) -> np.ndarray:
+        """Frame drift ``B(t) = sum_k b_k(t) P_k(t0)``.
 
-    def drive_at(self, t: float) -> np.ndarray:
-        """Frame drive ``C(t) = W†(t) [Cbar(t) - A(t)] W(t)``."""
+        ``anchor``, the drift's decomposition at ``t``, supplies ``b_k(t)``
+        when given.
+        """
+        eigenvalues = self.model.eigenvalues_at(t) if anchor is None else anchor.eigenvalues
+        return np.einsum("k,kij->ij", eigenvalues, self._proj_stack)
+
+    def drive_at(
+        self, t: float, anchor: SpectralDecomposition | None = None
+    ) -> np.ndarray:
+        """Frame drive ``C(t) = W†(t) [Cbar(t) - A(t)] W(t)``.
+
+        ``anchor`` is passed on to :func:`kato_generator`.
+        """
         if self.model.static_drift:
             return self.model.drive(t)
         w = self.w_path.at(t)
-        a = kato_generator(self.model, t, self.derivative_step)
+        a = kato_generator(self.model, t, self.derivative_step, anchor)
         return w.conj().T @ (self.model.drive(t) - a) @ w
 
     def hamiltonian_at(self, t: float) -> np.ndarray:
-        """Full frame generator ``gamma B(t) + C(t)``."""
-        return self.model.gamma * self.drift_at(t) + self.drive_at(t)
+        """Full frame generator ``gamma B(t) + C(t)``.
+
+        Without analytic spectral data the drift is decomposed once at ``t``,
+        and that decomposition serves both the eigenvalues ``b_k(t)`` and the
+        Kato term, so an evaluation costs three decompositions (at ``t`` and
+        ``t ± h``) whatever the block count.
+        """
+        anchor = None if self.model.analytic_spectral is not None else self.model.spectral_at(t)
+        return self.model.gamma * self.drift_at(t, anchor) + self.drive_at(t, anchor)
 
 
 def build_frame(

@@ -30,6 +30,7 @@ __all__ = [
     "decompose",
     "match_labels",
     "track_spectral_path",
+    "projector_derivatives",
     "projector_derivative",
     "block_pseudo_inverse",
     "block_project",
@@ -51,16 +52,21 @@ def skew_defect(a: np.ndarray) -> float:
     return spectral_norm(a.conj().T + a)
 
 
-def require_skew_hermitian(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> None:
-    """Raise :class:`NotSkewHermitian` if ``‖a† + a‖`` exceeds ``tol * max(1, ‖a‖)``."""
+def require_skew_hermitian(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> float:
+    """Raise :class:`NotSkewHermitian` if ``‖a† + a‖`` exceeds ``tol * max(1, ‖a‖)``.
+
+    Returns ``‖a‖``, which the check computes for its scale anyway.
+    """
     if not np.all(np.isfinite(a)):
         raise NotSkewHermitian(f"{what} contains non-finite entries")
     defect = skew_defect(a)
-    scale = max(1.0, spectral_norm(a))
+    norm = spectral_norm(a)
+    scale = max(1.0, norm)
     if defect > tol * scale:
         raise NotSkewHermitian(
             f"{what} is not skew-Hermitian: defect {defect:.3e} > {tol:.1e} * {scale:.3e}"
         )
+    return norm
 
 
 def _as_square(a: np.ndarray) -> np.ndarray:
@@ -155,8 +161,7 @@ def decompose(
         NotSkewHermitian: if ``a`` violates the precondition.
     """
     a = _as_square(a)
-    require_skew_hermitian(a, hermiticity_tol, what="decompose input")
-    scale = spectral_norm(a)
+    scale = require_skew_hermitian(a, hermiticity_tol, what="decompose input")
     if gap_tol is None:
         gap_tol = DEFAULT_GAP_FACTOR * max(1.0, scale)
 
@@ -277,22 +282,40 @@ def track_spectral_path(
     return SpectralPath(grid=grid, decompositions=decs)
 
 
-def projector_derivative(source, k: int, t: float, h: float = 1e-5):
-    """Time derivative of eigenprojector ``k`` at time ``t``.
+def projector_derivatives(
+    source,
+    t: float,
+    h: float = 1e-5,
+    anchor: SpectralDecomposition | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Time derivatives of all eigenprojectors at time ``t``, in block order.
 
     ``source`` is any object exposing ``spectral_at(t)`` (e.g. a generator
     model); when it also provides ``analytic_projector_derivative`` that
-    closed form is used, otherwise a central difference
-    ``(P_k(t+h) - P_k(t-h)) / 2h`` with labels matched through the
-    decomposition at ``t``.
+    closed form is used, otherwise the central differences
+    ``(P_k(t+h) - P_k(t-h)) / 2h``.  One anchor decomposition at ``t``
+    (``anchor``, or ``source.spectral_at(t)`` when omitted) serves all
+    blocks: the decompositions at ``t - h`` and ``t + h`` are each taken and
+    label-matched against it once.
     """
+    if anchor is None:
+        anchor = source.spectral_at(t)
     analytic = getattr(source, "analytic_projector_derivative", None)
     if analytic is not None:
-        return analytic(k, t)
-    anchor = source.spectral_at(t)
+        return tuple(analytic(k, t) for k in range(anchor.n_blocks))
     below = match_labels(anchor, source.spectral_at(t - h))
     above = match_labels(anchor, source.spectral_at(t + h))
-    return (above.projectors[k] - below.projectors[k]) / (2.0 * h)
+    return tuple(
+        (p_above - p_below) / (2.0 * h)
+        for p_above, p_below in zip(above.projectors, below.projectors)
+    )
+
+
+def projector_derivative(source, k: int, t: float, h: float = 1e-5) -> np.ndarray:
+    """Time derivative of eigenprojector ``k`` at time ``t``: block ``k`` of
+    :func:`projector_derivatives`, whose one anchor decomposition at ``t``
+    serves all blocks."""
+    return projector_derivatives(source, t, h)[k]
 
 
 def _range_basis(p: np.ndarray) -> np.ndarray:

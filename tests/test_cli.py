@@ -229,6 +229,24 @@ def test_bound_violation_yields_defect_exit_code(tmp_path, monkeypatch):
     assert _exit_code([summary]) == EXIT_BOUND
 
 
+def test_exit_code_precedence_bound_over_solver_over_blowup(tmp_path):
+    # a solver error must not mask the theorem-violation defect signal
+    from blochwave.cli import EXIT_BOUND, EXIT_SOLVER, RunSummary, _exit_code
+
+    config = load_config(write_cfg(tmp_path))
+
+    def failed(code):
+        return RunSummary("run", config, 10.0, {}, False, "error", error_code=code)
+
+    bound, solver = failed("bound_violated"), failed("integrator_failure")
+    blowup, bad_config = failed("blow_up"), failed("config_error")
+    assert _exit_code([bound, solver]) == EXIT_BOUND
+    assert _exit_code([solver, bound, blowup]) == EXIT_BOUND
+    assert _exit_code([blowup, solver]) == EXIT_SOLVER
+    assert _exit_code([bad_config, blowup]) == EXIT_BLOWUP
+    assert _exit_code([bad_config]) == EXIT_CONFIG
+
+
 def test_blowup_run_marks_and_exits_nonzero(tmp_path):
     # strong pure coupling with a vanishing drift gap: the wave operator
     # leaves its invertibility region within the window
@@ -300,6 +318,17 @@ def test_sweep_two_gammas_fits_slope(tmp_path):
     for (ic_kind, norm), slope in result["slopes"].items():
         assert -1.6 < slope < -0.4  # O(1/gamma) scaling visible even with 2 points
     assert (config.output_dir / "gamma_20_stationary" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("gammas", ["10, 10.0000001", "10, 20, 10"])
+def test_sweep_gammas_sharing_a_label_are_rejected(tmp_path, gammas):
+    # both runs would write one output directory and one summaries key
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = {gammas}\n", gammas=gammas)
+    with pytest.raises(ConfigError, match=r"10\.0, 10\.0.*'gamma_10'"):
+        load_config(cfg)
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    assert main(["sweep", str(cfg)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_continues_past_blowup_runs(tmp_path):

@@ -6,13 +6,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+import blochwave.models
 from blochwave import (
     build_frame,
+    decompose,
     factorization_defect,
     frame_generators,
     intertwining_defect,
     kato_generator,
     landau_zener_model,
+    match_labels,
+    projector_derivative,
     random_smooth_model,
     spectral_norm,
     three_level_model,
@@ -60,6 +64,61 @@ def test_kato_skew_hermitian_random_model():
     for t in (0.0, 1.3, 2.9):
         a = kato_generator(model, t)
         assert spectral_norm(a + a.conj().T) < 1e-10
+
+
+# ----------------------------------- one drift decomposition per time point
+
+def numeric_frame():
+    model = random_smooth_model(4, 3, seed=8, analytic=False)
+    return model, build_frame(model, 0.0, 2.0, tol=1e-8, checkpoints=9)
+
+
+def reference_kato(model, t, h):
+    """The Kato sum decomposed afresh for every block, as a reference."""
+    anchor = decompose(model.drift(t), model.gap_tol)
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for k, p in enumerate(anchor.projectors):
+        below = match_labels(anchor, decompose(model.drift(t - h), model.gap_tol))
+        above = match_labels(anchor, decompose(model.drift(t + h), model.gap_tol))
+        pdot = (above.projectors[k] - below.projectors[k]) / (2.0 * h)
+        assert np.array_equal(projector_derivative(model, k, t, h), pdot)
+        out += 0.5 * (pdot @ p - p @ pdot)
+    return anchor, out
+
+
+def test_shared_anchor_is_bit_identical_to_per_block_reference():
+    model, frame = numeric_frame()
+    h = frame.derivative_step
+    proj_stack = np.stack(frame.blocks)
+    for t in (0.3, 1.1, 1.7):
+        anchor, kato = reference_kato(model, t, h)
+        assert np.array_equal(kato_generator(model, t, h), kato)
+        w = frame.transporter_at(t)
+        expected = model.gamma * np.einsum(
+            "k,kij->ij", anchor.eigenvalues, proj_stack
+        ) + w.conj().T @ (model.drive(t) - kato) @ w
+        assert np.array_equal(frame.hamiltonian_at(t), expected)
+
+
+def test_numeric_frame_evaluation_decomposes_three_times(monkeypatch):
+    model, frame = numeric_frame()
+    calls = []
+    original = blochwave.models.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blochwave.models, "decompose", counted)
+    frame.hamiltonian_at(0.9)
+    assert len(calls) == 3  # at t and t ± h, whatever the block count
+    calls.clear()
+    kato_generator(model, 0.9, frame.derivative_step)
+    assert len(calls) == 3
+    calls.clear()
+    analytic = random_smooth_model(4, 3, seed=8)
+    build_frame(analytic, 0.0, 2.0, tol=1e-8, checkpoints=9).hamiltonian_at(0.9)
+    assert calls == []
 
 
 # -------------------------------------------------------------- transporter
