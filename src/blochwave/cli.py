@@ -3,9 +3,9 @@
 Parses a line-oriented ``key = value`` config with sections, builds a model,
 runs the frame -> propagate -> wave-operator -> diagnostics pipeline, and
 emits ``trace.csv`` plus ``summary.csv``.  Sweep mode repeats the run over a
-list of adiabatic parameters (concurrently) for both the identity and the
-stationary initial conditions, writing ``sweep.csv`` and the fitted log-log
-slopes of the supremum deviation versus the adiabatic parameter.
+list of adiabatic parameters for both the identity and the stationary initial
+conditions, writing ``sweep.csv`` and the fitted log-log slopes of the
+supremum deviation versus the adiabatic parameter.
 
 Every config key can be overridden from the command line via repeated
 ``--set section.key=value`` flags (command line wins), and the output
@@ -16,8 +16,9 @@ commented metadata header lines (``# key = value``: timestamp, wall-clock
 time, package version), which are documented as non-reproducible.  Floats
 are written with 17 significant digits so oracle comparisons stay bit-stable.
 
-Exit codes: 0 success, 2 config error, 3 blow-up, 4 theorem bound violated
-(a defect signal, never a warning), 5 other solver errors, 1 unexpected.
+Exit codes: 0 success, 2 config or input-file error, 3 blow-up, 4 theorem
+bound violated (a defect signal, never a warning), 5 other solver errors,
+1 unexpected.
 When the runs of a sweep fail differently, the precedence is 4 > 5 > 3 > 2.
 """
 
@@ -29,7 +30,6 @@ import csv
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -104,7 +104,6 @@ class ExperimentConfig:
     sweep_gammas: tuple[float, ...] | None
     output_dir: Path
     seed: int | None
-    workers: int
 
     def validate(self) -> None:
         if self.model_name not in builtin_model_names() + ["custom"]:
@@ -117,8 +116,17 @@ class ExperimentConfig:
             raise ConfigError("integrator_tol must lie in (1e-14, 1e-2)")
         if self.ic_kind not in IC_KINDS:
             raise ConfigError(f"ic must be one of {IC_KINDS}")
-        if self.ic_kind == "custom" and not self.ic_path:
-            raise ConfigError("ic = custom requires ic_path")
+        if self.model_name == "custom":
+            path = self.model_params.get("path")
+            if not path:
+                raise ConfigError("model = custom requires path")
+            if not Path(path).is_file():
+                raise ConfigError(f"tabulated model {path} is not a file")
+        if self.ic_kind == "custom":
+            if not self.ic_path:
+                raise ConfigError("ic = custom requires ic_path")
+            if not Path(self.ic_path).is_file():
+                raise ConfigError(f"initial condition {self.ic_path} is not a file")
         if self.route not in ROUTES + ("all",):
             raise ConfigError(f"route must be one of {ROUTES + ('all',)}")
         for n in self.norms:
@@ -137,8 +145,6 @@ class ExperimentConfig:
                         f"the output label {label!r}; sweep gammas must differ "
                         "within 6 significant digits"
                     )
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     @property
     def routes(self) -> tuple[str, ...]:
@@ -233,7 +239,6 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
         sweep_gammas=sweep_gammas,
         output_dir=Path(out_dir),
         seed=int(seed_raw) if seed_raw is not None else None,
-        workers=need("output", "workers", int, "4"),
     )
     config.validate()
     return config
@@ -321,13 +326,19 @@ def _metadata(wall_seconds: float | None = None) -> dict:
     return meta
 
 
-def run_experiment(config: ExperimentConfig, label: str = "run") -> RunSummary:
+def run_experiment(
+    config: ExperimentConfig, label: str = "run", shared: dict | None = None
+) -> RunSummary:
     """Run the full pipeline for one configuration and write its CSV files.
 
     Writes ``trace.csv`` (per-checkpoint diagnostics) and ``summary.csv``
     (one row) under ``config.output_dir``.  Solver errors and blow-ups are
     captured in the returned summary rather than raised, so sweeps can
     continue past failed runs; the CLI layer turns them into exit codes.
+
+    ``shared`` (internal; :func:`sweep` passes one dict per gamma) holds the
+    ``model``, ``frame`` and ``m`` that do not depend on the initial
+    condition: reused when present, else stored once ``M`` exists.
     """
     start = time.perf_counter()
     out_dir = config.output_dir
@@ -340,7 +351,7 @@ def run_experiment(config: ExperimentConfig, label: str = "run") -> RunSummary:
         status="ok",
     )
     try:
-        _run_pipeline(config, summary)
+        _run_pipeline(config, summary, {} if shared is None else shared)
     except BlochwaveError as exc:
         summary.status = "error"
         summary.error_code = exc.code
@@ -378,8 +389,8 @@ def run_experiment(config: ExperimentConfig, label: str = "run") -> RunSummary:
     return summary
 
 
-def _run_pipeline(config: ExperimentConfig, summary: RunSummary) -> None:
-    model = build_model(config)
+def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -> None:
+    model = shared["model"] if "m" in shared else build_model(config)
     summary.gamma = model.gamma
     summary.fields["resolved_model_params"] = ";".join(
         f"{k}={model.params[k]}" for k in sorted(model.params)
@@ -387,9 +398,13 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary) -> None:
     tol = config.integrator_tol
     grid = np.linspace(config.t0, config.t_final, config.checkpoint_count)
 
-    frame = build_frame(model, config.t0, config.t_final, tol=tol)
+    if "m" in shared:
+        frame, m_path = shared["frame"], shared["m"]
+    else:
+        frame = build_frame(model, config.t0, config.t_final, tol=tol)
+        m_path = propagate(frame.hamiltonian_at, config.t0, grid, tol=tol)
+        shared.update(model=model, frame=frame, m=m_path)
     blocks = frame.blocks
-    m_path = propagate(frame.hamiltonian_at, config.t0, grid, tol=tol)
 
     if config.ic_kind == "identity":
         ic = identity_ic(blocks)
@@ -432,7 +447,8 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary) -> None:
     n = len(u_path.times)
     min_sv = u_path.min_block_sv
     if min_sv is None:
-        min_sv = closed_form_wave(m_path, ic, blocks).min_block_sv
+        closed = u_paths.get("closed_form") or closed_form_wave(m_path, ic, blocks)
+        min_sv = closed.min_block_sv
     if len(min_sv) < n:  # routes may cease to exist at slightly different times
         min_sv = np.concatenate([min_sv, np.full(n - len(min_sv), np.nan)])
 
@@ -494,20 +510,21 @@ def _fit_slope(gammas, sups) -> float:
 def sweep(config: ExperimentConfig) -> dict:
     """Run the pipeline per sweep gamma for both reference initial conditions.
 
-    Individual runs execute concurrently (``workers`` threads, each writing
-    only its own files); failed runs are marked and skipped by the slope fit,
-    which needs at least two surviving points.  Writes ``sweep.csv`` (one row
-    per run) and ``slopes.csv`` (fitted log-log slope per initial condition
-    and norm), then returns ``{(ic, norm): slope}`` plus the summaries.
+    The runs at one gamma share its model, frame and ``M``, built once; failed
+    runs are marked and skipped by the slope fit, which needs at least two
+    surviving points.  Writes ``sweep.csv`` (one row per run) and ``slopes.csv``
+    (fitted log-log slope per initial condition and norm), then returns
+    ``{(ic, norm): slope}`` plus the summaries.
     """
     if config.sweep_gammas is None:
         raise ConfigError("sweep requires a [sweep] gamma list")
     gammas = config.sweep_gammas
     ics = ("identity", "stationary") if config.ic_kind != "custom" else (config.ic_kind,)
 
-    jobs = []
-    for ic_kind in ics:
-        for gamma in gammas:
+    summaries: dict[str, RunSummary] = {}
+    for gamma in gammas:
+        shared = {}
+        for ic_kind in ics:
             label = f"{_gamma_label(gamma)}_{ic_kind}"
             sub = replace(
                 config,
@@ -516,15 +533,7 @@ def sweep(config: ExperimentConfig) -> dict:
                 output_dir=config.output_dir / label,
                 sweep_gammas=None,
             )
-            jobs.append((label, sub))
-
-    summaries: dict[str, RunSummary] = {}
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = {
-            pool.submit(run_experiment, sub, label): label for label, sub in jobs
-        }
-        for future, label in futures.items():
-            summaries[label] = future.result()
+            summaries[label] = run_experiment(sub, label, shared=shared)
 
     rows = []
     for ic_kind in ics:
@@ -593,7 +602,7 @@ def _exit_code(summaries) -> int:
             codes.add(EXIT_BLOWUP)
         elif s.error_code == BoundViolated.code:
             codes.add(EXIT_BOUND)
-        elif s.error_code == ConfigError.code:
+        elif s.error_code in (ConfigError.code, IoError.code):
             codes.add(EXIT_CONFIG)
         else:
             codes.add(EXIT_SOLVER)
@@ -651,7 +660,7 @@ def main(argv=None) -> int:
         return _exit_code(result["summaries"].values())
     except BlochwaveError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_SOLVER
+        return EXIT_CONFIG if isinstance(exc, (ConfigError, IoError)) else EXIT_SOLVER
 
 
 def _print_summary(summary: RunSummary) -> None:

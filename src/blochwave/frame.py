@@ -177,7 +177,6 @@ def build_frame(
     t1: float,
     tol: float = 1e-10,
     checkpoints: int = 65,
-    verify_labels: bool = True,
 ) -> AdiabaticFrame:
     """Construct the adiabatic frame of ``model`` over ``[t0, t1]``.
 
@@ -187,7 +186,7 @@ def build_frame(
     """
     frozen = model.spectral_at(t0)
     w_path = transporter(model, t0, t1, tol=tol, checkpoints=checkpoints)
-    if verify_labels and model.analytic_spectral is None:
+    if model.analytic_spectral is None:
         prev = frozen
         for t in w_path.times[1:]:
             prev = match_labels(prev, model.spectral_at(t))

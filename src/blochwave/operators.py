@@ -216,10 +216,9 @@ def match_labels(
         )
 
     n = prev.n_blocks
-    overlap = np.empty((n, n))
-    for k in range(n):
-        for l in range(n):
-            overlap[k, l] = np.trace(prev.projectors[k] @ new.projectors[l]).real
+    overlap = np.einsum(
+        "kij,lji->kl", np.stack(prev.projectors), np.stack(new.projectors)
+    ).real
 
     perm = [-1] * n
     work = overlap.copy()

@@ -153,7 +153,6 @@ def propagate(
     tol: float = 1e-10,
     max_step: float | None = None,
     dense: bool = False,
-    check_skew: bool = True,
     reunitarize: bool = False,
 ) -> PropagatorPath:
     """Integrate ``M' = G(t) M`` with ``M(t0) = 1`` and dense checkpoints.
@@ -166,7 +165,6 @@ def propagate(
         max_step: optional step cap; by default estimated from the sampled
             generator norm so oscillating terms are never skipped.
         dense: keep a continuous interpolant (``path.at`` at arbitrary t).
-        check_skew: verify skew-Hermiticity of generator samples.
         reunitarize: project checkpoints onto the unitary group (polar
             projection).  Defects are recorded before projection.
 
@@ -180,11 +178,10 @@ def propagate(
     if grid[0] != t0:
         raise ValueError(f"grid[0] = {grid[0]!r} must equal t0 = {t0!r}")
 
-    if check_skew:
-        for t in np.linspace(t0, grid[-1], 7):
-            require_skew_hermitian(
-                generator(t), SKEW_CHECK_FACTOR * tol, what=f"generator at t={t:g}"
-            )
+    for t in np.linspace(t0, grid[-1], 7):
+        require_skew_hermitian(
+            generator(t), SKEW_CHECK_FACTOR * tol, what=f"generator at t={t:g}"
+        )
 
     if max_step is None:
         max_step = _estimate_max_step(generator, t0, grid[-1])

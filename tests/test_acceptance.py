@@ -64,7 +64,6 @@ def _config(**kw) -> ExperimentConfig:
         sweep_gammas=None,
         output_dir=None,
         seed=0,
-        workers=4,
     )
     base.update(kw)
     return ExperimentConfig(**base)

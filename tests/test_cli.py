@@ -115,6 +115,39 @@ def test_main_validate_bad_config(tmp_path):
     assert main(["validate", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["model.name=custom"],
+        ["model.name=custom", "model.path={missing}"],
+        ["run.ic=custom", "run.ic_path={missing}"],
+    ],
+)
+def test_missing_input_file_is_a_config_error(tmp_path, overrides):
+    # caught by validate, before any run starts, not left to the run's reader
+    cfg = write_cfg(tmp_path)
+    sets = []
+    for item in overrides:
+        sets += ["--set", item.format(missing=tmp_path / "missing.csv")]
+    assert main(["validate", str(cfg), *sets]) == EXIT_CONFIG
+    assert main(["run", str(cfg), *sets]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_file_read_error_at_run_time_exits_config(tmp_path):
+    from blochwave.cli import _exit_code
+
+    ic_file = tmp_path / "u0.csv"
+    ic_file.write_text("1,0,0\n0,1,0\n0,0,1\n")
+    config = load_config(
+        write_cfg(tmp_path), overrides=["run.ic=custom", f"run.ic_path={ic_file}"]
+    )
+    ic_file.unlink()  # gone between validation and the run
+    summary = run_experiment(config)
+    assert summary.error_code == "io_error"
+    assert _exit_code([summary]) == EXIT_CONFIG
+
+
 # -------------------------------------------------------------------- running
 
 def test_run_experiment_trace_and_summary(tmp_path):
@@ -310,6 +343,19 @@ def test_sweep_single_gamma_matches_run(tmp_path):
     slopes = read_csv(config.output_dir / "slopes.csv")
     assert all(r["slope"] == "nan" for r in slopes)  # one point, no fit
 
+    # the runs sharing one frame and M write what separate runs write
+    for ic_kind in ("identity", "stationary"):
+        label = f"gamma_10_{ic_kind}"
+        alone = load_config(
+            write_cfg(tmp_path, out=tmp_path / "alone" / label),
+            overrides=[f"run.ic={ic_kind}"],
+        )
+        run_experiment(alone, label)
+        for name in ("trace.csv", "summary.csv"):
+            assert data_bytes(config.output_dir / label / name) == data_bytes(
+                alone.output_dir / name
+            )
+
 
 def test_sweep_two_gammas_fits_slope(tmp_path):
     text = BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n"
@@ -318,6 +364,68 @@ def test_sweep_two_gammas_fits_slope(tmp_path):
     for (ic_kind, norm), slope in result["slopes"].items():
         assert -1.6 < slope < -0.4  # O(1/gamma) scaling visible even with 2 points
     assert (config.output_dir / "gamma_20_stationary" / "trace.csv").exists()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+SHORT_SWEEP = ["run.t_final=2", "run.checkpoint_count=11", "run.route=riccati"]
+
+
+def test_sweep_builds_frame_and_m_once_per_gamma(tmp_path, monkeypatch):
+    import blochwave.cli as cli_mod
+
+    frames = _count_calls(monkeypatch, cli_mod, "build_frame")
+    propagations = _count_calls(monkeypatch, cli_mod, "propagate")
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n")
+    result = sweep(load_config(cfg, overrides=SHORT_SWEEP))
+    assert all(s.status == "ok" for s in result["summaries"].values())
+    assert len(result["summaries"]) == 4
+    assert len(frames) == 2
+    assert len(propagations) == 2
+
+
+def test_route_all_runs_closed_form_once(tmp_path, monkeypatch):
+    import blochwave.cli as cli_mod
+
+    # Riccati is the primary route; min_block_sv comes from the closed form
+    calls = _count_calls(monkeypatch, cli_mod, "closed_form_wave")
+    config = load_config(
+        write_cfg(tmp_path), overrides=["run.t_final=2", "run.checkpoint_count=11"]
+    )
+    summary = run_experiment(config)
+    assert summary.status == "ok" and summary.fields["primary_route"] == "riccati"
+    assert len(calls) == 1
+
+
+def test_sweep_failed_propagation_fails_every_initial_condition(tmp_path, monkeypatch):
+    import blochwave.cli as cli_mod
+    from blochwave.cli import EXIT_SOLVER
+    from blochwave.errors import IntegratorFailure
+
+    def failing(*args, **kwargs):
+        raise IntegratorFailure("forged step underflow")
+
+    monkeypatch.setattr(cli_mod, "propagate", failing)
+    calls = _count_calls(monkeypatch, cli_mod, "propagate")
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n")
+    result = sweep(load_config(cfg, overrides=SHORT_SWEEP))
+    assert {s.error_code for s in result["summaries"].values()} == {"integrator_failure"}
+    rows = read_csv(tmp_path / "out" / "sweep.csv")
+    assert len(rows) == 4 and all(r["status"] == "error" for r in rows)
+    # no M to share: each initial condition tried its own propagation
+    assert len(calls) == 4
+    sets = [arg for item in SHORT_SWEEP for arg in ("--set", item)]
+    assert main(["sweep", str(cfg), *sets]) == EXIT_SOLVER
 
 
 @pytest.mark.parametrize("gammas", ["10, 10.0000001", "10, 20, 10"])
