@@ -35,6 +35,7 @@ from .operators import (
     _range_basis,
     block_project,
     block_pseudo_inverse,
+    offblock_norm,
     require_skew_hermitian,
     spectral_norm,
 )
@@ -224,9 +225,8 @@ class WaveOperatorPath:
 
     def deviation(self, norm: str = "spectral") -> np.ndarray:
         """Per-checkpoint ``‖U(t) - 1‖`` in the requested norm."""
-        eye = np.eye(self.dim)
         ord_ = 2 if norm == "spectral" else "fro"
-        return np.array([np.linalg.norm(u - eye, ord_) for u in self.matrices])
+        return np.linalg.norm(self.matrices - np.eye(self.dim), ord_, axis=(-2, -1))
 
     def sup_deviation(self, norm: str = "spectral") -> float:
         return float(np.max(self.deviation(norm)))
@@ -240,8 +240,9 @@ class WaveOperatorPath:
         return float(np.max(self.bloch_defects))
 
 
-def _bloch_defect(u: np.ndarray, blocks) -> float:
-    return max(spectral_norm(p @ u @ p - p) for p in blocks)
+def _bloch_defect(u: np.ndarray, blocks) -> float | np.ndarray:
+    """``max_k ‖P_k U P_k - P_k‖``, per matrix for a stack."""
+    return np.max([spectral_norm(p @ u @ p - p) for p in blocks], axis=0)
 
 
 def _reprojected(u: np.ndarray, blocks) -> np.ndarray:
@@ -346,11 +347,23 @@ def integrate_riccati(
     )
 
 
-def _block_min_sv(m_u0: np.ndarray, bases) -> float:
-    """Smallest singular value of ``P_k (M U0) P_k`` restricted to its block."""
-    return min(
-        float(np.linalg.svd(q.conj().T @ m_u0 @ q, compute_uv=False)[-1]) for q in bases
-    )
+def _block_restrictions(m_path: PropagatorPath, ic: BlochInitialCondition, blocks):
+    """The block algebra shared by the routes that see the full evolution.
+
+    Returns ``G = M(t) U0`` over the checkpoint stack, each frozen block's
+    range basis ``Q_k``, the restrictions ``Q_k† G Q_k`` and their singular
+    values (descending, one row per checkpoint).
+    """
+    g = m_path.matrices @ ic.matrix
+    bases = [_range_basis(p) for p in blocks]
+    restricted = [q.conj().T @ g @ q for q in bases]
+    svs = [np.linalg.svd(r, compute_uv=False) for r in restricted]
+    return g, bases, restricted, svs
+
+
+def _first_true(flags: np.ndarray) -> int:
+    """Index of the first set flag, or ``len(flags)`` when none is set."""
+    return int(np.argmax(flags)) if flags.any() else len(flags)
 
 
 def closed_form_wave(
@@ -370,37 +383,24 @@ def closed_form_wave(
     """
     ic.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    bases = [_range_basis(p) for p in blocks]
-    u0 = ic.matrix
+    g, bases, restricted, svs = _block_restrictions(m_path, ic, blocks)
+    min_sv = np.min([s[:, -1] for s in svs], axis=0)
+    n = _first_true(min_sv < sv_tol)
 
-    times, mats, defects, min_svs = [], [], [], []
-    blowup = False
-    blowup_time = None
-    for t, m in zip(m_path.times, m_path.matrices):
-        g = m @ u0
-        smin = _block_min_sv(g, bases)
-        if smin < sv_tol:
-            blowup = True
-            blowup_time = float(t)
-            break
-        u = np.zeros_like(g)
-        for p in blocks:
-            u += g @ block_pseudo_inverse(g, p, sv_tol)
-        times.append(t)
-        mats.append(u)
-        defects.append(_bloch_defect(u, blocks))
-        min_svs.append(smin)
+    u = np.zeros_like(g[:n])
+    for q, r in zip(bases, restricted):
+        u += g[:n] @ (q @ np.linalg.inv(r[:n]) @ q.conj().T)
 
     return WaveOperatorPath(
         t0=m_path.t0,
-        times=np.array(times),
-        matrices=np.array(mats),
+        times=m_path.times[:n].copy(),
+        matrices=u,
         blocks=blocks,
-        bloch_defects=np.array(defects),
+        bloch_defects=_bloch_defect(u, blocks),
         route="closed_form",
-        min_block_sv=np.array(min_svs),
-        blowup_flag=blowup,
-        blowup_time=blowup_time,
+        min_block_sv=min_sv[:n],
+        blowup_flag=n < len(g),
+        blowup_time=float(m_path.times[n]) if n < len(g) else None,
     )
 
 
@@ -422,49 +422,35 @@ def radon_wave(
     """
     ic.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    bases = [_range_basis(p) for p in blocks]
-    dim = blocks[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    u0 = ic.matrix
+    g, _, _, svs = _block_restrictions(m_path, ic, blocks)
+    eye = np.eye(blocks[0].shape[0], dtype=complex)
 
-    times, mats, defects, min_svs = [], [], [], []
-    pi_offblock = 0.0
-    blowup = False
-    blowup_time = None
-    for t, m in zip(m_path.times, m_path.matrices):
-        g = m @ u0
-        u = np.zeros_like(g)
-        smin_t = np.inf
-        failed = False
-        for p, q in zip(blocks, bases):
-            pi = p @ g @ p + (eye - p)
-            s = np.linalg.svd(pi, compute_uv=False)
-            if s[0] > s[-1] / sv_tol or s[-1] == 0.0:
-                failed = True
-                break
-            smin_t = min(smin_t, float(np.linalg.svd(q.conj().T @ g @ q, compute_uv=False)[-1]))
-            pi_offblock = max(pi_offblock, spectral_norm(pi - block_project(pi, blocks)))
-            u += np.linalg.solve(pi.T, (g @ p).T).T
-        if failed:
-            blowup = True
-            blowup_time = float(t)
-            break
-        times.append(t)
-        mats.append(u)
-        defects.append(_bloch_defect(u, blocks))
-        min_svs.append(smin_t)
+    pis = [p @ g @ p + (eye - p) for p in blocks]
+    failed = np.zeros(len(g), dtype=bool)
+    for pi in pis:
+        s = np.linalg.svd(pi, compute_uv=False)
+        failed |= (s[:, 0] > s[:, -1] / sv_tol) | (s[:, -1] == 0.0)
+    n = _first_true(failed)
+
+    u = np.zeros_like(g[:n])
+    offblock = [0.0]
+    for p, pi in zip(blocks, pis):
+        offblock.extend(offblock_norm(pi[:n], blocks))
+        u += np.linalg.solve(
+            pi[:n].swapaxes(-1, -2), (g[:n] @ p).swapaxes(-1, -2)
+        ).swapaxes(-1, -2)
 
     return WaveOperatorPath(
         t0=m_path.t0,
-        times=np.array(times),
-        matrices=np.array(mats),
+        times=m_path.times[:n].copy(),
+        matrices=u,
         blocks=blocks,
-        bloch_defects=np.array(defects),
+        bloch_defects=_bloch_defect(u, blocks),
         route="radon",
-        min_block_sv=np.array(min_svs),
-        blowup_flag=blowup,
-        blowup_time=blowup_time,
-        diagnostics={"pi_offblock_defect": pi_offblock},
+        min_block_sv=np.min([s[:n, -1] for s in svs], axis=0),
+        blowup_flag=n < len(g),
+        blowup_time=float(m_path.times[n]) if n < len(g) else None,
+        diagnostics={"pi_offblock_defect": float(max(offblock))},
     )
 
 
@@ -502,28 +488,17 @@ def bloch_effective_evolution(
 ) -> EffectiveEvolutionPath:
     """The effective diagonal evolution ``sum_k P_k M(t) U(t0) P_k``."""
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    bases = [_range_basis(p) for p in blocks]
-    u0 = ic.matrix
-    mats = []
-    conds = []
-    min_svs = []
-    for m in m_path.matrices:
-        g = m @ u0
-        mats.append(block_project(g, blocks))
-        cond_row = []
-        sv_row = []
-        for q in bases:
-            s = np.linalg.svd(q.conj().T @ g @ q, compute_uv=False)
-            cond_row.append(np.inf if s[-1] == 0.0 else float(s[0] / s[-1]))
-            sv_row.append(float(s[-1]))
-        conds.append(cond_row)
-        min_svs.append(sv_row)
+    g, _, _, svs = _block_restrictions(m_path, ic, blocks)
+    s_max = np.stack([s[:, 0] for s in svs], axis=1)
+    s_min = np.stack([s[:, -1] for s in svs], axis=1)
     return EffectiveEvolutionPath(
         t0=m_path.t0,
         times=m_path.times.copy(),
-        matrices=np.array(mats),
-        block_conditions=np.array(conds),
-        block_min_sv=np.array(min_svs),
+        matrices=block_project(g, blocks),
+        block_conditions=np.divide(
+            s_max, s_min, out=np.full_like(s_max, np.inf), where=s_min != 0.0
+        ),
+        block_min_sv=s_min,
     )
 
 

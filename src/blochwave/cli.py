@@ -132,6 +132,9 @@ class ExperimentConfig:
         for n in self.norms:
             if n not in NORMS:
                 raise ConfigError(f"unknown norm {n!r}")
+        for gamma in (self.model_params.get("gamma", 1.0), *(self.sweep_gammas or ())):
+            if not (np.isfinite(gamma) and gamma > 0):
+                raise ConfigError(f"gamma must be finite and positive, got {gamma!r}")
         if self.sweep_gammas is not None:
             if len(self.sweep_gammas) < 1:
                 raise ConfigError("sweep gamma list is empty")
@@ -223,7 +226,6 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     out_dir = os.environ.get(
         "BLOCHWAVE_OUTPUT_DIR", need("output", "dir", str, "blochwave_out")
     )
-    seed_raw = _get(cp, "output", "seed")
 
     config = ExperimentConfig(
         model_name=model_name,
@@ -238,7 +240,7 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
         norms=norms,
         sweep_gammas=sweep_gammas,
         output_dir=Path(out_dir),
-        seed=int(seed_raw) if seed_raw is not None else None,
+        seed=need("output", "seed", int) if _get(cp, "output", "seed") is not None else None,
     )
     config.validate()
     return config
@@ -266,6 +268,8 @@ def build_model(config: ExperimentConfig) -> GeneratorModel:
             return load_tabulated_model(params["path"], params["gamma"])
     except KeyError as exc:
         raise ConfigError(f"model {name!r} is missing parameter {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad parameters for model {name!r}: {exc}") from exc
     raise ConfigError(f"unknown model {name!r}")
 
 
@@ -430,9 +434,8 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     for ra, rb in (("riccati", "closed_form"), ("riccati", "radon"), ("closed_form", "radon")):
         if ra in u_paths and rb in u_paths:
             n = min(len(u_paths[ra].times), len(u_paths[rb].times))
-            fields[f"agreement_{ra}_{rb}"] = max(
-                spectral_norm(a - b)
-                for a, b in zip(u_paths[ra].matrices[:n], u_paths[rb].matrices[:n])
+            fields[f"agreement_{ra}_{rb}"] = float(
+                np.max(spectral_norm(u_paths[ra].matrices[:n] - u_paths[rb].matrices[:n]))
             )
 
     m_eff = bloch_effective_evolution(m_path, ic, blocks)
@@ -452,7 +455,6 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     if len(min_sv) < n:  # routes may cease to exist at slightly different times
         min_sv = np.concatenate([min_sv, np.full(n - len(min_sv), np.nan)])
 
-    eye = np.eye(m_path.dim)
     dev_f = u_path.deviation("frobenius")
     dev_s = u_path.deviation("spectral")
     rows = []
@@ -465,10 +467,8 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
             "min_block_sv": float(min_sv[i]),
             "unitarity_defect": float(m_path.unitarity_defects[i]),
         }
-        for k, p in enumerate(blocks):
-            row[f"leakage_block_{k}"] = float(
-                spectral_norm((eye - p) @ m_path.matrices[i] @ p)
-            )
+        for k, leak in enumerate(report.leakage[i]):
+            row[f"leakage_block_{k}"] = float(leak)
         rows.append(row)
     header = (
         ["t", "norm_U_minus_1_fro", "norm_U_minus_1_spec"]

@@ -48,12 +48,16 @@ def leakage(m_path: PropagatorPath, blocks, norm: str = "spectral") -> np.ndarra
     and Frobenius norms).
     """
     ord_ = 2 if norm == "spectral" else "fro"
+    return _leakage_trace(m_path, blocks, ord_).max(axis=0)
+
+
+def _leakage_trace(m_path: PropagatorPath, blocks, ord_=2) -> np.ndarray:
+    """``‖(1 - P_k) M(t) P_k‖`` per checkpoint (rows) and block (columns)."""
     eye = np.eye(m_path.dim)
-    out = []
-    for p in blocks:
-        comp = eye - p
-        out.append(max(np.linalg.norm(comp @ m @ p, ord_) for m in m_path.matrices))
-    return np.array(out)
+    return np.stack(
+        [np.linalg.norm((eye - p) @ m_path.matrices @ p, ord_, axis=(-2, -1)) for p in blocks],
+        axis=-1,
+    )
 
 
 def leakage_bound(delta: float) -> float:
@@ -103,9 +107,8 @@ class UnitarizedPath:
         return self.matrices[-1]
 
     def deviation(self, norm: str = "spectral") -> np.ndarray:
-        eye = np.eye(self.matrices.shape[-1])
         ord_ = 2 if norm == "spectral" else "fro"
-        return np.array([np.linalg.norm(v - eye, ord_) for v in self.matrices])
+        return np.linalg.norm(self.matrices - np.eye(self.matrices.shape[-1]), ord_, axis=(-2, -1))
 
     def max_unitarity_defect(self) -> float:
         return float(np.max(self.unitarity_defects))
@@ -145,43 +148,32 @@ def unitarize(
                 "incompatible with unitarization"
             )
 
-    eye = np.eye(u_path.dim, dtype=complex)
-    vs = []
-    defects = []
-    gram_offblock = 0.0
-    for u in u_path.matrices:
-        gram = u.conj().T @ u
-        gram_offblock = max(gram_offblock, offblock_norm(gram, blocks))
-        w, q = np.linalg.eigh(gram)
-        if w[0] < sv_tol**2:
-            raise SingularBlock(
-                f"U†U eigenvalue {w[0]:.3e} below floor {sv_tol**2:.1e}; "
-                "transformation not invertible"
-            )
-        inv_sqrt = (q * (1.0 / np.sqrt(w))) @ q.conj().T
-        v = u @ inv_sqrt
-        vs.append(v)
-        defects.append(spectral_norm(v.conj().T @ v - eye))
+    us = u_path.matrices
+    grams = us.conj().swapaxes(-1, -2) @ us
+    w, q = np.linalg.eigh(grams)
+    floor = w[:, 0] < sv_tol**2
+    if floor.any():
+        raise SingularBlock(
+            f"U†U eigenvalue {w[np.argmax(floor), 0]:.3e} below floor {sv_tol**2:.1e}; "
+            "transformation not invertible"
+        )
+    vs = us @ ((q * (1.0 / np.sqrt(w))[:, None, :]) @ q.conj().swapaxes(-1, -2))
 
     conjugated = None
     if m_path is not None:
-        if len(m_path.times) < len(u_path.times) or not np.array_equal(
-            m_path.times[: len(u_path.times)], u_path.times
-        ):
+        n = len(u_path.times)
+        if len(m_path.times) < n or not np.array_equal(m_path.times[:n], u_path.times):
             raise ValueError("m_path grid does not cover the wave-operator grid")
-        conjugated = 0.0
-        v0 = vs[0]
-        for v, m in zip(vs, m_path.matrices):
-            conjugated = max(
-                conjugated, offblock_norm(v.conj().T @ m @ v0, blocks)
-            )
+        conjugated = float(
+            np.max(offblock_norm(vs.conj().swapaxes(-1, -2) @ m_path.matrices[:n] @ vs[0], blocks))
+        )
 
     return UnitarizedPath(
         t0=u_path.t0,
         times=u_path.times.copy(),
-        matrices=np.array(vs),
-        unitarity_defects=np.array(defects),
-        gram_offblock_defect=gram_offblock,
+        matrices=vs,
+        unitarity_defects=spectral_norm(vs.conj().swapaxes(-1, -2) @ vs - np.eye(u_path.dim)),
+        gram_offblock_defect=float(np.max(offblock_norm(grams, blocks))),
         conjugated_offblock_defect=conjugated,
     )
 
@@ -194,10 +186,11 @@ class LeakageReport:
     infinite (with ``delta_in_range`` false) when ``delta >= 1``; similarly
     ``bound_v`` requires ``2*delta + delta² < 1``.  ``grid`` records the
     checkpoints over which every supremum was taken, so the numbers are
-    reproducible.
+    reproducible.  ``leakage`` holds ``‖(1 - P_k) M(t) P_k‖`` at every
+    checkpoint of ``M`` (rows) for every block (columns).
     """
 
-    per_block_leakage: np.ndarray
+    leakage: np.ndarray
     delta_spectral: float
     delta_frobenius: float
     bound_leakage: float
@@ -208,6 +201,11 @@ class LeakageReport:
     v_deviation_max: float | None
     grid: np.ndarray
     norms_used: dict
+
+    @property
+    def per_block_leakage(self) -> np.ndarray:
+        """Per-block supremum of :attr:`leakage` over the checkpoints."""
+        return self.leakage.max(axis=0)
 
     def row(self) -> dict:
         """Flat scalar view for CSV output."""
@@ -255,12 +253,7 @@ def distance_report(
 
     delta_spec = u_path.sup_deviation("spectral")
     delta_fro = u_path.sup_deviation("frobenius")
-    per_block = leakage(m_path, blocks, "spectral")
-
-    dist = max(
-        spectral_norm(m - me)
-        for m, me in zip(m_path.matrices[:n], m_eff_path.matrices[:n])
-    )
+    dist = float(np.max(spectral_norm(m_path.matrices[:n] - m_eff_path.matrices[:n])))
 
     delta_ok = delta_spec < 1.0
     bound_leak = leakage_bound(delta_spec) if delta_ok else np.inf
@@ -282,7 +275,7 @@ def distance_report(
             )
 
     return LeakageReport(
-        per_block_leakage=per_block,
+        leakage=_leakage_trace(m_path, blocks),
         delta_spectral=delta_spec,
         delta_frobenius=delta_fro,
         bound_leakage=bound_leak,

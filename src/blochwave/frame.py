@@ -24,11 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import GeneratorModel
-from .operators import (
+# match_labels is unused here but stays importable from this module: the
+# benchmark's tracer (perfbench/tracer.py) wraps blochwave.frame.match_labels
+from .operators import (  # noqa: F401
     SpectralDecomposition,
     match_labels,
     projector_derivatives,
     spectral_norm,
+    track_spectral_path,
 )
 from .propagation import PropagatorPath, propagate
 
@@ -181,15 +184,15 @@ def build_frame(
     """Construct the adiabatic frame of ``model`` over ``[t0, t1]``.
 
     When the model has no analytic spectral data, the ascending-eigenvalue
-    labeling is verified for continuity against the frozen decomposition at
-    the transporter checkpoints (raises ``CrossingDetected`` on failure).
+    labeling is tracked along the transporter checkpoints with
+    :func:`track_spectral_path` (raises ``CrossingDetected`` on failure) and
+    the frozen decomposition is its first.
     """
-    frozen = model.spectral_at(t0)
     w_path = transporter(model, t0, t1, tol=tol, checkpoints=checkpoints)
     if model.analytic_spectral is None:
-        prev = frozen
-        for t in w_path.times[1:]:
-            prev = match_labels(prev, model.spectral_at(t))
+        frozen = track_spectral_path(model.drift, w_path.times, model.gap_tol).decompositions[0]
+    else:
+        frozen = model.spectral_at(t0)
     return AdiabaticFrame(
         model=model,
         t0=t0,

@@ -42,9 +42,10 @@ __all__ = [
 DEFAULT_GAP_FACTOR = 1e-8
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value of ``a``."""
-    return float(np.linalg.norm(a, 2))
+def spectral_norm(a: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of ``a``; one value per matrix for a stack."""
+    norms = np.linalg.norm(a, 2, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def skew_defect(a: np.ndarray) -> float:
@@ -353,7 +354,8 @@ def block_pseudo_inverse(
 
 
 def block_project(a: np.ndarray, blocks) -> np.ndarray:
-    """Project onto the block-diagonal part, ``sum_k P_k a P_k``."""
+    """Project onto the block-diagonal part, ``sum_k P_k a P_k`` (per matrix
+    for a stack)."""
     a = np.asarray(a, dtype=complex)
     out = np.zeros_like(a)
     for p in blocks:
@@ -361,6 +363,7 @@ def block_project(a: np.ndarray, blocks) -> np.ndarray:
     return out
 
 
-def offblock_norm(a: np.ndarray, blocks) -> float:
-    """Spectral norm of the part of ``a`` outside the block diagonal."""
+def offblock_norm(a: np.ndarray, blocks) -> float | np.ndarray:
+    """Spectral norm of the part of ``a`` outside the block diagonal (per
+    matrix for a stack)."""
     return spectral_norm(np.asarray(a, dtype=complex) - block_project(a, blocks))

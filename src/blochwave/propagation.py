@@ -11,8 +11,7 @@ Unitarity is monitored, never silently enforced: the recorded defect
 ``‖M†M - 1‖`` doubles as an independent error estimate.  Empirically the
 global defect stays below ``c * tol * (t_f - t0)`` with ``c ≈ 100`` on the
 built-in models; the convergence tests pin the monotone decrease across
-tolerance decades.  An optional polar re-unitarization switch exists for
-long exploratory runs but defaults to off.
+tolerance decades.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ class PropagatorPath:
     """A propagator sampled at checkpoints.
 
     The checkpoint at ``t0`` is the identity exactly.  ``unitarity_defects``
-    stores ``‖M†M - 1‖_2`` per checkpoint as recorded during integration
-    (before any optional re-unitarization).
+    stores ``‖M†M - 1‖_2`` per checkpoint.
     """
 
     t0: float
@@ -153,7 +151,6 @@ def propagate(
     tol: float = 1e-10,
     max_step: float | None = None,
     dense: bool = False,
-    reunitarize: bool = False,
 ) -> PropagatorPath:
     """Integrate ``M' = G(t) M`` with ``M(t0) = 1`` and dense checkpoints.
 
@@ -165,8 +162,6 @@ def propagate(
         max_step: optional step cap; by default estimated from the sampled
             generator norm so oscillating terms are never skipped.
         dense: keep a continuous interpolant (``path.at`` at arbitrary t).
-        reunitarize: project checkpoints onto the unitary group (polar
-            projection).  Defects are recorded before projection.
 
     Raises:
         IntegratorFailure: on step underflow.
@@ -201,18 +196,12 @@ def propagate(
 
     mats = np.ascontiguousarray(sol.y.T).reshape(-1, n, n)
     mats[0] = eye
-    defects = np.array([spectral_norm(m.conj().T @ m - eye) for m in mats])
-
-    if reunitarize:
-        for i in range(1, len(mats)):
-            u, _, vh = np.linalg.svd(mats[i])
-            mats[i] = u @ vh
 
     return PropagatorPath(
         t0=t0,
         times=grid,
         matrices=mats,
-        unitarity_defects=defects,
+        unitarity_defects=spectral_norm(mats.conj().swapaxes(-1, -2) @ mats - eye),
         tol=tol,
         dense=sol.sol if dense else None,
     )

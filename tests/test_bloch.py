@@ -235,11 +235,15 @@ def test_existence_triad_cross_check():
     ic = identity_ic(DIAG_BLOCKS)
     sv_tol = 1e-2
     u_c = closed_form_wave(m_path, ic, DIAG_BLOCKS, sv_tol=sv_tol)
+    u_d = radon_wave(m_path, ic, DIAG_BLOCKS, sv_tol=sv_tol)
     m_eff = bloch_effective_evolution(m_path, ic, DIAG_BLOCKS)
 
     n_ok = len(u_c.times)
     assert u_c.blowup_flag
     assert np.all(u_c.min_block_sv >= sv_tol)
+    # radon's own condition test truncates at the same checkpoint
+    assert u_d.blowup_flag and len(u_d.times) == n_ok
+    assert len(u_c.min_block_sv) == len(u_d.min_block_sv) == n_ok
     # the certificate fails exactly where the path was truncated
     direct_sv = np.abs(np.cos(grid))  # |P0 M(t) P0| on the block
     assert direct_sv[n_ok] < sv_tol

@@ -134,6 +134,28 @@ def test_missing_input_file_is_a_config_error(tmp_path, overrides):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, caught_by_validate",
+    [
+        (["output.seed=abc"], True),
+        (["model.gamma=-1"], True),
+        (["model.gamma=nan"], True),
+        (["sweep.gamma=10, -5"], True),
+        (["model.a=-1"], False),
+        (["model.name=random_smooth", "model.dim=1", "model.n_blocks=1"], False),
+    ],
+    ids=["seed", "gamma_negative", "gamma_nan", "sweep_gamma_negative", "a_negative", "dim_1"],
+)
+def test_malformed_input_exits_config(tmp_path, overrides, caught_by_validate):
+    # what the config alone shows is caught by validate; what only the model
+    # constructor checks fails the run; either way exit 2, never a traceback
+    cfg = write_cfg(tmp_path)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    if caught_by_validate:
+        assert main(["validate", str(cfg), *sets]) == EXIT_CONFIG
+    assert main(["run", str(cfg), *sets]) == EXIT_CONFIG
+
+
 def test_input_file_read_error_at_run_time_exits_config(tmp_path):
     from blochwave.cli import _exit_code
 
@@ -177,6 +199,25 @@ def test_run_experiment_trace_and_summary(tmp_path):
     assert row["status"] == "ok"
     assert float(row["delta_spectral"]) > 0.0
     assert float(row["agreement_riccati_closed_form"]) < 1e-5
+
+
+def test_trace_leakage_and_certificate_match_direct_evaluation(tmp_path):
+    from blochwave import spectral_norm
+
+    config = load_config(
+        write_cfg(tmp_path), overrides=["run.t_final=2", "run.checkpoint_count=11"]
+    )
+    summary = run_experiment(config)
+    assert summary.status == "ok"
+    trace = read_csv(config.output_dir / "trace.csv")
+    m_path = summary.paths["m"]
+    eye = np.eye(m_path.dim)
+    for k, p in enumerate(summary.paths["frame"].blocks):
+        column = [float(row[f"leakage_block_{k}"]) for row in trace]
+        assert column == [spectral_norm((eye - p) @ m @ p) for m in m_path.matrices]
+        assert summary.fields[f"leakage_block_{k}"] == max(column)
+    closed = summary.paths["u"]["closed_form"]
+    assert [float(row["min_block_sv"]) for row in trace] == list(closed.min_block_sv)
 
 
 def test_run_uncoupled_three_level_has_no_leakage(tmp_path):

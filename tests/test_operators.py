@@ -12,6 +12,7 @@ from blochwave import (
     decompose,
     landau_zener_model,
     match_labels,
+    offblock_norm,
     projector_derivative,
     spectral_norm,
     three_level_model,
@@ -307,6 +308,21 @@ def test_block_project_identity_on_commuting_input():
     blocks = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     a = np.diag([2.0 + 1j, -3.0]).astype(complex)  # commutes with both blocks
     assert np.allclose(block_project(a, blocks), a)
+
+
+def test_stack_primitives_equal_per_matrix_results():
+    rng = np.random.default_rng(29)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    blocks = [q[:, :1] @ q[:, :1].conj().T, q[:, 1:] @ q[:, 1:].conj().T]
+    stack = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+    assert isinstance(spectral_norm(stack[0]), float)
+    assert np.array_equal(spectral_norm(stack), [spectral_norm(a) for a in stack])
+    assert np.array_equal(
+        block_project(stack, blocks), [block_project(a, blocks) for a in stack]
+    )
+    assert np.array_equal(
+        offblock_norm(stack, blocks), [offblock_norm(a, blocks) for a in stack]
+    )
 
 
 # ---------------------------------------------------------------- path tools

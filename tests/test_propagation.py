@@ -125,14 +125,3 @@ def test_dense_output_interpolates():
     fine = propagate(model.full_generator, 0.0, np.linspace(0.0, 2.0, 33), tol=1e-12)
     t_probe = fine.times[17]
     assert spectral_norm(path.at(t_probe) - fine.at(t_probe)) < 1e-8
-
-
-def test_reunitarize_switch():
-    model = landau_zener_model(2.0)
-    grid = np.linspace(0.0, 3.0, 11)
-    path = propagate(model.full_generator, 0.0, grid, tol=1e-6, reunitarize=True)
-    eye = np.eye(2)
-    for m in path.matrices:
-        assert spectral_norm(m.conj().T @ m - eye) < 1e-12
-    # recorded defects are the pre-projection ones
-    assert unitarity_defect(path) > 0.0
