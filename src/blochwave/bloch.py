@@ -185,8 +185,8 @@ def riccati_rhs(h: np.ndarray, u: np.ndarray, blocks) -> np.ndarray:
 
     Writing the nonlinear term through the block projection keeps the flow
     exactly tangent to the Bloch manifold: if ``P_k U P_k = P_k`` then
-    ``P_k U' P_k = 0`` identically, so the condition drifts only by
-    integration error.
+    ``P_k U' P_k = 0`` identically, and a Runge-Kutta step, whose stages
+    stay on the manifold, keeps it up to roundoff.
     """
     hu = h @ u
     return hu - u @ block_project(hu, blocks)
@@ -196,9 +196,9 @@ def riccati_rhs(h: np.ndarray, u: np.ndarray, blocks) -> np.ndarray:
 class WaveOperatorPath:
     """The Bloch transformation sampled at checkpoints.
 
-    ``bloch_defects`` records ``max_k ‖P_k U P_k - P_k‖`` per checkpoint as
-    observed *before* any manifold re-projection, so the correction magnitude
-    stays auditable.  ``min_block_sv`` is the per-checkpoint existence
+    ``bloch_defects`` records ``max_k ‖P_k U P_k - P_k‖`` per checkpoint; no
+    route re-projects onto the Bloch manifold, so it is the route's own
+    error.  ``min_block_sv`` is the per-checkpoint existence
     certificate (smallest block singular value of ``M U(t0)``); it is only
     available from the routes that see the full evolution.  On blow-up the
     path is truncated and ``blowup_flag`` set.
@@ -245,14 +245,6 @@ def _bloch_defect(u: np.ndarray, blocks) -> float | np.ndarray:
     return np.max([spectral_norm(p @ u @ p - p) for p in blocks], axis=0)
 
 
-def _reprojected(u: np.ndarray, blocks) -> np.ndarray:
-    """Exact re-imposition of the Bloch condition: ``P_k U P_k <- P_k``."""
-    out = u.copy()
-    for p in blocks:
-        out += p - p @ u @ p
-    return out
-
-
 def integrate_riccati(
     hamiltonian,
     ic: BlochInitialCondition,
@@ -261,19 +253,20 @@ def integrate_riccati(
     grid: np.ndarray,
     tol: float = 1e-10,
     max_step: float | None = None,
-    reproject: bool = True,
     blowup_norm: float = BLOWUP_NORM,
     defect_budget: float = DEFECT_BUDGET,
     raise_on_blowup: bool = False,
 ) -> WaveOperatorPath:
     """Integrate the Riccati equation ``U' = H U - U Q(U)`` blockwise.
 
-    Integration proceeds checkpoint to checkpoint; at each checkpoint the
-    Bloch defect is recorded and, with ``reproject`` on (the default), the
-    condition is re-imposed exactly before continuing.  The path is truncated
-    with ``blowup_flag`` set if the solution norm exceeds ``blowup_norm``
-    (Frobenius, monitored continuously through a terminal event) or the
-    monitored defect exceeds ``defect_budget``.
+    One adaptive pass covers the whole checkpoint grid.  The right-hand side
+    is exactly tangent to the Bloch manifold and a Runge-Kutta step keeps
+    every invariant its stages keep, so the condition is never re-imposed:
+    the recorded Bloch defect is the integration's own.  The path is
+    truncated with ``blowup_flag`` set at the first checkpoint after ``t0``
+    whose Frobenius norm exceeds ``blowup_norm`` or whose defect exceeds
+    ``defect_budget``, or where a terminal event monitoring the norm
+    continuously fires first.
 
     Args:
         hamiltonian: callable ``t -> H(t)`` (skew-Hermitian frame generator).
@@ -304,45 +297,33 @@ def integrate_riccati(
     blowup_event.terminal = True
     blowup_event.direction = 1.0
 
-    u = ic.matrix.copy()
-    times = [grid[0]]
-    mats = [u.copy()]
-    defects = [_bloch_defect(u, blocks)]
-    blowup = False
-    blowup_time = None
+    sol = solve_matrix_ivp(
+        rhs, ic.matrix, grid, tol, max_step=max_step, events=[blowup_event]
+    )
+    mats = sol.y.T.reshape(-1, *ic.matrix.shape)
+    mats[0] = ic.matrix
+    defects = _bloch_defect(mats, blocks)
+    failed = (defects > defect_budget) | (np.linalg.norm(mats, axis=(-2, -1)) > blowup_norm)
+    failed[0] = False  # the validated initial condition
+    n = _first_true(failed)
+    if n < len(mats):
+        blowup_time = float(grid[n])
+    elif sol.status == 1:  # terminated by the blow-up event
+        blowup_time = float(sol.t_events[0][0])
+    else:
+        blowup_time = None
 
-    for i in range(len(grid) - 1):
-        seg = grid[i : i + 2]
-        sol = solve_matrix_ivp(
-            rhs, u, seg, tol, max_step=max_step, events=[blowup_event]
-        )
-        if sol.status == 1:  # terminated by the blow-up event
-            blowup = True
-            blowup_time = float(sol.t_events[0][0])
-            break
-        u = sol.y[:, -1].reshape(u.shape)
-        defect = _bloch_defect(u, blocks)
-        if defect > defect_budget or np.linalg.norm(u) > blowup_norm:
-            blowup = True
-            blowup_time = float(seg[1])
-            break
-        times.append(seg[1])
-        defects.append(defect)
-        if reproject:
-            u = _reprojected(u, blocks)
-        mats.append(u.copy())
-
-    if blowup and raise_on_blowup:
+    if blowup_time is not None and raise_on_blowup:
         raise BlowUp(f"wave operator left the invertibility region near t={blowup_time:g}")
 
     return WaveOperatorPath(
         t0=t0,
-        times=np.array(times),
-        matrices=np.array(mats),
+        times=grid[:n].copy(),
+        matrices=mats[:n],
         blocks=blocks,
-        bloch_defects=np.array(defects),
+        bloch_defects=defects[:n],
         route="riccati",
-        blowup_flag=blowup,
+        blowup_flag=blowup_time is not None,
         blowup_time=blowup_time,
     )
 

@@ -438,6 +438,9 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
                 np.max(spectral_norm(u_paths[ra].matrices[:n] - u_paths[rb].matrices[:n]))
             )
 
+    if "radon" in u_paths:
+        fields["radon_pi_offblock_defect"] = u_paths["radon"].diagnostics["pi_offblock_defect"]
+
     m_eff = bloch_effective_evolution(m_path, ic, blocks)
     v_path = None
     if not u_path.blowup_flag:
@@ -641,7 +644,11 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config, args.overrides)
-    except ConfigError as exc:
+        if args.command == "validate":  # parameters only the models check
+            sweep_params = [{**config.model_params, "gamma": g} for g in config.sweep_gammas or ()]
+            for params in sweep_params or [config.model_params]:
+                build_model(replace(config, model_params=params))
+    except (ConfigError, IoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -82,31 +82,34 @@ def transporter(
     t1: float,
     tol: float = 1e-10,
     checkpoints: int = 65,
-    h: float | None = None,
 ) -> PropagatorPath:
-    """Integrate ``W' = A(t) W`` from ``t0`` to ``t1`` with dense output.
+    """The transporter ``W(t, t0)`` on ``[t0, t1]`` with dense output.
 
-    For models with a declared static drift the transporter is the identity
-    exactly and no ODE is solved.
+    Sampled from a closed form where one exists (the identity for a static
+    drift, else ``model.analytic_transporter``); otherwise ``W' = A(t) W`` is
+    integrated.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     grid = np.linspace(t0, t1, checkpoints)
-    if model.static_drift:
-        eye = np.eye(model.dim, dtype=complex)
-        mats = np.broadcast_to(eye, (checkpoints, model.dim, model.dim)).copy()
-        return PropagatorPath(
-            t0=t0,
-            times=grid,
-            matrices=mats,
-            unitarity_defects=np.zeros(checkpoints),
-            tol=tol,
-            dense=lambda t: eye,
-        )
-    if h is None:
+
+    def identity(t0, t, eye=np.eye(model.dim, dtype=complex)):
+        return eye
+
+    closed = identity if model.static_drift else model.analytic_transporter
+    if closed is None:
         h = DERIVATIVE_STEP_FACTOR * (t1 - t0)
-    return propagate(
-        lambda t: kato_generator(model, t, h), t0, grid, tol=tol, dense=True
+        return propagate(
+            lambda t: kato_generator(model, t, h), t0, grid, tol=tol, dense=True
+        )
+    mats = np.stack([closed(t0, t) for t in grid])
+    return PropagatorPath(
+        t0=t0,
+        times=grid,
+        matrices=mats,
+        unitarity_defects=spectral_norm(mats.conj().swapaxes(-1, -2) @ mats - np.eye(model.dim)),
+        tol=tol,
+        dense=lambda t: closed(t0, t),
     )
 
 
@@ -130,6 +133,10 @@ class AdiabaticFrame:
     def __post_init__(self):
         # stacked frozen projectors make the frame drift a single contraction
         self._proj_stack = np.stack(self.frozen.projectors)
+        # a static drift makes gamma B(t) a constant, built once
+        self._static_gamma_drift = (
+            self.model.gamma * self.drift_at(self.t0) if self.model.static_drift else None
+        )
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -156,8 +163,6 @@ class AdiabaticFrame:
 
         ``anchor`` is passed on to :func:`kato_generator`.
         """
-        if self.model.static_drift:
-            return self.model.drive(t)
         w = self.w_path.at(t)
         a = kato_generator(self.model, t, self.derivative_step, anchor)
         return w.conj().T @ (self.model.drive(t) - a) @ w
@@ -168,8 +173,11 @@ class AdiabaticFrame:
         Without analytic spectral data the drift is decomposed once at ``t``,
         and that decomposition serves both the eigenvalues ``b_k(t)`` and the
         Kato term, so an evaluation costs three decompositions (at ``t`` and
-        ``t ± h``) whatever the block count.
+        ``t ± h``) whatever the block count.  With a static drift it is the
+        prebuilt ``gamma B`` plus the drive.
         """
+        if self._static_gamma_drift is not None:
+            return self._static_gamma_drift + self.model.drive(t)
         anchor = None if self.model.analytic_spectral is not None else self.model.spectral_at(t)
         return self.model.gamma * self.drift_at(t, anchor) + self.drive_at(t, anchor)
 
@@ -237,8 +245,8 @@ def factorization_defect(
 
     ``F`` is propagated directly from the lab-frame generator
     ``gamma Bbar + Cbar``; ``W`` and ``M`` come from the frame construction.
-    The two routes are independent integrations, so the defect measures the
-    whole frame machinery at once.
+    ``F`` and ``M`` are independent integrations (``W`` a third, or its
+    closed form), so the defect measures the whole frame machinery at once.
     """
     grid = np.linspace(t0, t1, checkpoints)
     f_path = propagate(model.full_generator, t0, grid, tol=tol)

@@ -196,11 +196,60 @@ def test_bloch_defect_scales_with_tolerance():
     defects = []
     for tol in (1e-6, 1e-8, 1e-10):
         u = integrate_riccati(
-            frame.hamiltonian_at, ic, frame.blocks, 0.0, grid, tol=tol, reproject=False
+            frame.hamiltonian_at, ic, frame.blocks, 0.0, grid, tol=tol
         )
         defects.append(u.max_bloch_defect())
     assert defects[0] < 1e-3
     assert defects[2] < defects[0]
+
+
+def test_riccati_integrates_in_one_solver_call(monkeypatch):
+    import blochwave.bloch
+
+    calls = []
+    original = blochwave.bloch.solve_matrix_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blochwave.bloch, "solve_matrix_ivp", counted)
+    model = three_level_model(10.0, 1.0)
+    frame = build_frame(model, 0.0, 5.0)
+    grid = np.linspace(0.0, 5.0, 26)
+    ic = identity_ic(frame.blocks)
+    u = integrate_riccati(frame.hamiltonian_at, ic, frame.blocks, 0.0, grid)
+    assert len(calls) == 1
+    assert np.array_equal(u.times, grid)
+    assert np.array_equal(u.matrices[0], np.eye(3))
+
+
+def test_riccati_defect_budget_truncates_at_first_failing_checkpoint():
+    model = random_smooth_model(4, 2, seed=33, gamma=10.0)
+    frame = build_frame(model, 0.0, 4.0, tol=1e-11)
+    grid = np.linspace(0.0, 4.0, 17)
+    ic = identity_ic(frame.blocks)
+
+    def run(budget):
+        return integrate_riccati(
+            frame.hamiltonian_at, ic, frame.blocks, 0.0, grid, tol=1e-8,
+            defect_budget=budget,
+        )
+
+    full = run(np.inf)
+    assert not full.blowup_flag and len(full.times) == len(grid)
+    budget = 0.5 * np.max(full.bloch_defects[1:])
+    n = 1 + int(np.argmax(full.bloch_defects[1:] > budget))
+    cut = run(budget)
+    assert cut.blowup_flag
+    assert cut.blowup_time == grid[n]
+    assert len(cut.times) == n
+    assert np.array_equal(cut.matrices, full.matrices[:n])
+    assert np.array_equal(cut.bloch_defects, full.bloch_defects[:n])
+    # the validated initial checkpoint is never a failure point
+    first = run(-1.0)
+    assert first.blowup_time == grid[1]
+    assert len(first.times) == 1
 
 
 # -------------------------------------------------------------------- blow-up
@@ -251,6 +300,19 @@ def test_existence_triad_cross_check():
     assert not m_eff.invertible(sv_tol)
     assert m_eff.block_min_sv[n_ok].min() < sv_tol
     assert np.all(m_eff.block_min_sv[:n_ok].min(axis=1) >= sv_tol)
+
+
+def test_riccati_pole_flagged_by_event_near_pi_half():
+    # the default norm threshold is reached between checkpoints: the event
+    # time is the blow-up time and the path keeps the checkpoints before it
+    h, grid, _ = _pure_coupling_setup()
+    u = integrate_riccati(lambda t: h, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS, 0.0, grid)
+    assert u.blowup_flag
+    assert abs(u.blowup_time - np.pi / 2) < 1e-5
+    assert np.array_equal(u.times, grid[grid < u.blowup_time])
+    # exact solution off the pole: U = 1 - i tan(t) X
+    expected = np.eye(2) - 1j * np.tan(u.times)[:, None, None] * X
+    assert np.max(spectral_norm(u.matrices - expected)) < 1e-6
 
 
 def test_riccati_blowup_event_is_raise_optional():

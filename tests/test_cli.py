@@ -135,25 +135,32 @@ def test_missing_input_file_is_a_config_error(tmp_path, overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides, caught_by_validate",
+    "overrides",
     [
-        (["output.seed=abc"], True),
-        (["model.gamma=-1"], True),
-        (["model.gamma=nan"], True),
-        (["sweep.gamma=10, -5"], True),
-        (["model.a=-1"], False),
-        (["model.name=random_smooth", "model.dim=1", "model.n_blocks=1"], False),
+        ["output.seed=abc"],
+        ["model.gamma=-1"],
+        ["model.gamma=nan"],
+        ["sweep.gamma=10, -5"],
+        ["model.a=-1"],
+        ["model.name=random_smooth", "model.dim=1", "model.n_blocks=1"],
     ],
     ids=["seed", "gamma_negative", "gamma_nan", "sweep_gamma_negative", "a_negative", "dim_1"],
 )
-def test_malformed_input_exits_config(tmp_path, overrides, caught_by_validate):
-    # what the config alone shows is caught by validate; what only the model
-    # constructor checks fails the run; either way exit 2, never a traceback
+def test_malformed_input_exits_config(tmp_path, overrides):
+    # validate builds the model too, so it also catches what only the model
+    # constructor checks; either way exit 2, never a traceback
     cfg = write_cfg(tmp_path)
     sets = [arg for item in overrides for arg in ("--set", item)]
-    if caught_by_validate:
-        assert main(["validate", str(cfg), *sets]) == EXIT_CONFIG
+    assert main(["validate", str(cfg), *sets]) == EXIT_CONFIG
     assert main(["run", str(cfg), *sets]) == EXIT_CONFIG
+
+
+def test_validate_builds_the_model_of_every_sweep_gamma(tmp_path):
+    # a sweep config needs no model gamma of its own: each run takes its own
+    text = BASE_CFG.replace("gamma = 10.0\n", "") + "\n[sweep]\ngamma = 10, 20\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["validate", str(cfg)]) == EXIT_OK
+    assert main(["validate", str(cfg), "--set", "model.a=-1"]) == EXIT_CONFIG
 
 
 def test_input_file_read_error_at_run_time_exits_config(tmp_path):
@@ -218,6 +225,11 @@ def test_trace_leakage_and_certificate_match_direct_evaluation(tmp_path):
         assert summary.fields[f"leakage_block_{k}"] == max(column)
     closed = summary.paths["u"]["closed_form"]
     assert [float(row["min_block_sv"]) for row in trace] == list(closed.min_block_sv)
+    # radon's block-diagonality self-check reaches the summary
+    (row,) = read_csv(config.output_dir / "summary.csv")
+    radon = summary.paths["u"]["radon"]
+    assert float(row["radon_pi_offblock_defect"]) == radon.diagnostics["pi_offblock_defect"]
+    assert float(row["radon_pi_offblock_defect"]) < 1e-12
 
 
 def test_run_uncoupled_three_level_has_no_leakage(tmp_path):

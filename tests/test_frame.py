@@ -121,6 +121,13 @@ def test_numeric_frame_evaluation_decomposes_three_times(monkeypatch):
     assert calls == []
 
 
+def test_static_drift_hamiltonian_is_bit_identical_to_its_parts():
+    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 5.0)
+    for t in (0.0, 0.7, 3.3):
+        expected = frame.model.gamma * frame.drift_at(t) + frame.drive_at(t)
+        assert np.array_equal(frame.hamiltonian_at(t), expected)
+
+
 # -------------------------------------------------------------- transporter
 
 def test_transporter_static_model_is_identity():
@@ -131,9 +138,14 @@ def test_transporter_static_model_is_identity():
     assert w.max_unitarity_defect() == 0.0
 
 
+def numeric_transporter_model(model):
+    """``model`` without its closed-form transporter, so ``W`` is integrated."""
+    return dataclasses.replace(model, analytic_transporter=None)
+
+
 def test_transporter_lz_matches_closed_form():
     model = landau_zener_model(2.0)
-    w = transporter(model, -20.0, 20.0, tol=1e-10)
+    w = transporter(numeric_transporter_model(model), -20.0, 20.0, tol=1e-10)
     closed = model.analytic_transporter(-20.0, 20.0)
     assert spectral_norm(w.final - closed) <= 1e-8
     assert w.max_unitarity_defect() <= 1e-8
@@ -141,9 +153,25 @@ def test_transporter_lz_matches_closed_form():
 
 def test_transporter_lz_wide_window_near_asymptote():
     model = landau_zener_model(1.0)
-    w = transporter(model, -50.0, 50.0, tol=1e-10)
+    w = transporter(numeric_transporter_model(model), -50.0, 50.0, tol=1e-10)
     closed = model.analytic_transporter(-50.0, 50.0)
     assert spectral_norm(w.final - closed) <= 1e-3
+
+
+def test_transporter_uses_closed_form_when_present(monkeypatch):
+    import blochwave.frame
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("closed-form transporter must not be integrated")
+
+    monkeypatch.setattr(blochwave.frame, "propagate", no_integration)
+    model = landau_zener_model(2.0)
+    w = transporter(model, -20.0, 20.0, checkpoints=9)
+    for t, m in zip(w.times, w.matrices):
+        assert np.array_equal(m, model.analytic_transporter(-20.0, t))
+    assert np.array_equal(w.matrices[0], np.eye(2))
+    assert np.array_equal(w.at(3.7), model.analytic_transporter(-20.0, 3.7))
+    assert w.max_unitarity_defect() < 1e-15
 
 
 # ---------------------------------------------------------- frame generators
