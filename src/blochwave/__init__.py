@@ -70,8 +70,6 @@ from .operators import (
     decompose,
     match_labels,
     offblock_norm,
-    projector_derivative,
-    projector_derivatives,
     spectral_norm,
     track_spectral_path,
 )

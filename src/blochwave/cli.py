@@ -64,7 +64,7 @@ from .models import (
     three_level_model,
 )
 from .operators import spectral_norm
-from .propagation import propagate
+from .propagation import _estimate_max_step, propagate
 
 __all__ = ["ExperimentConfig", "RunSummary", "load_config", "run_experiment", "sweep", "main"]
 
@@ -341,8 +341,8 @@ def run_experiment(
     continue past failed runs; the CLI layer turns them into exit codes.
 
     ``shared`` (internal; :func:`sweep` passes one dict per gamma) holds the
-    ``model``, ``frame`` and ``m`` that do not depend on the initial
-    condition: reused when present, else stored once ``M`` exists.
+    ``model``, ``frame``, ``max_step`` and ``m`` that do not depend on the
+    initial condition: reused when present, else stored once ``M`` exists.
     """
     start = time.perf_counter()
     out_dir = config.output_dir
@@ -403,11 +403,13 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     grid = np.linspace(config.t0, config.t_final, config.checkpoint_count)
 
     if "m" in shared:
-        frame, m_path = shared["frame"], shared["m"]
+        frame, max_step, m_path = shared["frame"], shared["max_step"], shared["m"]
     else:
         frame = build_frame(model, config.t0, config.t_final, tol=tol)
-        m_path = propagate(frame.hamiltonian_at, config.t0, grid, tol=tol)
-        shared.update(model=model, frame=frame, m=m_path)
+        # one step cap serves both integrations of the frame Hamiltonian
+        max_step = _estimate_max_step(frame.hamiltonian_at, config.t0, config.t_final)
+        m_path = propagate(frame.hamiltonian_at, config.t0, grid, tol=tol, max_step=max_step)
+        shared.update(model=model, frame=frame, max_step=max_step, m=m_path)
     blocks = frame.blocks
 
     if config.ic_kind == "identity":
@@ -421,7 +423,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     for route in config.routes:
         if route == "riccati":
             u_paths[route] = integrate_riccati(
-                frame.hamiltonian_at, ic, blocks, config.t0, grid, tol=tol
+                frame.hamiltonian_at, ic, blocks, config.t0, grid, tol=tol, max_step=max_step
             )
         elif route == "closed_form":
             u_paths[route] = closed_form_wave(m_path, ic, blocks)

@@ -29,7 +29,6 @@ from .models import GeneratorModel
 from .operators import (  # noqa: F401
     SpectralDecomposition,
     match_labels,
-    projector_derivatives,
     spectral_norm,
     track_spectral_path,
 )
@@ -45,35 +44,30 @@ __all__ = [
     "factorization_defect",
 ]
 
-#: default projector-derivative step as a fraction of the integration span
-DERIVATIVE_STEP_FACTOR = 1e-5
-
-
 def kato_generator(
     model: GeneratorModel,
     t: float,
-    h: float = 1e-5,
     anchor: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Generator ``A(t) = (1/2) sum_k [P'_k(t), P_k(t)]`` of the adiabatic
-    transporter.  Skew-Hermitian by the Hermiticity of the projectors.
+    transporter, skew-Hermitian.
 
-    Models carrying a closed form for the whole commutator sum expose it as
-    ``analytic_kato``; otherwise this assembles the sum from the projector
-    derivatives (``h`` is the central-difference step used when those are
-    numerical too).  One anchor decomposition of the drift at ``t`` serves
-    all blocks, for both the projectors and their derivatives; pass it as
-    ``anchor`` when the caller already holds it, else it is taken here.
+    Exact from one decomposition ``B = sum_k b_k P_k`` of the drift and its
+    derivative ``B'`` (Kato's reduced-resolvent identity):
+    ``A = sum_{k != l} P_l B' P_k / (b_k - b_l)``.  Pass the decomposition at
+    ``t`` as ``anchor`` when the caller already holds it, else it is taken
+    here.  A model's ``analytic_kato`` closed form takes precedence.
     """
     if model.analytic_kato is not None:
         return model.analytic_kato(t)
     if anchor is None:
         anchor = model.spectral_at(t)
-    dim = anchor.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for p, pdot in zip(anchor.projectors, projector_derivatives(model, t, h, anchor)):
-        out += 0.5 * (pdot @ p - p @ pdot)
-    return out
+    proj = np.stack(anchor.projectors)
+    b = anchor.eigenvalues
+    gaps = b[None, :] - b[:, None]  # gaps[l, k] = b_k - b_l
+    np.fill_diagonal(gaps, np.inf)  # drops the k == l terms
+    terms = proj[:, None] @ model.drift_derivative(t) @ proj[None, :]
+    return (terms / gaps[:, :, None, None]).sum(axis=(0, 1))
 
 
 def transporter(
@@ -87,7 +81,7 @@ def transporter(
 
     Sampled from a closed form where one exists (the identity for a static
     drift, else ``model.analytic_transporter``); otherwise ``W' = A(t) W`` is
-    integrated.
+    integrated with the exact :func:`kato_generator`.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
@@ -98,10 +92,7 @@ def transporter(
 
     closed = identity if model.static_drift else model.analytic_transporter
     if closed is None:
-        h = DERIVATIVE_STEP_FACTOR * (t1 - t0)
-        return propagate(
-            lambda t: kato_generator(model, t, h), t0, grid, tol=tol, dense=True
-        )
+        return propagate(lambda t: kato_generator(model, t), t0, grid, tol=tol, dense=True)
     mats = np.stack([closed(t0, t) for t in grid])
     return PropagatorPath(
         t0=t0,
@@ -128,7 +119,6 @@ class AdiabaticFrame:
     frozen: SpectralDecomposition
     w_path: PropagatorPath
     tol: float
-    derivative_step: float
 
     def __post_init__(self):
         # stacked frozen projectors make the frame drift a single contraction
@@ -164,17 +154,16 @@ class AdiabaticFrame:
         ``anchor`` is passed on to :func:`kato_generator`.
         """
         w = self.w_path.at(t)
-        a = kato_generator(self.model, t, self.derivative_step, anchor)
+        a = kato_generator(self.model, t, anchor)
         return w.conj().T @ (self.model.drive(t) - a) @ w
 
     def hamiltonian_at(self, t: float) -> np.ndarray:
         """Full frame generator ``gamma B(t) + C(t)``.
 
         Without analytic spectral data the drift is decomposed once at ``t``,
-        and that decomposition serves both the eigenvalues ``b_k(t)`` and the
-        Kato term, so an evaluation costs three decompositions (at ``t`` and
-        ``t ± h``) whatever the block count.  With a static drift it is the
-        prebuilt ``gamma B`` plus the drive.
+        and that one decomposition serves both the eigenvalues ``b_k(t)`` and
+        the Kato term.  With a static drift it is the prebuilt ``gamma B``
+        plus the drive.
         """
         if self._static_gamma_drift is not None:
             return self._static_gamma_drift + self.model.drive(t)
@@ -208,7 +197,6 @@ def build_frame(
         frozen=frozen,
         w_path=w_path,
         tol=tol,
-        derivative_step=DERIVATIVE_STEP_FACTOR * (t1 - t0),
     )
 
 

@@ -51,7 +51,11 @@ class GeneratorModel:
 
     ``drift(t)`` is the strong generator (without the ``gamma`` factor),
     ``drive(t)`` the weak one; the full-evolution generator is
-    ``gamma * drift(t) + drive(t)``.
+    ``gamma * drift(t) + drive(t)``.  ``drift_derivative(t)`` is the exact
+    time derivative of ``drift``: with one decomposition of the drift it
+    gives the Kato generator of the adiabatic frame.  ``analytic_kato`` and
+    ``analytic_transporter``, when present, are closed forms used in place
+    of that generator and of its integration.
     """
 
     name: str
@@ -59,9 +63,9 @@ class GeneratorModel:
     gamma: float
     drift: Callable[[float], np.ndarray]
     drive: Callable[[float], np.ndarray]
+    drift_derivative: Callable[[float], np.ndarray]
     params: dict = field(default_factory=dict)
     analytic_spectral: Callable[[float], SpectralDecomposition] | None = None
-    analytic_projector_derivative: Callable[[int, float], np.ndarray] | None = None
     analytic_eigenvalues: Callable[[float], np.ndarray] | None = None
     analytic_kato: Callable[[float], np.ndarray] | None = None
     analytic_transporter: Callable[[float, float], np.ndarray] | None = None
@@ -103,9 +107,10 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
     """Two-level avoided-crossing sweep: drift ``-i(X + tZ)``, zero drive.
 
     Analytic attachments: eigenvalue tracks ``±i sqrt(1+t²)``, the projector
-    family ``(1 ∓ (X+tZ)/sqrt(1+t²))/2`` with its derivative, and the
-    closed-form transporter ``exp(iY [arctan t - arctan t0] / 2)``.  Block 0
-    carries the ``-i sqrt(1+t²)`` eigenvalue (ascending imaginary-part order).
+    family ``(1 ∓ (X+tZ)/sqrt(1+t²))/2``, the Kato generator
+    ``iY / (2(1+t²))`` and the closed-form transporter
+    ``exp(iY [arctan t - arctan t0] / 2)``.  Block 0 carries the
+    ``-i sqrt(1+t²)`` eigenvalue (ascending imaginary-part order).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -131,10 +136,6 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
         s = np.hypot(1.0, t)
         return np.array([-1j * s, 1j * s])
 
-    def projector_derivative(k: int, t: float) -> np.ndarray:
-        sign = 1.0 if k == 0 else -1.0
-        return sign * 0.5 * (PAULI_Z - t * PAULI_X) / np.hypot(1.0, t) ** 3
-
     def kato(t: float) -> np.ndarray:
         return 1j * PAULI_Y / (2.0 * (1.0 + t * t))
 
@@ -148,9 +149,9 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
         gamma=float(gamma),
         drift=drift,
         drive=drive,
+        drift_derivative=lambda t: -1j * PAULI_Z,
         params={"gamma": float(gamma)},
         analytic_spectral=spectral,
-        analytic_projector_derivative=projector_derivative,
         analytic_eigenvalues=eigenvalues,
         analytic_kato=kato,
         analytic_transporter=transporter,
@@ -239,20 +240,16 @@ def three_level_model(
             multiplicities=(1, 2),
         )
 
-    def projector_derivative(k: int, t: float) -> np.ndarray:
-        return zero3
-
     return GeneratorModel(
         name="three_level",
         dim=3,
         gamma=float(gamma),
         drift=drift,
         drive=drive,
+        drift_derivative=lambda t: zero3,
         params={"gamma": float(gamma), "a": float(a), "omega": float(omega)},
         analytic_spectral=spectral,
-        analytic_projector_derivative=projector_derivative,
         analytic_eigenvalues=lambda t: eigs,
-        analytic_kato=lambda t: zero3,
         static_drift=True,
     )
 
@@ -334,6 +331,9 @@ def random_smooth_model(
     def tracks(t: float) -> np.ndarray:
         return base + osc_amp * np.sin(osc_freq * t + osc_phase)
 
+    def tracks_dot(t: float) -> np.ndarray:
+        return osc_amp * osc_freq * np.cos(osc_freq * t + osc_phase)
+
     # frozen projectors conjugated by exp(g(t) S)
     q = _haar_unitary(dim, rng)
     bounds = np.concatenate([[0], np.cumsum(mults)])
@@ -368,6 +368,13 @@ def random_smooth_model(
             out += 1j * lam[k] * (r @ frozen[k] @ r.conj().T)
         return out
 
+    def drift_derivative(t: float) -> np.ndarray:
+        # R(t) = exp(g(t) S) gives R' = g' S R, hence the commutator term
+        r = rotation(t)
+        b = drift(t)
+        moving = sum(1j * d * f for d, f in zip(tracks_dot(t), frozen))
+        return g_dot(t) * (s_gen @ b - b @ s_gen) + r @ moving @ r.conj().T
+
     e1 = _random_skew(dim, rng)
     e2 = _random_skew(dim, rng)
     nu = rng.uniform(0.4, 1.5, size=2)
@@ -386,16 +393,13 @@ def random_smooth_model(
             multiplicities=tuple(int(m) for m in mults),
         )
 
-    def projector_derivative(k: int, t: float) -> np.ndarray:
-        p = projector(k, t)
-        return g_dot(t) * (s_gen @ p - p @ s_gen)
-
     return GeneratorModel(
         name="random_smooth",
         dim=dim,
         gamma=float(gamma),
         drift=drift,
         drive=drive,
+        drift_derivative=drift_derivative,
         params={
             "dim": dim,
             "n_blocks": n_blocks,
@@ -406,7 +410,6 @@ def random_smooth_model(
             "rotation_scale": float(rotation_scale),
         },
         analytic_spectral=spectral if analytic else None,
-        analytic_projector_derivative=projector_derivative if analytic else None,
         analytic_eigenvalues=(lambda t: 1j * tracks(t)) if analytic else None,
     )
 
@@ -418,8 +421,9 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     of a strictly increasing time column and the row-major complex entries of
     the drift and the drive (Python complex literals, e.g. ``1.5-0.25j``).
     Samples must be skew-Hermitian; cubic-spline interpolation preserves
-    skew-Hermiticity exactly between samples.  Evaluation outside the
-    tabulated span is refused by the spline.
+    skew-Hermiticity exactly between samples.  The drift derivative is the
+    spline's own (exact) derivative.  Evaluation outside the tabulated span
+    is refused for all three.
     """
     try:
         with open(path, newline="") as fh:
@@ -455,6 +459,7 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
 
     drift_spline = CubicSpline(times, drift_samples, axis=0, extrapolate=False)
     drive_spline = CubicSpline(times, drive_samples, axis=0, extrapolate=False)
+    drift_dot_spline = drift_spline.derivative()
 
     def _eval(spline, t: float) -> np.ndarray:
         out = spline(t)
@@ -471,6 +476,7 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
         gamma=float(gamma),
         drift=lambda t: _eval(drift_spline, t),
         drive=lambda t: _eval(drive_spline, t),
+        drift_derivative=lambda t: _eval(drift_dot_spline, t),
         params={"path": str(path), "gamma": float(gamma), "interpolation": "cubic-spline"},
     )
 

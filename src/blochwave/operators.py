@@ -30,8 +30,6 @@ __all__ = [
     "decompose",
     "match_labels",
     "track_spectral_path",
-    "projector_derivatives",
-    "projector_derivative",
     "block_pseudo_inverse",
     "block_project",
     "offblock_norm",
@@ -280,42 +278,6 @@ def track_spectral_path(
                 )
         decs.append(nxt)
     return SpectralPath(grid=grid, decompositions=decs)
-
-
-def projector_derivatives(
-    source,
-    t: float,
-    h: float = 1e-5,
-    anchor: SpectralDecomposition | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Time derivatives of all eigenprojectors at time ``t``, in block order.
-
-    ``source`` is any object exposing ``spectral_at(t)`` (e.g. a generator
-    model); when it also provides ``analytic_projector_derivative`` that
-    closed form is used, otherwise the central differences
-    ``(P_k(t+h) - P_k(t-h)) / 2h``.  One anchor decomposition at ``t``
-    (``anchor``, or ``source.spectral_at(t)`` when omitted) serves all
-    blocks: the decompositions at ``t - h`` and ``t + h`` are each taken and
-    label-matched against it once.
-    """
-    if anchor is None:
-        anchor = source.spectral_at(t)
-    analytic = getattr(source, "analytic_projector_derivative", None)
-    if analytic is not None:
-        return tuple(analytic(k, t) for k in range(anchor.n_blocks))
-    below = match_labels(anchor, source.spectral_at(t - h))
-    above = match_labels(anchor, source.spectral_at(t + h))
-    return tuple(
-        (p_above - p_below) / (2.0 * h)
-        for p_above, p_below in zip(above.projectors, below.projectors)
-    )
-
-
-def projector_derivative(source, k: int, t: float, h: float = 1e-5) -> np.ndarray:
-    """Time derivative of eigenprojector ``k`` at time ``t``: block ``k`` of
-    :func:`projector_derivatives`, whose one anchor decomposition at ``t``
-    serves all blocks."""
-    return projector_derivatives(source, t, h)[k]
 
 
 def _range_basis(p: np.ndarray) -> np.ndarray:

@@ -58,6 +58,15 @@ class PipelineBundle:
         return worst
 
 
+def lz_projector_derivative(k, t):
+    """Closed-form time derivative of the Landau-Zener eigenprojector ``k``
+    (block 0 is ``(1 + (X + tZ)/sqrt(1+t²))/2``), as an oracle."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    sign = 1.0 if k == 0 else -1.0
+    return sign * 0.5 * (z - t * x) / np.hypot(1.0, t) ** 3
+
+
 def make_corpus(n_models, seed0=100, analytic=True):
     """Deterministic corpus of small perturbative random models
     (4 to 6 dimensions, two or three blocks)."""

@@ -188,19 +188,18 @@ def test_bloch_condition_preserved_along_riccati(random_bundle):
     assert random_bundle.u_riccati.max_bloch_defect() < 1e-10
 
 
-def test_bloch_defect_scales_with_tolerance():
+def test_bloch_defect_stays_at_roundoff_for_every_tolerance():
+    # the Riccati flow is tangent to the Bloch manifold, so the defect is
+    # roundoff whatever the integration tolerance
     model = random_smooth_model(4, 2, seed=33, gamma=10.0)
     frame = build_frame(model, 0.0, 4.0, tol=1e-11)
     grid = np.linspace(0.0, 4.0, 17)
     ic = identity_ic(frame.blocks)
-    defects = []
     for tol in (1e-6, 1e-8, 1e-10):
         u = integrate_riccati(
             frame.hamiltonian_at, ic, frame.blocks, 0.0, grid, tol=tol
         )
-        defects.append(u.max_bloch_defect())
-    assert defects[0] < 1e-3
-    assert defects[2] < defects[0]
+        assert u.max_bloch_defect() <= 1e3 * np.finfo(float).eps
 
 
 def test_riccati_integrates_in_one_solver_call(monkeypatch):

@@ -347,6 +347,7 @@ def test_blowup_run_marks_and_exits_nonzero(tmp_path):
         gamma=1e-7,
         drift=lambda t: -1j * z,
         drive=lambda t: -1j * x,
+        drift_derivative=lambda t: np.zeros((2, 2), dtype=complex),
     )
     table = tmp_path / "blow.csv"
     write_tabulated(table, static, np.linspace(-0.5, 4.5, 26))
@@ -460,6 +461,32 @@ def test_route_all_runs_closed_form_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_step_cap_estimated_once_per_run_and_per_gamma(tmp_path, monkeypatch):
+    import blochwave.bloch
+    import blochwave.cli as cli_mod
+    import blochwave.propagation
+
+    # propagate and the Riccati route integrate the same frame Hamiltonian
+    calls = []
+    original = blochwave.propagation._estimate_max_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (blochwave.propagation, blochwave.bloch, cli_mod):
+        monkeypatch.setattr(module, "_estimate_max_step", counted, raising=False)
+    config = load_config(
+        write_cfg(tmp_path), overrides=["run.t_final=2", "run.checkpoint_count=11"]
+    )
+    assert run_experiment(config).status == "ok"
+    assert len(calls) == 1
+    calls.clear()
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n", name="sweep.cfg")
+    sweep(load_config(cfg, overrides=SHORT_SWEEP))
+    assert len(calls) == 2
+
+
 def test_sweep_failed_propagation_fails_every_initial_condition(tmp_path, monkeypatch):
     import blochwave.cli as cli_mod
     from blochwave.cli import EXIT_SOLVER
@@ -502,6 +529,7 @@ def test_sweep_continues_past_blowup_runs(tmp_path):
     static = GeneratorModel(
         name="static", dim=2, gamma=1e-7,
         drift=lambda t: -1j * z, drive=lambda t: -1j * x,
+        drift_derivative=lambda t: np.zeros((2, 2), dtype=complex),
     )
     table = tmp_path / "blow.csv"
     write_tabulated(table, static, np.linspace(-0.5, 4.5, 26))

@@ -5,8 +5,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import blochwave.frame
 import blochwave.models
+import blochwave.operators
 from blochwave import (
     build_frame,
     decompose,
@@ -15,8 +19,6 @@ from blochwave import (
     intertwining_defect,
     kato_generator,
     landau_zener_model,
-    match_labels,
-    projector_derivative,
     random_smooth_model,
     spectral_norm,
     three_level_model,
@@ -30,7 +32,6 @@ def strip_analytic(model):
     return dataclasses.replace(
         model,
         analytic_spectral=None,
-        analytic_projector_derivative=None,
         analytic_eigenvalues=None,
         analytic_kato=None,
         analytic_transporter=None,
@@ -45,7 +46,7 @@ def test_kato_zero_for_static_model():
 
 
 def test_kato_lz_closed_form_from_derivatives():
-    # force the generic commutator assembly (no analytic_kato shortcut)
+    # force the generic reduced-resolvent formula (no analytic_kato shortcut)
     model = dataclasses.replace(landau_zener_model(1.0), analytic_kato=None)
     for t in (-3.0, 0.0, 1.0, 2.5):
         expected = 1j * Y / (2.0 * (1.0 + t * t))
@@ -56,7 +57,7 @@ def test_kato_lz_numeric_route():
     model = strip_analytic(landau_zener_model(1.0))
     for t in (-1.0, 0.4):
         expected = 1j * Y / (2.0 * (1.0 + t * t))
-        assert spectral_norm(kato_generator(model, t, h=1e-5) - expected) < 1e-8
+        assert spectral_norm(kato_generator(model, t) - expected) < 1e-12
 
 
 def test_kato_skew_hermitian_random_model():
@@ -66,6 +67,28 @@ def test_kato_skew_hermitian_random_model():
         assert spectral_norm(a + a.conj().T) < 1e-10
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    dim=st.integers(2, 6),
+    block_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    analytic=st.booleans(),
+    t=st.floats(0.0, 10.0),
+)
+def test_kato_generator_properties_random_models(dim, block_fraction, seed, analytic, t):
+    n_blocks = 1 + int(block_fraction * (dim - 1))
+    model = random_smooth_model(dim, n_blocks, seed=seed, analytic=analytic)
+    twin = random_smooth_model(dim, n_blocks, seed=seed)  # analytic projectors
+    a = kato_generator(model, t)
+    assert spectral_norm(a + a.conj().T) < 1e-13
+    h = 1e-5
+    below, at, above = (twin.spectral_at(s).projectors for s in (t - h, t, t + h))
+    for p_below, p, p_above in zip(below, at, above):
+        assert spectral_norm(p @ a @ p) < 1e-12
+        pdot = (p_above - p_below) / (2.0 * h)
+        assert spectral_norm(a @ p - p @ a - pdot) < 1e-8
+
+
 # ----------------------------------- one drift decomposition per time point
 
 def numeric_frame():
@@ -73,26 +96,24 @@ def numeric_frame():
     return model, build_frame(model, 0.0, 2.0, tol=1e-8, checkpoints=9)
 
 
-def reference_kato(model, t, h):
-    """The Kato sum decomposed afresh for every block, as a reference."""
+def reference_kato(model, t):
+    """``sum_{k != l} P_l B' P_k / (b_k - b_l)`` pair by pair, as a reference."""
     anchor = decompose(model.drift(t), model.gap_tol)
+    bdot = model.drift_derivative(t)
     out = np.zeros((model.dim, model.dim), dtype=complex)
-    for k, p in enumerate(anchor.projectors):
-        below = match_labels(anchor, decompose(model.drift(t - h), model.gap_tol))
-        above = match_labels(anchor, decompose(model.drift(t + h), model.gap_tol))
-        pdot = (above.projectors[k] - below.projectors[k]) / (2.0 * h)
-        assert np.array_equal(projector_derivative(model, k, t, h), pdot)
-        out += 0.5 * (pdot @ p - p @ pdot)
+    for l, (b_l, p_l) in enumerate(zip(anchor.eigenvalues, anchor.projectors)):
+        for k, (b_k, p_k) in enumerate(zip(anchor.eigenvalues, anchor.projectors)):
+            if k != l:
+                out += p_l @ bdot @ p_k / (b_k - b_l)
     return anchor, out
 
 
 def test_shared_anchor_is_bit_identical_to_per_block_reference():
     model, frame = numeric_frame()
-    h = frame.derivative_step
     proj_stack = np.stack(frame.blocks)
     for t in (0.3, 1.1, 1.7):
-        anchor, kato = reference_kato(model, t, h)
-        assert np.array_equal(kato_generator(model, t, h), kato)
+        anchor, kato = reference_kato(model, t)
+        assert np.array_equal(kato_generator(model, t), kato)
         w = frame.transporter_at(t)
         expected = model.gamma * np.einsum(
             "k,kij->ij", anchor.eigenvalues, proj_stack
@@ -100,21 +121,27 @@ def test_shared_anchor_is_bit_identical_to_per_block_reference():
         assert np.array_equal(frame.hamiltonian_at(t), expected)
 
 
-def test_numeric_frame_evaluation_decomposes_three_times(monkeypatch):
+def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
     model, frame = numeric_frame()
     calls = []
-    original = blochwave.models.decompose
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(blochwave.models, "decompose", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(blochwave.models, "decompose")
+    counted(blochwave.operators, "match_labels")
+    counted(blochwave.frame, "match_labels")
     frame.hamiltonian_at(0.9)
-    assert len(calls) == 3  # at t and t ± h, whatever the block count
+    assert calls == ["decompose"]  # at t only, and no label matching
     calls.clear()
-    kato_generator(model, 0.9, frame.derivative_step)
-    assert len(calls) == 3
+    kato_generator(model, 0.9)
+    assert calls == ["decompose"]
     calls.clear()
     analytic = random_smooth_model(4, 3, seed=8)
     build_frame(analytic, 0.0, 2.0, tol=1e-8, checkpoints=9).hamiltonian_at(0.9)

@@ -19,6 +19,8 @@ from blochwave import (
     three_level_model,
     track_spectral_path,
 )
+from tests.helpers import lz_projector_derivative
+from tests.helpers import write_tabulated as _write_tabulated
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -58,7 +60,7 @@ def test_lz_kato_matches_projector_commutators():
         dec = model.analytic_spectral(t)
         total = np.zeros((2, 2), dtype=complex)
         for k in range(2):
-            pdot = model.analytic_projector_derivative(k, t)
+            pdot = lz_projector_derivative(k, t)
             p = dec.projectors[k]
             total += 0.5 * (pdot @ p - p @ pdot)
         assert spectral_norm(total - model.analytic_kato(t)) < 1e-14
@@ -193,9 +195,30 @@ def test_random_model_numeric_twin_agrees():
         assert spectral_norm(dec_a.projectors[k] - dec_n.projectors[k]) < 1e-10
 
 
-# ------------------------------------------------------------- tabulated I/O
+def tabulated_random_model(tmp_path):
+    source = random_smooth_model(3, 2, seed=4)
+    file = tmp_path / "random.csv"
+    _write_tabulated(file, source, np.linspace(0.0, 4.0, 201))
+    return load_tabulated_model(file, gamma=source.gamma)
 
-from tests.helpers import write_tabulated as _write_tabulated
+
+@pytest.mark.parametrize(
+    "name", ["landau_zener", "three_level", "random_smooth", "tabulated"]
+)
+def test_drift_derivative_matches_central_difference(name, tmp_path):
+    model = {
+        "landau_zener": lambda: landau_zener_model(1.0),
+        "three_level": lambda: three_level_model(10.0, 1.0),
+        "random_smooth": lambda: random_smooth_model(5, 3, seed=9),
+        "tabulated": lambda: tabulated_random_model(tmp_path),
+    }[name]()
+    h = 1e-5
+    for t in (0.4, 1.3, 2.9):
+        difference = (model.drift(t + h) - model.drift(t - h)) / (2.0 * h)
+        assert spectral_norm(model.drift_derivative(t) - difference) < 1e-8
+
+
+# ------------------------------------------------------------- tabulated I/O
 
 
 def test_tabulated_model_roundtrip(tmp_path):
@@ -232,3 +255,5 @@ def test_tabulated_model_refuses_extrapolation(tmp_path):
     loaded = load_tabulated_model(file, gamma=5.0)
     with pytest.raises(ConfigError):
         loaded.drift(2.0)
+    with pytest.raises(ConfigError):
+        loaded.drift_derivative(2.0)

@@ -13,9 +13,7 @@ from blochwave import (
     landau_zener_model,
     match_labels,
     offblock_norm,
-    projector_derivative,
     spectral_norm,
-    three_level_model,
     track_spectral_path,
 )
 from blochwave.operators import DEFAULT_GAP_FACTOR
@@ -24,7 +22,6 @@ TOL = 1e-10
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_skew(dim, rng, gap=None):
@@ -192,42 +189,6 @@ def test_match_labels_crossing_on_low_overlap():
     )
     with pytest.raises(CrossingDetected):
         match_labels(basis, fourier)
-
-
-# ------------------------------------------------------ projector_derivative
-
-def test_projector_derivative_static_model_is_zero():
-    model = three_level_model(10.0, 1.0)
-    for k in range(2):
-        assert spectral_norm(projector_derivative(model, k, 1.3)) == 0.0
-
-
-def test_projector_derivative_lz_analytic():
-    model = landau_zener_model(1.0)
-    t = 0.8
-    s3 = np.hypot(1.0, t) ** 3
-    expected_block0 = 0.5 * (Z - t * X) / s3
-    assert spectral_norm(projector_derivative(model, 0, t) - expected_block0) < 1e-14
-    assert spectral_norm(projector_derivative(model, 1, t) + expected_block0) < 1e-14
-
-
-def test_projector_derivative_central_difference_matches_analytic():
-    import dataclasses
-
-    model = landau_zener_model(1.0)
-    numeric = dataclasses.replace(
-        model,
-        analytic_spectral=None,
-        analytic_projector_derivative=None,
-        analytic_eigenvalues=None,
-        analytic_kato=None,
-    )
-    for t in (-1.2, 0.0, 0.7):
-        for k in range(2):
-            exact = model.analytic_projector_derivative(k, t)
-            approx = projector_derivative(numeric, k, t, h=1e-4)
-            assert spectral_norm(approx - exact) < 1e-7
-            assert spectral_norm(approx - approx.conj().T) < 1e-12  # Hermitian
 
 
 # ------------------------------------------------------ block pseudo-inverse
