@@ -646,10 +646,12 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config, args.overrides)
-        if args.command == "validate":  # parameters only the models check
+        if args.command == "validate":  # what only the models check, span included
             sweep_params = [{**config.model_params, "gamma": g} for g in config.sweep_gammas or ()]
             for params in sweep_params or [config.model_params]:
-                build_model(replace(config, model_params=params))
+                model = build_model(replace(config, model_params=params))
+                for t in (config.t0, config.t_final):
+                    model.full_generator(t)
     except (ConfigError, IoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, NotSkewHermitian
 from .operators import SpectralDecomposition, decompose, require_skew_hermitian
 
 __all__ = [
@@ -420,10 +420,12 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     Format: one header line ``time,B_00,B_01,...,C_00,...`` followed by rows
     of a strictly increasing time column and the row-major complex entries of
     the drift and the drive (Python complex literals, e.g. ``1.5-0.25j``).
-    Samples must be skew-Hermitian; cubic-spline interpolation preserves
-    skew-Hermiticity exactly between samples.  The drift derivative is the
-    spline's own (exact) derivative.  Evaluation outside the tabulated span
-    is refused for all three.
+    Samples must be finite and skew-Hermitian; cubic-spline interpolation
+    preserves skew-Hermiticity exactly between samples.  The drift derivative
+    is the spline's own (exact) derivative.  Drift, drive and derivative are
+    one piecewise polynomial, evaluated once per distinct ``t``: the three
+    accessors return read-only views of that evaluation.  Evaluation outside
+    the tabulated span is refused for all three.
     """
     try:
         with open(path, newline="") as fh:
@@ -440,6 +442,9 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
         raise ConfigError(
             f"tabulated model {path}: {n_cols} columns do not fit 1 + 2*dim^2"
         )
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != n_cols:
+            raise ConfigError(f"tabulated model {path}: row {i} has {len(row)} of {n_cols} cells")
 
     try:
         data = np.array(
@@ -449,34 +454,46 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
         raise ConfigError(f"tabulated model {path}: bad complex literal: {exc}") from exc
 
     times = data[:, 0].real
-    if np.any(np.diff(times) <= 0):
-        raise ConfigError(f"tabulated model {path}: time column must strictly increase")
-    drift_samples = data[:, 1 : 1 + dim_sq].reshape(-1, dim, dim)
-    drive_samples = data[:, 1 + dim_sq :].reshape(-1, dim, dim)
-    for i, t in enumerate(times):
-        require_skew_hermitian(drift_samples[i], 1e-10, what=f"tabulated drift at t={t:g}")
-        require_skew_hermitian(drive_samples[i], 1e-10, what=f"tabulated drive at t={t:g}")
+    if not (np.all(np.isfinite(times) & (data[:, 0].imag == 0)) and np.all(np.diff(times) > 0)):
+        raise ConfigError(f"tabulated model {path}: times must be real, finite and increasing")
+    samples = data[:, 1:].reshape(-1, 2, dim, dim)
+    for i, (t, sample) in enumerate(zip(times, samples), start=1):
+        for what, matrix in zip(("drift", "drive"), sample):
+            try:
+                require_skew_hermitian(matrix, 1e-10, what=what)
+            except NotSkewHermitian as exc:
+                raise ConfigError(f"tabulated model {path}: row {i} (t={t:g}): {exc}") from exc
 
-    drift_spline = CubicSpline(times, drift_samples, axis=0, extrapolate=False)
-    drive_spline = CubicSpline(times, drive_samples, axis=0, extrapolate=False)
-    drift_dot_spline = drift_spline.derivative()
+    # one cubic with coefficients (power, interval, [B, C, B'], row, column):
+    # B = a s^3 + b s^2 + c s + d on an interval gives B' = 3a s^2 + 2b s + c
+    coeffs = np.zeros((4, len(times) - 1, 3, dim, dim), dtype=complex)
+    for k in (0, 1):
+        coeffs[:, :, k] = CubicSpline(times, samples[:, k], axis=0, extrapolate=False).c
+    coeffs[1:, :, 2] = coeffs[:-1, :, 0] * np.array([3.0, 2.0, 1.0])[:, None, None, None]
+    table = PPoly(coeffs, times, extrapolate=False)
+    latest = [(None, None)]  # a frame evaluation asks all three at one t in turn
 
-    def _eval(spline, t: float) -> np.ndarray:
-        out = spline(t)
-        if np.any(np.isnan(out)):
+    def at(t: float) -> np.ndarray:
+        last_t, values = latest[0]
+        if t == last_t:
+            return values
+        values = table(t)
+        if np.any(np.isnan(values)):
             raise ConfigError(
                 f"tabulated model evaluated at t={t:g} outside its span "
                 f"[{times[0]:g}, {times[-1]:g}]"
             )
-        return out
+        values.flags.writeable = False
+        latest[0] = (t, values)
+        return values
 
     return GeneratorModel(
         name="custom",
         dim=dim,
         gamma=float(gamma),
-        drift=lambda t: _eval(drift_spline, t),
-        drive=lambda t: _eval(drive_spline, t),
-        drift_derivative=lambda t: _eval(drift_dot_spline, t),
+        drift=lambda t: at(t)[0],
+        drive=lambda t: at(t)[1],
+        drift_derivative=lambda t: at(t)[2],
         params={"path": str(path), "gamma": float(gamma), "interpolation": "cubic-spline"},
     )
 

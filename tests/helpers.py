@@ -88,8 +88,8 @@ def make_corpus(n_models, seed0=100, analytic=True):
     return models
 
 
-def write_tabulated(path, model, times):
-    """Write a model's drift/drive samples in the tabulated CSV format."""
+def tabulated_lines(model, times):
+    """A model's drift/drive samples as the lines of a tabulated CSV file."""
     dim = model.dim
     header = (
         ["time"]
@@ -102,4 +102,9 @@ def write_tabulated(path, model, times):
         row += [str(complex(x)) for x in model.drift(t).ravel()]
         row += [str(complex(x)) for x in model.drive(t).ravel()]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    return lines
+
+
+def write_tabulated(path, model, times):
+    """Write a model's drift/drive samples in the tabulated CSV format."""
+    path.write_text("\n".join(tabulated_lines(model, times)) + "\n")

@@ -3,8 +3,10 @@
 import csv
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blochwave import ConfigError
+from blochwave import ConfigError, load_tabulated_model
 from blochwave.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -175,6 +177,80 @@ def test_input_file_read_error_at_run_time_exits_config(tmp_path):
     summary = run_experiment(config)
     assert summary.error_code == "io_error"
     assert _exit_code([summary]) == EXIT_CONFIG
+
+
+def lz_table_lines(times):
+    """A valid two-level tabulated model (the Landau-Zener drift, no drive)
+    as CSV lines split into cells, header first."""
+    from blochwave import landau_zener_model
+    from tests.helpers import tabulated_lines
+
+    return [line.split(",") for line in tabulated_lines(landau_zener_model(1.0), times)]
+
+
+def custom_model_args(tmp_path, lines):
+    """Command-line arguments running the table ``lines`` over [0, 2]."""
+    table = tmp_path / "model.csv"
+    table.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+    cfg = write_cfg(tmp_path)
+    sets = [
+        "model.name=custom",
+        f"model.path={table}",
+        "run.t_final=2",
+        "run.checkpoint_count=5",
+        "run.integrator_tol=1e-6",
+    ]
+    return [str(cfg), *[arg for item in sets for arg in ("--set", item)]]
+
+
+@pytest.mark.parametrize("cell", ["nan", "1"], ids=["non_finite", "hermitian"])
+def test_bad_tabulated_sample_exits_config(tmp_path, cell):
+    lines = lz_table_lines(np.linspace(-0.5, 2.5, 13))
+    lines[3][1] = cell  # B_00 of the third sample
+    args = custom_model_args(tmp_path, lines)
+    assert main(["validate", *args]) == EXIT_CONFIG
+    assert main(["run", *args]) == EXIT_CONFIG
+    with pytest.raises(ConfigError, match="row 3"):
+        load_tabulated_model(tmp_path / "model.csv", gamma=1.0)
+
+
+def test_tabulated_span_short_of_the_run_exits_config_at_validation(tmp_path):
+    args = custom_model_args(tmp_path, lz_table_lines(np.linspace(-0.5, 1.5, 9)))
+    assert main(["validate", *args]) == EXIT_CONFIG
+    assert main(["run", *args]) == EXIT_CONFIG
+
+
+@st.composite
+def mutated_table(draw):
+    """A small valid table with one cell or row broken."""
+    lines = lz_table_lines(np.linspace(-0.5, 2.5, 7))
+    row = draw(st.integers(1, len(lines) - 1))
+    kind = draw(st.sampled_from(["literal", "hermitian", "drop", "time"]))
+    if kind == "literal":
+        col = draw(st.integers(0, len(lines[0]) - 1))
+        lines[row][col] = draw(
+            st.sampled_from(["abc", "1+", "", "nan", "inf", "-infj", "(nan+1j)", "1e400", "(2+1j)"])
+        )
+    elif kind == "hermitian":
+        col = draw(st.integers(1, len(lines[0]) - 1))
+        lines[row][col] = draw(st.sampled_from(["1", "(0.5+1j)", "-3e-2"]))
+    elif kind == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))][draw(st.integers(0, len(lines[0]) - 1))]
+    else:
+        row = max(row, 2)
+        earlier = float(lines[row - 1][0])
+        lines[row][0] = repr(draw(st.sampled_from([earlier, earlier - 0.25])))
+    return lines
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=mutated_table())
+def test_fuzzed_tabulated_model_never_raises(tmp_path_factory, lines):
+    args = custom_model_args(tmp_path_factory.mktemp("fuzz"), lines)
+    code = main(["validate", *args])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert main(["run", *args]) == EXIT_CONFIG
 
 
 # -------------------------------------------------------------------- running

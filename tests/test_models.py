@@ -249,6 +249,14 @@ def test_tabulated_model_rejects_decreasing_times(tmp_path):
         load_tabulated_model(file, gamma=1.0)
 
 
+@pytest.mark.parametrize("time", ["1.0", "nan", "inf", "(2+1j)"])
+def test_tabulated_model_rejects_repeated_non_finite_or_complex_times(tmp_path, time):
+    file = tmp_path / "bad.csv"
+    file.write_text(f"time,B_00,C_00\n1.0,1j,0j\n{time},1j,0j\n3.0,1j,0j\n")
+    with pytest.raises(ConfigError, match="times must be"):
+        load_tabulated_model(file, gamma=1.0)
+
+
 def test_tabulated_model_refuses_extrapolation(tmp_path):
     file = tmp_path / "m.csv"
     _write_tabulated(file, three_level_model(5.0, 0.5), np.linspace(0.0, 1.0, 21))
@@ -256,4 +264,33 @@ def test_tabulated_model_refuses_extrapolation(tmp_path):
     with pytest.raises(ConfigError):
         loaded.drift(2.0)
     with pytest.raises(ConfigError):
+        loaded.drive(-0.5)
+    with pytest.raises(ConfigError):
         loaded.drift_derivative(2.0)
+
+
+def test_tabulated_accessors_equal_separate_splines_bit_for_bit(tmp_path):
+    from scipy.interpolate import CubicSpline
+
+    source = random_smooth_model(4, 2, seed=11)
+    times = np.linspace(-0.5, 3.5, 81)
+    file = tmp_path / "m.csv"
+    _write_tabulated(file, source, times)
+    loaded = load_tabulated_model(file, gamma=source.gamma)
+
+    def spline(f):
+        return CubicSpline(times, np.stack([f(t) for t in times]), axis=0, extrapolate=False)
+
+    drift = spline(source.drift)
+    reference = {
+        "drift": drift,
+        "drive": spline(source.drive),
+        "drift_derivative": drift.derivative(),
+    }
+    rng = np.random.default_rng(5)
+    calls = [(t, name) for t in rng.uniform(-0.5, 3.5, 20) for name in reference]
+    for i in rng.permutation(len(calls)):
+        t, name = calls[i]
+        value = getattr(loaded, name)(t)
+        assert np.array_equal(value, reference[name](t))
+        assert not value.flags.writeable

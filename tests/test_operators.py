@@ -97,6 +97,40 @@ def test_decompose_rejects_non_skew():
         decompose(np.array([[np.nan + 0j, 0], [0, 0]]))
 
 
+def test_decompose_takes_one_eigh_and_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("decompose took an SVD")
+
+    # np.linalg.norm(a, 2) reaches svd through numpy's implementation module
+    for module in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(module, "svd", no_svd)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    dec = decompose(random_skew(6, np.random.default_rng(3), gap=0.5))
+    assert len(calls) == 1 and dec.n_blocks == 6
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 1e-6, 1.01, 2.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_decompose_raises_wherever_the_spectral_norm_check_did(seed, ratio):
+    # the spectral-norm check raised once ‖a† + a‖_2 > TOL * max(1, ‖a‖_2);
+    # a rank-one Hermitian part puts the Frobenius defect at its spectral
+    # value, the closest the Frobenius check can come to letting it pass
+    rng = np.random.default_rng(seed)
+    skew = random_skew(5, rng, gap=0.5)
+    v = rng.normal(size=5) + 1j * rng.normal(size=5)
+    herm = np.outer(v, v.conj()) / np.vdot(v, v).real
+    eps = 0.5 * ratio * TOL * spectral_norm(skew)
+    for _ in range(3):  # ‖a‖ moves with eps; settle the ratio
+        a = skew + eps * herm
+        eps *= ratio * TOL * max(1.0, spectral_norm(a)) / spectral_norm(a.conj().T + a)
+    a = skew + eps * herm
+    assert spectral_norm(a.conj().T + a) > TOL * max(1.0, spectral_norm(a))
+    with pytest.raises(NotSkewHermitian):
+        decompose(a, hermiticity_tol=TOL)
+
+
 def test_default_gap_tol_scales_with_norm():
     # two eigenvalues split by more than the scaled default remain separate
     a = np.diag([1j, 1j * (1 + 1e-7), 3j]) * 1.0
