@@ -39,7 +39,12 @@ from .operators import (
     require_skew_hermitian,
     spectral_norm,
 )
-from .propagation import PropagatorPath, _estimate_max_step, solve_matrix_ivp
+from .propagation import (
+    PropagatorPath,
+    _estimate_max_step,
+    _rotating_system,
+    solve_matrix_ivp,
+)
 
 __all__ = [
     "BlochInitialCondition",
@@ -268,39 +273,61 @@ def integrate_riccati(
     ``defect_budget``, or where a terminal event monitoring the norm
     continuously fires first.
 
+    Handed the adiabatic frame, the flow is integrated in the rotating frame
+    of its frozen blocks, ``U = D Ur D†`` (see :mod:`blochwave.propagation`):
+    ``D`` commutes with every ``P_k``, so ``Ur`` obeys the Riccati flow of
+    the rotated drive, the ``gamma B`` terms cancel, and the Bloch condition
+    and the norm, hence the event and the budget, carry over unchanged.
+
     Args:
-        hamiltonian: callable ``t -> H(t)`` (skew-Hermitian frame generator).
+        hamiltonian: callable ``t -> H(t)`` (skew-Hermitian frame generator),
+            or the adiabatic frame itself.
         ic: validated initial transformation.
-        blocks: frozen projectors ``P_k(t0)``.
+        blocks: frozen projectors ``P_k(t0)``; with a frame, they must be its
+            own.
         grid: strictly increasing checkpoint times starting at ``t0``.
 
     Raises:
         IntegratorFailure: on step underflow.
         BadInitialCondition: if ``ic`` fails validation.
         BlowUp: only when ``raise_on_blowup`` is set.
+        ValueError: if a frame is passed with ``blocks`` other than its
+            frozen projectors.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != t0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must start at t0 and strictly increase")
     ic.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
+    rotating = hasattr(hamiltonian, "split_at")
+    if rotating and not np.array_equal(blocks, hamiltonian.frozen.projector_stack):
+        raise ValueError("blocks must be the frozen projectors of the frame")
 
     if max_step is None:
-        max_step = _estimate_max_step(hamiltonian, t0, grid[-1])
+        max_step = _estimate_max_step(
+            hamiltonian.hamiltonian_at if rotating else hamiltonian, t0, grid[-1]
+        )
 
-    def rhs(t, u):
-        return riccati_rhs(hamiltonian(t), u, blocks)
+    def rotated_rhs(h, z, same_block):
+        # riccati_rhs in the frozen eigenbasis, where block_project is a mask
+        hz = h @ z
+        return hz - z @ (hz * same_block)
+
+    if rotating:
+        y0, rhs, back = _rotating_system(hamiltonian, rotated_rhs, ic.matrix, two_sided=True)
+    else:
+        y0, rhs = ic.matrix, (lambda t, u: riccati_rhs(hamiltonian(t), u, blocks))
+    size = ic.matrix.size
 
     def blowup_event(t, y):
-        return float(np.linalg.norm(y) - blowup_norm)
+        return float(np.linalg.norm(y[:size]) - blowup_norm)
 
     blowup_event.terminal = True
     blowup_event.direction = 1.0
 
-    sol = solve_matrix_ivp(
-        rhs, ic.matrix, grid, tol, max_step=max_step, events=[blowup_event]
-    )
-    mats = sol.y.T.reshape(-1, *ic.matrix.shape)
+    sol = solve_matrix_ivp(rhs, y0, grid, tol, max_step=max_step, events=[blowup_event])
+    states = sol.y.T
+    mats = back(states) if rotating else states.reshape(-1, *ic.matrix.shape)
     mats[0] = ic.matrix
     defects = _bloch_defect(mats, blocks)
     failed = (defects > defect_budget) | (np.linalg.norm(mats, axis=(-2, -1)) > blowup_norm)

@@ -108,6 +108,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.model_name not in builtin_model_names() + ["custom"]:
             raise ConfigError(f"unknown model {self.model_name!r}")
+        numbers = {"run.t0": self.t0, "run.t_final": self.t_final}
+        numbers.update((f"model.{k}", v) for k, v in self.model_params.items() if k != "path")
+        for key, value in numbers.items():
+            if not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if not self.t_final > self.t0:
             raise ConfigError(f"t_final={self.t_final} must exceed t0={self.t0}")
         if self.checkpoint_count < 2:
@@ -171,10 +176,12 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
@@ -408,7 +415,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
         frame = build_frame(model, config.t0, config.t_final, tol=tol)
         # one step cap serves both integrations of the frame Hamiltonian
         max_step = _estimate_max_step(frame.hamiltonian_at, config.t0, config.t_final)
-        m_path = propagate(frame.hamiltonian_at, config.t0, grid, tol=tol, max_step=max_step)
+        m_path = propagate(frame, config.t0, grid, tol=tol, max_step=max_step)
         shared.update(model=model, frame=frame, max_step=max_step, m=m_path)
     blocks = frame.blocks
 
@@ -423,7 +430,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     for route in config.routes:
         if route == "riccati":
             u_paths[route] = integrate_riccati(
-                frame.hamiltonian_at, ic, blocks, config.t0, grid, tol=tol, max_step=max_step
+                frame, ic, blocks, config.t0, grid, tol=tol, max_step=max_step
             )
         elif route == "closed_form":
             u_paths[route] = closed_form_wave(m_path, ic, blocks)

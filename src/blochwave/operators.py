@@ -83,11 +83,21 @@ class SpectralDecomposition:
     ``k`` (the mean over the grouped cluster), ``projectors[k]`` the Hermitian
     orthogonal projector onto its eigenspace, and ``multiplicities[k]`` its
     rank.  Blocks are ordered by ascending imaginary part.
+
+    ``projectors`` may be passed as a sequence or as one ``(n_blocks, dim,
+    dim)`` array; ``projector_stack`` is that array, and ``projectors`` its
+    tuple of per-block views.
     """
 
     eigenvalues: np.ndarray
     projectors: tuple[np.ndarray, ...]
     multiplicities: tuple[int, ...]
+    projector_stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stack = np.asarray(self.projectors)
+        object.__setattr__(self, "projector_stack", stack)
+        object.__setattr__(self, "projectors", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -186,7 +196,7 @@ def decompose(
     projectors = 0.5 * (projectors + projectors.conj().swapaxes(-1, -2))
     return SpectralDecomposition(
         eigenvalues=1j * (np.bincount(labels, weights=lam) / counts),
-        projectors=tuple(projectors),
+        projectors=projectors,
         multiplicities=tuple(counts.tolist()),
     )
 
@@ -214,9 +224,7 @@ def match_labels(
         )
 
     n = prev.n_blocks
-    overlap = np.einsum(
-        "kij,lji->kl", np.stack(prev.projectors), np.stack(new.projectors)
-    ).real
+    overlap = np.einsum("kij,lji->kl", prev.projector_stack, new.projector_stack).real
 
     perm = [-1] * n
     work = overlap.copy()
@@ -241,7 +249,7 @@ def match_labels(
 
     return SpectralDecomposition(
         eigenvalues=new.eigenvalues[perm],
-        projectors=tuple(new.projectors[l] for l in perm),
+        projectors=new.projector_stack[perm],
         multiplicities=tuple(new.multiplicities[l] for l in perm),
     )
 

@@ -25,10 +25,10 @@ class PipelineBundle:
         self.frame = build_frame(model, t0, t1, tol=tol)
         self.blocks = self.frame.blocks
         self.grid = np.linspace(t0, t1, n_checkpoints)
-        self.m_path = propagate(self.frame.hamiltonian_at, t0, self.grid, tol=tol)
+        self.m_path = propagate(self.frame, t0, self.grid, tol=tol)
         self.ic = ic if ic is not None else identity_ic(self.blocks)
         self.u_riccati = integrate_riccati(
-            self.frame.hamiltonian_at, self.ic, self.blocks, t0, self.grid, tol=tol
+            self.frame, self.ic, self.blocks, t0, self.grid, tol=tol
         )
         self.u_closed = closed_form_wave(self.m_path, self.ic, self.blocks)
         self.u_radon = radon_wave(self.m_path, self.ic, self.blocks)

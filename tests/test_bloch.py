@@ -23,8 +23,9 @@ from blochwave import (
     three_level_model,
     zeno_generator,
 )
-from blochwave import build_frame
-from blochwave.bloch import WaveOperatorPath
+from blochwave import GeneratorModel, build_frame
+from blochwave.bloch import BLOWUP_NORM, WaveOperatorPath
+from blochwave.propagation import _estimate_max_step
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -196,10 +197,9 @@ def test_bloch_defect_stays_at_roundoff_for_every_tolerance():
     grid = np.linspace(0.0, 4.0, 17)
     ic = identity_ic(frame.blocks)
     for tol in (1e-6, 1e-8, 1e-10):
-        u = integrate_riccati(
-            frame.hamiltonian_at, ic, frame.blocks, 0.0, grid, tol=tol
-        )
-        assert u.max_bloch_defect() <= 1e3 * np.finfo(float).eps
+        for hamiltonian in (frame.hamiltonian_at, frame):  # plain and rotating
+            u = integrate_riccati(hamiltonian, ic, frame.blocks, 0.0, grid, tol=tol)
+            assert u.max_bloch_defect() <= 1e3 * np.finfo(float).eps
 
 
 def test_riccati_integrates_in_one_solver_call(monkeypatch):
@@ -221,6 +221,33 @@ def test_riccati_integrates_in_one_solver_call(monkeypatch):
     assert len(calls) == 1
     assert np.array_equal(u.times, grid)
     assert np.array_equal(u.matrices[0], np.eye(3))
+
+
+def test_rotating_riccati_is_no_less_accurate():
+    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 50.0)
+    grid = np.linspace(0.0, 50.0, 251)
+    ic = identity_ic(frame.blocks)
+    max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, 50.0)
+
+    def run(hamiltonian, tol):
+        return integrate_riccati(
+            hamiltonian, ic, frame.blocks, 0.0, grid, tol=tol, max_step=max_step
+        )
+
+    ref = run(frame.hamiltonian_at, 1e-13)
+    errors = [
+        np.max(spectral_norm(run(h, 1e-10).matrices - ref.matrices))
+        for h in (frame.hamiltonian_at, frame)
+    ]
+    assert errors[1] <= errors[0]
+
+
+def test_rotating_riccati_rejects_foreign_blocks():
+    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 1.0)
+    grid = np.linspace(0.0, 1.0, 5)
+    blocks = frame.blocks[::-1]
+    with pytest.raises(ValueError):
+        integrate_riccati(frame, identity_ic(blocks), blocks, 0.0, grid)
 
 
 def test_riccati_defect_budget_truncates_at_first_failing_checkpoint():
@@ -274,6 +301,43 @@ def test_blowup_detected_by_all_routes():
         assert u.blowup_time is not None
         assert abs(u.blowup_time - np.pi / 2) < 0.2
         assert len(u.times) < len(grid)  # truncated
+
+
+def rotating_coupling_frame(gamma=10.0, omega=1.0, t_final=3.0):
+    """The pure-coupling case seen from a drifting frame: a static drift
+    ``-i omega Z`` and the drive ``D (-iX) D†`` that its flow ``D`` turns
+    back into ``-iX``, so the wave operator keeps its pole at pi/2."""
+    z = np.diag([1.0, -1.0]).astype(complex)
+
+    def drive(t):
+        phase = np.exp(-2j * gamma * omega * t)
+        return -1j * np.array([[0.0, phase], [np.conj(phase), 0.0]])
+
+    model = GeneratorModel(
+        name="rotating_coupling",
+        dim=2,
+        gamma=gamma,
+        drift=lambda t: -1j * omega * z,
+        drive=drive,
+        drift_derivative=lambda t: np.zeros((2, 2), dtype=complex),
+        static_drift=True,
+    )
+    return build_frame(model, 0.0, t_final)
+
+
+def test_rotating_riccati_truncates_where_the_plain_path_does():
+    frame = rotating_coupling_frame()
+    grid = np.linspace(0.0, 3.0, 41)
+    ic = identity_ic(frame.blocks)
+    for blowup_norm in (1e2, BLOWUP_NORM):
+        plain, rotating = (
+            integrate_riccati(h, ic, frame.blocks, 0.0, grid, blowup_norm=blowup_norm)
+            for h in (frame.hamiltonian_at, frame)
+        )
+        assert plain.blowup_flag and rotating.blowup_flag
+        assert abs(plain.blowup_time - np.pi / 2) < 0.2
+        assert np.array_equal(rotating.times, plain.times)
+        assert abs(rotating.blowup_time - plain.blowup_time) < 1e-6
 
 
 def test_existence_triad_cross_check():

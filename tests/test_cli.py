@@ -145,8 +145,16 @@ def test_missing_input_file_is_a_config_error(tmp_path, overrides):
         ["sweep.gamma=10, -5"],
         ["model.a=-1"],
         ["model.name=random_smooth", "model.dim=1", "model.n_blocks=1"],
+        ["run.t0=-inf"],
+        ["run.t_final=inf"],
+        ["model.a=nan"],
+        ["model.a=inf"],
+        ["model.name=random_smooth", "model.dim=4", "model.n_blocks=2", "model.drive_strength=nan"],
     ],
-    ids=["seed", "gamma_negative", "gamma_nan", "sweep_gamma_negative", "a_negative", "dim_1"],
+    ids=[
+        "seed", "gamma_negative", "gamma_nan", "sweep_gamma_negative", "a_negative", "dim_1",
+        "t0_inf", "t_final_inf", "a_nan", "a_inf", "drive_strength_nan",
+    ],
 )
 def test_malformed_input_exits_config(tmp_path, overrides):
     # validate builds the model too, so it also catches what only the model
@@ -155,6 +163,15 @@ def test_malformed_input_exits_config(tmp_path, overrides):
     sets = [arg for item in overrides for arg in ("--set", item)]
     assert main(["validate", str(cfg), *sets]) == EXIT_CONFIG
     assert main(["run", str(cfg), *sets]) == EXIT_CONFIG
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"\xff\xfe" + BASE_CFG.format(out=tmp_path / "out").encode())
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(cfg)
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
 def test_validate_builds_the_model_of_every_sweep_gamma(tmp_path):

@@ -115,8 +115,8 @@ def test_shared_anchor_is_bit_identical_to_per_block_reference():
         anchor, kato = reference_kato(model, t)
         assert np.array_equal(kato_generator(model, t), kato)
         w = frame.transporter_at(t)
-        expected = model.gamma * np.einsum(
-            "k,kij->ij", anchor.eigenvalues, proj_stack
+        expected = np.einsum(
+            "k,kij->ij", model.gamma * anchor.eigenvalues, proj_stack
         ) + w.conj().T @ (model.drive(t) - kato) @ w
         assert np.array_equal(frame.hamiltonian_at(t), expected)
 

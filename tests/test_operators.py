@@ -37,6 +37,23 @@ def random_skew(dim, rng, gap=None):
 
 # ---------------------------------------------------------------- decompose
 
+def test_projector_stack_is_one_array_under_the_projectors():
+    rng = np.random.default_rng(4)
+    a = random_skew(5, rng, gap=0.5)
+    dec = decompose(a)
+    stack = dec.projector_stack
+    assert stack.shape == (dec.n_blocks, 5, 5)
+    for k, p in enumerate(dec.projectors):
+        assert p.base is stack and np.array_equal(p, stack[k])
+    relabeled = match_labels(dec, decompose(a + 1e-3 * random_skew(5, rng)))
+    assert all(p.base is relabeled.projector_stack for p in relabeled.projectors)
+    # built from a sequence, the stack is the stacked sequence
+    assert np.array_equal(
+        type(dec)(dec.eigenvalues, tuple(dec.projectors), dec.multiplicities).projector_stack,
+        stack,
+    )
+
+
 def test_decompose_diagonal():
     a = np.diag([0.0, -1.0j])
     dec = decompose(a, gap_tol=1e-8)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import blochwave.propagation
 from blochwave import (
     NotSkewHermitian,
     PropagatorPath,
@@ -10,9 +11,12 @@ from blochwave import (
     lz_asymptotic_amplitude,
     build_frame,
     propagate,
+    random_smooth_model,
     spectral_norm,
+    three_level_model,
     unitarity_defect,
 )
+from blochwave.propagation import _DenseOutput, _estimate_max_step, solve_matrix_ivp
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -125,3 +129,88 @@ def test_dense_output_interpolates():
     fine = propagate(model.full_generator, 0.0, np.linspace(0.0, 2.0, 33), tol=1e-12)
     t_probe = fine.times[17]
     assert spectral_norm(path.at(t_probe) - fine.at(t_probe)) < 1e-8
+
+
+def test_dense_output_is_bit_identical_to_ode_solution():
+    model = random_smooth_model(4, 2, seed=5)
+    grid = np.linspace(0.0, 3.0, 7)
+    sol = solve_matrix_ivp(
+        lambda t, m: model.full_generator(t) @ m,
+        np.eye(4, dtype=complex),
+        grid,
+        1e-9,
+        dense=True,
+    )
+    fast = _DenseOutput(sol.sol)
+    rng = np.random.default_rng(0)
+    # random times, every step boundary (owned by the earlier step) and the
+    # checkpoints, as numpy and as Python floats
+    for t in np.concatenate([rng.uniform(0.0, 3.0, 200), sol.sol.ts, grid]):
+        expected = sol.sol(t).tobytes()
+        assert fast(t).tobytes() == expected
+        assert fast(float(t)).tobytes() == expected
+    path = propagate(model.full_generator, 0.0, grid, tol=1e-9, dense=True)
+    assert isinstance(path.dense, _DenseOutput)
+
+
+# ------------------------------------------------------------ rotating frame
+
+#: the rotating-frame cases: (model, t0, t1, checkpoints)
+ROTATING_CASES = {
+    "landau_zener_gamma2": (lambda: landau_zener_model(2.0), -25.0, 25.0, 201),
+    "three_level_gamma10": (lambda: three_level_model(10.0, 1.0), 0.0, 50.0, 251),
+    "three_level_gamma80": (lambda: three_level_model(80.0, 1.0), 0.0, 4.0, 21),
+}
+
+
+def counting_nfev(monkeypatch):
+    """Record the nfev of every ``solve_matrix_ivp`` call ``propagate`` makes."""
+    counts = []
+    original = blochwave.propagation.solve_matrix_ivp
+
+    def counted(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        counts.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(blochwave.propagation, "solve_matrix_ivp", counted)
+    return counts
+
+
+@pytest.mark.parametrize("case", sorted(ROTATING_CASES))
+def test_rotating_frame_is_no_less_accurate_and_cheaper(case, monkeypatch):
+    make, t0, t1, n = ROTATING_CASES[case]
+    frame = build_frame(make(), t0, t1, tol=1e-10)
+    grid = np.linspace(t0, t1, n)
+    max_step = _estimate_max_step(frame.hamiltonian_at, t0, t1)
+    ref = propagate(frame.hamiltonian_at, t0, grid, tol=1e-13, max_step=max_step)
+    nfev = counting_nfev(monkeypatch)
+    plain = propagate(frame.hamiltonian_at, t0, grid, tol=1e-10, max_step=max_step)
+    rotating = propagate(frame, t0, grid, tol=1e-10, max_step=max_step)
+    errors = [np.max(spectral_norm(p.matrices - ref.matrices)) for p in (plain, rotating)]
+    assert errors[1] <= errors[0]
+    assert nfev[1] < nfev[0]
+    assert np.array_equal(rotating.matrices[0], np.eye(frame.model.dim))
+
+
+def test_rotating_frame_keeps_the_frame_step_cap(monkeypatch):
+    captured = []
+    original = blochwave.propagation.solve_matrix_ivp
+
+    def capture(*args, **kwargs):
+        captured.append(kwargs["max_step"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(blochwave.propagation, "solve_matrix_ivp", capture)
+    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 5.0)
+    propagate(frame, 0.0, np.linspace(0.0, 5.0, 11))
+    assert captured == [_estimate_max_step(frame.hamiltonian_at, 0.0, 5.0)]
+
+
+def test_rotating_frame_dense_output():
+    model = random_smooth_model(4, 2, seed=9)
+    frame = build_frame(model, 0.0, 2.0, tol=1e-11)
+    path = propagate(frame, 0.0, np.linspace(0.0, 2.0, 5), tol=1e-11, dense=True)
+    fine = propagate(frame.hamiltonian_at, 0.0, np.linspace(0.0, 2.0, 33), tol=1e-12)
+    for t in fine.times[1::4]:
+        assert spectral_norm(path.at(t) - fine.at(t)) < 1e-8
