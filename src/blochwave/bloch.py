@@ -322,10 +322,7 @@ def integrate_riccati(
     def blowup_event(t, y):
         return float(np.linalg.norm(y[:size]) - blowup_norm)
 
-    blowup_event.terminal = True
-    blowup_event.direction = 1.0
-
-    sol = solve_matrix_ivp(rhs, y0, grid, tol, max_step=max_step, events=[blowup_event])
+    sol = solve_matrix_ivp(rhs, y0, grid, tol, max_step=max_step, event=blowup_event)
     states = sol.y.T
     mats = back(states) if rotating else states.reshape(-1, *ic.matrix.shape)
     mats[0] = ic.matrix
@@ -333,12 +330,8 @@ def integrate_riccati(
     failed = (defects > defect_budget) | (np.linalg.norm(mats, axis=(-2, -1)) > blowup_norm)
     failed[0] = False  # the validated initial condition
     n = _first_true(failed)
-    if n < len(mats):
-        blowup_time = float(grid[n])
-    elif sol.status == 1:  # terminated by the blow-up event
-        blowup_time = float(sol.t_events[0][0])
-    else:
-        blowup_time = None
+    # the first failed checkpoint, else where the blow-up event fired (None if neither)
+    blowup_time = float(grid[n]) if n < len(mats) else sol.event_time
 
     if blowup_time is not None and raise_on_blowup:
         raise BlowUp(f"wave operator left the invertibility region near t={blowup_time:g}")

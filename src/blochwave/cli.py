@@ -280,16 +280,20 @@ def build_model(config: ExperimentConfig) -> GeneratorModel:
     raise ConfigError(f"unknown model {name!r}")
 
 
-def _load_custom_ic(path, blocks):
+def _load_custom_ic(path, dim: int) -> np.ndarray:
+    """The initial-condition matrix in ``path``: ``dim`` rows of ``dim``
+    finite complex literals."""
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-        matrix = np.array([[complex(cell) for cell in row] for row in rows])
+        matrix = np.array([[complex(cell) for cell in row] for row in rows], dtype=complex)
     except OSError as exc:
         raise IoError(f"cannot read initial condition {path}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"bad complex literal in {path}: {exc}") from exc
-    return custom_ic(matrix, blocks)
+        raise ConfigError(f"malformed initial condition {path}: {exc}") from exc
+    if matrix.shape != (dim, dim) or not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"initial condition {path} is not a finite {dim}x{dim} matrix")
+    return matrix
 
 
 @dataclass
@@ -424,7 +428,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     elif config.ic_kind == "stationary":
         ic = stationary_ic(frame.hamiltonian_at(config.t0), frame.frozen, model.gamma)
     else:
-        ic = _load_custom_ic(config.ic_path, blocks)
+        ic = custom_ic(_load_custom_ic(config.ic_path, model.dim), blocks)
 
     u_paths = {}
     for route in config.routes:
@@ -659,6 +663,8 @@ def main(argv=None) -> int:
                 model = build_model(replace(config, model_params=params))
                 for t in (config.t0, config.t_final):
                     model.full_generator(t)
+            if config.ic_kind == "custom":
+                _load_custom_ic(config.ic_path, model.dim)
     except (ConfigError, IoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,0 +1,235 @@
+"""DOP853, the Dormand-Prince 8(5,3) Runge-Kutta pair with step-size control
+and a dense output of order 7 (Hairer, Nørsett & Wanner, *Solving Ordinary
+Differential Equations I*, §II.5 and §II.10).
+
+The loop replays SciPy 1.17.1's DOP853 operation by operation, so states, step
+times and interpolants are bit-identical to SciPy's, with two exceptions.  The
+``t0`` checkpoint is the initial state itself (no dense output is built for
+it), and the terminal event's root is bisected on the step polynomial to about
+4 eps (SciPy runs Brent's method to the same tolerance).
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import IntegratorFailure
+
+__all__ = ["DenseOutput", "IvpResult", "integrate"]
+
+N_STAGES = 12
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0  # step controller
+ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
+
+# The tableau as the float64 values of scipy/integrate/_ivp/dop853_coefficients.py
+# (SciPy 1.17.1, BSD-3-Clause, after Hairer's Fortran DOP853).  Stages 13-15 are
+# the dense output's extra stages, D its polynomial's last four coefficients.
+C = np.array([
+    0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0, 1.0, 0.1, 0.2, 0.7777777777777778
+])
+A = np.zeros((16, 16))
+A[np.tril_indices(16, -1)] = [  # the strict lower triangle, row by row
+    0.05260015195876773, 0.0197250569845379, 0.0591751709536137, 0.02958758547680685, 0,
+    0.08876275643042054, 0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242, 0.037109375, 0, 0,
+    0.17025221101954405, 0.06021653898045596, -0.017578125, 0.03709200011850479, 0, 0,
+    0.17038392571223998, 0.10726203044637328, -0.015319437748624402, 0.008273789163814023,
+    0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996, 0.47766253643826434, 0, 0, -2.4881146199716677,
+    -0.590290826836843, 21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627, -0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+    -3.0467644718982196, 2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+    12.360567175794303, 0.6433927460157636, 0.054293734116568765, 0, 0, 0, 0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+    0.20136540080403034, 0.04471061572777259, 0.056167502283047954, 0, 0, 0, 0, 0,
+    0.25350021021662483, -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+    0.00820105229563469, 0.007567897660545699, -0.008298, 0.03183464816350214, 0, 0, 0, 0,
+    0.028300909672366776, 0.053541988307438566, -0.05492374857139099, 0, 0,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+    -0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987
+]
+B = A[N_STAGES, :N_STAGES]
+E3 = np.append(B, 0.0)
+E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0
+])
+D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
+# complex copies, so that no dot product casts its coefficients on every step
+_A, _B, _E3, _E5, _D = (v.astype(complex) for v in (A, B, E3, E5, D))
+
+
+@dataclass
+class IvpResult:
+    """States at the checkpoints reached (one column each; those up to
+    ``event_time`` if the terminal event fired) and the step statistics."""
+
+    y: np.ndarray
+    nfev: int
+    n_accepted: int
+    n_rejected: int
+    max_step: float
+    event_time: float | None = None
+    dense: DenseOutput | None = None
+
+
+def _evaluate(step, t: float) -> np.ndarray:
+    """A step polynomial at ``t``, with SciPy's Horner recurrence."""
+    t_old, h, coeffs, y_old, zero = step
+    x = (t - t_old) / h
+    factors = (np.complex128(x), np.complex128(1 - x))
+    y = zero + coeffs[0]
+    y *= factors[0]
+    for i in range(1, len(coeffs)):
+        y += coeffs[i]
+        y *= factors[i % 2]
+    y += y_old
+    return y
+
+
+class DenseOutput:
+    """Step polynomials at scalar times; a step time belongs to the earlier step."""
+
+    def __init__(self, ts: list, steps: list):
+        self.ts, self._steps = ts, steps
+
+    def __call__(self, t: float) -> np.ndarray:
+        step = min(max(bisect_left(self.ts, t) - 1, 0), len(self._steps) - 1)
+        return _evaluate(self._steps[step], t)
+
+
+def _norm(x: np.ndarray):  # a complex vector's 2-norm, computed as np.linalg.norm does
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
+    """The starting step of Hairer, Nørsett & Wanner §II.4, as SciPy takes it."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    root_n = y0.size**0.5
+    d0, d1 = _norm(y0 / scale) / root_n, _norm(f0 / scale) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _norm((f1 - f0) / scale) / root_n / h0
+    small = d1 <= 1e-15 and d2 <= 1e-15
+    h1 = max(1e-6, h0 * 1e-3) if small else (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length, max_step)
+
+
+def _step_polynomial(fun, K, t_old, t, h, y_old, y, f):
+    """The polynomial of the step ``t_old -> t`` taken with ``h``, from 3 more stages."""
+    for s in range(N_STAGES + 1, 16):
+        K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, _A[s, :s]) * h)
+    F = np.empty((7, len(y)), dtype=complex)
+    delta_y = y - y_old
+    F[:3] = delta_y, h * K[0] - delta_y, 2 * delta_y - h * (f + K[0])
+    F[3:] = h * np.dot(_D, K)
+    return t_old, t - t_old, F[::-1], y_old, np.zeros(len(y), dtype=complex)
+
+
+def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=None) -> IvpResult:
+    """Integrate ``y' = fun(t, y)`` for a complex vector ``y`` over the strictly
+    increasing checkpoint times ``grid``.  ``dense`` keeps every step polynomial;
+    ``event(t, y)`` stops the integration at its first upward zero crossing.
+
+    Raises:
+        IntegratorFailure: when the step falls below 10 ulp of ``t``.
+    """
+    times = grid.tolist()
+    t, t_bound = times[0], times[-1]
+    y = np.asarray(y0, dtype=complex)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t_bound, max_step, f, rtol, atol)
+    K = np.empty((16, y.size), dtype=complex)
+    stages = [(s, K[:s].T, _A[s, :s], C[s]) for s in range(1, N_STAGES)]
+    k_solution, k_error = K[:N_STAGES].T, K[: N_STAGES + 1].T
+    rows, steps, step_times = [y], [], [t]
+    n_accepted = n_rejected = n_dense = 0
+    g = None if event is None else event(t, y)
+    event_time = None
+    while event_time is None and t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegratorFailure(f"step at t={t:g} below the spacing between numbers")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, k_t, a, c in stages:
+                K[s] = fun(t + c * h, y + np.dot(k_t, a) * h)
+            y_new = y + h * np.dot(k_solution, _B)
+            K[N_STAGES] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5_2 = _norm(np.dot(k_error, _E5) / scale) ** 2
+            err3_2 = _norm(np.dot(k_error, _E3) / scale) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * y.size)
+            if error_norm < 1:
+                factor = MAX_FACTOR
+                if error_norm > 0:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+            rejected = True
+            n_rejected += 1
+        n_accepted += 1
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+
+        step = _step_polynomial(fun, K, t_old, t, h, y_old, y, f) if dense else None
+        if event is not None:
+            g_new = event(t, y)
+            if g <= 0 <= g_new:
+                step = step or _step_polynomial(fun, K, t_old, t, h, y_old, y, f)
+                lo, hi = t_old, t  # bisect down to about 4 eps
+                while hi - lo > 4 * np.finfo(float).eps * (1.0 + abs(hi)):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if event(mid, _evaluate(step, mid)) < 0 else (lo, mid)
+                event_time = t = float(0.5 * (lo + hi))
+            g = g_new
+        i_new = bisect_right(times, t)
+        if i_new > len(rows):
+            step = step or _step_polynomial(fun, K, t_old, t, h, y_old, y, f)
+            rows += [_evaluate(step, s) for s in times[len(rows) : i_new]]
+        n_dense += step is not None
+        if dense:
+            step_times.append(t)
+            steps.append(step)
+
+    return IvpResult(
+        y=np.stack(rows, axis=1),
+        nfev=2 + N_STAGES * (n_accepted + n_rejected) + 3 * n_dense,
+        n_accepted=n_accepted,
+        n_rejected=n_rejected,
+        max_step=max_step,
+        event_time=event_time,
+        dense=DenseOutput(step_times, steps) if dense else None,
+    )

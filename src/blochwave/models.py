@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ConfigError, IoError, NotSkewHermitian
 from .operators import SpectralDecomposition, decompose, require_skew_hermitian
@@ -214,6 +213,7 @@ def three_level_model(
     p_low = np.diag([0.0, 0.0, 1.0]).astype(complex)
     p_high = np.diag([1.0, 1.0, 0.0]).astype(complex)
     zero3 = np.zeros((3, 3), dtype=complex)
+    sqrt2 = np.sqrt(2.0)
 
     def drift(t: float) -> np.ndarray:
         return drift_matrix
@@ -221,14 +221,11 @@ def three_level_model(
     def drive(t: float) -> np.ndarray:
         amp = a if envelope is None else a * envelope(t)
         e = np.exp(2j * omega * t)
-        kt = np.array(
-            [
-                [0.0, -0.5 / e, 0.0],
-                [0.5 * e, 0.0, -1.0 / (np.sqrt(2.0) * e)],
-                [0.0, e / np.sqrt(2.0), 0.0],
-            ],
-            dtype=complex,
-        )
+        kt = zero3.copy()  # the counter-rotating terms, in the coupling pattern
+        kt[0, 1] = -0.5 / e
+        kt[1, 0] = 0.5 * e
+        kt[1, 2] = -1.0 / (sqrt2 * e)
+        kt[2, 1] = e / sqrt2
         return (amp / 2.0) * (k0 + kt)
 
     eigs = np.array([-1j * omega, 0.0j])
@@ -427,6 +424,8 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     accessors return read-only views of that evaluation.  Evaluation outside
     the tabulated span is refused for all three.
     """
+    from scipy.interpolate import CubicSpline, PPoly  # only tabulated models need SciPy
+
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]

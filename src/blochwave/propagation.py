@@ -3,9 +3,9 @@ skew-Hermitian ``G``.
 
 One integrator serves every evolution operator in the package: the lab-frame
 unitary, the adiabatic transporter, and the full evolution in the adiabatic
-frame.  Integration uses an adaptive embedded Runge-Kutta pair of order 8(5,3)
-(``scipy.integrate.solve_ivp`` with DOP853) applied to the matrix columns as
-one coupled system.
+frame.  Integration uses the in-house adaptive Runge-Kutta pair of order
+8(5,3), :mod:`blochwave.dop853` (SciPy's DOP853 replayed bit for bit),
+applied to the matrix columns as one coupled system.
 
 Handed an adiabatic frame instead of a callable, the integrators factor its
 strong drift out exactly.  In the frame the drift ``gamma B(t) = gamma sum_k
@@ -28,13 +28,11 @@ tolerance decades.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import IntegratorFailure
+from .dop853 import IvpResult, integrate
 from .operators import require_skew_hermitian, spectral_norm
 
 __all__ = ["PropagatorPath", "propagate", "unitarity_defect", "solve_matrix_ivp"]
@@ -82,36 +80,6 @@ class PropagatorPath:
         return float(np.max(self.unitarity_defects))
 
 
-class _DenseOutput:
-    """A DOP853 ``OdeSolution`` evaluated at scalar times, bit-identical to it.
-
-    Bisects the step times as ``OdeSolution`` does (a step boundary belongs
-    to the earlier step) and runs the same Horner recurrence over the step's
-    stored polynomial as scipy's ``Dop853DenseOutput``, without the
-    per-call array conversions of either.
-    """
-
-    def __init__(self, sol):
-        self._ts = sol.ts.tolist()
-        self._steps = [
-            (float(s.t_old), float(s.h), s.F[::-1], s.y_old, np.zeros_like(s.y_old))
-            for s in sol.interpolants
-        ]
-
-    def __call__(self, t: float) -> np.ndarray:
-        step = min(max(bisect_left(self._ts, t) - 1, 0), len(self._steps) - 1)
-        t_old, h, coeffs, y_old, zero = self._steps[step]
-        x = (t - t_old) / h
-        factors = (np.complex128(x), np.complex128(1 - x))
-        y = zero + coeffs[0]
-        y *= factors[0]
-        for i in range(1, len(coeffs)):
-            y += coeffs[i]
-            y *= factors[i % 2]
-        y += y_old
-        return y
-
-
 def _estimate_max_step(generator, t0: float, t1: float, samples: int = 33) -> float:
     """Step cap of (oscillation period)/20 for the fastest generator component.
 
@@ -155,36 +123,32 @@ def solve_matrix_ivp(
     tol: float,
     max_step: float | None = None,
     dense: bool = False,
-    events=None,
-):
-    """Adaptive integration of a matrix-valued ODE over a checkpoint grid.
+    event=None,
+) -> IvpResult:
+    """Adaptive DOP853 integration of a matrix-valued ODE over a checkpoint grid.
 
     ``rhs(t, m)`` receives and returns a matrix; the flattening into the
     solver's vector state is handled here.  Shared by the linear propagator
-    and the nonlinear wave-operator integrator.
+    and the nonlinear wave-operator integrator.  ``event`` is terminal.
 
-    Returns the full ``solve_ivp`` result (matrices still flattened).
+    Returns the :class:`~blochwave.dop853.IvpResult` (matrices still
+    flattened) with ``nfev``, accepted and rejected steps and ``max_step``.
     """
     shape = y0.shape
 
     def flat_rhs(t, y):
         return rhs(t, y.reshape(shape)).ravel()
 
-    sol = solve_ivp(
+    return integrate(
         flat_rhs,
-        (grid[0], grid[-1]),
         np.asarray(y0, dtype=complex).ravel(),
-        method="DOP853",
-        t_eval=grid,
+        grid,
         rtol=max(tol, 1e-13),
         atol=tol,
         max_step=np.inf if max_step is None else max_step,
-        dense_output=dense,
-        events=events,
+        dense=dense,
+        event=event,
     )
-    if sol.status == -1:
-        raise IntegratorFailure(sol.message)
-    return sol
 
 
 def _rotating_system(frame, matrix_rhs, y0: np.ndarray, two_sided: bool):
@@ -300,8 +264,7 @@ def propagate(
     mats[0] = eye
     interpolant = None
     if dense:
-        state_at = _DenseOutput(sol.sol)
-        interpolant = (lambda t: back(state_at(t))) if rotating else state_at
+        interpolant = (lambda t: back(sol.dense(t))) if rotating else sol.dense
 
     return PropagatorPath(
         t0=t0,

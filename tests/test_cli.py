@@ -1,6 +1,11 @@
 """Config parsing, the batch runner, CSV contracts, sweep mode, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from blochwave.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     build_model,
     load_config,
     main,
@@ -391,6 +397,68 @@ def test_run_custom_ic_from_file(tmp_path):
     assert summary.status == "ok"
 
 
+def custom_ic_args(tmp_path, text):
+    """Command-line arguments running a short three-level job from the IC
+    file holding ``text``."""
+    ic_file = tmp_path / "u0.csv"
+    ic_file.write_text(text)
+    sets = [
+        "run.ic=custom",
+        f"run.ic_path={ic_file}",
+        "run.t_final=1",
+        "run.checkpoint_count=5",
+        "run.integrator_tol=1e-6",
+    ]
+    return [str(write_cfg(tmp_path)), *[arg for item in sets for arg in ("--set", item)]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1,0,0\n", "", "1,0\n0,1\n", "1,0,0\n0,nan,0\n0,0,1\n", "1,0,0\n0,1\n0,0,1\n"],
+    ids=["one_row", "empty", "wrong_dim", "nan", "ragged"],
+)
+def test_malformed_custom_ic_exits_config(tmp_path, text, capsys):
+    args = custom_ic_args(tmp_path, text)
+    assert main(["validate", *args]) == EXIT_CONFIG
+    assert main(["run", *args]) == EXIT_CONFIG
+    assert "u0.csv" in capsys.readouterr().err
+
+
+@st.composite
+def mutated_ic(draw):
+    """The 3x3 identity as IC CSV text with one cell, row or column broken."""
+    rows = [[str(complex(x)) for x in row] for row in np.eye(3)]
+    kinds = ["literal", "value", "drop_cell", "drop_row", "add_row", "add_col"]
+    kind = draw(st.sampled_from(kinds))
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if kind == "literal":
+        rows[i][j] = draw(st.sampled_from(["abc", "1+", "", "nan", "inf", "-infj", "1e400"]))
+    elif kind == "value":
+        rows[i][j] = draw(st.sampled_from(["0", "2", "(0.5+1j)", "-1e-3"]))
+    elif kind == "drop_cell":
+        del rows[i][j]
+    elif kind == "drop_row":
+        del rows[i]
+    elif kind == "add_row":
+        rows.append(["0"] * 3)
+    else:
+        for row in rows:
+            row.append("0")
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=mutated_ic())
+def test_fuzzed_custom_ic_never_raises(tmp_path_factory, text):
+    # a well-formed matrix that breaks the Bloch condition passes validate,
+    # which does not build the frame, and fails the run as a solver error
+    args = custom_ic_args(tmp_path_factory.mktemp("fuzz"), text)
+    code = main(["validate", *args])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    run_code = main(["run", *args])
+    assert run_code == EXIT_CONFIG if code == EXIT_CONFIG else run_code in (EXIT_OK, EXIT_SOLVER)
+
+
 def test_bound_violation_yields_defect_exit_code(tmp_path, monkeypatch):
     # a theorem violation is a defect signal: nonzero exit, never a warning
     import blochwave.cli as cli_mod
@@ -668,3 +736,45 @@ def test_shipped_example_configs_validate():
     for cfg in sorted(examples.glob("*.cfg")):
         config = load_config(cfg)
         config.validate()
+
+
+# ------------------------------------------------------------------ imports
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: validates, runs a tiny three-level and Landau-Zener job, reports the SciPy
+#: modules loaded by then, then loads a tabulated model
+FRESH_RUN = """
+import sys
+from blochwave import load_tabulated_model
+from blochwave.cli import main
+
+out, table = sys.argv[1:]
+three, lz = "docs/examples/three_level.cfg", "docs/examples/landau_zener.cfg"
+tiny = ["--set", "run.t_final=1", "--set", "run.checkpoint_count=5"]
+assert main(["validate", three]) == 0
+assert main(["run", three, *tiny, "--set", f"output.dir={out}/three"]) == 0
+assert main(["run", lz, *tiny, "--set", "run.t0=-1", "--set", f"output.dir={out}/lz"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert load_tabulated_model(table, gamma=1.0).dim == 2
+"""
+
+
+def test_runs_of_analytic_models_import_no_scipy(tmp_path):
+    from tests.helpers import write_tabulated
+
+    from blochwave import landau_zener_model
+
+    table = tmp_path / "model.csv"
+    write_tabulated(table, landau_zener_model(1.0), np.linspace(-1.0, 1.0, 9))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, str(tmp_path / "out"), str(table)],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,0 +1,168 @@
+"""The in-house DOP853 loop against SciPy's: tableau, states, step times,
+interpolants, the blow-up event and the step statistics."""
+
+import numpy as np
+import pytest
+from scipy.integrate import DOP853 as ScipyDOP853
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+
+from blochwave import (
+    IntegratorFailure,
+    build_frame,
+    identity_ic,
+    landau_zener_model,
+    random_smooth_model,
+    three_level_model,
+)
+from blochwave import dop853
+from blochwave.bloch import riccati_rhs
+from blochwave.propagation import _estimate_max_step, _rotating_system, solve_matrix_ivp
+
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+DIAG_BLOCKS = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+
+
+def test_tableau_is_scipys_bit_for_bit():
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours, theirs = getattr(dop853, name), getattr(dop853_coefficients, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
+def scipy_solve(rhs, y0, grid, tol, max_step=None, dense=False, event=None):
+    """``solve_matrix_ivp``'s problem handed to SciPy's DOP853."""
+    events = None
+    if event is not None:
+        events = [lambda t, y: event(t, y)]
+        events[0].terminal, events[0].direction = True, 1.0
+    return solve_ivp(
+        lambda t, y: rhs(t, y.reshape(y0.shape)).ravel(),
+        (grid[0], grid[-1]),
+        y0.ravel(),
+        method="DOP853",
+        t_eval=grid,
+        rtol=max(tol, 1e-13),
+        atol=tol,
+        max_step=np.inf if max_step is None else max_step,
+        dense_output=dense,
+        events=events,
+    )
+
+
+def plain_case():
+    model = random_smooth_model(4, 2, seed=5)
+    rhs = lambda t, m: model.full_generator(t) @ m
+    return rhs, np.eye(4, dtype=complex), np.linspace(0.0, 3.0, 7), 1e-9, {}
+
+
+def rotating_case(make, t0, t1, n, two_sided=False):
+    def build():
+        frame = build_frame(make(), t0, t1, tol=1e-10)
+        if two_sided:  # the Riccati flow, as integrate_riccati hands it over
+            matrix_rhs = lambda h, z, same: h @ z - z @ ((h @ z) * same)
+            y0 = identity_ic(frame.blocks).matrix
+        else:
+            matrix_rhs, y0 = (lambda c, z, _: c @ z), np.eye(frame.model.dim, dtype=complex)
+        y0, rhs, _ = _rotating_system(frame, matrix_rhs, y0, two_sided=two_sided)
+        max_step = _estimate_max_step(frame.hamiltonian_at, t0, t1)
+        return rhs, y0, np.linspace(t0, t1, n), 1e-10, {"max_step": max_step}
+
+    return build
+
+
+def pole_case(blowup_norm):
+    def build():
+        h = -1j * X  # purely off-block: the wave operator has a pole at pi/2
+        event = lambda t, y: float(np.linalg.norm(y) - blowup_norm)
+        rhs = lambda t, u: riccati_rhs(h, u, DIAG_BLOCKS)
+        return rhs, np.eye(2, dtype=complex), np.linspace(0.0, 3.0, 31), 1e-10, {"event": event}
+
+    return build
+
+
+CASES = {
+    "plain": plain_case,
+    "rotating_three_level": rotating_case(lambda: three_level_model(10.0, 1.0), 0.0, 50.0, 251),
+    "rotating_lz": rotating_case(lambda: landau_zener_model(2.0), -25.0, 25.0, 401),
+    "rotating_riccati": rotating_case(lambda: three_level_model(10.0, 1.0), 0.0, 20.0, 101, True),
+    "pole_event": pole_case(1e2),
+}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["checkpoints", "dense"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bit_identical_to_scipy(case, dense):
+    rhs, y0, grid, tol, kwargs = CASES[case]()
+    ours = solve_matrix_ivp(rhs, y0, grid, tol, dense=dense, **kwargs)
+    ref = scipy_solve(rhs, y0, grid, tol, dense=dense, **kwargs)
+    # the t0 checkpoint is y0 itself, SciPy's is y0 + 0 * (step polynomial)
+    assert ours.y.shape == ref.y.shape and ours.y.tobytes() == ref.y.tobytes()
+    # SciPy also builds a dense output for the first step's lone t0 checkpoint
+    assert ours.nfev == ref.nfev - (0 if dense else 3)
+    if "event" in kwargs:
+        assert ref.status == 1 and len(ours.y.T) < len(grid)
+    if dense:
+        # the last step ends at the event root, which only agrees to ~4 eps
+        end = -1 if "event" in kwargs else None
+        assert np.asarray(ours.dense.ts[:end]).tobytes() == ref.sol.ts[:end].tobytes()
+        times = np.random.default_rng(0).uniform(grid[0], ref.sol.ts[-1], 100)
+        # random times, every step boundary (owned by the earlier step) and
+        # the checkpoints, as numpy and as Python floats
+        for t in np.concatenate([times, ref.sol.ts, grid[: ours.y.shape[1]]]):
+            expected = ref.sol(t).tobytes()
+            assert ours.dense(t).tobytes() == expected
+            assert ours.dense(float(t)).tobytes() == expected
+
+
+@pytest.mark.parametrize("blowup_norm", [1e2, 1e6])
+def test_event_time_matches_scipy_at_the_pole(blowup_norm):
+    rhs, y0, grid, tol, kwargs = pole_case(blowup_norm)()
+    ours = solve_matrix_ivp(rhs, y0, grid, tol, **kwargs)
+    ref = scipy_solve(rhs, y0, grid, tol, **kwargs)
+    t_ref = ref.t_events[0][0]
+    assert abs(ours.event_time - t_ref) <= 1e-12 * abs(t_ref)
+    assert abs(ours.event_time - np.pi / 2) < 0.02
+
+
+@pytest.mark.parametrize("case", ["plain", "pole_event"])
+def test_step_statistics_count_what_ran(case):
+    rhs, y0, grid, tol, kwargs = CASES[case]()
+    times = []
+
+    def counted(t, m):
+        times.append(t)
+        return rhs(t, m)
+
+    sol = solve_matrix_ivp(counted, y0, grid, tol, dense=True, **kwargs)
+    assert sol.nfev == len(times)
+    # 2 for the initial step, 12 per attempt, 3 per dense output
+    assert sol.nfev == 2 + 12 * (sol.n_accepted + sol.n_rejected) + 3 * sol.n_accepted
+    assert sol.n_accepted == len(sol.dense.ts) - 1
+    assert sol.max_step == kwargs.get("max_step", np.inf)
+
+    # SciPy's own stepper, one step at a time: 12 calls per attempt
+    stepper = ScipyDOP853(
+        lambda t, y: rhs(t, y.reshape(y0.shape)).ravel(),
+        grid[0],
+        y0.ravel(),
+        grid[-1],
+        rtol=max(tol, 1e-13),
+        atol=tol,
+    )
+    accepted = rejected = 0
+    while accepted < sol.n_accepted:
+        before = stepper.nfev
+        stepper.step()
+        accepted += 1
+        rejected += (stepper.nfev - before) // 12 - 1
+    if "event" not in kwargs:
+        assert stepper.t == sol.dense.ts[-1] == grid[-1]
+    assert (accepted, rejected) == (sol.n_accepted, sol.n_rejected)
+    if case == "pole_event":
+        assert sol.n_rejected > 0
+
+
+def test_step_underflow_raises():
+    # u' = u^2 with u(0) = 1 blows up at t = 1
+    with pytest.raises(IntegratorFailure, match="spacing between numbers"):
+        solve_matrix_ivp(lambda t, u: u @ u, np.eye(1, dtype=complex), np.array([0.0, 2.0]), 1e-10)

@@ -99,6 +99,27 @@ def test_three_level_drive_entries():
     assert abs(model.drive(np.pi / 2)[1, 0]) < 1e-14
 
 
+def test_three_level_drive_is_the_nested_list_formula_bit_for_bit():
+    a, omega = 1.3, 0.7
+    model = three_level_model(10.0, a, omega)
+    # the reference builds the counter-rotating pattern from a nested list
+    static = np.array(
+        [[0.0, -0.5, 0.0], [0.5, 0.0, -1.0 / np.sqrt(2.0)], [0.0, 1.0 / np.sqrt(2.0), 0.0]],
+        dtype=complex,
+    )
+    for t in np.random.default_rng(3).uniform(-100.0, 100.0, 500):
+        e = np.exp(2j * omega * t)
+        kt = np.array(
+            [
+                [0.0, -0.5 / e, 0.0],
+                [0.5 * e, 0.0, -1.0 / (np.sqrt(2.0) * e)],
+                [0.0, e / np.sqrt(2.0), 0.0],
+            ],
+            dtype=complex,
+        )
+        assert model.drive(t).tobytes() == ((a / 2.0) * (static + kt)).tobytes()
+
+
 def test_three_level_skew_hermitian_everywhere():
     model = three_level_model(7.0, 1.3)
     rng = np.random.default_rng(4)

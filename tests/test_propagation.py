@@ -16,7 +16,8 @@ from blochwave import (
     three_level_model,
     unitarity_defect,
 )
-from blochwave.propagation import _DenseOutput, _estimate_max_step, solve_matrix_ivp
+from blochwave.dop853 import DenseOutput
+from blochwave.propagation import _estimate_max_step
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -132,25 +133,29 @@ def test_dense_output_interpolates():
 
 
 def test_dense_output_is_bit_identical_to_ode_solution():
+    from scipy.integrate import solve_ivp
+
     model = random_smooth_model(4, 2, seed=5)
     grid = np.linspace(0.0, 3.0, 7)
-    sol = solve_matrix_ivp(
-        lambda t, m: model.full_generator(t) @ m,
-        np.eye(4, dtype=complex),
-        grid,
-        1e-9,
-        dense=True,
-    )
-    fast = _DenseOutput(sol.sol)
+    path = propagate(model.full_generator, 0.0, grid, tol=1e-9, dense=True)
+    assert isinstance(path.dense, DenseOutput)
+    ref = solve_ivp(
+        lambda t, y: (model.full_generator(t) @ y.reshape(4, 4)).ravel(),
+        (0.0, 3.0),
+        np.eye(4, dtype=complex).ravel(),
+        method="DOP853",
+        rtol=1e-9,
+        atol=1e-9,
+        max_step=_estimate_max_step(model.full_generator, 0.0, 3.0),
+        dense_output=True,
+    ).sol
     rng = np.random.default_rng(0)
     # random times, every step boundary (owned by the earlier step) and the
     # checkpoints, as numpy and as Python floats
-    for t in np.concatenate([rng.uniform(0.0, 3.0, 200), sol.sol.ts, grid]):
-        expected = sol.sol(t).tobytes()
-        assert fast(t).tobytes() == expected
-        assert fast(float(t)).tobytes() == expected
-    path = propagate(model.full_generator, 0.0, grid, tol=1e-9, dense=True)
-    assert isinstance(path.dense, _DenseOutput)
+    for t in np.concatenate([rng.uniform(0.0, 3.0, 200), ref.ts, grid]):
+        expected = ref(t).tobytes()
+        assert path.dense(t).tobytes() == expected
+        assert path.dense(float(t)).tobytes() == expected
 
 
 # ------------------------------------------------------------ rotating frame
