@@ -41,6 +41,7 @@ from .operators import (
 )
 from .propagation import (
     PropagatorPath,
+    _batched_hamiltonian,
     _estimate_max_step,
     _rotating_system,
     solve_matrix_ivp,
@@ -206,7 +207,8 @@ class WaveOperatorPath:
     error.  ``min_block_sv`` is the per-checkpoint existence
     certificate (smallest block singular value of ``M U(t0)``); it is only
     available from the routes that see the full evolution.  On blow-up the
-    path is truncated and ``blowup_flag`` set.
+    path is truncated and ``blowup_flag`` set.  ``stats`` holds the
+    integrator's step statistics on the Riccati route.
     """
 
     t0: float
@@ -219,6 +221,7 @@ class WaveOperatorPath:
     blowup_flag: bool = False
     blowup_time: float | None = None
     diagnostics: dict = field(default_factory=dict)
+    stats: dict | None = None
 
     @property
     def dim(self) -> int:
@@ -304,9 +307,7 @@ def integrate_riccati(
         raise ValueError("blocks must be the frozen projectors of the frame")
 
     if max_step is None:
-        max_step = _estimate_max_step(
-            hamiltonian.hamiltonian_at if rotating else hamiltonian, t0, grid[-1]
-        )
+        max_step = _estimate_max_step(_batched_hamiltonian(hamiltonian), t0, grid[-1])
 
     def rotated_rhs(h, z, same_block):
         # riccati_rhs in the frozen eigenbasis, where block_project is a mask
@@ -345,6 +346,7 @@ def integrate_riccati(
         route="riccati",
         blowup_flag=blowup_time is not None,
         blowup_time=blowup_time,
+        stats=sol.stats(),
     )
 
 

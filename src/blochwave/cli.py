@@ -38,6 +38,7 @@ import numpy as np
 
 from . import __version__
 from .bloch import (
+    BlochInitialCondition,
     bloch_effective_evolution,
     closed_form_wave,
     custom_ic,
@@ -48,6 +49,7 @@ from .bloch import (
 )
 from .diagnostics import distance_report, unitarize
 from .errors import (
+    BadInitialCondition,
     BlochwaveError,
     BlowUp,
     BoundViolated,
@@ -296,6 +298,15 @@ def _load_custom_ic(path, dim: int) -> np.ndarray:
     return matrix
 
 
+def _custom_ic(path, blocks) -> BlochInitialCondition:
+    """The initial condition in ``path``, checked against the frozen blocks:
+    a matrix that breaks the Bloch condition is an input error."""
+    try:
+        return custom_ic(_load_custom_ic(path, blocks[0].shape[0]), blocks)
+    except BadInitialCondition as exc:
+        raise ConfigError(f"initial condition {path}: {exc}") from exc
+
+
 @dataclass
 class RunSummary:
     """Everything one run produced, ready for CSV and exit-code logic."""
@@ -310,6 +321,8 @@ class RunSummary:
     wall_seconds: float = 0.0
     report: object | None = None
     paths: dict = field(default_factory=dict)
+    #: step statistics per integration ("propagate", "riccati") that ran
+    integrator: dict = field(default_factory=dict)
 
 
 def _fmt(value) -> str:
@@ -395,12 +408,10 @@ def run_experiment(
         "version": __version__,
     }
     row = {**base, **{k: v for k, v in summary.fields.items() if np.isscalar(v) or v is None}}
-    _write_csv(
-        out_dir / "summary.csv",
-        list(row.keys()),
-        [row],
-        _metadata(summary.wall_seconds),
-    )
+    meta = _metadata(summary.wall_seconds)
+    for stage, stats in summary.integrator.items():
+        meta.update((f"{stage}_{key}", _fmt(value)) for key, value in stats.items())
+    _write_csv(out_dir / "summary.csv", list(row.keys()), [row], meta)
     return summary
 
 
@@ -421,6 +432,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
         max_step = _estimate_max_step(frame.hamiltonian_at, config.t0, config.t_final)
         m_path = propagate(frame, config.t0, grid, tol=tol, max_step=max_step)
         shared.update(model=model, frame=frame, max_step=max_step, m=m_path)
+    summary.integrator["propagate"] = m_path.stats
     blocks = frame.blocks
 
     if config.ic_kind == "identity":
@@ -428,7 +440,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     elif config.ic_kind == "stationary":
         ic = stationary_ic(frame.hamiltonian_at(config.t0), frame.frozen, model.gamma)
     else:
-        ic = custom_ic(_load_custom_ic(config.ic_path, model.dim), blocks)
+        ic = _custom_ic(config.ic_path, blocks)
 
     u_paths = {}
     for route in config.routes:
@@ -436,6 +448,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
             u_paths[route] = integrate_riccati(
                 frame, ic, blocks, config.t0, grid, tol=tol, max_step=max_step
             )
+            summary.integrator["riccati"] = u_paths[route].stats
         elif route == "closed_form":
             u_paths[route] = closed_form_wave(m_path, ic, blocks)
         else:
@@ -663,11 +676,14 @@ def main(argv=None) -> int:
                 model = build_model(replace(config, model_params=params))
                 for t in (config.t0, config.t_final):
                     model.full_generator(t)
-            if config.ic_kind == "custom":
-                _load_custom_ic(config.ic_path, model.dim)
+            if config.ic_kind == "custom":  # against the drift's blocks at t0
+                _custom_ic(config.ic_path, model.spectral_at(config.t0).projectors)
     except (ConfigError, IoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BlochwaveError as exc:  # a drift at t0 the run could not decompose either
+        print(f"{exc.code}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
     if args.command == "validate":
         print(f"config ok: {args.config}")

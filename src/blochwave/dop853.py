@@ -7,19 +7,26 @@ times and interpolants are bit-identical to SciPy's, with two exceptions.  The
 ``t0`` checkpoint is the initial state itself (no dense output is built for
 it), and the terminal event's root is bisected on the step polynomial to about
 4 eps (SciPy runs Brent's method to the same tolerance).
+
+A right-hand side may be :class:`Staged`: its state-independent part (the
+coefficients) is asked for once per attempted step, at all twelve stage times,
+and once more at the three dense-output stage times when a step's polynomial
+is built; only the cheap state-dependent part runs per stage.  A plain
+``fun(t, y)`` is the case whose coefficients are the times themselves.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import IntegratorFailure
 
-__all__ = ["DenseOutput", "IvpResult", "integrate"]
+__all__ = ["DenseOutput", "IvpResult", "Staged", "integrate"]
 
 N_STAGES = 12
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0  # step controller
@@ -80,6 +87,35 @@ D = np.array([
 ])
 # complex copies, so that no dot product casts its coefficients on every step
 _A, _B, _E3, _E5, _D = (v.astype(complex) for v in (A, B, E3, E5, D))
+# the nodes of a step's stages 1-12 (stage 0 is the last step's f) and of the
+# dense output's stages 13-15
+STEP_NODES, DENSE_NODES = C[1 : N_STAGES + 1], C[N_STAGES + 1 :]
+
+
+@dataclass(frozen=True)
+class Staged:
+    """A right-hand side ``f(t, y) = step(coefficients(t), y)`` split at the state.
+
+    ``coefficients(ts)`` takes a 1-D array of times and returns one entry per
+    time, in order; it holds everything that does not depend on the state.
+    ``step(c, y)`` is the rest, given the entry ``c`` of one time.
+    """
+
+    coefficients: Callable[[np.ndarray], Sequence]
+    step: Callable[[object, np.ndarray], np.ndarray]
+
+    @classmethod
+    def of(cls, fun) -> Staged:
+        """``fun`` if it is staged, else the plain ``fun(t, y)`` as the case
+        whose coefficients are the times themselves."""
+        return fun if isinstance(fun, cls) else cls(_times, fun)
+
+    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        return self.step(self.coefficients(np.array([t]))[0], y)
+
+
+def _times(ts: np.ndarray) -> np.ndarray:
+    return ts
 
 
 @dataclass
@@ -95,14 +131,23 @@ class IvpResult:
     event_time: float | None = None
     dense: DenseOutput | None = None
 
+    def stats(self) -> dict:
+        """The step statistics, without the states."""
+        return {
+            "nfev": self.nfev,
+            "n_accepted": self.n_accepted,
+            "n_rejected": self.n_rejected,
+            "max_step": self.max_step,
+        }
 
-def _evaluate(step, t: float) -> np.ndarray:
-    """A step polynomial at ``t``, with SciPy's Horner recurrence."""
+
+def _evaluate(step, ts: np.ndarray) -> np.ndarray:
+    """A step polynomial at a 1-D array of times, one row each, with SciPy's
+    Horner recurrence."""
     t_old, h, coeffs, y_old, zero = step
-    x = (t - t_old) / h
-    factors = (np.complex128(x), np.complex128(1 - x))
-    y = zero + coeffs[0]
-    y *= factors[0]
+    x = ((ts - t_old) / h)[:, None]
+    factors = (x.astype(complex), (1 - x).astype(complex))
+    y = (zero + coeffs[0]) * factors[0]
     for i in range(1, len(coeffs)):
         y += coeffs[i]
         y *= factors[i % 2]
@@ -111,14 +156,25 @@ def _evaluate(step, t: float) -> np.ndarray:
 
 
 class DenseOutput:
-    """Step polynomials at scalar times; a step time belongs to the earlier step."""
+    """Step polynomials at a time or an array of times (a state each); a step
+    time belongs to the earlier step."""
 
     def __init__(self, ts: list, steps: list):
-        self.ts, self._steps = ts, steps
+        self.ts, self._steps = np.array(ts), steps
 
-    def __call__(self, t: float) -> np.ndarray:
-        step = min(max(bisect_left(self.ts, t) - 1, 0), len(self._steps) - 1)
-        return _evaluate(self._steps[step], t)
+    def __call__(self, t) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
+        flat = ts.reshape(-1)
+        owner = np.searchsorted(self.ts, flat) - 1
+        np.clip(owner, 0, len(self._steps) - 1, out=owner)
+        if owner.min() == owner.max():  # the usual case: all in one step
+            out = _evaluate(self._steps[owner[0]], flat)
+        else:
+            out = np.empty((len(flat), self._steps[0][3].size), dtype=complex)
+            for step in np.unique(owner):
+                mine = owner == step
+                out[mine] = _evaluate(self._steps[step], flat[mine])
+        return out.reshape(*ts.shape, -1)
 
 
 def _norm(x: np.ndarray):  # a complex vector's 2-norm, computed as np.linalg.norm does
@@ -139,10 +195,11 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _step_polynomial(fun, K, t_old, t, h, y_old, y, f):
+def _step_polynomial(fun: Staged, K, t_old, t, h, y_old, y, f):
     """The polynomial of the step ``t_old -> t`` taken with ``h``, from 3 more stages."""
-    for s in range(N_STAGES + 1, 16):
-        K[s] = fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, _A[s, :s]) * h)
+    coefficients = fun.coefficients(t_old + DENSE_NODES * h)
+    for s, c in enumerate(coefficients, start=N_STAGES + 1):
+        K[s] = fun.step(c, y_old + np.dot(K[:s].T, _A[s, :s]) * h)
     F = np.empty((7, len(y)), dtype=complex)
     delta_y = y - y_old
     F[:3] = delta_y, h * K[0] - delta_y, 2 * delta_y - h * (f + K[0])
@@ -152,19 +209,22 @@ def _step_polynomial(fun, K, t_old, t, h, y_old, y, f):
 
 def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=None) -> IvpResult:
     """Integrate ``y' = fun(t, y)`` for a complex vector ``y`` over the strictly
-    increasing checkpoint times ``grid``.  ``dense`` keeps every step polynomial;
-    ``event(t, y)`` stops the integration at its first upward zero crossing.
+    increasing checkpoint times ``grid``.  ``fun`` is a plain callable or
+    :class:`Staged`.  ``dense`` keeps every step polynomial; ``event(t, y)``
+    stops the integration at its first upward zero crossing.
 
     Raises:
         IntegratorFailure: when the step falls below 10 ulp of ``t``.
     """
+    fun = Staged.of(fun)
+    coefficients, stage = fun.coefficients, fun.step
     times = grid.tolist()
     t, t_bound = times[0], times[-1]
     y = np.asarray(y0, dtype=complex)
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, t_bound, max_step, f, rtol, atol)
     K = np.empty((16, y.size), dtype=complex)
-    stages = [(s, K[:s].T, _A[s, :s], C[s]) for s in range(1, N_STAGES)]
+    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, N_STAGES)]
     k_solution, k_error = K[:N_STAGES].T, K[: N_STAGES + 1].T
     rows, steps, step_times = [y], [], [t]
     n_accepted = n_rejected = n_dense = 0
@@ -180,11 +240,12 @@ def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=Non
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
+            nodes = coefficients(t + STEP_NODES * h)  # the last is at t + h
             K[0] = f
-            for s, k_t, a, c in stages:
-                K[s] = fun(t + c * h, y + np.dot(k_t, a) * h)
+            for (s, k_t, a), c in zip(stages, nodes):
+                K[s] = stage(c, y + np.dot(k_t, a) * h)
             y_new = y + h * np.dot(k_solution, _B)
-            K[N_STAGES] = f_new = fun(t + h, y_new)
+            K[N_STAGES] = f_new = stage(nodes[-1], y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5_2 = _norm(np.dot(k_error, _E5) / scale) ** 2
             err3_2 = _norm(np.dot(k_error, _E3) / scale) ** 2
@@ -212,13 +273,14 @@ def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=Non
                 lo, hi = t_old, t  # bisect down to about 4 eps
                 while hi - lo > 4 * np.finfo(float).eps * (1.0 + abs(hi)):
                     mid = 0.5 * (lo + hi)
-                    lo, hi = (mid, hi) if event(mid, _evaluate(step, mid)) < 0 else (lo, mid)
+                    y_mid = _evaluate(step, np.array([mid]))[0]
+                    lo, hi = (mid, hi) if event(mid, y_mid) < 0 else (lo, mid)
                 event_time = t = float(0.5 * (lo + hi))
             g = g_new
         i_new = bisect_right(times, t)
         if i_new > len(rows):
             step = step or _step_polynomial(fun, K, t_old, t, h, y_old, y, f)
-            rows += [_evaluate(step, s) for s in times[len(rows) : i_new]]
+            rows.extend(_evaluate(step, np.array(times[len(rows) : i_new])))
         n_dense += step is not None
         if dense:
             step_times.append(t)

@@ -19,6 +19,7 @@ integration tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,30 +45,49 @@ __all__ = [
     "factorization_defect",
 ]
 
+def _times_or_time(batched):
+    """Let a method written for a 1-D array of times (and, if it takes one,
+    a sequence of per-time anchors) also take a single time: the one-element
+    case, with the leading axis of each result dropped."""
+
+    @functools.wraps(batched)
+    def wrapper(owner, t, *anchor):
+        if np.ndim(t):
+            return batched(owner, np.asarray(t, dtype=float), *anchor)
+        anchors = [[a] if a is not None else None for a in anchor]
+        out = batched(owner, np.array([t], dtype=float), *anchors)
+        return tuple(x[0] for x in out) if isinstance(out, tuple) else out[0]
+
+    return wrapper
+
+
+@_times_or_time
 def kato_generator(
     model: GeneratorModel,
-    t: float,
-    anchor: SpectralDecomposition | None = None,
+    t,
+    anchor: list[SpectralDecomposition] | None = None,
 ) -> np.ndarray:
     """Generator ``A(t) = (1/2) sum_k [P'_k(t), P_k(t)]`` of the adiabatic
-    transporter, skew-Hermitian.
+    transporter, skew-Hermitian; a stack for an array of times.
 
     Exact from one decomposition ``B = sum_k b_k P_k`` of the drift and its
     derivative ``B'`` (Kato's reduced-resolvent identity):
     ``A = sum_{k != l} P_l B' P_k / (b_k - b_l)``.  Pass the decomposition at
-    ``t`` as ``anchor`` when the caller already holds it, else it is taken
-    here.  A model's ``analytic_kato`` closed form takes precedence.
+    ``t`` (one per time for an array) as ``anchor`` when the caller already
+    holds it, else it is taken here.  A model's ``analytic_kato`` closed form
+    takes precedence.
     """
     if model.analytic_kato is not None:
         return model.analytic_kato(t)
     if anchor is None:
         anchor = model.spectral_at(t)
-    proj = anchor.projector_stack
-    b = anchor.eigenvalues
-    gaps = b[None, :] - b[:, None]  # gaps[l, k] = b_k - b_l
-    np.fill_diagonal(gaps, np.inf)  # drops the k == l terms
-    terms = proj[:, None] @ model.drift_derivative(t) @ proj[None, :]
-    return (terms / gaps[:, :, None, None]).sum(axis=(0, 1))
+    proj = np.stack([a.projector_stack for a in anchor])
+    b = np.stack([a.eigenvalues for a in anchor])
+    gaps = b[:, None, :] - b[:, :, None]  # gaps[:, l, k] = b_k - b_l
+    diagonal = np.arange(b.shape[1])
+    gaps[:, diagonal, diagonal] = np.inf  # drops the k == l terms
+    terms = proj[:, :, None] @ model.drift_derivative(t)[:, None, None] @ proj[:, None, :]
+    return (terms / gaps[..., None, None]).sum(axis=(1, 2))
 
 
 def transporter(
@@ -88,12 +108,12 @@ def transporter(
     grid = np.linspace(t0, t1, checkpoints)
 
     def identity(t0, t, eye=np.eye(model.dim, dtype=complex)):
-        return eye
+        return np.broadcast_to(eye, (*np.shape(t), *eye.shape))
 
     closed = identity if model.static_drift else model.analytic_transporter
     if closed is None:
         return propagate(lambda t: kato_generator(model, t), t0, grid, tol=tol, dense=True)
-    mats = np.stack([closed(t0, t) for t in grid])
+    mats = np.array(closed(t0, grid))
     return PropagatorPath(
         t0=t0,
         times=grid,
@@ -135,49 +155,84 @@ class AdiabaticFrame:
     def blocks(self) -> tuple[np.ndarray, ...]:
         return self.frozen.projectors
 
-    def transporter_at(self, t: float) -> np.ndarray:
+    def transporter_at(self, t) -> np.ndarray:
         return self.w_path.at(t)
 
-    def drift_at(
-        self, t: float, anchor: SpectralDecomposition | None = None
-    ) -> np.ndarray:
+    @_times_or_time
+    def drift_at(self, t, anchor: list[SpectralDecomposition] | None = None) -> np.ndarray:
         """Frame drift ``B(t) = sum_k b_k(t) P_k(t0)``.
 
-        ``anchor``, the drift's decomposition at ``t``, supplies ``b_k(t)``
-        when given.
+        ``anchor``, the drift's decomposition at each time, supplies
+        ``b_k(t)`` when given.
         """
-        eigenvalues = self.model.eigenvalues_at(t) if anchor is None else anchor.eigenvalues
-        return np.einsum("k,kij->ij", eigenvalues, self.frozen.projector_stack)
+        if anchor is None:
+            eigenvalues = self.model.eigenvalues_at(t)
+        else:
+            eigenvalues = np.stack([a.eigenvalues for a in anchor])
+        return np.einsum("...k,kij->...ij", eigenvalues, self.frozen.projector_stack)
 
-    def drive_at(
-        self, t: float, anchor: SpectralDecomposition | None = None
-    ) -> np.ndarray:
+    @_times_or_time
+    def drive_at(self, t, anchor: list[SpectralDecomposition] | None = None) -> np.ndarray:
         """Frame drive ``C(t) = W†(t) [Cbar(t) - A(t)] W(t)``.
 
         ``anchor`` is passed on to :func:`kato_generator`.
         """
         w = self.w_path.at(t)
         a = kato_generator(self.model, t, anchor)
-        return w.conj().T @ (self.model.drive(t) - a) @ w
+        return w.conj().swapaxes(-1, -2) @ (self.model.drive(t) - a) @ w
 
-    def split_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The rates ``gamma b_k(t)`` of the frame drift and the drive ``C(t)``.
+    @_times_or_time
+    def split_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """The rates ``gamma b_k(t)`` of the frame drift and the drive ``C(t)``,
+        as stacks over an array of times (one row each).
 
-        Without analytic spectral data the drift is decomposed once at ``t``,
+        Without analytic spectral data the drift is decomposed once per time,
         and that one decomposition serves both the eigenvalues ``b_k(t)`` and
         the Kato term.  A static drift has constant rates, ``W = 1`` and
         ``A = 0``, so its frame drive is the model drive.
         """
         if self._static_rates is not None:
-            return self._static_rates, self.model.drive(t)
-        anchor = None if self.model.analytic_spectral is not None else self.model.spectral_at(t)
-        eigenvalues = self.model.eigenvalues_at(t) if anchor is None else anchor.eigenvalues
+            return self._static_rates[None].repeat(len(t), axis=0), self.model.drive(t)
+        if self.model.analytic_spectral is not None:
+            anchor, eigenvalues = None, self.model.eigenvalues_at(t)
+        else:
+            anchor = self.model.spectral_at(t)
+            eigenvalues = np.stack([a.eigenvalues for a in anchor])
         return self.model.gamma * eigenvalues, self.drive_at(t, anchor)
 
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        """Full frame generator ``gamma B(t) + C(t)``, from :meth:`split_at`."""
+    def hamiltonian_at(self, t) -> np.ndarray:
+        """Full frame generator ``gamma B(t) + C(t)``, from :meth:`split_at`;
+        a stack for an array of times."""
         rates, drive = self.split_at(t)
-        return np.einsum("k,kij->ij", rates, self.frozen.projector_stack) + drive
+        return np.einsum("...k,kij->...ij", rates, self.frozen.projector_stack) + drive
+
+
+def _require_stacks(model: GeneratorModel, t0: float, t1: float) -> None:
+    """Check that every time-dependent callable of ``model`` returns one
+    value per time for an array of times.  The frame asks for all the stage
+    times of a step at once; a callable written for one time would broadcast
+    silently, or fail deep inside the integrator."""
+    ts = np.array([t0, t1])
+    matrix = (len(ts), model.dim, model.dim)
+    transporter = model.analytic_transporter
+    callables = {
+        "drift": (model.drift, matrix),
+        "drive": (model.drive, matrix),
+        "drift_derivative": (model.drift_derivative, matrix),
+        "analytic_kato": (model.analytic_kato, matrix),
+        "analytic_eigenvalues": (model.analytic_eigenvalues, (len(ts), None)),
+        "analytic_transporter": (transporter and functools.partial(transporter, t0), matrix),
+    }
+    for name, (fn, expected) in callables.items():
+        if fn is None:
+            continue
+        shape = np.shape(fn(ts))
+        if len(shape) != len(expected) or any(e not in (None, s) for e, s in zip(expected, shape)):
+            raise ValueError(
+                f"model {model.name!r}: {name} returned shape {shape} for an array of "
+                f"{len(ts)} times; model callables take an array of times and return "
+                "one value per time"
+            )
 
 
 def build_frame(
@@ -193,7 +248,12 @@ def build_frame(
     labeling is tracked along the transporter checkpoints with
     :func:`track_spectral_path` (raises ``CrossingDetected`` on failure) and
     the frozen decomposition is its first.
+
+    Raises:
+        ValueError: if a model callable returns a single value for an array
+            of times instead of a stack.
     """
+    _require_stacks(model, t0, t1)
     w_path = transporter(model, t0, t1, tol=tol, checkpoints=checkpoints)
     if model.analytic_spectral is None:
         frozen = track_spectral_path(model.drift, w_path.times, model.gap_tol).decompositions[0]

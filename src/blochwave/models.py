@@ -44,6 +44,24 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _constant(value: np.ndarray):
+    """A callable returning ``value`` at a time, and one copy per time for
+    an array of times."""
+    row = value[None]
+
+    def at(t) -> np.ndarray:
+        if np.ndim(t) == 0:
+            return value
+        return row.repeat(np.size(t), axis=0).reshape(*np.shape(t), *value.shape)
+
+    return at
+
+
+def _matrix_axes(x):
+    """``x`` with two trailing axes, to scale a matrix (or stack) per time."""
+    return np.asarray(x)[..., None, None]
+
+
 @dataclass
 class GeneratorModel:
     """Time-parametrized skew-Hermitian drift/drive pair.
@@ -55,6 +73,11 @@ class GeneratorModel:
     gives the Kato generator of the adiabatic frame.  ``analytic_kato`` and
     ``analytic_transporter``, when present, are closed forms used in place
     of that generator and of its integration.
+
+    Every callable except ``analytic_spectral`` takes an array of times as
+    well as one time and then returns a stack, one matrix (or eigenvalue
+    row) per time: the frame asks for all the stage times of an integrator
+    step at once.  ``analytic_transporter(t0, t)`` does so in ``t``.
     """
 
     name: str
@@ -71,19 +94,27 @@ class GeneratorModel:
     static_drift: bool = False
     gap_tol: float | None = None
 
-    def full_generator(self, t: float) -> np.ndarray:
+    def full_generator(self, t) -> np.ndarray:
         return self.gamma * self.drift(t) + self.drive(t)
 
-    def spectral_at(self, t: float) -> SpectralDecomposition:
-        """Spectral decomposition of the drift at ``t`` (analytic when available)."""
+    def spectral_at(self, t):
+        """Spectral decomposition of the drift at ``t`` (analytic when
+        available); a list of them, one per time, for an array of times."""
+        if np.ndim(t):
+            if self.analytic_spectral is not None:
+                return [self.analytic_spectral(s) for s in t]
+            return [decompose(b, self.gap_tol) for b in self.drift(t)]
         if self.analytic_spectral is not None:
             return self.analytic_spectral(t)
         return decompose(self.drift(t), self.gap_tol)
 
-    def eigenvalues_at(self, t: float) -> np.ndarray:
-        """Block eigenvalues ``b_k(t)`` only (cheaper than a full decomposition)."""
+    def eigenvalues_at(self, t) -> np.ndarray:
+        """Block eigenvalues ``b_k(t)`` only (cheaper than a full
+        decomposition); one row per time for an array of times."""
         if self.analytic_eigenvalues is not None:
             return self.analytic_eigenvalues(t)
+        if np.ndim(t):
+            return np.stack([d.eigenvalues for d in self.spectral_at(t)])
         return self.spectral_at(t).eigenvalues
 
     def validate(self, times, tol: float = 1e-12) -> None:
@@ -114,13 +145,9 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     eye = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
 
-    def drift(t: float) -> np.ndarray:
-        return -1j * (PAULI_X + t * PAULI_Z)
-
-    def drive(t: float) -> np.ndarray:
-        return zero
+    def drift(t) -> np.ndarray:
+        return -1j * (PAULI_X + _matrix_axes(t) * PAULI_Z)
 
     def spectral(t: float) -> SpectralDecomposition:
         s = np.hypot(1.0, t)
@@ -131,24 +158,25 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
             multiplicities=(1, 1),
         )
 
-    def eigenvalues(t: float) -> np.ndarray:
+    def eigenvalues(t) -> np.ndarray:
         s = np.hypot(1.0, t)
-        return np.array([-1j * s, 1j * s])
+        return np.stack([-1j * s, 1j * s], axis=-1)
 
-    def kato(t: float) -> np.ndarray:
-        return 1j * PAULI_Y / (2.0 * (1.0 + t * t))
+    def kato(t) -> np.ndarray:
+        t = np.asarray(t)
+        return 1j * PAULI_Y / _matrix_axes(2.0 * (1.0 + t * t))
 
-    def transporter(t0: float, t: float) -> np.ndarray:
+    def transporter(t0: float, t) -> np.ndarray:
         half = 0.5 * (np.arctan(t) - np.arctan(t0))
-        return np.cos(half) * eye + 1j * np.sin(half) * PAULI_Y
+        return _matrix_axes(np.cos(half)) * eye + _matrix_axes(1j * np.sin(half)) * PAULI_Y
 
     return GeneratorModel(
         name="landau_zener",
         dim=2,
         gamma=float(gamma),
         drift=drift,
-        drive=drive,
-        drift_derivative=lambda t: -1j * PAULI_Z,
+        drive=_constant(np.zeros((2, 2), dtype=complex)),
+        drift_derivative=_constant(-1j * PAULI_Z),
         params={"gamma": float(gamma)},
         analytic_spectral=spectral,
         analytic_eigenvalues=eigenvalues,
@@ -198,6 +226,8 @@ def three_level_model(
 
     ``envelope`` optionally modulates the drive amplitude in time (off by
     default; the constant-amplitude case is the validated configuration).
+    Like the model's callables it takes an array of times as well as one
+    time, and then returns one amplitude factor per time.
     """
     if gamma <= 0 or a < 0 or omega <= 0:
         raise ValueError("gamma and omega must be positive, a non-negative")
@@ -212,21 +242,18 @@ def three_level_model(
     drift_matrix = -1j * omega * np.diag([0.0, 0.0, 1.0]).astype(complex)
     p_low = np.diag([0.0, 0.0, 1.0]).astype(complex)
     p_high = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    zero3 = np.zeros((3, 3), dtype=complex)
     sqrt2 = np.sqrt(2.0)
 
-    def drift(t: float) -> np.ndarray:
-        return drift_matrix
-
-    def drive(t: float) -> np.ndarray:
-        amp = a if envelope is None else a * envelope(t)
+    def drive(t) -> np.ndarray:
+        t = np.asarray(t)
+        amp = a if envelope is None else a * np.asarray(envelope(t))
         e = np.exp(2j * omega * t)
-        kt = zero3.copy()  # the counter-rotating terms, in the coupling pattern
-        kt[0, 1] = -0.5 / e
-        kt[1, 0] = 0.5 * e
-        kt[1, 2] = -1.0 / (sqrt2 * e)
-        kt[2, 1] = e / sqrt2
-        return (amp / 2.0) * (k0 + kt)
+        kt = np.zeros((*t.shape, 3, 3), dtype=complex)  # the counter-rotating terms
+        kt[..., 0, 1] = -0.5 / e
+        kt[..., 1, 0] = 0.5 * e
+        kt[..., 1, 2] = -1.0 / (sqrt2 * e)
+        kt[..., 2, 1] = e / sqrt2
+        return _matrix_axes(amp / 2.0) * (k0 + kt)
 
     eigs = np.array([-1j * omega, 0.0j])
 
@@ -241,12 +268,12 @@ def three_level_model(
         name="three_level",
         dim=3,
         gamma=float(gamma),
-        drift=drift,
+        drift=_constant(drift_matrix),
         drive=drive,
-        drift_derivative=lambda t: zero3,
+        drift_derivative=_constant(np.zeros((3, 3), dtype=complex)),
         params={"gamma": float(gamma), "a": float(a), "omega": float(omega)},
         analytic_spectral=spectral,
-        analytic_eigenvalues=lambda t: eigs,
+        analytic_eigenvalues=_constant(eigs),
         static_drift=True,
     )
 
@@ -325,11 +352,11 @@ def random_smooth_model(
     osc_freq = rng.uniform(0.3, 1.2, size=n_blocks)
     osc_phase = rng.uniform(0.0, 2.0 * np.pi, size=n_blocks)
 
-    def tracks(t: float) -> np.ndarray:
-        return base + osc_amp * np.sin(osc_freq * t + osc_phase)
+    def tracks(t) -> np.ndarray:
+        return base + osc_amp * np.sin(osc_freq * np.asarray(t)[..., None] + osc_phase)
 
-    def tracks_dot(t: float) -> np.ndarray:
-        return osc_amp * osc_freq * np.cos(osc_freq * t + osc_phase)
+    def tracks_dot(t) -> np.ndarray:
+        return osc_amp * osc_freq * np.cos(osc_freq * np.asarray(t)[..., None] + osc_phase)
 
     # frozen projectors conjugated by exp(g(t) S)
     q = _haar_unitary(dim, rng)
@@ -344,40 +371,44 @@ def random_smooth_model(
     rot_freq = rng.uniform(0.2, 0.6)
     rot_phase = rng.uniform(0.0, 2.0 * np.pi)
 
-    def g(t: float) -> float:
-        return rotation_scale * np.sin(rot_freq * t + rot_phase)
+    def g(t):
+        return rotation_scale * np.sin(rot_freq * np.asarray(t) + rot_phase)
 
-    def g_dot(t: float) -> float:
-        return rotation_scale * rot_freq * np.cos(rot_freq * t + rot_phase)
+    def g_dot(t):
+        return rotation_scale * rot_freq * np.cos(rot_freq * np.asarray(t) + rot_phase)
 
-    def rotation(t: float) -> np.ndarray:
-        return (vec_s * np.exp(1j * g(t) * lam_s)) @ vec_s.conj().T
+    def rotation(t) -> np.ndarray:
+        return (vec_s * np.exp(_matrix_axes(1j * g(t)) * lam_s)) @ vec_s.conj().T
 
     def projector(k: int, t: float) -> np.ndarray:
         r = rotation(t)
         return r @ frozen[k] @ r.conj().T
 
-    def drift(t: float) -> np.ndarray:
+    def drift(t) -> np.ndarray:
         r = rotation(t)
+        r_h = r.conj().swapaxes(-1, -2)
         lam = tracks(t)
-        out = np.zeros((dim, dim), dtype=complex)
+        out = np.zeros(r.shape, dtype=complex)
         for k in range(n_blocks):
-            out += 1j * lam[k] * (r @ frozen[k] @ r.conj().T)
+            out += _matrix_axes(1j * lam[..., k]) * (r @ frozen[k] @ r_h)
         return out
 
-    def drift_derivative(t: float) -> np.ndarray:
+    def drift_derivative(t) -> np.ndarray:
         # R(t) = exp(g(t) S) gives R' = g' S R, hence the commutator term
         r = rotation(t)
         b = drift(t)
-        moving = sum(1j * d * f for d, f in zip(tracks_dot(t), frozen))
-        return g_dot(t) * (s_gen @ b - b @ s_gen) + r @ moving @ r.conj().T
+        rates = np.moveaxis(tracks_dot(t), -1, 0)
+        moving = sum(_matrix_axes(1j * d) * f for d, f in zip(rates, frozen))
+        r_h = r.conj().swapaxes(-1, -2)
+        return _matrix_axes(g_dot(t)) * (s_gen @ b - b @ s_gen) + r @ moving @ r_h
 
     e1 = _random_skew(dim, rng)
     e2 = _random_skew(dim, rng)
     nu = rng.uniform(0.4, 1.5, size=2)
     chi = rng.uniform(0.0, 2.0 * np.pi, size=2)
 
-    def drive(t: float) -> np.ndarray:
+    def drive(t) -> np.ndarray:
+        t = _matrix_axes(t)
         return drive_strength * (
             np.sin(nu[0] * t + chi[0]) * e1 + np.cos(nu[1] * t + chi[1]) * e2
         )
@@ -420,8 +451,8 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     Samples must be finite and skew-Hermitian; cubic-spline interpolation
     preserves skew-Hermiticity exactly between samples.  The drift derivative
     is the spline's own (exact) derivative.  Drift, drive and derivative are
-    one piecewise polynomial, evaluated once per distinct ``t``: the three
-    accessors return read-only views of that evaluation.  Evaluation outside
+    one piecewise polynomial, evaluated once per distinct time or array of
+    times: the three accessors return read-only views of that evaluation.  Evaluation outside
     the tabulated span is refused for all three.
     """
     from scipy.interpolate import CubicSpline, PPoly  # only tabulated models need SciPy
@@ -470,29 +501,32 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
         coeffs[:, :, k] = CubicSpline(times, samples[:, k], axis=0, extrapolate=False).c
     coeffs[1:, :, 2] = coeffs[:-1, :, 0] * np.array([3.0, 2.0, 1.0])[:, None, None, None]
     table = PPoly(coeffs, times, extrapolate=False)
-    latest = [(None, None)]  # a frame evaluation asks all three at one t in turn
+    latest = [(None, None)]  # a frame evaluation asks all three at the same times in turn
 
-    def at(t: float) -> np.ndarray:
-        last_t, values = latest[0]
-        if t == last_t:
+    def at(t) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
+        key = (ts.shape, ts.tobytes())
+        last_key, values = latest[0]
+        if key == last_key:
             return values
-        values = table(t)
-        if np.any(np.isnan(values)):
+        values = table(ts)
+        outside = np.isnan(values).reshape(ts.size, -1).any(axis=1)
+        if outside.any():
             raise ConfigError(
-                f"tabulated model evaluated at t={t:g} outside its span "
-                f"[{times[0]:g}, {times[-1]:g}]"
+                f"tabulated model evaluated at t={ts.reshape(-1)[outside][0]:g} outside "
+                f"its span [{times[0]:g}, {times[-1]:g}]"
             )
         values.flags.writeable = False
-        latest[0] = (t, values)
+        latest[0] = (key, values)
         return values
 
     return GeneratorModel(
         name="custom",
         dim=dim,
         gamma=float(gamma),
-        drift=lambda t: at(t)[0],
-        drive=lambda t: at(t)[1],
-        drift_derivative=lambda t: at(t)[2],
+        drift=lambda t: at(t)[..., 0, :, :],
+        drive=lambda t: at(t)[..., 1, :, :],
+        drift_derivative=lambda t: at(t)[..., 2, :, :],
         params={"path": str(path), "gamma": float(gamma), "interpolation": "cubic-spline"},
     )
 

@@ -17,7 +17,13 @@ wave operator ``U = D Ur D†`` with the Riccati flow of ``D† C D``.  Both
 are integrated in an eigenbasis of the frozen projectors, where ``D`` is
 diagonal and the Riccati flow's block projection is a mask.  The solver
 then no longer resolves the fast phase of ``gamma B`` step by step; the
-step cap stays that of the full frame Hamiltonian.
+step cap stays that of the full frame Hamiltonian.  The right-hand side is
+:class:`~blochwave.dop853.Staged`: the loop asks the frame for one step's
+stage coefficients at once, the rates ``gamma b_k`` and the rotated drive
+``V† C V`` at all twelve stage times in one batched call, and each stage
+adds only the phase factors and the matrix products.  The step cap and the
+skew-Hermiticity check sample the frame Hamiltonian in one batched call
+each.
 
 Unitarity is monitored, never silently enforced: the recorded defect
 ``‖M†M - 1‖`` doubles as an independent error estimate.  Empirically the
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dop853 import IvpResult, integrate
+from .dop853 import IvpResult, Staged, integrate
 from .operators import require_skew_hermitian, spectral_norm
 
 __all__ = ["PropagatorPath", "propagate", "unitarity_defect", "solve_matrix_ivp"]
@@ -49,7 +55,8 @@ class PropagatorPath:
     """A propagator sampled at checkpoints.
 
     The checkpoint at ``t0`` is the identity exactly.  ``unitarity_defects``
-    stores ``‖M†M - 1‖_2`` per checkpoint.
+    stores ``‖M†M - 1‖_2`` per checkpoint, ``stats`` the integrator's
+    :meth:`~blochwave.dop853.IvpResult.stats` (``None`` for a closed form).
     """
 
     t0: float
@@ -58,6 +65,7 @@ class PropagatorPath:
     unitarity_defects: np.ndarray
     tol: float
     dense: object | None = None
+    stats: dict | None = None
 
     @property
     def dim(self) -> int:
@@ -67,14 +75,24 @@ class PropagatorPath:
     def final(self) -> np.ndarray:
         return self.matrices[-1]
 
-    def at(self, t: float) -> np.ndarray:
-        """Propagator at time ``t`` (checkpoint lookup, else dense interpolant)."""
-        idx = np.searchsorted(self.times, t)
-        if idx < len(self.times) and self.times[idx] == t:
-            return self.matrices[idx]
-        if self.dense is None:
-            raise KeyError(f"t={t:g} is not a checkpoint and no dense output was kept")
-        return np.asarray(self.dense(t)).reshape(self.dim, self.dim)
+    def at(self, t) -> np.ndarray:
+        """Propagator at a time, or a stack at an array of times (checkpoint
+        lookup, else dense interpolant)."""
+        ts = np.asarray(t, dtype=float)
+        flat = ts.reshape(-1)
+        index = np.minimum(np.searchsorted(self.times, flat), len(self.times) - 1)
+        hit = self.times[index] == flat
+        if hit.all():
+            out = self.matrices[index]
+        elif self.dense is None:
+            missing = flat[~hit][0]
+            raise KeyError(f"t={missing:g} is not a checkpoint and no dense output was kept")
+        else:
+            out = np.asarray(self.dense(flat)).reshape(-1, self.dim, self.dim)
+            if hit.any():
+                out = out.copy()
+                out[hit] = self.matrices[index[hit]]
+        return out.reshape(*ts.shape, self.dim, self.dim)
 
     def max_unitarity_defect(self) -> float:
         return float(np.max(self.unitarity_defects))
@@ -93,27 +111,38 @@ def _estimate_max_step(generator, t0: float, t1: float, samples: int = 33) -> fl
     correctly leaves the cap loose -- the solution's own fast rotation is
     already resolved by the error control.  A cap of (span)/50 always
     applies so the generator is sampled densely enough to see gross features.
+
+    ``generator`` maps an array of times to a stack of matrices; it is asked
+    once, for the sample grid and the central differences together.
     """
     span = t1 - t0
     cap = span / 50.0
     ts = np.linspace(t0, t1, samples)
-    gs = [np.asarray(generator(t), dtype=complex) for t in ts]
+    h = 1e-6 * span
+    inner = ts[1:-1]
+    stack = np.asarray(generator(np.concatenate([ts, inner + h, inner - h])), dtype=complex)
+    gs, ahead, behind = np.split(stack, [samples, samples + len(inner)])
     mean = sum(gs) / len(gs)
-    osc = max(spectral_norm(g - mean) for g in gs)
+    osc = np.max(spectral_norm(gs - mean))
     if osc <= 1e-13 * max(1.0, spectral_norm(mean)):
         return cap
-    h = 1e-6 * span
-    gdot = max(
-        spectral_norm(
-            (np.asarray(generator(t + h), dtype=complex) - np.asarray(generator(t - h), dtype=complex))
-        )
-        / (2.0 * h)
-        for t in ts[1:-1]
-    )
+    gdot = np.max(spectral_norm(ahead - behind) / (2.0 * h))
     if gdot <= 0.0:
         return cap
     period = 2.0 * np.pi * osc / gdot
     return min(cap, period * OSCILLATION_STEP_FRACTION)
+
+
+def _batched_hamiltonian(generator):
+    """The generator as a map from an array of times to a stack: a frame's
+    ``hamiltonian_at``, else a plain callable asked once per time."""
+    if hasattr(generator, "hamiltonian_at"):
+        return generator.hamiltonian_at
+
+    def per_time(ts):
+        return np.stack([np.asarray(generator(t), dtype=complex) for t in ts])
+
+    return per_time
 
 
 def solve_matrix_ivp(
@@ -128,19 +157,26 @@ def solve_matrix_ivp(
     """Adaptive DOP853 integration of a matrix-valued ODE over a checkpoint grid.
 
     ``rhs(t, m)`` receives and returns a matrix; the flattening into the
-    solver's vector state is handled here.  Shared by the linear propagator
-    and the nonlinear wave-operator integrator.  ``event`` is terminal.
+    solver's vector state is handled here (for a
+    :class:`~blochwave.dop853.Staged` ``rhs``, in its step).  Shared by the
+    linear propagator and the nonlinear wave-operator integrator.  ``event``
+    is terminal.
 
     Returns the :class:`~blochwave.dop853.IvpResult` (matrices still
     flattened) with ``nfev``, accepted and rejected steps and ``max_step``.
     """
     shape = y0.shape
+    rhs = Staged.of(rhs)
+    if len(shape) != 1:  # the solver's state is the flattened matrix
+        step = rhs.step
 
-    def flat_rhs(t, y):
-        return rhs(t, y.reshape(shape)).ravel()
+        def flat_step(c, y):
+            return step(c, y.reshape(shape)).ravel()
+
+        rhs = Staged(rhs.coefficients, flat_step)
 
     return integrate(
-        flat_rhs,
+        rhs,
         np.asarray(y0, dtype=complex).ravel(),
         grid,
         rtol=max(tol, 1e-13),
@@ -166,8 +202,12 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray, two_sided: bool):
     so the block-diagonal part of ``x`` is ``x * same_block``.
 
     Returns ``(state0, rhs, back)``: the initial state, the solver's
-    ``rhs(t, state)`` and ``back(states)``, which maps a state or a stack of
-    them to ``Y``.  The matrix part is the first ``y0.size`` entries.
+    :class:`~blochwave.dop853.Staged` right-hand side and ``back(states)``,
+    which maps a state or a stack of them to ``Y``.  The matrix part is the
+    first ``y0.size`` entries.  The right-hand side's coefficients are the
+    state-independent rates ``gamma b_k(t)`` and rotated drive ``V† C V`` at
+    all the times of one call; its step adds the phases ``exp(phi)`` and the
+    matrix products.
     """
     proj = frame.frozen.projector_stack
     basis = basis_h = None  # V = 1 for coordinate projectors
@@ -187,14 +227,18 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray, two_sided: bool):
     def out_of(x):
         return x if basis is None else basis @ x @ basis_h
 
-    def rhs(t, y):
-        rates, drive = frame.split_at(t)
-        e = np.exp(y[size:][labels])
-        out = np.empty_like(y)
-        c = into(drive) * np.outer(e.conj(), e)
-        out[:size] = matrix_rhs(c, y[:size].reshape(shape), same_block).ravel()
-        out[size:] = rates
-        return out
+    def coefficients(ts):
+        rates, drive = frame.split_at(ts)
+        return list(zip(rates, into(drive)))
+
+    phases = size + labels  # where each column's phase sits in the state
+
+    def step(coefficient, y):
+        rates, drive = coefficient
+        e = np.exp(y[phases])
+        c = drive * (e.conj()[:, None] * e)
+        z = matrix_rhs(c, y[:size].reshape(shape), same_block)
+        return np.concatenate((z.ravel(), rates))
 
     def back(states):
         e = np.exp(states[..., size:][..., labels])
@@ -204,7 +248,8 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray, two_sided: bool):
         return out_of(z)
 
     z0 = into(np.asarray(y0, dtype=complex))
-    return np.concatenate([z0.ravel(), np.zeros(len(proj), complex)]), rhs, back
+    state0 = np.concatenate([z0.ravel(), np.zeros(len(proj), complex)])
+    return state0, Staged(coefficients, step), back
 
 
 def propagate(
@@ -241,16 +286,16 @@ def propagate(
         raise ValueError(f"grid[0] = {grid[0]!r} must equal t0 = {t0!r}")
 
     rotating = hasattr(generator, "split_at")
-    hamiltonian = generator.hamiltonian_at if rotating else generator
-    for t in np.linspace(t0, grid[-1], 7):
-        require_skew_hermitian(
-            hamiltonian(t), SKEW_CHECK_FACTOR * tol, what=f"generator at t={t:g}"
-        )
+    hamiltonians = _batched_hamiltonian(generator)
+    checked = np.linspace(t0, grid[-1], 7)
+    samples = hamiltonians(checked)
+    for t, h in zip(checked, samples):
+        require_skew_hermitian(h, SKEW_CHECK_FACTOR * tol, what=f"generator at t={t:g}")
 
     if max_step is None:
-        max_step = _estimate_max_step(hamiltonian, t0, grid[-1])
+        max_step = _estimate_max_step(hamiltonians, t0, grid[-1])
 
-    n = np.shape(hamiltonian(t0))[0]
+    n = samples.shape[-1]
     eye = np.eye(n, dtype=complex)
     if rotating:
         y0, rhs, back = _rotating_system(generator, lambda c, z, _: c @ z, eye, two_sided=False)
@@ -273,6 +318,7 @@ def propagate(
         unitarity_defects=spectral_norm(mats.conj().swapaxes(-1, -2) @ mats - eye),
         tol=tol,
         dense=interpolant,
+        stats=sol.stats(),
     )
 
 

@@ -309,17 +309,19 @@ def rotating_coupling_frame(gamma=10.0, omega=1.0, t_final=3.0):
     back into ``-iX``, so the wave operator keeps its pole at pi/2."""
     z = np.diag([1.0, -1.0]).astype(complex)
 
-    def drive(t):
-        phase = np.exp(-2j * gamma * omega * t)
-        return -1j * np.array([[0.0, phase], [np.conj(phase), 0.0]])
+    def drive(t):  # one matrix per time, for an array of times too
+        phase = np.exp(-2j * gamma * omega * np.asarray(t))
+        coupling = np.zeros((*phase.shape, 2, 2), dtype=complex)
+        coupling[..., 0, 1], coupling[..., 1, 0] = phase, np.conj(phase)
+        return -1j * coupling
 
     model = GeneratorModel(
         name="rotating_coupling",
         dim=2,
         gamma=gamma,
-        drift=lambda t: -1j * omega * z,
+        drift=lambda t: np.broadcast_to(-1j * omega * z, (*np.shape(t), 2, 2)),
         drive=drive,
-        drift_derivative=lambda t: np.zeros((2, 2), dtype=complex),
+        drift_derivative=lambda t: np.zeros((*np.shape(t), 2, 2), dtype=complex),
         static_drift=True,
     )
     return build_frame(model, 0.0, t_final)

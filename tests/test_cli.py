@@ -424,6 +424,38 @@ def test_malformed_custom_ic_exits_config(tmp_path, text, capsys):
     assert "u0.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1,0,0\n0,2,0\n0,0,1\n", "1,0,0\n0,1,0.5\n0,0,1\n"],
+    ids=["diagonal", "off_block"],
+)
+def test_custom_ic_breaking_the_bloch_condition_exits_config(tmp_path, text, capsys):
+    # a finite 3x3 matrix, but P_k U0 P_k != P_k on a block of the drift at t0
+    args = custom_ic_args(tmp_path, text)
+    assert main(["validate", *args]) == EXIT_CONFIG
+    assert "u0.csv" in capsys.readouterr().err
+    assert main(["run", *args]) == EXIT_CONFIG
+    assert "u0.csv" in capsys.readouterr().out
+    assert main(["sweep", *args, "--set", "sweep.gamma=10 20"]) == EXIT_CONFIG
+
+
+def test_validate_of_a_custom_ic_fails_as_the_run_does_on_an_undecomposable_drift(tmp_path, capsys):
+    # the sample at t0 passes the loader's spectral-norm skew check (defect
+    # 0.9e-10) but not decompose's Frobenius one (1.27e-10)
+    rows = ["time,B_00,B_01,B_10,B_11,C_00,C_01,C_10,C_11"]
+    for t in np.linspace(-0.5, 3.0, 15):
+        drift = np.diag([-1j, 1j]) + (0.45e-10 * np.eye(2) if t == 0.0 else 0.0)
+        cells = [repr(float(t))] + [str(complex(x)) for x in drift.ravel()] + ["0j"] * 4
+        rows.append(",".join(cells))
+    table = tmp_path / "model.csv"
+    table.write_text("\n".join(rows) + "\n")
+    args = custom_ic_args(tmp_path, "1,0\n0,1\n")
+    args += ["--set", "model.name=custom", "--set", f"model.path={table}", "--set", "model.gamma=5"]
+    assert main(["validate", *args]) == EXIT_SOLVER
+    assert "not_skew_hermitian" in capsys.readouterr().err
+    assert main(["run", *args]) == EXIT_SOLVER
+
+
 @st.composite
 def mutated_ic(draw):
     """The 3x3 identity as IC CSV text with one cell, row or column broken."""
@@ -646,6 +678,53 @@ def test_step_cap_estimated_once_per_run_and_per_gamma(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n", name="sweep.cfg")
     sweep(load_config(cfg, overrides=SHORT_SWEEP))
     assert len(calls) == 2
+
+
+def read_header(path):
+    """The ``# key = value`` lines of a CSV file as a dict of strings."""
+    with open(path) as fh:
+        return dict(line[2:].rstrip("\n").split(" = ", 1) for line in fh if line.startswith("# "))
+
+
+def test_summary_header_records_integrator_statistics(tmp_path, monkeypatch):
+    import blochwave.bloch
+    import blochwave.propagation
+    from blochwave.dop853 import Staged
+
+    # count the right-hand-side evaluations and step attempts of every solve
+    # from outside the solver: one stage per evaluation, one batch of the
+    # twelve stage times per attempted step
+    seen = {}
+    for stage, module in (("propagate", blochwave.propagation), ("riccati", blochwave.bloch)):
+        original = module.solve_matrix_ivp
+
+        def counted(rhs, y0, grid, tol, max_step, *args, _stage=stage, _original=original, **kw):
+            count = seen[_stage] = {"nfev": 0, "attempts": 0, "max_step": max_step}
+
+            def coefficients(ts):
+                count["attempts"] += len(ts) == 12
+                return rhs.coefficients(ts)
+
+            def step(c, y):
+                count["nfev"] += 1
+                return rhs.step(c, y)
+
+            return _original(Staged(coefficients, step), y0, grid, tol, max_step, *args, **kw)
+
+        monkeypatch.setattr(module, "solve_matrix_ivp", counted)
+    config = load_config(
+        write_cfg(tmp_path), overrides=["run.t_final=5", "run.checkpoint_count=26"]
+    )
+    assert run_experiment(config).status == "ok"
+    header = read_header(config.output_dir / "summary.csv")
+    for stage in ("propagate", "riccati"):
+        count = seen[stage]
+        assert int(header[f"{stage}_nfev"]) == count["nfev"] > 0
+        steps = int(header[f"{stage}_n_accepted"]) + int(header[f"{stage}_n_rejected"])
+        assert steps == count["attempts"] > 0
+        assert float(header[f"{stage}_max_step"]) == count["max_step"]
+    # the data rows carry none of it
+    assert "nfev" not in data_bytes(config.output_dir / "summary.csv").decode()
 
 
 def test_sweep_failed_propagation_fails_every_initial_condition(tmp_path, monkeypatch):

@@ -12,6 +12,8 @@ import blochwave.frame
 import blochwave.models
 import blochwave.operators
 from blochwave import (
+    ConfigError,
+    GeneratorModel,
     build_frame,
     decompose,
     factorization_defect,
@@ -24,6 +26,9 @@ from blochwave import (
     three_level_model,
     transporter,
 )
+from blochwave.models import load_tabulated_model
+
+from tests.helpers import write_tabulated
 
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -293,3 +298,99 @@ def test_numeric_label_verification_path():
 def test_transporter_requires_forward_interval():
     with pytest.raises(ValueError):
         transporter(landau_zener_model(1.0), 1.0, 1.0)
+
+
+# ------------------------------------------- batched frame evaluation
+
+def static_model():
+    """A static drift with a drive rotating against it, built by hand."""
+    z = np.diag([1.0, -1.0]).astype(complex)
+
+    def drive(t):
+        phase = np.exp(-3j * np.asarray(t))
+        out = np.zeros((*phase.shape, 2, 2), dtype=complex)
+        out[..., 0, 1], out[..., 1, 0] = phase, -np.conj(phase)
+        return out
+
+    return GeneratorModel(
+        name="static",
+        dim=2,
+        gamma=5.0,
+        drift=lambda t: np.broadcast_to(-1j * z, (*np.shape(t), 2, 2)),
+        drive=drive,
+        drift_derivative=lambda t: np.zeros((*np.shape(t), 2, 2), dtype=complex),
+        static_drift=True,
+    )
+
+
+def tabulated_model(tmp_path):
+    table = tmp_path / "model.csv"
+    write_tabulated(table, random_smooth_model(4, 3, seed=8), np.linspace(-0.5, 2.5, 61))
+    return load_tabulated_model(table, gamma=8.0)
+
+
+FRAME_CASES = {
+    "landau_zener": lambda _: (landau_zener_model(2.0), -5.0, 5.0),
+    "three_level": lambda _: (three_level_model(10.0, 1.0), 0.0, 5.0),
+    "three_level_envelope": lambda _: (
+        three_level_model(10.0, 1.0, envelope=lambda t: np.cos(0.3 * t) ** 2),
+        0.0,
+        5.0,
+    ),
+    "random_analytic": lambda _: (random_smooth_model(4, 3, seed=8), 0.0, 2.0),
+    "random_numeric": lambda _: (random_smooth_model(4, 3, seed=8, analytic=False), 0.0, 2.0),
+    "tabulated": lambda tmp_path: (tabulated_model(tmp_path), 0.0, 2.0),
+    "static": lambda _: (static_model(), 0.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_batched_frame_evaluation_is_the_per_time_one_bit_for_bit(case, tmp_path):
+    model, t0, t1 = FRAME_CASES[case](tmp_path)
+    frame = build_frame(model, t0, t1, tol=1e-8, checkpoints=9)
+    knots = frame.w_path.times  # both ends among them
+    between = 0.5 * (knots[:-1] + knots[1:])
+    rng = np.random.default_rng(0)
+    # shuffled, as a step's stage times are, and spread over several steps of
+    # an integrated transporter
+    ts = rng.permutation(np.concatenate([knots, between, rng.uniform(t0, t1, 8)]))
+    rates, drives = frame.split_at(ts)
+    hamiltonians = frame.hamiltonian_at(ts)
+    transporters = frame.transporter_at(ts)
+    assert rates.shape == (len(ts), len(frame.blocks))
+    stack = (len(ts), model.dim, model.dim)
+    assert drives.shape == hamiltonians.shape == transporters.shape == stack
+    for i, t in enumerate(ts):
+        for time in (t, float(t)):
+            rate, drive = frame.split_at(time)
+            assert rate.tobytes() == rates[i].tobytes()
+            assert drive.tobytes() == drives[i].tobytes()
+            assert frame.hamiltonian_at(time).tobytes() == hamiltonians[i].tobytes()
+            assert frame.transporter_at(time).tobytes() == transporters[i].tobytes()
+            for part in (model.drift, model.drive, model.drift_derivative):
+                assert part(time).tobytes() == part(ts)[i].tobytes()
+
+
+def test_tabulated_model_refuses_a_batch_reaching_outside_its_span(tmp_path):
+    model = tabulated_model(tmp_path)
+    inside = np.array([0.0, 1.0, 2.0])
+    assert model.drift(inside).shape == (3, 4, 4)
+    for part in (model.drift, model.drive, model.drift_derivative):
+        with pytest.raises(ConfigError, match="t=3 outside"):
+            part(np.array([0.0, 3.0, 1.0]))
+    frame = build_frame(model, 0.0, 2.0, tol=1e-8, checkpoints=9)
+    with pytest.raises(ConfigError, match="outside"):
+        frame.split_at(np.array([1.0, -0.75]))
+    # the cache keys on the whole array, not on its first time
+    at_one, at_two = model.drift(np.array([0.0, 1.0]))[1], model.drift(np.array([0.0, 2.0]))[1]
+    assert not np.array_equal(at_one, at_two)
+    assert model.drift(0.0).tobytes() == model.drift(np.array([0.0, 2.0]))[0].tobytes()
+
+
+@pytest.mark.parametrize("part", ["drive", "drift", "drift_derivative"])
+def test_model_callable_returning_one_matrix_fails_at_frame_build(part):
+    model = static_model()
+    single = getattr(model, part)(0.0)
+    broken = dataclasses.replace(model, **{part: lambda t: single})
+    with pytest.raises(ValueError, match=f"{part} returned shape \\(2, 2\\)"):
+        build_frame(broken, 0.0, 2.0)

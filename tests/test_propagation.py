@@ -17,7 +17,10 @@ from blochwave import (
     unitarity_defect,
 )
 from blochwave.dop853 import DenseOutput
+from blochwave.frame import AdiabaticFrame
+from blochwave.models import load_tabulated_model
 from blochwave.propagation import _estimate_max_step
+from tests.helpers import write_tabulated
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -219,3 +222,59 @@ def test_rotating_frame_dense_output():
     fine = propagate(frame.hamiltonian_at, 0.0, np.linspace(0.0, 2.0, 33), tol=1e-12)
     for t in fine.times[1::4]:
         assert spectral_norm(path.at(t) - fine.at(t)) < 1e-8
+
+
+# ------------------------------------------------------------ step cap
+
+def per_time_max_step(generator, t0, t1, samples=33):
+    """The step cap with one generator evaluation per time, as a reference."""
+    span = t1 - t0
+    cap = span / 50.0
+    ts = np.linspace(t0, t1, samples)
+    gs = [np.asarray(generator(t), dtype=complex) for t in ts]
+    mean = sum(gs) / len(gs)
+    osc = max(spectral_norm(g - mean) for g in gs)
+    if osc <= 1e-13 * max(1.0, spectral_norm(mean)):
+        return cap
+    h = 1e-6 * span
+    gdot = max(spectral_norm(generator(t + h) - generator(t - h)) / (2.0 * h) for t in ts[1:-1])
+    if gdot <= 0.0:
+        return cap
+    return min(cap, 2.0 * np.pi * osc / gdot * (1.0 / 20.0))
+
+
+def tabulated_frame(tmp_path):
+    table = tmp_path / "model.csv"
+    write_tabulated(table, random_smooth_model(4, 2, seed=12), np.linspace(-0.5, 3.5, 81))
+    return build_frame(load_tabulated_model(table, gamma=8.0), 0.0, 3.0, tol=1e-8)
+
+
+STEP_CAP_CASES = {
+    "landau_zener": lambda _: build_frame(landau_zener_model(2.0), -25.0, 25.0),
+    "three_level": lambda _: build_frame(three_level_model(10.0, 1.0), 0.0, 50.0),
+    "tabulated": tabulated_frame,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CAP_CASES))
+def test_step_cap_is_the_per_time_formula_from_one_batched_call(case, tmp_path, monkeypatch):
+    frame = STEP_CAP_CASES[case](tmp_path)
+    t0, t1 = frame.t0, frame.t1
+    expected = per_time_max_step(frame.hamiltonian_at, t0, t1)
+    calls = []
+    original = AdiabaticFrame.hamiltonian_at
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return original(self, t)
+
+    monkeypatch.setattr(AdiabaticFrame, "hamiltonian_at", counted)
+    assert _estimate_max_step(frame.hamiltonian_at, t0, t1) == expected
+    assert calls == [(33 + 2 * 31,)]
+    calls.clear()
+    # propagate's skew check is one more batched call, and the cap one if not given
+    propagate(frame, t0, np.linspace(t0, t1, 3), tol=1e-6, max_step=expected)
+    assert calls == [(7,)]
+    calls.clear()
+    propagate(frame, t0, np.linspace(t0, t1, 3), tol=1e-6)
+    assert calls == [(7,), (95,)]
