@@ -48,7 +48,6 @@ from .frame import (
     AdiabaticFrame,
     build_frame,
     factorization_defect,
-    frame_generators,
     intertwining_defect,
     kato_generator,
     transporter,
@@ -73,6 +72,6 @@ from .operators import (
     spectral_norm,
     track_spectral_path,
 )
-from .propagation import PropagatorPath, propagate, unitarity_defect
+from .propagation import PropagatorPath, propagate
 
 __version__ = "0.1.0"

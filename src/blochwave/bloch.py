@@ -148,8 +148,7 @@ def stationary_ic(
         SingularBlock: if some ``P_k Ptilde_k P_k`` is not invertible on its
             block.
     """
-    require_skew_hermitian(h0, what="stationary-ic Hamiltonian")
-    lam, vec = np.linalg.eigh(-1j * np.asarray(h0, dtype=complex))
+    lam, vec, _ = require_skew_hermitian(h0, what="stationary-ic Hamiltonian")
     targets = gamma * strong.eigenvalues.imag
     margin = ambiguity_factor * gamma * strong.min_gap()
 

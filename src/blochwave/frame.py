@@ -11,6 +11,10 @@ conditioned than a matrix inverse; the unitarity defect is recorded, not
 silently repaired).  Frame conjugation therefore preserves skew-Hermiticity
 exactly even when ``W`` carries integration error.
 
+Every evaluation takes an array of times; without analytic spectral data
+one stacked :func:`~blochwave.operators.decompose` per call serves both the
+rates and the Kato term, which the transporter asks for once per step.
+
 The end-to-end consistency check of the construction is the factorization
 defect ``‖F - W M‖`` between the directly propagated evolution and the
 transporter times the frame evolution, which must vanish with the
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dop853 import Staged
 from .models import GeneratorModel
 # match_labels is unused here but stays importable from this module: the
 # benchmark's tracer (perfbench/tracer.py) wraps blochwave.frame.match_labels
@@ -40,22 +45,20 @@ __all__ = [
     "kato_generator",
     "transporter",
     "build_frame",
-    "frame_generators",
     "intertwining_defect",
     "factorization_defect",
 ]
 
 def _times_or_time(batched):
     """Let a method written for a 1-D array of times (and, if it takes one,
-    a sequence of per-time anchors) also take a single time: the one-element
-    case, with the leading axis of each result dropped."""
+    the stacked decomposition of the drift there) also take a single time:
+    the one-element case, with the leading axis of each result dropped."""
 
     @functools.wraps(batched)
     def wrapper(owner, t, *anchor):
         if np.ndim(t):
             return batched(owner, np.asarray(t, dtype=float), *anchor)
-        anchors = [[a] if a is not None else None for a in anchor]
-        out = batched(owner, np.array([t], dtype=float), *anchors)
+        out = batched(owner, np.array([t], dtype=float), *(a and a[None] for a in anchor))
         return tuple(x[0] for x in out) if isinstance(out, tuple) else out[0]
 
     return wrapper
@@ -65,7 +68,7 @@ def _times_or_time(batched):
 def kato_generator(
     model: GeneratorModel,
     t,
-    anchor: list[SpectralDecomposition] | None = None,
+    anchor: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Generator ``A(t) = (1/2) sum_k [P'_k(t), P_k(t)]`` of the adiabatic
     transporter, skew-Hermitian; a stack for an array of times.
@@ -73,16 +76,15 @@ def kato_generator(
     Exact from one decomposition ``B = sum_k b_k P_k`` of the drift and its
     derivative ``B'`` (Kato's reduced-resolvent identity):
     ``A = sum_{k != l} P_l B' P_k / (b_k - b_l)``.  Pass the decomposition at
-    ``t`` (one per time for an array) as ``anchor`` when the caller already
-    holds it, else it is taken here.  A model's ``analytic_kato`` closed form
-    takes precedence.
+    ``t`` (stacked for an array) as ``anchor`` when the caller already holds
+    it, else it is taken here.  A model's ``analytic_kato`` closed form takes
+    precedence.
     """
     if model.analytic_kato is not None:
         return model.analytic_kato(t)
     if anchor is None:
         anchor = model.spectral_at(t)
-    proj = np.stack([a.projector_stack for a in anchor])
-    b = np.stack([a.eigenvalues for a in anchor])
+    proj, b = anchor.projector_stack, anchor.eigenvalues
     gaps = b[:, None, :] - b[:, :, None]  # gaps[:, l, k] = b_k - b_l
     diagonal = np.arange(b.shape[1])
     gaps[:, diagonal, diagonal] = np.inf  # drops the k == l terms
@@ -101,7 +103,8 @@ def transporter(
 
     Sampled from a closed form where one exists (the identity for a static
     drift, else ``model.analytic_transporter``); otherwise ``W' = A(t) W`` is
-    integrated with the exact :func:`kato_generator`.
+    integrated with the exact :func:`kato_generator`, as a
+    :class:`~blochwave.dop853.Staged` system: one call per step.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
@@ -112,7 +115,8 @@ def transporter(
 
     closed = identity if model.static_drift else model.analytic_transporter
     if closed is None:
-        return propagate(lambda t: kato_generator(model, t), t0, grid, tol=tol, dense=True)
+        kato = Staged(lambda ts: kato_generator(model, ts), np.matmul)
+        return propagate(kato, t0, grid, tol=tol, dense=True)
     mats = np.array(closed(t0, grid))
     return PropagatorPath(
         t0=t0,
@@ -158,21 +162,13 @@ class AdiabaticFrame:
     def transporter_at(self, t) -> np.ndarray:
         return self.w_path.at(t)
 
-    @_times_or_time
-    def drift_at(self, t, anchor: list[SpectralDecomposition] | None = None) -> np.ndarray:
-        """Frame drift ``B(t) = sum_k b_k(t) P_k(t0)``.
-
-        ``anchor``, the drift's decomposition at each time, supplies
-        ``b_k(t)`` when given.
-        """
-        if anchor is None:
-            eigenvalues = self.model.eigenvalues_at(t)
-        else:
-            eigenvalues = np.stack([a.eigenvalues for a in anchor])
+    def drift_at(self, t) -> np.ndarray:
+        """Frame drift ``B(t) = sum_k b_k(t) P_k(t0)``."""
+        eigenvalues = self.model.eigenvalues_at(t)
         return np.einsum("...k,kij->...ij", eigenvalues, self.frozen.projector_stack)
 
     @_times_or_time
-    def drive_at(self, t, anchor: list[SpectralDecomposition] | None = None) -> np.ndarray:
+    def drive_at(self, t, anchor: SpectralDecomposition | None = None) -> np.ndarray:
         """Frame drive ``C(t) = W†(t) [Cbar(t) - A(t)] W(t)``.
 
         ``anchor`` is passed on to :func:`kato_generator`.
@@ -186,18 +182,15 @@ class AdiabaticFrame:
         """The rates ``gamma b_k(t)`` of the frame drift and the drive ``C(t)``,
         as stacks over an array of times (one row each).
 
-        Without analytic spectral data the drift is decomposed once per time,
-        and that one decomposition serves both the eigenvalues ``b_k(t)`` and
-        the Kato term.  A static drift has constant rates, ``W = 1`` and
-        ``A = 0``, so its frame drive is the model drive.
+        Without analytic spectral data one stacked decomposition of the
+        drift serves both the eigenvalues ``b_k(t)`` and the Kato term.  A
+        static drift has constant rates, ``W = 1`` and ``A = 0``, so its
+        frame drive is the model drive.
         """
         if self._static_rates is not None:
             return self._static_rates[None].repeat(len(t), axis=0), self.model.drive(t)
-        if self.model.analytic_spectral is not None:
-            anchor, eigenvalues = None, self.model.eigenvalues_at(t)
-        else:
-            anchor = self.model.spectral_at(t)
-            eigenvalues = np.stack([a.eigenvalues for a in anchor])
+        anchor = None if self.model.analytic_spectral is not None else self.model.spectral_at(t)
+        eigenvalues = self.model.eigenvalues_at(t) if anchor is None else anchor.eigenvalues
         return self.model.gamma * eigenvalues, self.drive_at(t, anchor)
 
     def hamiltonian_at(self, t) -> np.ndarray:
@@ -214,7 +207,7 @@ def _require_stacks(model: GeneratorModel, t0: float, t1: float) -> None:
     silently, or fail deep inside the integrator."""
     ts = np.array([t0, t1])
     matrix = (len(ts), model.dim, model.dim)
-    transporter = model.analytic_transporter
+    transporter, spectral = model.analytic_transporter, model.analytic_spectral
     callables = {
         "drift": (model.drift, matrix),
         "drive": (model.drive, matrix),
@@ -222,6 +215,9 @@ def _require_stacks(model: GeneratorModel, t0: float, t1: float) -> None:
         "analytic_kato": (model.analytic_kato, matrix),
         "analytic_eigenvalues": (model.analytic_eigenvalues, (len(ts), None)),
         "analytic_transporter": (transporter and functools.partial(transporter, t0), matrix),
+        "analytic_spectral": (
+            spectral and (lambda ts: spectral(ts).projector_stack), (len(ts), None, *matrix[1:])
+        ),
     }
     for name, (fn, expected) in callables.items():
         if fn is None:
@@ -269,26 +265,17 @@ def build_frame(
     )
 
 
-def frame_generators(frame: AdiabaticFrame, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pair ``(B(t, t0), C(t, t0))`` of frame drift and drive."""
-    return frame.drift_at(t), frame.drive_at(t)
-
-
 def intertwining_defect(frame: AdiabaticFrame, times=None) -> float:
-    """Max over checkpoints and blocks of ``‖W(t) P_k(t0) - P_k(t) W(t)‖``.
+    """Max over checkpoints and blocks of ``‖W(t) P_k(t0) - P_k(t) W(t)‖``,
+    from one lookup of ``W`` and one stacked decomposition at all the times.
 
     The underlying relation is exact for the true transporter; numerically it
     is limited by the integration tolerance and reported, never enforced.
     """
-    if times is None:
-        times = frame.w_path.times
-    worst = 0.0
-    for t in times:
-        w = frame.w_path.at(t)
-        dec = frame.model.spectral_at(t)
-        for pk0, pkt in zip(frame.frozen.projectors, dec.projectors):
-            worst = max(worst, spectral_norm(w @ pk0 - pkt @ w))
-    return worst
+    times = frame.w_path.times if times is None else np.asarray(times, dtype=float)
+    w = frame.w_path.at(times)[:, None]  # one axis for the blocks
+    moving = frame.model.spectral_at(times).projector_stack
+    return float(np.max(spectral_norm(w @ frame.frozen.projector_stack - moving @ w)))
 
 
 def factorization_defect(

@@ -14,6 +14,9 @@ Built-ins:
   in the interaction picture (the rotating-frame transformation is applied
   analytically, not numerically);
 * a seeded random smooth model generator for property-test corpora.
+
+Every model callable takes an array of times and returns one value per time,
+and spectral data comes as one stacked decomposition over the times.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, IoError, NotSkewHermitian
-from .operators import SpectralDecomposition, decompose, require_skew_hermitian
+from .operators import SpectralDecomposition, decompose, require_skew_hermitian, spectral_norm
 
 __all__ = [
     "GeneratorModel",
@@ -74,10 +77,12 @@ class GeneratorModel:
     ``analytic_transporter``, when present, are closed forms used in place
     of that generator and of its integration.
 
-    Every callable except ``analytic_spectral`` takes an array of times as
-    well as one time and then returns a stack, one matrix (or eigenvalue
-    row) per time: the frame asks for all the stage times of an integrator
-    step at once.  ``analytic_transporter(t0, t)`` does so in ``t``.
+    Every callable takes an array of times as well as one time and then
+    returns a stack, one matrix (or eigenvalue row) per time: the frame asks
+    for all the stage times of an integrator step at once.
+    ``analytic_spectral`` returns one stacked
+    :class:`~blochwave.operators.SpectralDecomposition` for an array, and
+    ``analytic_transporter(t0, t)`` takes the array in ``t``.
     """
 
     name: str
@@ -97,40 +102,36 @@ class GeneratorModel:
     def full_generator(self, t) -> np.ndarray:
         return self.gamma * self.drift(t) + self.drive(t)
 
-    def spectral_at(self, t):
+    def spectral_at(self, t) -> SpectralDecomposition:
         """Spectral decomposition of the drift at ``t`` (analytic when
-        available); a list of them, one per time, for an array of times."""
-        if np.ndim(t):
-            if self.analytic_spectral is not None:
-                return [self.analytic_spectral(s) for s in t]
-            return [decompose(b, self.gap_tol) for b in self.drift(t)]
+        available); stacked over an array of times, from one batched
+        :func:`~blochwave.operators.decompose` without analytic data."""
         if self.analytic_spectral is not None:
             return self.analytic_spectral(t)
-        return decompose(self.drift(t), self.gap_tol)
+        return decompose(self.drift(t), self.gap_tol, times=t)
 
     def eigenvalues_at(self, t) -> np.ndarray:
         """Block eigenvalues ``b_k(t)`` only (cheaper than a full
         decomposition); one row per time for an array of times."""
         if self.analytic_eigenvalues is not None:
             return self.analytic_eigenvalues(t)
-        if np.ndim(t):
-            return np.stack([d.eigenvalues for d in self.spectral_at(t)])
         return self.spectral_at(t).eigenvalues
 
     def validate(self, times, tol: float = 1e-12) -> None:
         """Check skew-Hermiticity of samples and analytic-spectral consistency."""
-        for t in times:
-            require_skew_hermitian(self.drift(t), tol, what=f"{self.name} drift({t:g})")
-            require_skew_hermitian(self.drive(t), tol, what=f"{self.name} drive({t:g})")
-            if self.analytic_spectral is not None:
-                rec = self.analytic_spectral(t).reconstruct()
-                err = np.linalg.norm(rec - self.drift(t), 2)
-                scale = max(1.0, np.linalg.norm(self.drift(t), 2))
-                if err > 1e-10 * scale:
-                    raise ValueError(
-                        f"analytic spectral data of {self.name} fails to "
-                        f"reconstruct the drift at t={t:g} (defect {err:.2e})"
-                    )
+        times = np.asarray(times, dtype=float)
+        drift = self.drift(times)
+        for what, samples in (("drift", drift), ("drive", self.drive(times))):
+            require_skew_hermitian(samples, tol, name=lambda i: f"{self.name} {what}({times[i]:g})")
+        if self.analytic_spectral is not None:
+            err = spectral_norm(self.analytic_spectral(times).reconstruct() - drift)
+            err /= np.maximum(1.0, spectral_norm(drift))  # relative to max(1, ‖B‖)
+            i = int(np.argmax(err))
+            if err[i] > 1e-10:
+                raise ValueError(
+                    f"analytic spectral data of {self.name} fails to reconstruct "
+                    f"the drift at t={times[i]:g} (relative defect {err[i]:.2e})"
+                )
 
 
 def landau_zener_model(gamma: float) -> GeneratorModel:
@@ -149,18 +150,17 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
     def drift(t) -> np.ndarray:
         return -1j * (PAULI_X + _matrix_axes(t) * PAULI_Z)
 
-    def spectral(t: float) -> SpectralDecomposition:
-        s = np.hypot(1.0, t)
-        axis = (PAULI_X + t * PAULI_Z) / s
-        return SpectralDecomposition(
-            eigenvalues=np.array([-1j * s, 1j * s]),
-            projectors=(0.5 * (eye + axis), 0.5 * (eye - axis)),
-            multiplicities=(1, 1),
-        )
-
     def eigenvalues(t) -> np.ndarray:
         s = np.hypot(1.0, t)
         return np.stack([-1j * s, 1j * s], axis=-1)
+
+    def spectral(t) -> SpectralDecomposition:
+        axis = (PAULI_X + _matrix_axes(t) * PAULI_Z) / _matrix_axes(np.hypot(1.0, t))
+        return SpectralDecomposition(
+            eigenvalues=eigenvalues(t),
+            projectors=np.stack([0.5 * (eye + axis), 0.5 * (eye - axis)], axis=-3),
+            multiplicities=(1, 1),
+        )
 
     def kato(t) -> np.ndarray:
         t = np.asarray(t)
@@ -255,14 +255,11 @@ def three_level_model(
         kt[..., 2, 1] = e / sqrt2
         return _matrix_axes(amp / 2.0) * (k0 + kt)
 
-    eigs = np.array([-1j * omega, 0.0j])
+    eigenvalues = _constant(np.array([-1j * omega, 0.0j]))
+    projectors = _constant(np.stack([p_low, p_high]))
 
-    def spectral(t: float) -> SpectralDecomposition:
-        return SpectralDecomposition(
-            eigenvalues=eigs,
-            projectors=(p_low, p_high),
-            multiplicities=(1, 2),
-        )
+    def spectral(t) -> SpectralDecomposition:
+        return SpectralDecomposition(eigenvalues(t), projectors(t), multiplicities=(1, 2))
 
     return GeneratorModel(
         name="three_level",
@@ -273,7 +270,7 @@ def three_level_model(
         drift_derivative=_constant(np.zeros((3, 3), dtype=complex)),
         params={"gamma": float(gamma), "a": float(a), "omega": float(omega)},
         analytic_spectral=spectral,
-        analytic_eigenvalues=_constant(eigs),
+        analytic_eigenvalues=eigenvalues,
         static_drift=True,
     )
 
@@ -361,10 +358,9 @@ def random_smooth_model(
     # frozen projectors conjugated by exp(g(t) S)
     q = _haar_unitary(dim, rng)
     bounds = np.concatenate([[0], np.cumsum(mults)])
-    frozen = []
-    for k in range(n_blocks):
-        cols = q[:, bounds[k] : bounds[k + 1]]
-        frozen.append(cols @ cols.conj().T)
+    frozen = np.stack(
+        [q[:, lo:hi] @ q[:, lo:hi].conj().T for lo, hi in zip(bounds[:-1], bounds[1:])]
+    )
 
     s_gen = _random_skew(dim, rng)
     lam_s, vec_s = np.linalg.eigh(-1j * s_gen)  # s_gen = vec (i lam) vec†
@@ -379,10 +375,6 @@ def random_smooth_model(
 
     def rotation(t) -> np.ndarray:
         return (vec_s * np.exp(_matrix_axes(1j * g(t)) * lam_s)) @ vec_s.conj().T
-
-    def projector(k: int, t: float) -> np.ndarray:
-        r = rotation(t)
-        return r @ frozen[k] @ r.conj().T
 
     def drift(t) -> np.ndarray:
         r = rotation(t)
@@ -413,11 +405,11 @@ def random_smooth_model(
             np.sin(nu[0] * t + chi[0]) * e1 + np.cos(nu[1] * t + chi[1]) * e2
         )
 
-    def spectral(t: float) -> SpectralDecomposition:
-        lam = tracks(t)
+    def spectral(t) -> SpectralDecomposition:
+        r = rotation(t)[..., None, :, :]  # one rotation per time, for every block
         return SpectralDecomposition(
-            eigenvalues=1j * lam,
-            projectors=tuple(projector(k, t) for k in range(n_blocks)),
+            eigenvalues=1j * tracks(t),
+            projectors=r @ frozen @ r.conj().swapaxes(-1, -2),
             multiplicities=tuple(int(m) for m in mults),
         )
 
@@ -448,7 +440,8 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     Format: one header line ``time,B_00,B_01,...,C_00,...`` followed by rows
     of a strictly increasing time column and the row-major complex entries of
     the drift and the drive (Python complex literals, e.g. ``1.5-0.25j``).
-    Samples must be finite and skew-Hermitian; cubic-spline interpolation
+    Samples must be finite and skew-Hermitian, by the check
+    :func:`~blochwave.operators.decompose` makes; cubic-spline interpolation
     preserves skew-Hermiticity exactly between samples.  The drift derivative
     is the spline's own (exact) derivative.  Drift, drive and derivative are
     one piecewise polynomial, evaluated once per distinct time or array of
@@ -487,12 +480,13 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     if not (np.all(np.isfinite(times) & (data[:, 0].imag == 0)) and np.all(np.diff(times) > 0)):
         raise ConfigError(f"tabulated model {path}: times must be real, finite and increasing")
     samples = data[:, 1:].reshape(-1, 2, dim, dim)
-    for i, (t, sample) in enumerate(zip(times, samples), start=1):
-        for what, matrix in zip(("drift", "drive"), sample):
-            try:
-                require_skew_hermitian(matrix, 1e-10, what=what)
-            except NotSkewHermitian as exc:
-                raise ConfigError(f"tabulated model {path}: row {i} (t={t:g}): {exc}") from exc
+    try:  # the check decompose makes, so that a table it would refuse is refused here
+        require_skew_hermitian(
+            samples.reshape(-1, dim, dim),
+            name=lambda i: f"row {i // 2 + 1} (t={times[i // 2]:g}): {('drift', 'drive')[i % 2]}",
+        )
+    except NotSkewHermitian as exc:
+        raise ConfigError(f"tabulated model {path}: {exc}") from exc
 
     # one cubic with coefficients (power, interval, [B, C, B'], row, column):
     # B = a s^3 + b s^2 + c s + d on an interval gives B' = 3a s^2 + 2b s + c

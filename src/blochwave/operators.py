@@ -5,6 +5,9 @@ smooth eigenprojector tracking across time, block algebra, and block
 pseudo-inverses.  Everything here is a pure function of its inputs; the
 returned objects are treated as immutable.
 
+The spectral layer is batched: :func:`decompose` takes a stack of matrices
+(one per time) in one pass, a single matrix being the one-element case.
+
 Conventions
 -----------
 A skew-Hermitian matrix ``A`` is diagonalized through the Hermitian matrix
@@ -26,7 +29,6 @@ __all__ = [
     "SpectralPath",
     "spectral_norm",
     "require_skew_hermitian",
-    "skew_defect",
     "decompose",
     "match_labels",
     "track_spectral_path",
@@ -39,6 +41,9 @@ __all__ = [
 #: one degenerate block (scaled by the spectral norm of the input)
 DEFAULT_GAP_FACTOR = 1e-8
 
+#: tolerance of the skew-Hermiticity check, relative to ``max(1, ‖a‖)``
+SKEW_TOL = 1e-10
+
 
 def spectral_norm(a: np.ndarray) -> float | np.ndarray:
     """Largest singular value of ``a``; one value per matrix for a stack."""
@@ -46,47 +51,50 @@ def spectral_norm(a: np.ndarray) -> float | np.ndarray:
     return float(norms) if norms.ndim == 0 else norms
 
 
-def skew_defect(a: np.ndarray) -> float:
-    """Spectral norm of ``a† + a`` (zero for skew-Hermitian input)."""
-    return spectral_norm(a.conj().T + a)
+def require_skew_hermitian(a: np.ndarray, tol: float = SKEW_TOL, what: str = "matrix", name=None):
+    """Raise :class:`NotSkewHermitian`, naming the first offender, unless each
+    matrix of ``a`` (one or a stack) is finite with ``‖a† + a‖_F <= tol *
+    max(1, ‖a‖)``; ``name(i)`` names matrix ``i`` of a stack (by default
+    ``what`` and ``i``).
 
-
-def require_skew_hermitian(a: np.ndarray, tol: float = 1e-10, what: str = "matrix") -> float:
-    """Raise :class:`NotSkewHermitian` if ``‖a† + a‖`` exceeds ``tol * max(1, ‖a‖)``.
-
-    Returns ``‖a‖``, which the check computes for its scale anyway.
+    The check costs no more than its ``eigh`` of the Hermitian ``-i a``: the
+    Frobenius defect bounds the spectral one, and ``‖a‖`` is read off the
+    eigenvalues.  Returns ``(lam, vec, scale)``: the ascending eigenvalues,
+    the eigenvectors and ``max(1, ‖a‖)``, per matrix.
     """
-    if not np.all(np.isfinite(a)):
-        raise NotSkewHermitian(f"{what} contains non-finite entries")
-    defect = skew_defect(a)
-    norm = spectral_norm(a)
-    scale = max(1.0, norm)
-    if defect > tol * scale:
-        raise NotSkewHermitian(
-            f"{what} is not skew-Hermitian: defect {defect:.3e} > {tol:.1e} * {scale:.3e}"
-        )
-    return norm
-
-
-def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    subject = name or (lambda i: what if a.ndim == 2 else f"{what} [{i}]")
+    finite = np.isfinite(a).reshape(-1, a.shape[-1] ** 2).all(axis=1)
+    if not finite.all():
+        raise NotSkewHermitian(f"{subject(int(np.argmin(finite)))} contains non-finite entries")
+    lam, vec = np.linalg.eigh(-1j * a)
+    defect = np.linalg.norm(a.conj().swapaxes(-1, -2) + a, axis=(-2, -1))
+    # the largest |lam| is ‖a‖ for a skew-Hermitian a; eigh reads one triangle
+    # only, so otherwise it may exceed ‖a‖ by up to half the defect, which the
+    # scale takes off to never exceed that of a spectral-norm check
+    scale = np.maximum(1.0, np.maximum(-lam[..., 0], lam[..., -1]) - defect)
+    bad = (defect > tol * scale).reshape(-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NotSkewHermitian(
+            f"{subject(i)} is not skew-Hermitian: defect {defect.flat[i]:.3e} > "
+            f"{tol:.1e} * {scale.flat[i]:.3e}"
+        )
+    return lam, vec, scale
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Grouped spectral decomposition of a skew-Hermitian matrix.
+    """Grouped spectral decomposition of a skew-Hermitian matrix, or of a
+    stack of them (one per time) sharing one block structure.
 
-    ``eigenvalues[k]`` is the purely imaginary value ``b_k`` shared by block
-    ``k`` (the mean over the grouped cluster), ``projectors[k]`` the Hermitian
-    orthogonal projector onto its eigenspace, and ``multiplicities[k]`` its
-    rank.  Blocks are ordered by ascending imaginary part.
-
-    ``projectors`` may be passed as a sequence or as one ``(n_blocks, dim,
-    dim)`` array; ``projector_stack`` is that array, and ``projectors`` its
-    tuple of per-block views.
+    ``eigenvalues[..., k]`` is the purely imaginary value ``b_k`` shared by
+    block ``k`` (the mean over the grouped cluster), ``projector_stack[...,
+    k, :, :]`` the Hermitian orthogonal projector onto its eigenspace, and
+    ``multiplicities[k]`` its rank.  Blocks are ordered by ascending
+    imaginary part.  ``projectors`` may be passed as a sequence or as the
+    projector stack, and is kept as the tuple of per-block views of it.
+    Indexing picks times like an array (``None`` makes a one-element stack).
     """
 
     eigenvalues: np.ndarray
@@ -97,50 +105,44 @@ class SpectralDecomposition:
     def __post_init__(self):
         stack = np.asarray(self.projectors)
         object.__setattr__(self, "projector_stack", stack)
-        object.__setattr__(self, "projectors", tuple(stack))
+        object.__setattr__(self, "projectors", tuple(np.moveaxis(stack, -3, 0)))
+
+    def __getitem__(self, index) -> SpectralDecomposition:
+        stack = self.projector_stack[index]
+        return SpectralDecomposition(self.eigenvalues[index], stack, self.multiplicities)
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projector_stack.shape[-1]
 
     @property
     def n_blocks(self) -> int:
-        return len(self.projectors)
+        return len(self.multiplicities)
 
     def reconstruct(self) -> np.ndarray:
-        """Sum of ``b_k P_k``."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for b, p in zip(self.eigenvalues, self.projectors):
-            out += b * p
-        return out
+        """Sum of ``b_k P_k`` (per time for a stack)."""
+        return np.einsum("...k,...kij->...ij", self.eigenvalues, self.projector_stack)
 
     def validation_defects(self) -> dict[str, float]:
-        """Worst-case defect of each structural invariant."""
-        herm = max(spectral_norm(p.conj().T - p) for p in self.projectors)
-        idem = max(spectral_norm(p @ p - p) for p in self.projectors)
-        orth = 0.0
-        for k in range(self.n_blocks):
-            for l in range(k + 1, self.n_blocks):
-                orth = max(orth, spectral_norm(self.projectors[k] @ self.projectors[l]))
-        comp = spectral_norm(sum(self.projectors) - np.eye(self.dim))
-        rank = max(
-            abs(np.trace(p).real - m)
-            for p, m in zip(self.projectors, self.multiplicities)
-        )
+        """Worst-case defect of each structural invariant (over every time
+        of a stack)."""
+        p = self.projector_stack
+        upper = np.triu_indices(self.n_blocks, 1)
+        products = p[..., upper[0], :, :] @ p[..., upper[1], :, :]
+        ranks = np.trace(p, axis1=-2, axis2=-1).real
         return {
-            "hermiticity": herm,
-            "idempotency": idem,
-            "orthogonality": orth,
-            "completeness": comp,
-            "rank": rank,
+            "hermiticity": float(np.max(spectral_norm(p.conj().swapaxes(-1, -2) - p))),
+            "idempotency": float(np.max(spectral_norm(p @ p - p))),
+            "orthogonality": float(np.max(spectral_norm(products), initial=0.0)),
+            "completeness": float(np.max(spectral_norm(p.sum(axis=-3) - np.eye(self.dim)))),
+            "rank": float(np.max(np.abs(ranks - self.multiplicities))),
         }
 
     def min_gap(self) -> float:
-        """Smallest distance between distinct block eigenvalues."""
-        if self.n_blocks < 2:
-            return np.inf
-        lam = self.eigenvalues.imag
-        return float(np.min(np.diff(np.sort(lam))))
+        """Smallest distance between distinct block eigenvalues (over every
+        time of a stack)."""
+        gaps = np.diff(np.sort(self.eigenvalues.imag, axis=-1), axis=-1)
+        return float(np.min(gaps, initial=np.inf))
 
 
 @dataclass
@@ -157,48 +159,58 @@ class SpectralPath:
 def decompose(
     a: np.ndarray,
     gap_tol: float | None = None,
-    hermiticity_tol: float = 1e-10,
+    hermiticity_tol: float = SKEW_TOL,
+    times=None,
 ) -> SpectralDecomposition:
-    """Spectral decomposition of a skew-Hermitian matrix with degeneracy grouping.
+    """Spectral decomposition of a skew-Hermitian matrix with degeneracy
+    grouping; of a stack ``(n, d, d)`` in one pass.
 
     Eigenvalues closer than ``gap_tol`` (default ``1e-8 * ‖a‖``) merge into a
     single degenerate block; each block's projector is the sum of outer
     products of its orthonormal eigenvectors, so no eigenvector phase
-    convention leaks into the result.  The precondition costs no more than
-    the one ``eigh``: the skew defect is taken in the Frobenius norm, an upper
-    bound of the spectral one, and ``‖a‖`` is read off the eigenvalues.
+    convention leaks into the result.  The precondition is
+    :func:`require_skew_hermitian`.  A stack takes one batched ``eigh``, one
+    skew check and one clustering pass, and gives one stacked decomposition
+    (eigenvalues ``(n, K)``, projector stack ``(n, K, d, d)``) whose
+    multiplicities all its matrices share.  ``times``, the stack's sample
+    times, name the offending matrix in errors.
 
     Raises:
         NotSkewHermitian: if ``a`` violates the precondition.
+        CrossingDetected: if the block count or multiplicities differ
+            across a stack.
     """
-    a = _as_square(a)
-    if not np.isfinite(a).all():
-        raise NotSkewHermitian("decompose input contains non-finite entries")
-    lam, vec = np.linalg.eigh(-1j * a)
-    defect = np.linalg.norm(a.conj().T + a)
-    # the largest |lam| is ‖a‖ for a skew-Hermitian a; eigh reads one triangle
-    # only, so otherwise it may exceed ‖a‖ by up to half the defect, which the
-    # scale takes off to never exceed that of a spectral-norm check
-    scale = max(1.0, max(-lam[0], lam[-1]) - defect)
-    if defect > hermiticity_tol * scale:
-        raise NotSkewHermitian(
-            f"decompose input is not skew-Hermitian: defect {defect:.3e} > "
-            f"{hermiticity_tol:.1e} * {scale:.3e}"
-        )
-    if gap_tol is None:
-        gap_tol = DEFAULT_GAP_FACTOR * scale
+    a = np.asarray(a, dtype=complex)
+    stack = a.reshape(-1, *a.shape[-2:])
+    ts = None if times is None else np.reshape(times, -1)
 
-    # a new block starts wherever the ascending eigenvalues jump by more than gap_tol
-    labels = np.concatenate(([0], np.cumsum(np.diff(lam) > gap_tol)))
-    counts = np.bincount(labels)
+    def subject(i: int) -> str:
+        where = f" at t={ts[i]:g}" if ts is not None else f" [{i}]" if a.ndim == 3 else ""
+        return "decompose input" + where
+
+    lam, vec, scale = require_skew_hermitian(stack, hermiticity_tol, name=subject)
+    gap = DEFAULT_GAP_FACTOR * scale if gap_tol is None else np.full(len(stack), gap_tol)
+
+    # a new block starts wherever the ascending eigenvalues jump by more than the gap
+    jumps = np.diff(lam, axis=1) > gap[:, None]
+    differs = (jumps != jumps[0]).any(axis=1)
+    if differs.any():
+        raise CrossingDetected(
+            f"block multiplicities differ between {subject(0)} and "
+            f"{subject(int(np.argmax(differs)))}: a crossing within one batch"
+        )
+    labels = np.concatenate(([0], np.cumsum(jumps[0])))
+    counts = tuple(np.bincount(labels).tolist())
     members = labels == np.arange(len(counts))[:, None]  # (block, eigenvector)
-    projectors = (vec * members[:, None, :]) @ vec.conj().T
+    projectors = (vec[:, None] * members[:, None, :]) @ vec.conj().swapaxes(-1, -2)[:, None]
     projectors = 0.5 * (projectors + projectors.conj().swapaxes(-1, -2))
-    return SpectralDecomposition(
-        eigenvalues=1j * (np.bincount(labels, weights=lam) / counts),
-        projectors=projectors,
-        multiplicities=tuple(counts.tolist()),
-    )
+    # one bincount over all times sums each block's eigenvalues in order
+    bins = (labels + len(counts) * np.arange(len(stack))[:, None]).ravel()
+    sums = np.bincount(bins, weights=lam.ravel(), minlength=len(stack) * len(counts))
+    eigenvalues = 1j * (sums.reshape(-1, len(counts)) / counts)
+    if a.ndim == 2:  # the one-element case, owning its projector stack
+        eigenvalues, projectors = eigenvalues[0], projectors[0].copy()
+    return SpectralDecomposition(eigenvalues, projectors, counts)
 
 
 def match_labels(
@@ -262,20 +274,24 @@ def track_spectral_path(
 ) -> SpectralPath:
     """Decompose ``drift(t)`` along ``grid`` with sequentially matched labels.
 
-    Validates the path invariants: adjacent overlaps must stay above
+    The whole grid is decomposed in one stacked :func:`decompose` call, whose
+    blocks must keep their multiplicities; labels are then matched pair by
+    pair.  Validates the path invariants: adjacent overlaps must stay above
     ``multiplicity - overlap_slack`` and the eigenvalue gap must stay positive.
 
     Args:
-        drift: callable ``t -> skew-Hermitian matrix``.
+        drift: callable mapping an array of times to a stack of
+            skew-Hermitian matrices.
         grid: strictly increasing sample times.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be one-dimensional and strictly increasing")
 
-    decs = [decompose(drift(grid[0]), gap_tol)]
-    for t in grid[1:]:
-        nxt = match_labels(decs[-1], decompose(drift(t), gap_tol))
+    stack = decompose(drift(grid), gap_tol, times=grid)
+    decs = [stack[0]]
+    for i, t in enumerate(grid[1:], start=1):
+        nxt = match_labels(decs[-1], stack[i])
         for k, p in enumerate(decs[-1].projectors):
             ov = np.trace(p @ nxt.projectors[k]).real
             if ov < decs[-1].multiplicities[k] - overlap_slack:
@@ -311,7 +327,7 @@ def block_pseudo_inverse(
             to the range of ``P`` is below ``sv_tol`` (the blow-up condition of
             the block-diagonal effective evolution).
     """
-    a = _as_square(a)
+    a = np.asarray(a, dtype=complex)
     q = _range_basis(np.asarray(projector, dtype=complex))
     restricted = q.conj().T @ a @ q
     smin = np.linalg.svd(restricted, compute_uv=False)[-1]

@@ -41,7 +41,7 @@ import numpy as np
 from .dop853 import IvpResult, Staged, integrate
 from .operators import require_skew_hermitian, spectral_norm
 
-__all__ = ["PropagatorPath", "propagate", "unitarity_defect", "solve_matrix_ivp"]
+__all__ = ["PropagatorPath", "propagate", "solve_matrix_ivp"]
 
 #: fraction of the estimated oscillation period used as the step-size cap
 OSCILLATION_STEP_FRACTION = 1.0 / 20.0
@@ -135,9 +135,12 @@ def _estimate_max_step(generator, t0: float, t1: float, samples: int = 33) -> fl
 
 def _batched_hamiltonian(generator):
     """The generator as a map from an array of times to a stack: a frame's
-    ``hamiltonian_at``, else a plain callable asked once per time."""
+    ``hamiltonian_at``, a ``Staged`` system's coefficients, else a plain
+    callable asked once per time."""
     if hasattr(generator, "hamiltonian_at"):
         return generator.hamiltonian_at
+    if isinstance(generator, Staged):
+        return generator.coefficients
 
     def per_time(ts):
         return np.stack([np.asarray(generator(t), dtype=complex) for t in ts])
@@ -263,10 +266,13 @@ def propagate(
     """Integrate ``M' = G(t) M`` with ``M(t0) = 1`` and dense checkpoints.
 
     Args:
-        generator: callable ``t -> skew-Hermitian matrix G(t)``, or an
-            adiabatic frame (an object with ``split_at``, ``hamiltonian_at``
-            and ``frozen`` projectors), whose Hamiltonian is then integrated
-            in the rotating frame of its frozen blocks.
+        generator: callable ``t -> skew-Hermitian matrix G(t)``; a
+            :class:`~blochwave.dop853.Staged` system whose coefficients are
+            ``G`` at an array of times and whose step is ``(G, M) -> G M``,
+            so that every batch of times is one call; or an adiabatic frame
+            (an object with ``split_at``, ``hamiltonian_at`` and ``frozen``
+            projectors), whose Hamiltonian is then integrated in the
+            rotating frame of its frozen blocks.
         t0: initial time; must equal ``grid[0]``.
         grid: strictly increasing checkpoint times.
         tol: local error tolerance (relative and absolute).
@@ -289,8 +295,9 @@ def propagate(
     hamiltonians = _batched_hamiltonian(generator)
     checked = np.linspace(t0, grid[-1], 7)
     samples = hamiltonians(checked)
-    for t, h in zip(checked, samples):
-        require_skew_hermitian(h, SKEW_CHECK_FACTOR * tol, what=f"generator at t={t:g}")
+    require_skew_hermitian(
+        samples, SKEW_CHECK_FACTOR * tol, name=lambda i: f"generator at t={checked[i]:g}"
+    )
 
     if max_step is None:
         max_step = _estimate_max_step(hamiltonians, t0, grid[-1])
@@ -300,7 +307,8 @@ def propagate(
     if rotating:
         y0, rhs, back = _rotating_system(generator, lambda c, z, _: c @ z, eye, two_sided=False)
     else:
-        y0, rhs, back = eye, (lambda t, m: generator(t) @ m), None
+        rhs = generator if isinstance(generator, Staged) else Staged(hamiltonians, np.matmul)
+        y0, back = eye, None
 
     sol = solve_matrix_ivp(rhs, y0, grid, tol, max_step=max_step, dense=dense)
 
@@ -321,7 +329,3 @@ def propagate(
         stats=sol.stats(),
     )
 
-
-def unitarity_defect(path: PropagatorPath) -> float:
-    """Max over checkpoints of ``‖M†M - 1‖_2``."""
-    return path.max_unitarity_defect()

@@ -440,11 +440,16 @@ def test_custom_ic_breaking_the_bloch_condition_exits_config(tmp_path, text, cap
 
 
 def test_validate_of_a_custom_ic_fails_as_the_run_does_on_an_undecomposable_drift(tmp_path, capsys):
-    # the sample at t0 passes the loader's spectral-norm skew check (defect
-    # 0.9e-10) but not decompose's Frobenius one (1.27e-10)
+    # every sample passes the skew check (Frobenius defect 0.9e-10), but the
+    # defects alternate in sign with the spline's weights at t0 = 0, midway
+    # between two samples, where the interpolated defect reaches 1.33e-10
+    from scipy.interpolate import CubicSpline
+
+    times = np.linspace(-0.625, 3.125, 16)
+    signs = np.sign(CubicSpline(times, np.eye(len(times)), axis=0)(0.0))
     rows = ["time,B_00,B_01,B_10,B_11,C_00,C_01,C_10,C_11"]
-    for t in np.linspace(-0.5, 3.0, 15):
-        drift = np.diag([-1j, 1j]) + (0.45e-10 * np.eye(2) if t == 0.0 else 0.0)
+    for t, sign in zip(times, signs):
+        drift = np.diag([-1j, 1j]) + sign * 0.45e-10 / np.sqrt(2.0) * np.eye(2)
         cells = [repr(float(t))] + [str(complex(x)) for x in drift.ravel()] + ["0j"] * 4
         rows.append(",".join(cells))
     table = tmp_path / "model.csv"
@@ -454,6 +459,34 @@ def test_validate_of_a_custom_ic_fails_as_the_run_does_on_an_undecomposable_drif
     assert main(["validate", *args]) == EXIT_SOLVER
     assert "not_skew_hermitian" in capsys.readouterr().err
     assert main(["run", *args]) == EXIT_SOLVER
+
+
+def test_drift_failing_the_decompose_skew_check_exits_config(tmp_path, capsys):
+    # diag(-i, i) + 0.45e-10·1 has the skew defect 0.9e-10 in the spectral
+    # norm and 1.27e-10 in the Frobenius norm that decompose takes; the loader
+    # refuses what decompose would, so validate and run agree on exit 2
+    drift = np.diag([-1j, 1j]) + 0.45e-10 * np.eye(2)
+    lines = [["time", "B_00", "B_01", "B_10", "B_11", "C_00", "C_01", "C_10", "C_11"]]
+    for t in np.linspace(-0.5, 2.5, 13):
+        lines.append([repr(float(t))] + [str(complex(x)) for x in drift.ravel()] + ["0j"] * 4)
+    args = custom_model_args(tmp_path, lines)
+    assert main(["validate", *args]) == EXIT_CONFIG
+    assert "not skew-Hermitian" in capsys.readouterr().err
+    assert main(["run", *args]) == EXIT_CONFIG
+    with pytest.raises(ConfigError, match="row 1 "):
+        load_tabulated_model(tmp_path / "model.csv", gamma=1.0)
+
+
+def test_run_whose_drift_merges_two_levels_at_t0_exits_solver(tmp_path, capsys):
+    # the drift -i(1e-9 X + t Z) has one degenerate block at t = 0 and two
+    # elsewhere; a batch of times straddling t = 0 is a crossing (exit 5)
+    lines = [["time", "B_00", "B_01", "B_10", "B_11", "C_00", "C_01", "C_10", "C_11"]]
+    for t in np.linspace(-0.5, 2.5, 13):
+        drift = -1j * np.array([[t, 1e-9], [1e-9, -t]])
+        lines.append([repr(float(t))] + [str(complex(x)) for x in drift.ravel()] + ["0j"] * 4)
+    args = custom_model_args(tmp_path, lines)
+    assert main(["run", *args]) == EXIT_SOLVER
+    assert "crossing_detected" in capsys.readouterr().out
 
 
 @st.composite
@@ -482,8 +515,9 @@ def mutated_ic(draw):
 @settings(max_examples=25, deadline=None)
 @given(text=mutated_ic())
 def test_fuzzed_custom_ic_never_raises(tmp_path_factory, text):
-    # a well-formed matrix that breaks the Bloch condition passes validate,
-    # which does not build the frame, and fails the run as a solver error
+    # a malformed matrix, or a well-formed one that breaks the Bloch
+    # condition, exits 2 from validate and from the run alike; any other
+    # matrix passes validate, and the run ends in exit 0 or 5
     args = custom_ic_args(tmp_path_factory.mktemp("fuzz"), text)
     code = main(["validate", *args])
     assert code in (EXIT_OK, EXIT_CONFIG)

@@ -13,11 +13,11 @@ import blochwave.models
 import blochwave.operators
 from blochwave import (
     ConfigError,
+    CrossingDetected,
     GeneratorModel,
     build_frame,
     decompose,
     factorization_defect,
-    frame_generators,
     intertwining_defect,
     kato_generator,
     landau_zener_model,
@@ -128,13 +128,14 @@ def test_shared_anchor_is_bit_identical_to_per_block_reference():
 
 def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
     model, frame = numeric_frame()
-    calls = []
+    calls, batches = [], []
 
     def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
+            batches.append(np.shape(args[0])[:-2])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -147,10 +148,37 @@ def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
     calls.clear()
     kato_generator(model, 0.9)
     assert calls == ["decompose"]
+    # a batch of n times is one decomposition of the n drifts, stacked
+    ts = np.linspace(0.1, 1.9, 12)
+    for evaluate in (frame.hamiltonian_at, frame.split_at, lambda t: kato_generator(model, t)):
+        calls.clear(), batches.clear()
+        evaluate(ts)
+        assert calls == ["decompose"] and batches == [(12,)]
     calls.clear()
     analytic = random_smooth_model(4, 3, seed=8)
     build_frame(analytic, 0.0, 2.0, tol=1e-8, checkpoints=9).hamiltonian_at(0.9)
     assert calls == []
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_integrated_transporter_asks_for_the_kato_generator_once_per_step(monkeypatch, analytic):
+    model = random_smooth_model(4, 3, seed=8, analytic=analytic)
+    sizes = []
+    kato = blochwave.frame.kato_generator
+
+    def counted(model, t, *anchor):
+        sizes.append(np.size(t))
+        return kato(model, t, *anchor)
+
+    monkeypatch.setattr(blochwave.frame, "kato_generator", counted)
+    w = transporter(model, 0.0, 2.0, tol=1e-8)
+    attempts = w.stats["n_accepted"] + w.stats["n_rejected"]
+    # the skew check's 7 times and the step cap's 95 in one call each; then
+    # the initial and the first trial right-hand side, one call of 12 stage
+    # times per attempted step and one of 3 per dense step polynomial
+    assert sizes[:2] == [7, 95] and sizes[2:4] == [1, 1]
+    assert sorted(sizes[4:]) == [3] * w.stats["n_accepted"] + [12] * attempts
+    assert w.stats["nfev"] == sum(sizes[2:])
 
 
 def test_static_drift_hamiltonian_is_bit_identical_to_its_parts():
@@ -158,6 +186,26 @@ def test_static_drift_hamiltonian_is_bit_identical_to_its_parts():
     for t in (0.0, 0.7, 3.3):
         expected = frame.model.gamma * frame.drift_at(t) + frame.drive_at(t)
         assert np.array_equal(frame.hamiltonian_at(t), expected)
+
+
+def test_batch_straddling_a_block_merge_raises_crossing_detected():
+    # the drift -i(1e-9 X + t Z) has one degenerate block within about 5e-9
+    # of t = 0 and two elsewhere: a batch cannot share its multiplicities
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    model = GeneratorModel(
+        name="merging",
+        dim=2,
+        gamma=1.0,
+        drift=lambda t: -1j * (1e-9 * x + np.asarray(t)[..., None, None] * z),
+        drive=lambda t: np.zeros((*np.shape(t), 2, 2), dtype=complex),
+        drift_derivative=lambda t: np.broadcast_to(-1j * z, (*np.shape(t), 2, 2)),
+    )
+    with pytest.raises(CrossingDetected, match=r"t=0(?![.\d])"):
+        kato_generator(model, np.array([-0.01, 0.0, 0.01]))
+    with pytest.raises(CrossingDetected, match=r"t=0(?![.\d])"):
+        model.spectral_at(np.array([-0.01, 0.0, 0.01]))
+    assert kato_generator(model, np.array([-0.01, 0.01])).shape == (2, 2, 2)
 
 
 # -------------------------------------------------------------- transporter
@@ -211,7 +259,7 @@ def test_transporter_uses_closed_form_when_present(monkeypatch):
 def test_frame_generators_at_initial_time():
     model = landau_zener_model(2.0)
     frame = build_frame(model, -5.0, 5.0)
-    b, c = frame_generators(frame, -5.0)
+    b, c = frame.drift_at(-5.0), frame.drive_at(-5.0)
     a0 = kato_generator(model, -5.0)
     assert spectral_norm(b - model.drift(-5.0)) < 1e-12
     assert spectral_norm(c - (model.drive(-5.0) - a0)) < 1e-10
@@ -259,6 +307,27 @@ def test_intertwining_defect_random_model():
     model = random_smooth_model(4, 2, seed=23)
     frame = build_frame(model, 0.0, 5.0, tol=1e-10)
     assert intertwining_defect(frame) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "model, t0, t1",
+    [
+        (landau_zener_model(2.0), -5.0, 5.0),
+        (numeric_transporter_model(landau_zener_model(2.0)), -5.0, 5.0),
+        (random_smooth_model(4, 3, seed=8, analytic=False), 0.0, 2.0),
+    ],
+    ids=["landau_zener", "landau_zener_integrated", "random_numeric"],
+)
+def test_intertwining_defect_is_the_per_time_formula(model, t0, t1):
+    frame = build_frame(model, t0, t1, tol=1e-8, checkpoints=9)
+    times = np.concatenate([frame.w_path.times, np.linspace(t0, t1, 7)[1:-1] + 0.01])
+    expected = 0.0
+    for t in times:
+        w, moving = frame.w_path.at(t), frame.model.spectral_at(t).projectors
+        for p0, p in zip(frame.blocks, moving):
+            expected = max(expected, spectral_norm(w @ p0 - p @ w))
+    assert intertwining_defect(frame, times) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert intertwining_defect(frame) <= intertwining_defect(frame, times)
 
 
 def test_factorization_defect_static_model():

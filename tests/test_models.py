@@ -6,6 +6,7 @@ import pytest
 
 from blochwave import (
     ConfigError,
+    NotSkewHermitian,
     decompose,
     identity_ic,
     integrate_riccati,
@@ -288,6 +289,37 @@ def test_tabulated_model_refuses_extrapolation(tmp_path):
         loaded.drive(-0.5)
     with pytest.raises(ConfigError):
         loaded.drift_derivative(2.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tabulated_loader_accepts_a_sample_exactly_when_decompose_does(tmp_path, seed):
+    # one skew-Hermiticity check for both: the loader refusing a sample that
+    # decompose accepts, or the reverse, would let validate and run disagree
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    skew = z - z.conj().T  # its norm is above 1, so the tolerance scales
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    herm = q @ np.diag([1.0, -1.0, 0.5]) @ q.conj().T / 1.5  # Frobenius 1, spectral 2/3
+    header = ["time"] + [f"{p}_{i}{j}" for p in "BC" for i in range(3) for j in range(3)]
+    verdicts = []
+    for ratio in np.linspace(0.5, 2.0, 31):
+        drift = skew + 0.5e-10 * ratio * spectral_norm(skew) * herm
+        cells = [str(complex(x)) for x in drift.ravel()] + ["0j"] * 9
+        file = tmp_path / "m.csv"
+        file.write_text("\n".join([",".join(header)] + [f"{t},{','.join(cells)}" for t in (0, 1, 2)]))
+        try:
+            load_tabulated_model(file, gamma=1.0)
+            loader = True
+        except ConfigError:
+            loader = False
+        try:
+            decompose(drift)
+            direct = True
+        except NotSkewHermitian:
+            direct = False
+        assert loader == direct, ratio
+        verdicts.append(direct)
+    assert verdicts[0] and not verdicts[-1]
 
 
 def test_tabulated_accessors_equal_separate_splines_bit_for_bit(tmp_path):

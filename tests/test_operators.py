@@ -148,6 +148,70 @@ def test_decompose_raises_wherever_the_spectral_norm_check_did(seed, ratio):
         decompose(a, hermiticity_tol=TOL)
 
 
+def per_matrix_decompose(a):
+    """One matrix at a time, with the default gap: the reference a stacked
+    decomposition must equal entry by entry."""
+    lam, vec = np.linalg.eigh(-1j * a)
+    scale = max(1.0, max(-lam[0], lam[-1]) - np.linalg.norm(a.conj().T + a))
+    labels = np.concatenate(([0], np.cumsum(np.diff(lam) > DEFAULT_GAP_FACTOR * scale)))
+    counts = np.bincount(labels)
+    members = labels == np.arange(len(counts))[:, None]
+    projectors = (vec * members[:, None, :]) @ vec.conj().T
+    projectors = 0.5 * (projectors + projectors.conj().swapaxes(-1, -2))
+    eigenvalues = 1j * (np.bincount(labels, weights=lam) / counts)
+    return eigenvalues, projectors, tuple(counts.tolist())
+
+
+@pytest.mark.parametrize("multiplicities", [(1, 1), (1, 1, 1, 1), (2, 1), (1, 3, 2), (4, 2), (6,)])
+def test_stacked_decompose_is_the_per_matrix_one_bit_for_bit(multiplicities):
+    rng = np.random.default_rng(sum(multiplicities) * len(multiplicities))
+    levels = np.repeat(np.cumsum(0.5 + rng.uniform(size=len(multiplicities))), multiplicities)
+    dim = len(levels)
+    stack = []
+    for i in range(9):  # moving eigenvectors and levels, fixed multiplicities
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        stack.append(q @ np.diag(1j * levels * (1.0 + 0.1 * i)) @ q.conj().T)
+    stack = np.array(stack)
+    dec = decompose(stack)
+    assert dec.multiplicities == multiplicities
+    assert dec.eigenvalues.shape == (9, len(multiplicities))
+    assert dec.projector_stack.shape == (9, len(multiplicities), dim, dim)
+    for i, a in enumerate(stack):
+        eigenvalues, projectors, counts = per_matrix_decompose(a)
+        single = decompose(a)
+        assert counts == single.multiplicities == multiplicities
+        for got in (dec[i], single):
+            assert got.eigenvalues.tobytes() == eigenvalues.tobytes()
+            assert got.projector_stack.tobytes() == projectors.tobytes()
+        assert [p.shape for p in dec.projectors] == [(9, dim, dim)] * len(multiplicities)
+    assert max(dec.validation_defects().values()) < 1e-12
+    assert spectral_norm(dec.reconstruct() - stack).max() < 1e-12
+
+
+def test_stacked_decompose_names_the_first_offending_matrix():
+    rng = np.random.default_rng(11)
+    stack = np.array([random_skew(3, rng, gap=0.5) for _ in range(6)])
+    times = np.linspace(0.0, 2.5, 6)
+    herm = stack.copy()
+    herm[[2, 4]] += 1e-6 * np.eye(3)
+    for i in (2, 4):
+        with pytest.raises(NotSkewHermitian):
+            decompose(herm[i])
+    with pytest.raises(NotSkewHermitian, match="at t=1 is not skew"):
+        decompose(herm, times=times)
+    with pytest.raises(NotSkewHermitian, match=r"\[2\] is not skew"):
+        decompose(herm)
+    broken = stack.copy()
+    broken[3, 0, 1] = np.nan
+    with pytest.raises(NotSkewHermitian, match="at t=1.5 contains non-finite"):
+        decompose(broken, times=times)
+    merged = stack.copy()
+    merged[5] = np.diag([1j, 1j, 3j])  # two levels in one block
+    with pytest.raises(CrossingDetected, match="t=2.5"):
+        decompose(merged, times=times)
+    assert decompose(stack, times=times).n_blocks == 3
+
+
 def test_default_gap_tol_scales_with_norm():
     # two eigenvalues split by more than the scaled default remain separate
     a = np.diag([1j, 1j * (1 + 1e-7), 3j]) * 1.0

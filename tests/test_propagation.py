@@ -14,7 +14,6 @@ from blochwave import (
     random_smooth_model,
     spectral_norm,
     three_level_model,
-    unitarity_defect,
 )
 from blochwave.dop853 import DenseOutput
 from blochwave.frame import AdiabaticFrame
@@ -63,7 +62,7 @@ def test_unitarity_defect_identity_path():
         ),
         tol=1e-10,
     )
-    assert unitarity_defect(path) == 0.0
+    assert path.max_unitarity_defect() == 0.0
 
 
 def test_unitarity_defect_scaled_checkpoint():
@@ -72,7 +71,7 @@ def test_unitarity_defect_scaled_checkpoint():
     mats[1] *= 1.01
     defects = np.array([spectral_norm(m.conj().T @ m - np.eye(2)) for m in mats])
     path = PropagatorPath(0.0, grid, mats, defects, tol=1e-10)
-    assert abs(unitarity_defect(path) - 0.0201) < 1e-12
+    assert abs(path.max_unitarity_defect() - 0.0201) < 1e-12
 
 
 def test_lz_defect_small_at_tight_tolerance():
@@ -80,7 +79,7 @@ def test_lz_defect_small_at_tight_tolerance():
     frame = build_frame(model, -20.0, 20.0, tol=1e-10)
     grid = np.linspace(-20.0, 20.0, 81)
     path = propagate(frame.hamiltonian_at, -20.0, grid, tol=1e-10)
-    assert unitarity_defect(path) <= 1e-7
+    assert path.max_unitarity_defect() <= 1e-7
 
 
 def test_defect_converges_with_tolerance():
@@ -88,7 +87,7 @@ def test_defect_converges_with_tolerance():
     frame = build_frame(model, -5.0, 5.0, tol=1e-11)
     grid = np.linspace(-5.0, 5.0, 21)
     defects = [
-        unitarity_defect(propagate(frame.hamiltonian_at, -5.0, grid, tol=tol))
+        propagate(frame.hamiltonian_at, -5.0, grid, tol=tol).max_unitarity_defect()
         for tol in (1e-6, 1e-8, 1e-10)
     ]
     assert defects[0] > defects[1] > defects[2]
