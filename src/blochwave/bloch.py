@@ -323,7 +323,7 @@ def integrate_riccati(
         return float(np.linalg.norm(y[:size]) - blowup_norm)
 
     sol = solve_matrix_ivp(rhs, y0, grid, tol, max_step=max_step, event=blowup_event)
-    states = sol.y.T
+    states = np.ascontiguousarray(sol.y.T)
     mats = back(states) if rotating else states.reshape(-1, *ic.matrix.shape)
     mats[0] = ic.matrix
     defects = _bloch_defect(mats, blocks)

@@ -65,7 +65,7 @@ from .models import (
     random_smooth_model,
     three_level_model,
 )
-from .operators import spectral_norm
+from .operators import SKEW_TOL, spectral_norm
 from .propagation import _estimate_max_step, propagate
 
 __all__ = ["ExperimentConfig", "RunSummary", "load_config", "run_experiment", "sweep", "main"]
@@ -674,8 +674,10 @@ def main(argv=None) -> int:
             sweep_params = [{**config.model_params, "gamma": g} for g in config.sweep_gammas or ()]
             for params in sweep_params or [config.model_params]:
                 model = build_model(replace(config, model_params=params))
-                for t in (config.t0, config.t_final):
-                    model.full_generator(t)
+                try:
+                    model.validate(np.array([config.t0, config.t_final]), tol=SKEW_TOL)
+                except ValueError as exc:
+                    raise ConfigError(f"model {model.name!r}: {exc}") from exc
             if config.ic_kind == "custom":  # against the drift's blocks at t0
                 _custom_ic(config.ic_path, model.spectral_at(config.t0).projectors)
     except (ConfigError, IoError) as exc:

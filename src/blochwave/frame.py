@@ -159,6 +159,12 @@ class AdiabaticFrame:
     def blocks(self) -> tuple[np.ndarray, ...]:
         return self.frozen.projectors
 
+    @property
+    def period(self) -> float | None:
+        """The model's period: with a static drift the frame Hamiltonian
+        repeats with the drive (``None`` if it does not)."""
+        return self.model.period
+
     def transporter_at(self, t) -> np.ndarray:
         return self.w_path.at(t)
 
@@ -245,11 +251,18 @@ def build_frame(
     :func:`track_spectral_path` (raises ``CrossingDetected`` on failure) and
     the frozen decomposition is its first.
 
+    A model's ``period`` is checked at ``t0`` and ``t1``
+    (:meth:`~blochwave.models.GeneratorModel.validate`): the propagator
+    trusts it.
+
     Raises:
         ValueError: if a model callable returns a single value for an array
-            of times instead of a stack.
+            of times instead of a stack, or the model's period is
+            inconsistent.
     """
     _require_stacks(model, t0, t1)
+    if model.period is not None:
+        model.validate(np.array([t0, t1]))
     w_path = transporter(model, t0, t1, tol=tol, checkpoints=checkpoints)
     if model.analytic_spectral is None:
         frozen = track_spectral_path(model.drift, w_path.times, model.gap_tol).decompositions[0]

@@ -46,6 +46,9 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+#: a drive repeats with the model's period within this factor of max(1, ‖C‖)
+PERIOD_TOL = 1e-12
+
 
 def _constant(value: np.ndarray):
     """A callable returning ``value`` at a time, and one copy per time for
@@ -83,6 +86,10 @@ class GeneratorModel:
     ``analytic_spectral`` returns one stacked
     :class:`~blochwave.operators.SpectralDecomposition` for an array, and
     ``analytic_transporter(t0, t)`` takes the array in ``t``.
+
+    ``period`` is the period ``T`` of the drive on a static drift, when the
+    drive repeats exactly (``None`` otherwise): the full generator is then
+    ``T``-periodic, and the propagator of one period gives it at all times.
     """
 
     name: str
@@ -98,6 +105,7 @@ class GeneratorModel:
     analytic_transporter: Callable[[float, float], np.ndarray] | None = None
     static_drift: bool = False
     gap_tol: float | None = None
+    period: float | None = None
 
     def full_generator(self, t) -> np.ndarray:
         return self.gamma * self.drift(t) + self.drive(t)
@@ -118,11 +126,24 @@ class GeneratorModel:
         return self.spectral_at(t).eigenvalues
 
     def validate(self, times, tol: float = 1e-12) -> None:
-        """Check skew-Hermiticity of samples and analytic-spectral consistency."""
+        """Check skew-Hermiticity of samples, analytic-spectral consistency
+        and the period.
+
+        A ``period`` must be positive, on a static drift, and the drive must
+        repeat with it at the sample times: ``‖C(t + T) - C(t)‖`` within
+        ``PERIOD_TOL * max(1, ‖C(t)‖)`` per whole period in ``|t|`` (the
+        rounding of the phase ``t / T``).
+
+        Raises:
+            NotSkewHermitian: if a sample is not skew-Hermitian within ``tol``.
+            ValueError: on inconsistent analytic spectral data or period.
+        """
         times = np.asarray(times, dtype=float)
-        drift = self.drift(times)
-        for what, samples in (("drift", drift), ("drive", self.drive(times))):
+        drift, drive = self.drift(times), self.drive(times)
+        for what, samples in (("drift", drift), ("drive", drive)):
             require_skew_hermitian(samples, tol, name=lambda i: f"{self.name} {what}({times[i]:g})")
+        if self.period is not None:
+            self._validate_period(times, drive)
         if self.analytic_spectral is not None:
             err = spectral_norm(self.analytic_spectral(times).reconstruct() - drift)
             err /= np.maximum(1.0, spectral_norm(drift))  # relative to max(1, ‖B‖)
@@ -132,6 +153,22 @@ class GeneratorModel:
                     f"analytic spectral data of {self.name} fails to reconstruct "
                     f"the drift at t={times[i]:g} (relative defect {err[i]:.2e})"
                 )
+
+    def _validate_period(self, times: np.ndarray, drive: np.ndarray) -> None:
+        period = self.period
+        if not period > 0 or not np.isfinite(period):
+            raise ValueError(f"{self.name}: period must be positive and finite, not {period!r}")
+        if not self.static_drift:
+            raise ValueError(f"{self.name}: a period needs a static drift")
+        gap = spectral_norm(self.drive(times + period) - drive)
+        allowed = PERIOD_TOL * np.maximum(1.0, spectral_norm(drive))
+        allowed *= np.maximum(1.0, np.abs(times) / period)
+        i = int(np.argmax(gap / allowed))
+        if gap[i] > allowed[i]:
+            raise ValueError(
+                f"{self.name}: the drive does not repeat with period {period:g} at "
+                f"t={times[i]:g} (‖C(t + T) - C(t)‖ = {gap[i]:.2e})"
+            )
 
 
 def landau_zener_model(gamma: float) -> GeneratorModel:
@@ -228,6 +265,9 @@ def three_level_model(
     default; the constant-amplitude case is the validated configuration).
     Like the model's callables it takes an array of times as well as one
     time, and then returns one amplitude factor per time.
+
+    Without an envelope the drive repeats with ``period = pi / omega``;
+    with one the model has no period.
     """
     if gamma <= 0 or a < 0 or omega <= 0:
         raise ValueError("gamma and omega must be positive, a non-negative")
@@ -272,6 +312,7 @@ def three_level_model(
         analytic_spectral=spectral,
         analytic_eigenvalues=eigenvalues,
         static_drift=True,
+        period=np.pi / omega if envelope is None else None,
     )
 
 

@@ -25,6 +25,14 @@ adds only the phase factors and the matrix products.  The step cap and the
 skew-Hermiticity check sample the frame Hamiltonian in one batched call
 each.
 
+A frame whose Hamiltonian repeats with a period ``T`` (``frame.period``,
+model data) is integrated over one period only.  By Floquet's theorem
+``M(t0 + nT + s) = M(t0 + s) F^n`` with the monodromy ``F = M(t0 + T)``, so
+each checkpoint ``t`` is folded to its residue ``s = t0 + (t - t0) mod T``
+and its whole periods ``n``, the residues (and ``t0 + T``) are the
+checkpoints of the one integration, and the path is composed from the
+powers of ``F``.  The cost no longer grows with the horizon.
+
 Unitarity is monitored, never silently enforced: the recorded defect
 ``‖M†M - 1‖`` doubles as an independent error estimate.  Empirically the
 global defect stays below ``c * tol * (t_f - t0)`` with ``c ≈ 100`` on the
@@ -34,6 +42,7 @@ tolerance decades.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +65,9 @@ class PropagatorPath:
 
     The checkpoint at ``t0`` is the identity exactly.  ``unitarity_defects``
     stores ``‖M†M - 1‖_2`` per checkpoint, ``stats`` the integrator's
-    :meth:`~blochwave.dop853.IvpResult.stats` (``None`` for a closed form).
+    :meth:`~blochwave.dop853.IvpResult.stats` (``None`` for a closed form),
+    with ``periods``, the most whole periods composed at a checkpoint, when
+    the path was built from one period.
     """
 
     t0: float
@@ -255,6 +266,32 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray, two_sided: bool):
     return state0, Staged(coefficients, step), back
 
 
+def _fold(times: np.ndarray, t0: float, period: float | None):
+    """The whole periods ``n`` in ``t - t0`` and the residues
+    ``s = t0 + (t - t0) mod T`` of an array of times.
+
+    A time within the first period (or before ``t0``, or any time without a
+    period) is its own residue with ``n = 0``.
+    """
+    if period is None:
+        return np.zeros(np.shape(times), dtype=int), times
+    laps, rest = np.divmod(times - t0, period)
+    folded = laps > 0
+    return np.where(folded, laps, 0).astype(int), np.where(folded, t0 + rest, times)
+
+
+def _powers(f: np.ndarray, laps: np.ndarray) -> np.ndarray:
+    """``F^n`` for each ``n`` of ``laps``, by cumulative product over the
+    distinct ``n`` in increasing order (one stacked matrix per entry)."""
+    distinct, where = np.unique(laps, return_inverse=True)
+    out = np.empty((len(distinct), *f.shape), dtype=complex)
+    power, done = np.eye(f.shape[-1], dtype=complex), 0
+    for i, n in enumerate(distinct):
+        power = power @ np.linalg.matrix_power(f, n - done)
+        out[i], done = power, n
+    return out[where.reshape(-1)]
+
+
 def propagate(
     generator,
     t0: float,
@@ -272,7 +309,11 @@ def propagate(
             so that every batch of times is one call; or an adiabatic frame
             (an object with ``split_at``, ``hamiltonian_at`` and ``frozen``
             projectors), whose Hamiltonian is then integrated in the
-            rotating frame of its frozen blocks.
+            rotating frame of its frozen blocks.  A frame with a ``period``
+            ``T`` is integrated over ``[t0, min(t0 + T, grid[-1])]`` only, at
+            the residues of the checkpoints, and the path is composed as
+            ``M(t0 + nT + s) = M(t0 + s) F^n`` with ``F = M(t0 + T)``; the
+            skew check and the step cap still sample the whole grid.
         t0: initial time; must equal ``grid[0]``.
         grid: strictly increasing checkpoint times.
         tol: local error tolerance (relative and absolute).
@@ -292,6 +333,7 @@ def propagate(
         raise ValueError(f"grid[0] = {grid[0]!r} must equal t0 = {t0!r}")
 
     rotating = hasattr(generator, "split_at")
+    period = getattr(generator, "period", None)
     hamiltonians = _batched_hamiltonian(generator)
     checked = np.linspace(t0, grid[-1], 7)
     samples = hamiltonians(checked)
@@ -310,15 +352,27 @@ def propagate(
         rhs = generator if isinstance(generator, Staged) else Staged(hamiltonians, np.matmul)
         y0, back = eye, None
 
-    sol = solve_matrix_ivp(rhs, y0, grid, tol, max_step=max_step, dense=dense)
+    # one integration over the residues, up to t0 + T once a checkpoint lies beyond
+    laps, residues = _fold(grid, t0, period)
+    periods = int(laps.max())
+    knots = np.union1d(residues, [t0 + period]) if periods else np.unique(residues)
+    sol = solve_matrix_ivp(rhs, y0, knots, tol, max_step=max_step, dense=dense)
 
     states = np.ascontiguousarray(sol.y.T)
-    mats = back(states) if rotating else states.reshape(-1, n, n)
-    mats[0] = eye
+    at_knots = back(states) if rotating else states.reshape(-1, n, n)
+    at_knots[0] = eye
+    mats = at_knots[np.searchsorted(knots, residues)]
+    if periods:  # the monodromy F = M(t0 + T) is the last knot
+        mats = mats @ _powers(at_knots[-1], laps)
     interpolant = None
     if dense:
         interpolant = (lambda t: back(sol.dense(t))) if rotating else sol.dense
+        if periods:
+            interpolant = functools.partial(_composed, interpolant, t0, period, at_knots[-1])
 
+    stats = sol.stats()
+    if period is not None:
+        stats["periods"] = periods
     return PropagatorPath(
         t0=t0,
         times=grid,
@@ -326,6 +380,16 @@ def propagate(
         unitarity_defects=spectral_norm(mats.conj().swapaxes(-1, -2) @ mats - eye),
         tol=tol,
         dense=interpolant,
-        stats=sol.stats(),
+        stats=stats,
     )
 
+
+def _composed(one_period, t0: float, period: float, monodromy: np.ndarray, t) -> np.ndarray:
+    """Dense output of a path built from one period: ``M(s) F^n`` at the
+    residues ``s`` and whole periods ``n`` of the times ``t``."""
+    ts = np.asarray(t, dtype=float)
+    laps, residues = _fold(ts.reshape(-1), t0, period)
+    out = one_period(residues)
+    if laps.any():
+        out = out @ _powers(monodromy, laps)
+    return out.reshape(*ts.shape, *monodromy.shape)

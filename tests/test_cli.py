@@ -761,6 +761,57 @@ def test_summary_header_records_integrator_statistics(tmp_path, monkeypatch):
     assert "nfev" not in data_bytes(config.output_dir / "summary.csv").decode()
 
 
+def test_summary_header_records_the_composed_periods(tmp_path):
+    config = load_config(write_cfg(tmp_path), overrides=["run.checkpoint_count=21"])
+    assert run_experiment(config).status == "ok"
+    header = read_header(config.output_dir / "summary.csv")
+    assert int(header["propagate_periods"]) == int(np.floor((10.0 - 0.0) / np.pi)) == 3
+    assert "periods" not in data_bytes(config.output_dir / "summary.csv").decode()
+    config = load_config(
+        "docs/examples/landau_zener.cfg",
+        overrides=["run.t0=-2", "run.t_final=2", "run.checkpoint_count=9", f"output.dir={tmp_path / 'lz'}"],
+    )
+    assert run_experiment(config).status == "ok"
+    header = read_header(config.output_dir / "summary.csv")
+    assert "propagate_nfev" in header and "propagate_periods" not in header
+
+
+def test_riccati_states_are_row_major_whatever_the_solver_layout(tmp_path, monkeypatch):
+    # the CSV bytes must not depend on the memory layout of the solver's states
+    import blochwave.bloch
+
+    original = blochwave.bloch.solve_matrix_ivp
+    data = {}
+    for name, layout in (("C", np.ascontiguousarray), ("F", np.asfortranarray)):
+
+        def relaid(*args, _layout=layout, **kwargs):
+            sol = original(*args, **kwargs)
+            sol.y = _layout(sol.y)
+            return sol
+
+        monkeypatch.setattr(blochwave.bloch, "solve_matrix_ivp", relaid)
+        config = load_config(
+            write_cfg(tmp_path, out=tmp_path / name),
+            overrides=["run.t_final=5", "run.checkpoint_count=26"],
+        )
+        summary = run_experiment(config)
+        assert summary.paths["u"]["riccati"].matrices.flags.c_contiguous
+        data[name] = [data_bytes(config.output_dir / f) for f in ("trace.csv", "summary.csv")]
+    assert data["C"] == data["F"]
+
+
+def test_validate_exits_config_on_an_inconsistent_period(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    import blochwave.cli as cli_mod
+
+    cfg = write_cfg(tmp_path)
+    assert main(["validate", str(cfg)]) == EXIT_OK
+    original = cli_mod.build_model
+    monkeypatch.setattr(cli_mod, "build_model", lambda c: replace(original(c), period=1.0))
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+
+
 def test_sweep_failed_propagation_fails_every_initial_condition(tmp_path, monkeypatch):
     import blochwave.cli as cli_mod
     from blochwave.cli import EXIT_SOLVER

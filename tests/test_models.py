@@ -1,10 +1,13 @@
 """Built-in models: analytic data against numerics, asymptotic formulas,
 frame-consistency of the interaction picture, and the tabulated loader."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from blochwave import (
+    build_frame,
     ConfigError,
     NotSkewHermitian,
     decompose,
@@ -205,6 +208,32 @@ def test_random_model_analytic_reconstruction():
 def test_builtin_models_self_validate():
     landau_zener_model(2.0).validate(np.linspace(-10.0, 10.0, 9))
     three_level_model(10.0, 1.0).validate(np.linspace(0.0, 30.0, 9))
+
+
+def test_period_is_model_data_of_the_undriven_envelope_only(tmp_path):
+    assert three_level_model(10.0, 1.0).period == np.pi
+    assert three_level_model(10.0, 1.0, omega=2.0).period == np.pi / 2.0
+    assert three_level_model(10.0, 1.0, envelope=lambda t: np.cos(0.1 * t)).period is None
+    assert landau_zener_model(2.0).period is None
+    assert random_smooth_model(4, 2, seed=1).period is None
+    table = tmp_path / "model.csv"
+    _write_tabulated(table, three_level_model(10.0, 1.0), np.linspace(0.0, 4.0, 41))
+    assert load_tabulated_model(table, gamma=10.0).period is None
+
+
+def test_validate_refuses_an_inconsistent_period():
+    model = three_level_model(10.0, 1.0)
+    times = np.linspace(0.0, 30.0, 9)
+    model.validate(times)
+    model.validate(np.linspace(0.0, 1e5, 9))  # the phase t/T rounds, the period holds
+    for period in (1.0, np.pi / 2.0, 0.0, -np.pi, np.inf, np.nan):
+        with pytest.raises(ValueError, match="period"):
+            replace(model, period=period).validate(times)
+    with pytest.raises(ValueError, match="static drift"):
+        replace(landau_zener_model(2.0), period=1.0).validate(times)
+    # the propagator trusts the period, so the frame refuses a wrong one
+    with pytest.raises(ValueError, match="period"):
+        build_frame(replace(model, period=1.0), 0.0, 10.0)
 
 
 def test_random_model_numeric_twin_agrees():

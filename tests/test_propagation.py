@@ -1,5 +1,7 @@
 """Matrix-ODE propagator: closed forms, unitarity monitoring, convergence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,53 @@ def test_rotating_frame_dense_output():
     fine = propagate(frame.hamiltonian_at, 0.0, np.linspace(0.0, 2.0, 33), tol=1e-12)
     for t in fine.times[1::4]:
         assert spectral_norm(path.at(t) - fine.at(t)) < 1e-8
+
+
+# ------------------------------------------------------------ one period
+
+def composed_and_direct(gamma, t0, t1, count, **kwargs):
+    """Paths of the three-level model over ``[t0, t1]``: composed from one
+    period, and integrated directly from the same model without a period."""
+    model = three_level_model(gamma, 1.0)
+    grid = np.linspace(t0, t1, count)
+    composed = propagate(build_frame(model, t0, t1), t0, grid, **kwargs)
+    direct = propagate(build_frame(replace(model, period=None), t0, t1), t0, grid, **kwargs)
+    return composed, direct
+
+
+@pytest.mark.parametrize("gamma", [10.0, 80.0])
+def test_one_period_composed_matches_the_direct_integration(gamma):
+    composed, direct = composed_and_direct(gamma, 0.0, 200.0, 1001)
+    assert np.max(spectral_norm(composed.matrices - direct.matrices)) <= 1e-8
+    assert 20 * composed.stats["nfev"] <= direct.stats["nfev"]
+    assert composed.stats["periods"] == int(np.floor(200.0 / np.pi)) == 63
+    assert "periods" not in direct.stats
+    assert np.array_equal(composed.matrices[0], np.eye(3))
+    m = composed.matrices
+    defects = spectral_norm(m.conj().swapaxes(-1, -2) @ m - np.eye(3))
+    assert np.array_equal(composed.unitarity_defects, defects)
+
+
+def test_one_period_composition_from_a_later_start():
+    composed, direct = composed_and_direct(10.0, 1.3, 21.3, 101)
+    assert composed.stats["periods"] == 6
+    assert np.max(spectral_norm(composed.matrices - direct.matrices)) <= 1e-8
+
+
+def test_grid_shorter_than_a_period_is_the_direct_integration():
+    composed, direct = composed_and_direct(10.0, 1.3, 1.3 + 0.9 * np.pi, 11)
+    assert composed.stats.pop("periods") == 0
+    assert composed.stats == direct.stats
+    assert np.array_equal(composed.matrices, direct.matrices)
+
+
+def test_one_period_dense_output_matches_the_direct_one():
+    composed, direct = composed_and_direct(10.0, 0.0, 20.0, 21, dense=True)
+    ts = np.random.default_rng(4).uniform(0.0, 20.0, 40)
+    assert not np.isin(ts, composed.times).any()
+    assert np.max(spectral_norm(composed.at(ts) - direct.at(ts))) <= 1e-8
+    assert spectral_norm(composed.at(float(ts[0])) - direct.at(float(ts[0]))) <= 1e-8
+    assert composed.dense(float(ts[0])).shape == (3, 3)
 
 
 # ------------------------------------------------------------ step cap
