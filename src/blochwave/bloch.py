@@ -314,7 +314,7 @@ def integrate_riccati(
         return hz - z @ (hz * same_block)
 
     if rotating:
-        y0, rhs, back = _rotating_system(hamiltonian, rotated_rhs, ic.matrix, two_sided=True)
+        y0, rhs, back = _rotating_system(hamiltonian, rotated_rhs, ic.matrix)
     else:
         y0, rhs = ic.matrix, (lambda t, u: riccati_rhs(hamiltonian(t), u, blocks))
     size = ic.matrix.size

@@ -1,8 +1,9 @@
 """DOP853, the Dormand-Prince 8(5,3) Runge-Kutta pair with step-size control
 and a dense output of order 7 (Hairer, Nørsett & Wanner, *Solving Ordinary
-Differential Equations I*, §II.5 and §II.10).
+Differential Equations I*, §II.5 and §II.10), as two steppers.
 
-The loop replays SciPy 1.17.1's DOP853 operation by operation, so states, step
+:func:`integrate` steps a general ``y' = f(t, y)`` one step at a time.  Its
+loop replays SciPy 1.17.1's DOP853 operation by operation, so states, step
 times and interpolants are bit-identical to SciPy's, with two exceptions.  The
 ``t0`` checkpoint is the initial state itself (no dense output is built for
 it), and the terminal event's root is bisected on the step polynomial to about
@@ -13,6 +14,20 @@ coefficients) is asked for once per attempted step, at all twelve stage times,
 and once more at the three dense-output stage times when a step's polynomial
 is built; only the cheap state-dependent part runs per stage.  A plain
 ``fun(t, y)`` is the case whose coefficients are the times themselves.
+
+:func:`integrate_linear` steps a linear flow ``X' = G(t) X`` a round at a
+time.  Its stage matrices do not depend on the state, so every segment's
+step map can be formed from the identity, and many segments at once: a round
+asks for ``G`` at the stage nodes of every pending segment in batched calls
+of at most :data:`MAX_NODES` times, runs the stage recursions as stacked
+matrix products, accepts each segment whose error norm is below 1, and
+splits each other one into the pieces the step controller predicts, for the
+next round.  The accepted maps are composed into the checkpoints; a
+checkpoint inside a segment is read off the segment's step polynomial.
+Each accepted segment is a DOP853 step with the same tableau, error
+estimate and dense output, but the segments are not :func:`integrate`'s
+steps: a failed segment is refined in place instead of a step size being
+carried from one step to the next, so segments never grow.
 """
 
 from __future__ import annotations
@@ -26,11 +41,24 @@ import numpy as np
 
 from .errors import IntegratorFailure
 
-__all__ = ["DenseOutput", "IvpResult", "Staged", "integrate"]
+__all__ = [
+    "DenseOutput",
+    "IvpResult",
+    "LinearDenseOutput",
+    "Staged",
+    "integrate",
+    "integrate_linear",
+]
 
 N_STAGES = 12
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0  # step controller
 ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
+#: node times per batched generator call of integrate_linear (128 segments of
+#: twelve stage nodes), which bounds the memory of a round
+MAX_NODES = 1536
+#: the most pieces a failed segment is cut into in one round: far from the
+#: asymptotic regime the error norm overstates the pieces a segment needs
+MAX_PIECES = 10
 
 # The tableau as the float64 values of scipy/integrate/_ivp/dop853_coefficients.py
 # (SciPy 1.17.1, BSD-3-Clause, after Hairer's Fortran DOP853).  Stages 13-15 are
@@ -88,8 +116,10 @@ D = np.array([
 # complex copies, so that no dot product casts its coefficients on every step
 _A, _B, _E3, _E5, _D = (v.astype(complex) for v in (A, B, E3, E5, D))
 # the nodes of a step's stages 1-12 (stage 0 is the last step's f) and of the
-# dense output's stages 13-15
+# dense output's stages 13-15; a segment of integrate_linear has its stages
+# 0-11 at LINEAR_NODES (stage 12 shares stage 11's time)
 STEP_NODES, DENSE_NODES = C[1 : N_STAGES + 1], C[N_STAGES + 1 :]
+LINEAR_NODES = C[:N_STAGES]
 
 
 @dataclass(frozen=True)
@@ -121,7 +151,9 @@ def _times(ts: np.ndarray) -> np.ndarray:
 @dataclass
 class IvpResult:
     """States at the checkpoints reached (one column each; those up to
-    ``event_time`` if the terminal event fired) and the step statistics."""
+    ``event_time`` if the terminal event fired) and the step statistics.
+    For :func:`integrate_linear`, ``y`` holds the maps, one per checkpoint
+    along the first axis, and the steps are segments."""
 
     y: np.ndarray
     nfev: int
@@ -294,4 +326,241 @@ def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=Non
         max_step=max_step,
         event_time=event_time,
         dense=DenseOutput(step_times, steps) if dense else None,
+    )
+
+
+def _polynomial_maps(polynomials, rows, x, labels, n):
+    """The local maps ``diag(exp(phases))[labels] P`` of the step polynomials
+    ``polynomials[:, rows]`` (highest power first, over the entries of
+    ``P - 1`` and the phases) at the fractions ``x`` of their segments."""
+    x = x[:, None]
+    factors = (x, 1 - x)
+    y = polynomials[0][rows] * x  # SciPy's Horner recurrence
+    for i in range(1, len(polynomials)):
+        y += polynomials[i][rows]
+        y *= factors[i % 2]
+    local = y[:, : n * n].reshape(-1, n, n) + np.eye(n)
+    if labels is not None:
+        local *= np.exp(y[:, n * n :][:, labels])[:, :, None]
+    return local
+
+
+class LinearDenseOutput:
+    """The maps of a linear flow at a time or an array of times (a stack):
+    each segment's step polynomial, from the identity, times the map at the
+    segment's start.  A segment boundary belongs to the earlier segment."""
+
+    def __init__(self, starts, widths, polynomials, maps, labels):
+        self._starts, self._widths, self._maps, self._labels = starts, widths, maps, labels
+        self._polynomials = polynomials  # (7, segments, entries), highest power first
+
+    def __call__(self, t) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
+        flat = ts.reshape(-1)
+        owner = np.searchsorted(self._starts, flat) - 1
+        np.clip(owner, 0, len(self._starts) - 1, out=owner)
+        x = (flat - self._starts[owner]) / self._widths[owner]
+        n = self._maps.shape[-1]
+        local = _polynomial_maps(self._polynomials, owner, x, self._labels, n)
+        return (local @ self._maps[owner]).reshape(*ts.shape, n, n)
+
+
+def _split(lo: np.ndarray, hi: np.ndarray, pieces: np.ndarray):
+    """Each segment ``[lo, hi]`` cut into ``pieces`` equal ones, in order;
+    neighbours share their boundary exactly."""
+    pieces = pieces.astype(int)
+    owner = np.repeat(np.arange(len(lo)), pieces)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    a, width, p = lo[owner], (hi - lo)[owner], pieces[owner]
+    return a + width * (k / p), np.where(k + 1 == p, hi[owner], a + width * ((k + 1) / p))
+
+
+def _coefficients(generator, labels, nodes, lo, h):
+    """The generator at the nodes of each segment, node-major: the rates
+    ``(nodes, segments, blocks)`` (``None`` without ``labels``) and the
+    matrices ``(nodes, segments, n, n)``."""
+    ts = (lo + nodes[:, None] * h).ravel()
+    shape = (len(nodes), len(lo))
+    if labels is None:
+        g = np.asarray(generator(ts), dtype=complex)
+        return None, g.reshape(*shape, *g.shape[1:])
+    rates, drive = generator(ts)
+    return rates.reshape(*shape, -1), drive.reshape(*shape, *drive.shape[1:])
+
+
+def _rotate(drive, phases, labels):
+    """``E† C E`` with ``E = diag(exp(phases[labels]))``, per matrix."""
+    e = np.exp(phases[..., labels])
+    return drive * (e.conj()[..., :, None] * e[..., None, :])
+
+
+def _fill_stages(K, g, first, h, eye):
+    """Stages ``first, first + 1, ...`` of each segment's step from the
+    identity, ``K_s = G_s (1 + h sum_l A[s, l] K_l)``, with the stage
+    matrices ``g`` of those stages, in place (``K`` is C-contiguous)."""
+    flat = K.reshape(len(K), -1)
+    for s, g_s in enumerate(g, start=first):
+        y = (_A[s, :s] @ flat[:s]).reshape(K.shape[1:])
+        y *= h
+        y += eye
+        np.matmul(g_s, y, out=K[s])
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    return (x.real**2 + x.imag**2).sum(axis=-1)
+
+
+def _attempt(generator, lo, hi, labels, atol, want):
+    """One try at each segment ``[lo, hi]``.
+
+    Returns its error norm, its map, and the step polynomials (highest power
+    first) of the accepted segments where ``want`` is set.
+    """
+    h = hi - lo
+    count = len(lo)
+    rates, drive = _coefficients(generator, labels, LINEAR_NODES, lo, h)
+    g = drive
+    if rates is not None:  # local phases: each segment's rotation starts at 1
+        g = _rotate(drive, h[:, None] * np.tensordot(_A[:N_STAGES, :N_STAGES], rates, 1), labels)
+    n = drive.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    hs = h[:, None, None]
+    K = np.empty((N_STAGES, count, n, n), dtype=complex)
+    K[0] = g[0]
+    _fill_stages(K, g[1:], 1, hs, eye)
+    flat = K.reshape(N_STAGES, -1)
+    # each segment's estimates over the entries of its step and its phases
+    values = [flat] if rates is None else [flat, rates.reshape(N_STAGES, -1)]
+    err5, err3 = (
+        sum(_squared_norms((e[:N_STAGES] @ v).reshape(count, -1)) for v in values) / atol**2
+        for e in (_E5, _E3)
+    )
+    phase = None if rates is None else h[:, None] * (_B @ values[1]).reshape(count, -1)
+    size = sum(v.shape[1] for v in values) // count
+    scale = np.sqrt((err5 + 0.01 * err3) * size)
+    error = h * err5 / np.maximum(scale, np.finfo(float).tiny)  # 0 for a zero estimate
+    local = eye + hs * (_B @ flat).reshape(count, n, n)
+    maps = local if phase is None else np.exp(phase[:, labels])[:, :, None] * local
+    mine = (error < 1) & want
+    if not mine.any():
+        return error, maps, None
+
+    # the polynomial of each segment of mine, from three more stages
+    h, hs, local = h[mine], hs[mine], local[mine]
+    K = np.concatenate([K[:, mine], np.empty((4, len(h), n, n), dtype=complex)])
+    extra_rates, extra = _coefficients(generator, labels, DENSE_NODES, lo[mine], h)
+    if rates is None:
+        K[N_STAGES] = drive[-1, mine] @ local
+    else:
+        phase = phase[mine]
+        r = np.concatenate([rates[:, mine], rates[-1:, mine], extra_rates])
+        K[N_STAGES] = _rotate(drive[-1, mine], phase, labels) @ local
+        extra = _rotate(extra, h[:, None] * np.tensordot(_A[N_STAGES + 1 :], r, 1), labels)
+    _fill_stages(K, extra, N_STAGES + 1, hs, eye)
+    # the stage values and the increment of the local state [P, phases]
+    stage_values, delta = K.reshape(16, len(h), -1), (local - eye).reshape(len(h), -1)
+    if rates is not None:
+        stage_values, delta = np.concatenate([stage_values, r], axis=2), np.hstack([delta, phase])
+    hv = h[:, None]
+    k0, f = stage_values[0], stage_values[N_STAGES]
+    F = np.empty((7, *delta.shape), dtype=complex)
+    F[:3] = delta, hv * k0 - delta, 2 * delta - hv * (f + k0)
+    F[3:] = hv * (_D @ stage_values.reshape(16, -1)).reshape(4, *delta.shape)
+    return error, maps, F[::-1]
+
+
+def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels=None) -> IvpResult:
+    """Integrate the linear flow ``X' = G(t) X`` with ``X(grid[0]) = 1`` over
+    the strictly increasing checkpoint times ``grid``, a round at a time.
+
+    ``generator(ts)`` gives ``G`` at a 1-D array of times as a stack.  With
+    ``labels``, the block of each row, the flow is ``X' = (diag(r(t)[labels])
+    + C(t)) X`` and ``generator(ts)`` gives the rates ``r`` and ``C`` as a
+    pair of stacks.  The diagonal part is then integrated in its rotating
+    frame with local phases: a segment ``[a, a + h]`` takes the stage phases
+    ``psi_s = h sum_l A[s, l] r_l``, its stage matrices ``E_s† C_s E_s`` with
+    ``E_s = diag(exp(psi_s[labels]))``, and its map is ``diag(exp(h sum_l B_l
+    r_l))[labels] P`` with ``P`` the rotating step from the identity.  Up to
+    a constant diagonal change of variables this is the DOP853 step of the
+    state ``[Z, phases]``, but no global phase is carried, so refining one
+    segment never invalidates another.
+
+    The first round's segments cut ``[grid[0], grid[-1]]`` into equal pieces
+    of at most ``max_step``.  The error norm of a segment is DOP853's, on the
+    entries of its step from the identity and its phases, with the scale
+    ``atol``: for the step from a unitary ``X`` the error ``E X`` has ``‖E
+    X‖_F = ‖E‖_F``.  A segment whose norm ``err`` is 1 or more is cut into
+    ``max(2, ceil(err^(1/8) / SAFETY))`` pieces, at most :data:`MAX_PIECES`,
+    for the next round.  A checkpoint inside an accepted segment is read off
+    the segment's step polynomial (three more node evaluations), as is every
+    time when ``dense`` keeps the polynomials.
+
+    Returns the :class:`IvpResult` of the maps at the checkpoints, with the
+    node evaluations as ``nfev`` and the accepted and rejected segments as
+    steps; ``dense`` is a :class:`LinearDenseOutput`.
+
+    Raises:
+        IntegratorFailure: when a segment falls below 10 ulp of its start,
+            or its error norm is not finite.
+    """
+    knots = np.asarray(grid, dtype=float)
+    per_call = MAX_NODES // N_STAGES
+    span = knots[-1:] - knots[0]
+    lo, hi = _split(knots[:1], knots[-1:], np.maximum(1, np.ceil(span / max_step)))
+    accepted, kept, inside = [], [], []  # segments, their polynomials, checkpoints inside
+    nfev = n_rejected = 0
+    while len(lo):  # the pending segments stay in time order
+        small = hi - lo < 10 * np.spacing(np.abs(lo))
+        if small.any():
+            raise IntegratorFailure(f"step at t={lo[small][0]:g} below the spacing between numbers")
+        retry = []
+        for i in range(0, len(lo), per_call):
+            a, b = lo[i : i + per_call], hi[i : i + per_call]
+            want = np.searchsorted(knots, a, "right") < np.searchsorted(knots, b, "left")
+            want |= dense
+            error, maps, polynomials = _attempt(generator, a, b, labels, atol, want)
+            if not np.isfinite(error).all():
+                raise IntegratorFailure(f"non-finite step at t={a[~np.isfinite(error)][0]:g}")
+            ok = error < 1
+            accepted.append((a[ok], b[ok], maps[ok]))
+            nfev += N_STAGES * len(a)
+            if polynomials is not None:
+                nfev += 3 * polynomials.shape[1]
+                mine_lo, mine_hi = a[ok & want], b[ok & want]
+                owner = np.maximum(np.searchsorted(mine_lo, knots, "right") - 1, 0)
+                hit = np.flatnonzero((knots > mine_lo[owner]) & (knots < mine_hi[owner]))
+                x = (knots[hit] - mine_lo[owner[hit]]) / (mine_hi - mine_lo)[owner[hit]]
+                local = _polynomial_maps(polynomials, owner[hit], x, labels, maps.shape[-1])
+                inside.append((hit, mine_lo[owner[hit]], local))
+                if dense:
+                    kept.append(polynomials)
+            if not ok.all():
+                n_rejected += int(np.count_nonzero(~ok))
+                pieces = np.ceil(error[~ok] ** -ERROR_EXPONENT / SAFETY)
+                retry.append(_split(a[~ok], b[~ok], np.clip(pieces, 2, MAX_PIECES)))
+        lo, hi = (np.concatenate(side) for side in zip(*retry)) if retry else (lo[:0], hi[:0])
+
+    starts, ends, maps = (np.concatenate(side) for side in zip(*accepted))
+    order = np.argsort(starts, kind="stable")
+    starts, ends, maps = starts[order], ends[order], maps[order]
+    n = maps.shape[-1]
+    at_start = np.empty((len(maps) + 1, n, n), dtype=complex)
+    x = at_start[0] = np.eye(n, dtype=complex)
+    for j, m in enumerate(maps, start=1):
+        x = at_start[j] = m @ x
+    # a checkpoint is a segment's start, the end, or inside a segment
+    y = at_start[np.searchsorted(starts, knots)]
+    for hit, owners, local in inside:
+        y[hit] = local @ at_start[np.searchsorted(starts, owners)]
+    interpolant = None
+    if dense:
+        polynomials = np.concatenate(kept, axis=1)[:, order]
+        interpolant = LinearDenseOutput(starts, ends - starts, polynomials, at_start[:-1], labels)
+    return IvpResult(
+        y=y,
+        nfev=nfev,
+        n_accepted=len(starts),
+        n_rejected=n_rejected,
+        max_step=max_step,
+        dense=interpolant,
     )

@@ -13,7 +13,8 @@ exactly even when ``W`` carries integration error.
 
 Every evaluation takes an array of times; without analytic spectral data
 one stacked :func:`~blochwave.operators.decompose` per call serves both the
-rates and the Kato term, which the transporter asks for once per step.
+rates and the Kato term, which the transporter asks for once per batch of
+segments.
 
 The end-to-end consistency check of the construction is the factorization
 defect ``‖F - W M‖`` between the directly propagated evolution and the
@@ -85,11 +86,15 @@ def kato_generator(
     if anchor is None:
         anchor = model.spectral_at(t)
     proj, b = anchor.projector_stack, anchor.eigenvalues
-    gaps = b[:, None, :] - b[:, :, None]  # gaps[:, l, k] = b_k - b_l
-    diagonal = np.arange(b.shape[1])
-    gaps[:, diagonal, diagonal] = np.inf  # drops the k == l terms
-    terms = proj[:, :, None] @ model.drift_derivative(t)[:, None, None] @ proj[:, None, :]
-    return (terms / gaps[..., None, None]).sum(axis=(1, 2))
+    bdot = model.drift_derivative(t)
+    out = np.zeros_like(bdot, dtype=complex)
+    blocks = range(b.shape[1])
+    for l in blocks:  # pair by pair: one matrix per time in memory, not K^2
+        left = proj[:, l] @ bdot
+        for k in blocks:
+            if k != l:
+                out += left @ proj[:, k] / (b[:, k] - b[:, l])[:, None, None]
+    return out
 
 
 def transporter(
@@ -104,7 +109,8 @@ def transporter(
     Sampled from a closed form where one exists (the identity for a static
     drift, else ``model.analytic_transporter``); otherwise ``W' = A(t) W`` is
     integrated with the exact :func:`kato_generator`, as a
-    :class:`~blochwave.dop853.Staged` system: one call per step.
+    :class:`~blochwave.dop853.Staged` system: one call per batch of node
+    times.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")

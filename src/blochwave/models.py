@@ -29,7 +29,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, IoError, NotSkewHermitian
-from .operators import SpectralDecomposition, decompose, require_skew_hermitian, spectral_norm
+from .operators import (
+    SKEW_TOL,
+    SpectralDecomposition,
+    decompose,
+    require_skew_hermitian,
+    spectral_norm,
+)
 
 __all__ = [
     "GeneratorModel",
@@ -482,8 +488,10 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     of a strictly increasing time column and the row-major complex entries of
     the drift and the drive (Python complex literals, e.g. ``1.5-0.25j``).
     Samples must be finite and skew-Hermitian, by the check
-    :func:`~blochwave.operators.decompose` makes; cubic-spline interpolation
-    preserves skew-Hermiticity exactly between samples.  The drift derivative
+    :func:`~blochwave.operators.decompose` makes, and so must the spline at
+    each interval's quarter points and midpoint: it is linear in the samples,
+    but its weights sum in absolute value to about 1.48 midway between two,
+    so it can amplify the samples' defects there.  The drift derivative
     is the spline's own (exact) derivative.  Drift, drive and derivative are
     one piecewise polynomial, evaluated once per distinct time or array of
     times: the three accessors return read-only views of that evaluation.  Evaluation outside
@@ -536,6 +544,15 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
         coeffs[:, :, k] = CubicSpline(times, samples[:, k], axis=0, extrapolate=False).c
     coeffs[1:, :, 2] = coeffs[:-1, :, 0] * np.array([3.0, 2.0, 1.0])[:, None, None, None]
     table = PPoly(coeffs, times, extrapolate=False)
+    between = (times[:-1, None] + np.diff(times)[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
+    try:
+        require_skew_hermitian(
+            table(between)[:, :2].reshape(-1, dim, dim),
+            tol=SKEW_TOL,
+            name=lambda i: f"interpolant at t={between[i // 2]:g}: {('drift', 'drive')[i % 2]}",
+        )
+    except NotSkewHermitian as exc:
+        raise ConfigError(f"tabulated model {path}: {exc}") from exc
     latest = [(None, None)]  # a frame evaluation asks all three at the same times in turn
 
     def at(t) -> np.ndarray:

@@ -340,12 +340,11 @@ def block_pseudo_inverse(
 
 def block_project(a: np.ndarray, blocks) -> np.ndarray:
     """Project onto the block-diagonal part, ``sum_k P_k a P_k`` (per matrix
-    for a stack)."""
-    a = np.asarray(a, dtype=complex)
-    out = np.zeros_like(a)
-    for p in blocks:
-        out += p @ a @ p
-    return out
+    for a stack), as one broadcast product over the stacked projectors."""
+    proj = np.asarray(blocks, dtype=complex)
+    terms = proj @ np.asarray(a, dtype=complex)[..., None, :, :] @ proj
+    # summed in block order, as a loop from zeros would; + 0.0 turns -0.0 into 0.0 as it does
+    return terms.sum(axis=-3) + 0.0
 
 
 def offblock_norm(a: np.ndarray, blocks) -> float | np.ndarray:

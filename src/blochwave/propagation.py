@@ -3,25 +3,30 @@ skew-Hermitian ``G``.
 
 One integrator serves every evolution operator in the package: the lab-frame
 unitary, the adiabatic transporter, and the full evolution in the adiabatic
-frame.  Integration uses the in-house adaptive Runge-Kutta pair of order
-8(5,3), :mod:`blochwave.dop853` (SciPy's DOP853 replayed bit for bit),
-applied to the matrix columns as one coupled system.
+frame.  The flow is linear, so :func:`propagate` steps it a round at a time
+with :func:`~blochwave.dop853.integrate_linear`: the Runge-Kutta pair of
+order 8(5,3) (DOP853) forms the step map of every pending segment from the
+identity, asking for ``G`` at the stage nodes of many segments in one
+batched call, and composes the accepted maps.  The nonlinear Riccati flow of
+the wave operator keeps the step-by-step loop :func:`~blochwave.dop853.integrate`
+(SciPy's DOP853 replayed bit for bit) through :func:`solve_matrix_ivp`, so
+the two routes share the tableau and nothing of the stepping.
 
 Handed an adiabatic frame instead of a callable, the integrators factor its
 strong drift out exactly.  In the frame the drift ``gamma B(t) = gamma sum_k
 b_k(t) P_k(t0)`` is block-scalar over frozen projectors, so its flow is
-``D(t) = sum_k exp(phi_k(t)) P_k(t0)`` with ``phi_k' = gamma b_k(t)``.  The
-phases ride in the solver state next to the matrix, which is integrated in
-the rotating frame of ``D``: ``M = D Mr`` with ``Mr' = D† C D Mr``, and the
-wave operator ``U = D Ur D†`` with the Riccati flow of ``D† C D``.  Both
-are integrated in an eigenbasis of the frozen projectors, where ``D`` is
-diagonal and the Riccati flow's block projection is a mask.  The solver
-then no longer resolves the fast phase of ``gamma B`` step by step; the
-step cap stays that of the full frame Hamiltonian.  The right-hand side is
-:class:`~blochwave.dop853.Staged`: the loop asks the frame for one step's
-stage coefficients at once, the rates ``gamma b_k`` and the rotated drive
-``V† C V`` at all twelve stage times in one batched call, and each stage
-adds only the phase factors and the matrix products.  The step cap and the
+``D(t) = sum_k exp(phi_k(t)) P_k(t0)`` with ``phi_k' = gamma b_k(t)``.  Both
+integrators work in an eigenbasis of the frozen projectors
+(:func:`_frozen_basis`), where ``D`` is diagonal and a block projection is a
+mask.  :func:`propagate` hands the rates ``gamma b_k`` and the rotated drive
+``V† C V`` to the round stepper, which integrates ``M = D Mr`` with ``Mr' =
+D† C D Mr`` on each segment with phases local to the segment.  The Riccati
+integrator carries the phases in its solver state next to the matrix and
+integrates ``U = D Ur D†`` with the Riccati flow of ``D† C D``; the loop asks
+the frame for one step's rates and rotated drive at all twelve stage times
+in one batched call (:class:`~blochwave.dop853.Staged`).  Either way the
+solver no longer resolves the fast phase of ``gamma B`` step by step, and
+the step cap stays that of the full frame Hamiltonian.  The step cap and the
 skew-Hermiticity check sample the frame Hamiltonian in one batched call
 each.
 
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dop853 import IvpResult, Staged, integrate
+from .dop853 import IvpResult, Staged, integrate, integrate_linear
 from .operators import require_skew_hermitian, spectral_norm
 
 __all__ = ["PropagatorPath", "propagate", "solve_matrix_ivp"]
@@ -201,19 +206,38 @@ def solve_matrix_ivp(
     )
 
 
-def _rotating_system(frame, matrix_rhs, y0: np.ndarray, two_sided: bool):
-    """Pack a matrix ODE driven by a frame Hamiltonian into the rotating frame
-    of the frame's frozen blocks.
+def _frozen_basis(frame):
+    """An orthonormal eigenbasis ``V`` of the frame's frozen projectors.
+
+    Returns ``(labels, into, out_of)``: ``labels[i]`` is the block of column
+    ``i`` of ``V``, ``into(x) = V† x V`` and ``out_of(x) = V x V†`` (per
+    matrix for a stack).  In that basis ``P_k`` is the mask of block ``k``'s
+    indices, and the frozen drift's flow ``sum_k exp(phi_k) P_k`` is
+    ``diag(exp(phi[labels]))``.
+    """
+    proj = frame.frozen.projector_stack
+    if not np.any(proj * ~np.eye(proj.shape[-1], dtype=bool)):  # V = 1
+        labels = np.argmax(np.einsum("kii->ki", proj).real, axis=0)
+        return labels, (lambda x: x), (lambda x: x)
+    # sum_k k P_k has the eigenvalue k on block k, so its eigh labels columns
+    weights, basis = np.linalg.eigh(np.tensordot(np.arange(len(proj)), proj, axes=1))
+    basis_h = basis.conj().T
+    labels = np.rint(weights).astype(int)
+    return labels, (lambda x: basis_h @ x @ basis), (lambda x: basis @ x @ basis_h)
+
+
+def _rotating_system(frame, matrix_rhs, y0: np.ndarray):
+    """Pack a matrix ODE driven by a frame Hamiltonian, with the two-sided
+    solution ``Y = D Z D†``, into the rotating frame of the frame's frozen
+    blocks.
 
     The rotation ``D = sum_k exp(phi_k) P_k(t0)``, with ``phi_k' = gamma
-    b_k(t)``, is diagonal in an orthonormal eigenbasis ``V`` of the frozen
-    projectors: ``D = V E V†`` with ``E = diag(exp(phi_label))``, where
-    ``label[i]`` is the block of column ``i``.  The solver state is
-    ``[vec(Z), phi]`` and ``Y = V E Z V†``, or ``V E Z E† V†`` when
-    ``two_sided``.  ``matrix_rhs(c, z, same_block)`` is ``Z'`` given the
-    rotated drive in that basis, ``c = E† V† C V E``, and the mask of index
-    pairs in one block: there ``P_k`` is the mask of block ``k``'s indices,
-    so the block-diagonal part of ``x`` is ``x * same_block``.
+    b_k(t)``, is ``V E V†`` with ``E = diag(exp(phi[labels]))`` in the
+    eigenbasis ``V`` of :func:`_frozen_basis`.  The solver state is
+    ``[vec(Z), phi]`` and ``Y = V E Z E† V†``.  ``matrix_rhs(c, z,
+    same_block)`` is ``Z'`` given the rotated drive in that basis, ``c = E†
+    V† C V E``, and the mask of index pairs in one block, so that the
+    block-diagonal part of ``x`` is ``x * same_block``.
 
     Returns ``(state0, rhs, back)``: the initial state, the solver's
     :class:`~blochwave.dop853.Staged` right-hand side and ``back(states)``,
@@ -223,23 +247,9 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray, two_sided: bool):
     all the times of one call; its step adds the phases ``exp(phi)`` and the
     matrix products.
     """
-    proj = frame.frozen.projector_stack
-    basis = basis_h = None  # V = 1 for coordinate projectors
-    if np.any(proj * ~np.eye(proj.shape[-1], dtype=bool)):
-        # sum_k k P_k has the eigenvalue k on block k, so its eigh labels columns
-        weights, basis = np.linalg.eigh(np.tensordot(np.arange(len(proj)), proj, axes=1))
-        labels = np.rint(weights).astype(int)
-        basis_h = basis.conj().T
-    else:
-        labels = np.argmax(np.einsum("kii->ki", proj).real, axis=0)
+    labels, into, out_of = _frozen_basis(frame)
     same_block = labels[:, None] == labels[None, :]
     shape, size = y0.shape, y0.size
-
-    def into(x):
-        return x if basis is None else basis_h @ x @ basis
-
-    def out_of(x):
-        return x if basis is None else basis @ x @ basis_h
 
     def coefficients(ts):
         rates, drive = frame.split_at(ts)
@@ -256,13 +266,11 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray, two_sided: bool):
 
     def back(states):
         e = np.exp(states[..., size:][..., labels])
-        z = states[..., :size].reshape(*states.shape[:-1], *shape) * e[..., :, None]
-        if two_sided:
-            z = z * e.conj()[..., None, :]
-        return out_of(z)
+        z = states[..., :size].reshape(*states.shape[:-1], *shape)
+        return out_of(z * e[..., :, None] * e.conj()[..., None, :])
 
     z0 = into(np.asarray(y0, dtype=complex))
-    state0 = np.concatenate([z0.ravel(), np.zeros(len(proj), complex)])
+    state0 = np.concatenate([z0.ravel(), np.zeros(frame.frozen.n_blocks, complex)])
     return state0, Staged(coefficients, step), back
 
 
@@ -300,13 +308,15 @@ def propagate(
     max_step: float | None = None,
     dense: bool = False,
 ) -> PropagatorPath:
-    """Integrate ``M' = G(t) M`` with ``M(t0) = 1`` and dense checkpoints.
+    """Integrate ``M' = G(t) M`` with ``M(t0) = 1`` and dense checkpoints,
+    a round of segments at a time (:func:`~blochwave.dop853.integrate_linear`).
 
     Args:
-        generator: callable ``t -> skew-Hermitian matrix G(t)``; a
-            :class:`~blochwave.dop853.Staged` system whose coefficients are
-            ``G`` at an array of times and whose step is ``(G, M) -> G M``,
-            so that every batch of times is one call; or an adiabatic frame
+        generator: callable ``t -> skew-Hermitian matrix G(t)``, asked once
+            per time; a :class:`~blochwave.dop853.Staged` system whose
+            coefficients are ``G`` at an array of times (its step, ``(G, M)
+            -> G M``, is the flow's), so that every batch of node times is
+            one call; or an adiabatic frame
             (an object with ``split_at``, ``hamiltonian_at`` and ``frozen``
             projectors), whose Hamiltonian is then integrated in the
             rotating frame of its frozen blocks.  A frame with a ``period``
@@ -316,7 +326,7 @@ def propagate(
             skew check and the step cap still sample the whole grid.
         t0: initial time; must equal ``grid[0]``.
         grid: strictly increasing checkpoint times.
-        tol: local error tolerance (relative and absolute).
+        tol: local error tolerance, the scale of each segment's error norm.
         max_step: optional step cap; by default estimated from the sampled
             generator (the frame's full Hamiltonian) so oscillating terms
             are never skipped.
@@ -344,29 +354,29 @@ def propagate(
     if max_step is None:
         max_step = _estimate_max_step(hamiltonians, t0, grid[-1])
 
-    n = samples.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    if rotating:
-        y0, rhs, back = _rotating_system(generator, lambda c, z, _: c @ z, eye, two_sided=False)
-    else:
-        rhs = generator if isinstance(generator, Staged) else Staged(hamiltonians, np.matmul)
-        y0, back = eye, None
+    eye = np.eye(samples.shape[-1], dtype=complex)
+    labels, out_of, coefficients = None, None, hamiltonians
+    if rotating:  # the rates and the rotated drive, for the stepper's local phases
+        labels, into, out_of = _frozen_basis(generator)
+
+        def coefficients(ts):
+            rates, drive = generator.split_at(ts)
+            return rates, into(drive)
 
     # one integration over the residues, up to t0 + T once a checkpoint lies beyond
     laps, residues = _fold(grid, t0, period)
     periods = int(laps.max())
     knots = np.union1d(residues, [t0 + period]) if periods else np.unique(residues)
-    sol = solve_matrix_ivp(rhs, y0, knots, tol, max_step=max_step, dense=dense)
+    sol = integrate_linear(coefficients, knots, tol, max_step=max_step, dense=dense, labels=labels)
 
-    states = np.ascontiguousarray(sol.y.T)
-    at_knots = back(states) if rotating else states.reshape(-1, n, n)
+    at_knots = out_of(sol.y) if rotating else sol.y
     at_knots[0] = eye
     mats = at_knots[np.searchsorted(knots, residues)]
     if periods:  # the monodromy F = M(t0 + T) is the last knot
         mats = mats @ _powers(at_knots[-1], laps)
     interpolant = None
     if dense:
-        interpolant = (lambda t: back(sol.dense(t))) if rotating else sol.dense
+        interpolant = (lambda t: out_of(sol.dense(t))) if rotating else sol.dense
         if periods:
             interpolant = functools.partial(_composed, interpolant, t0, period, at_knots[-1])
 

@@ -442,7 +442,8 @@ def test_custom_ic_breaking_the_bloch_condition_exits_config(tmp_path, text, cap
 def test_validate_of_a_custom_ic_fails_as_the_run_does_on_an_undecomposable_drift(tmp_path, capsys):
     # every sample passes the skew check (Frobenius defect 0.9e-10), but the
     # defects alternate in sign with the spline's weights at t0 = 0, midway
-    # between two samples, where the interpolated defect reaches 1.33e-10
+    # between two samples, where the interpolated defect reaches 1.33e-10:
+    # the loader's check of the interpolant refuses the table for both
     from scipy.interpolate import CubicSpline
 
     times = np.linspace(-0.625, 3.125, 16)
@@ -456,9 +457,29 @@ def test_validate_of_a_custom_ic_fails_as_the_run_does_on_an_undecomposable_drif
     table.write_text("\n".join(rows) + "\n")
     args = custom_ic_args(tmp_path, "1,0\n0,1\n")
     args += ["--set", "model.name=custom", "--set", f"model.path={table}", "--set", "model.gamma=5"]
-    assert main(["validate", *args]) == EXIT_SOLVER
-    assert "not_skew_hermitian" in capsys.readouterr().err
-    assert main(["run", *args]) == EXIT_SOLVER
+    assert main(["validate", *args]) == EXIT_CONFIG
+    assert "interpolant at t=" in capsys.readouterr().err
+    assert main(["run", *args]) == EXIT_CONFIG
+
+
+def test_table_whose_spline_overshoots_the_skew_check_exits_config(tmp_path, capsys):
+    # every sample passes the skew check (Frobenius defect 0.9e-10 or 0),
+    # t0 = 0 and t_final = 2 are samples, but the four samples around t =
+    # 1.125 carry defects with the signs of the spline's weights there, so the
+    # interpolated defect exceeds 1e-10 from the quarter point t = 1.0625 on
+    from scipy.interpolate import CubicSpline
+
+    times = np.linspace(-0.5, 2.5, 13)
+    weights = CubicSpline(times, np.eye(len(times)), axis=0)(1.125)
+    signs = np.sign(weights) * (np.abs(weights) > 0.1)
+    lines = [["time", "B_00", "B_01", "B_10", "B_11", "C_00", "C_01", "C_10", "C_11"]]
+    for t, sign in zip(times, signs):
+        drift = np.diag([-1j, 1j]) + sign * 0.45e-10 / np.sqrt(2.0) * np.eye(2)
+        lines.append([repr(float(t))] + [str(complex(x)) for x in drift.ravel()] + ["0j"] * 4)
+    args = custom_model_args(tmp_path, lines)
+    for command in ("validate", "run"):
+        assert main([command, *args]) == EXIT_CONFIG
+        assert "interpolant at t=1.0625: drift" in "".join(capsys.readouterr())
 
 
 def test_drift_failing_the_decompose_skew_check_exits_config(tmp_path, capsys):
@@ -722,30 +743,50 @@ def read_header(path):
 
 def test_summary_header_records_integrator_statistics(tmp_path, monkeypatch):
     import blochwave.bloch
+    import blochwave.dop853
     import blochwave.propagation
-    from blochwave.dop853 import Staged
+    from blochwave.dop853 import MAX_NODES, Staged
 
     # count the right-hand-side evaluations and step attempts of every solve
-    # from outside the solver: one stage per evaluation, one batch of the
-    # twelve stage times per attempted step
+    # from outside the step arithmetic.  Riccati: one stage per evaluation,
+    # one batch of the twelve stage times per attempted step.  Propagation:
+    # one evaluation per node time asked for, in batches of at most
+    # MAX_NODES, and one attempt per segment tried
     seen = {}
-    for stage, module in (("propagate", blochwave.propagation), ("riccati", blochwave.bloch)):
-        original = module.solve_matrix_ivp
+    original = blochwave.bloch.solve_matrix_ivp
 
-        def counted(rhs, y0, grid, tol, max_step, *args, _stage=stage, _original=original, **kw):
-            count = seen[_stage] = {"nfev": 0, "attempts": 0, "max_step": max_step}
+    def counted(rhs, y0, grid, tol, max_step, *args, **kw):
+        count = seen["riccati"] = {"nfev": 0, "attempts": 0, "max_step": max_step}
 
-            def coefficients(ts):
-                count["attempts"] += len(ts) == 12
-                return rhs.coefficients(ts)
+        def coefficients(ts):
+            count["attempts"] += len(ts) == 12
+            return rhs.coefficients(ts)
 
-            def step(c, y):
-                count["nfev"] += 1
-                return rhs.step(c, y)
+        def step(c, y):
+            count["nfev"] += 1
+            return rhs.step(c, y)
 
-            return _original(Staged(coefficients, step), y0, grid, tol, max_step, *args, **kw)
+        return original(Staged(coefficients, step), y0, grid, tol, max_step, *args, **kw)
 
-        monkeypatch.setattr(module, "solve_matrix_ivp", counted)
+    monkeypatch.setattr(blochwave.bloch, "solve_matrix_ivp", counted)
+    linear, attempt = blochwave.propagation.integrate_linear, blochwave.dop853._attempt
+
+    def counted_linear(generator, grid, atol, max_step, **kw):
+        count = seen["propagate"] = {"nfev": 0, "attempts": 0, "max_step": max_step}
+
+        def nodes(ts):
+            assert len(ts) <= MAX_NODES
+            count["nfev"] += len(ts)
+            return generator(ts)
+
+        def tried(generator, lo, *args):
+            count["attempts"] += len(lo)
+            return attempt(generator, lo, *args)
+
+        monkeypatch.setattr(blochwave.dop853, "_attempt", tried)
+        return linear(nodes, grid, atol, max_step=max_step, **kw)
+
+    monkeypatch.setattr(blochwave.propagation, "integrate_linear", counted_linear)
     config = load_config(
         write_cfg(tmp_path), overrides=["run.t_final=5", "run.checkpoint_count=26"]
     )

@@ -17,7 +17,12 @@ from blochwave import (
 )
 from blochwave import dop853
 from blochwave.bloch import riccati_rhs
-from blochwave.propagation import _estimate_max_step, _rotating_system, solve_matrix_ivp
+from blochwave.propagation import (
+    _estimate_max_step,
+    _frozen_basis,
+    _rotating_system,
+    solve_matrix_ivp,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 DIAG_BLOCKS = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
@@ -63,7 +68,7 @@ def rotating_case(make, t0, t1, n, two_sided=False):
             y0 = identity_ic(frame.blocks).matrix
         else:
             matrix_rhs, y0 = (lambda c, z, _: c @ z), np.eye(frame.model.dim, dtype=complex)
-        y0, rhs, _ = _rotating_system(frame, matrix_rhs, y0, two_sided=two_sided)
+        y0, rhs, _ = _rotating_system(frame, matrix_rhs, y0)
         max_step = _estimate_max_step(frame.hamiltonian_at, t0, t1)
         return rhs, y0, np.linspace(t0, t1, n), 1e-10, {"max_step": max_step}
 
@@ -166,3 +171,79 @@ def test_step_underflow_raises():
     # u' = u^2 with u(0) = 1 blows up at t = 1
     with pytest.raises(IntegratorFailure, match="spacing between numbers"):
         solve_matrix_ivp(lambda t, u: u @ u, np.eye(1, dtype=complex), np.array([0.0, 2.0]), 1e-10)
+
+
+# ------------------------------------------------------------ linear flows
+
+def lz_rotating_generator(calls=None):
+    """The Landau-Zener frame as ``integrate_linear``'s rates and drive."""
+    frame = build_frame(landau_zener_model(2.0), -25.0, 25.0, tol=1e-10)
+    labels, into, _ = _frozen_basis(frame)
+
+    def generator(ts):
+        if calls is not None:
+            calls.append(len(ts))
+        rates, drive = frame.split_at(ts)
+        return rates, into(drive)
+
+    return generator, labels, _estimate_max_step(frame.hamiltonian_at, -25.0, 25.0)
+
+
+def test_linear_rounds_ask_for_at_most_max_nodes_times_per_call():
+    assert 1000 <= dop853.MAX_NODES <= 2048
+    calls = []
+    generator, labels, max_step = lz_rotating_generator(calls)
+    grid = np.linspace(-25.0, 25.0, 401)
+    sol = dop853.integrate_linear(generator, grid, 1e-10, max_step=max_step, labels=labels)
+    assert max(calls) <= dop853.MAX_NODES < sum(calls)
+    assert sum(calls) == sol.nfev
+    attempts = sol.n_accepted + sol.n_rejected
+    assert (sol.nfev - 12 * attempts) % 3 == 0 and sol.nfev >= 12 * attempts
+    assert len(calls) * dop853.MAX_NODES // 12 >= attempts > 10 * len(calls)
+    assert np.array_equal(sol.y[0], np.eye(2))
+
+
+def test_linear_flow_of_a_constant_generator_is_its_exponential():
+    h = np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -0.7]])
+    lam, vec = np.linalg.eigh(h)
+    grid = np.linspace(0.0, 4.0, 9)
+    sol = dop853.integrate_linear(
+        lambda ts: np.broadcast_to(-1j * h, (len(ts), 2, 2)), grid, 1e-12, max_step=0.5, dense=True
+    )
+    exact = [vec @ np.diag(np.exp(-1j * lam * t)) @ vec.conj().T for t in grid]
+    assert np.max(np.abs(sol.y - exact)) < 1e-10
+    assert np.array_equal(sol.y[0], np.eye(2))
+    t = 1.2345
+    exact = vec @ np.diag(np.exp(-1j * lam * t)) @ vec.conj().T
+    assert np.max(np.abs(sol.dense(t) - exact)) < 1e-10
+
+
+def test_linear_diagonal_part_in_its_rotating_frame_matches_the_plain_flow():
+    # X' = (diag(r(t)[labels]) + C(t)) X, once with the diagonal factored out
+    labels = np.array([0, 1, 1])
+    c = np.array([[0, 1, 0.5j], [-1, 0, 0.2], [0.5j, -0.2, 0]])
+
+    def split(ts):
+        rates = np.stack([-5j * np.cos(ts), 3j * ts], axis=1)
+        return rates, np.broadcast_to(c * np.cos(2 * ts)[:, None, None], (len(ts), 3, 3))
+
+    def full(ts):
+        rates, drive = split(ts)
+        return drive + np.einsum("ti,ij->tij", rates[:, labels], np.eye(3))
+
+    grid = np.linspace(0.0, 3.0, 7)
+    rotating = dop853.integrate_linear(split, grid, 1e-11, max_step=0.1, labels=labels)
+    plain = dop853.integrate_linear(full, grid, 1e-13, max_step=0.1)
+    assert np.max(np.abs(rotating.y - plain.y)) < 1e-9
+    assert rotating.nfev < plain.nfev
+
+
+def test_linear_step_underflow_and_non_finite_generator_raise():
+    z = np.diag([1.0, -1.0])
+    constant = lambda ts: np.broadcast_to(-1j * z, (len(ts), 2, 2))
+    # numbers near 1e16 are 2 apart, so a segment of at most 1 is below 10 ulp
+    with pytest.raises(IntegratorFailure, match="spacing between numbers"):
+        dop853.integrate_linear(constant, np.array([1e16, 1e16 + 64]), 1e-10, max_step=1.0)
+    broken = lambda ts: np.where((ts > 0.5)[:, None, None], np.nan, -1j * z)
+    with pytest.raises(IntegratorFailure, match="non-finite step"):
+        dop853.integrate_linear(broken, np.array([0.0, 2.0]), 1e-10, max_step=0.1)

@@ -26,6 +26,7 @@ from blochwave import (
     three_level_model,
     transporter,
 )
+from blochwave.dop853 import MAX_NODES
 from blochwave.models import load_tabulated_model
 
 from tests.helpers import write_tabulated
@@ -161,7 +162,7 @@ def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
 
 
 @pytest.mark.parametrize("analytic", [True, False])
-def test_integrated_transporter_asks_for_the_kato_generator_once_per_step(monkeypatch, analytic):
+def test_integrated_transporter_asks_for_the_kato_generator_once_per_chunk(monkeypatch, analytic):
     model = random_smooth_model(4, 3, seed=8, analytic=analytic)
     sizes = []
     kato = blochwave.frame.kato_generator
@@ -173,12 +174,14 @@ def test_integrated_transporter_asks_for_the_kato_generator_once_per_step(monkey
     monkeypatch.setattr(blochwave.frame, "kato_generator", counted)
     w = transporter(model, 0.0, 2.0, tol=1e-8)
     attempts = w.stats["n_accepted"] + w.stats["n_rejected"]
-    # the skew check's 7 times and the step cap's 95 in one call each; then
-    # the initial and the first trial right-hand side, one call of 12 stage
-    # times per attempted step and one of 3 per dense step polynomial
-    assert sizes[:2] == [7, 95] and sizes[2:4] == [1, 1]
-    assert sorted(sizes[4:]) == [3] * w.stats["n_accepted"] + [12] * attempts
-    assert w.stats["nfev"] == sum(sizes[2:])
+    # the skew check's 7 times and the step cap's 95 in one call each; then,
+    # for each chunk of a round's segments, one call of their 12 stage times
+    # each and one of 3 per accepted segment's step polynomial (all are kept)
+    assert sizes[:2] == [7, 95]
+    calls = sizes[2:]
+    assert max(calls) <= MAX_NODES
+    assert sum(calls) == w.stats["nfev"] == 12 * attempts + 3 * w.stats["n_accepted"]
+    assert 10 * len(calls) <= attempts
 
 
 def test_static_drift_hamiltonian_is_bit_identical_to_its_parts():

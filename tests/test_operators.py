@@ -386,6 +386,28 @@ def test_block_project_identity_on_commuting_input():
     assert np.allclose(block_project(a, blocks), a)
 
 
+def loop_block_project(a, blocks):
+    """``sum_k P_k a P_k`` block by block, the reference for the broadcast."""
+    out = np.zeros_like(a)
+    for p in blocks:
+        out += p @ a @ p
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_block_project_is_bitwise_the_loop_over_the_blocks(dim):
+    rng = np.random.default_rng(dim)
+    for n_blocks in range(1, dim + 1):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        cuts = np.sort(rng.choice(np.arange(1, dim), n_blocks - 1, replace=False))
+        blocks = [q[:, i:j] @ q[:, i:j].conj().T for i, j in zip([0, *cuts], [*cuts, dim])]
+        for shape in [(dim, dim), (5, dim, dim), (2, 3, dim, dim)]:
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            expected = loop_block_project(a, blocks)
+            assert block_project(a, blocks).tobytes() == expected.tobytes()
+            assert block_project(a, np.stack(blocks)).tobytes() == expected.tobytes()
+
+
 def test_stack_primitives_equal_per_matrix_results():
     rng = np.random.default_rng(29)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
