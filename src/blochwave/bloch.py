@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dop853 import Staged
 from .errors import (
     AmbiguousClustering,
     BadInitialCondition,
@@ -41,9 +42,9 @@ from .operators import (
 )
 from .propagation import (
     PropagatorPath,
-    _batched_hamiltonian,
     _estimate_max_step,
     _rotating_system,
+    _stack_at,
     solve_matrix_ivp,
 )
 
@@ -233,7 +234,7 @@ class WaveOperatorPath:
     def deviation(self, norm: str = "spectral") -> np.ndarray:
         """Per-checkpoint ``‖U(t) - 1‖`` in the requested norm."""
         ord_ = 2 if norm == "spectral" else "fro"
-        return np.linalg.norm(self.matrices - np.eye(self.dim), ord_, axis=(-2, -1))
+        return np.linalg.norm(self.matrices - np.eye(self.matrices.shape[-1]), ord_, axis=(-2, -1))
 
     def sup_deviation(self, norm: str = "spectral") -> float:
         return float(np.max(self.deviation(norm)))
@@ -282,8 +283,8 @@ def integrate_riccati(
     and the norm, hence the event and the budget, carry over unchanged.
 
     Args:
-        hamiltonian: callable ``t -> H(t)`` (skew-Hermitian frame generator),
-            or the adiabatic frame itself.
+        hamiltonian: callable ``ts -> H(ts)``, one skew-Hermitian frame
+            generator per time of an array, or the adiabatic frame itself.
         ic: validated initial transformation.
         blocks: frozen projectors ``P_k(t0)``; with a frame, they must be its
             own.
@@ -294,7 +295,8 @@ def integrate_riccati(
         BadInitialCondition: if ``ic`` fails validation.
         BlowUp: only when ``raise_on_blowup`` is set.
         ValueError: if a frame is passed with ``blocks`` other than its
-            frozen projectors.
+            frozen projectors, or a callable does not return one matrix per
+            time.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != t0 or np.any(np.diff(grid) <= 0):
@@ -305,8 +307,11 @@ def integrate_riccati(
     if rotating and not np.array_equal(blocks, hamiltonian.frozen.projector_stack):
         raise ValueError("blocks must be the frozen projectors of the frame")
 
+    if not rotating:  # one matrix per time, before the stepper relies on it
+        _stack_at(hamiltonian, grid[[0, -1]])
     if max_step is None:
-        max_step = _estimate_max_step(_batched_hamiltonian(hamiltonian), t0, grid[-1])
+        sampled = hamiltonian.hamiltonian_at if rotating else hamiltonian
+        max_step = _estimate_max_step(sampled, t0, grid[-1])
 
     def rotated_rhs(h, z, same_block):
         # riccati_rhs in the frozen eigenbasis, where block_project is a mask
@@ -316,7 +321,7 @@ def integrate_riccati(
     if rotating:
         y0, rhs, back = _rotating_system(hamiltonian, rotated_rhs, ic.matrix)
     else:
-        y0, rhs = ic.matrix, (lambda t, u: riccati_rhs(hamiltonian(t), u, blocks))
+        y0, rhs = ic.matrix, Staged(hamiltonian, lambda h, u: riccati_rhs(h, u, blocks))
     size = ic.matrix.size
 
     def blowup_event(t, y):
@@ -471,13 +476,6 @@ class EffectiveEvolutionPath:
     matrices: np.ndarray
     block_conditions: np.ndarray  # (n_times, n_blocks)
     block_min_sv: np.ndarray  # (n_times, n_blocks)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.matrices[-1]
-
-    def max_block_condition(self) -> float:
-        return float(np.max(self.block_conditions))
 
     def invertible(self, sv_tol: float = 1e-8) -> bool:
         return bool(np.all(self.block_min_sv >= sv_tol))

@@ -102,13 +102,7 @@ class UnitarizedPath:
     gram_offblock_defect: float
     conjugated_offblock_defect: float | None = None
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.matrices[-1]
-
-    def deviation(self, norm: str = "spectral") -> np.ndarray:
-        ord_ = 2 if norm == "spectral" else "fro"
-        return np.linalg.norm(self.matrices - np.eye(self.matrices.shape[-1]), ord_, axis=(-2, -1))
+    deviation = WaveOperatorPath.deviation
 
     def max_unitarity_defect(self) -> float:
         return float(np.max(self.unitarity_defects))

@@ -3,17 +3,15 @@ and a dense output of order 7 (Hairer, Nørsett & Wanner, *Solving Ordinary
 Differential Equations I*, §II.5 and §II.10), as two steppers.
 
 :func:`integrate` steps a general ``y' = f(t, y)`` one step at a time.  Its
-loop replays SciPy 1.17.1's DOP853 operation by operation, so states, step
-times and interpolants are bit-identical to SciPy's, with two exceptions.  The
-``t0`` checkpoint is the initial state itself (no dense output is built for
-it), and the terminal event's root is bisected on the step polynomial to about
-4 eps (SciPy runs Brent's method to the same tolerance).
-
-A right-hand side may be :class:`Staged`: its state-independent part (the
-coefficients) is asked for once per attempted step, at all twelve stage times,
-and once more at the three dense-output stage times when a step's polynomial
-is built; only the cheap state-dependent part runs per stage.  A plain
-``fun(t, y)`` is the case whose coefficients are the times themselves.
+loop replays SciPy 1.17.1's DOP853 operation by operation, so states and
+step times are bit-identical to SciPy's, with two exceptions.  The ``t0``
+checkpoint is the initial state itself, and the terminal event's root is
+bisected on the step polynomial to about 4 eps (SciPy runs Brent's method
+to the same tolerance).  The right-hand side is :class:`Staged`: its
+state-independent part (the coefficients) is asked for once per attempted
+step, at all twelve stage times, and once more at the three extra stage
+times of a step polynomial (for a checkpoint inside the step, or the event's
+root); only the cheap state-dependent part runs per stage.
 
 :func:`integrate_linear` steps a linear flow ``X' = G(t) X`` a round at a
 time.  Its stage matrices do not depend on the state, so every segment's
@@ -42,7 +40,6 @@ import numpy as np
 from .errors import IntegratorFailure
 
 __all__ = [
-    "DenseOutput",
     "IvpResult",
     "LinearDenseOutput",
     "Staged",
@@ -134,18 +131,8 @@ class Staged:
     coefficients: Callable[[np.ndarray], Sequence]
     step: Callable[[object, np.ndarray], np.ndarray]
 
-    @classmethod
-    def of(cls, fun) -> Staged:
-        """``fun`` if it is staged, else the plain ``fun(t, y)`` as the case
-        whose coefficients are the times themselves."""
-        return fun if isinstance(fun, cls) else cls(_times, fun)
-
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         return self.step(self.coefficients(np.array([t]))[0], y)
-
-
-def _times(ts: np.ndarray) -> np.ndarray:
-    return ts
 
 
 @dataclass
@@ -161,7 +148,7 @@ class IvpResult:
     n_rejected: int
     max_step: float
     event_time: float | None = None
-    dense: DenseOutput | None = None
+    dense: LinearDenseOutput | None = None
 
     def stats(self) -> dict:
         """The step statistics, without the states."""
@@ -185,28 +172,6 @@ def _evaluate(step, ts: np.ndarray) -> np.ndarray:
         y *= factors[i % 2]
     y += y_old
     return y
-
-
-class DenseOutput:
-    """Step polynomials at a time or an array of times (a state each); a step
-    time belongs to the earlier step."""
-
-    def __init__(self, ts: list, steps: list):
-        self.ts, self._steps = np.array(ts), steps
-
-    def __call__(self, t) -> np.ndarray:
-        ts = np.asarray(t, dtype=float)
-        flat = ts.reshape(-1)
-        owner = np.searchsorted(self.ts, flat) - 1
-        np.clip(owner, 0, len(self._steps) - 1, out=owner)
-        if owner.min() == owner.max():  # the usual case: all in one step
-            out = _evaluate(self._steps[owner[0]], flat)
-        else:
-            out = np.empty((len(flat), self._steps[0][3].size), dtype=complex)
-            for step in np.unique(owner):
-                mine = owner == step
-                out[mine] = _evaluate(self._steps[step], flat[mine])
-        return out.reshape(*ts.shape, -1)
 
 
 def _norm(x: np.ndarray):  # a complex vector's 2-norm, computed as np.linalg.norm does
@@ -239,16 +204,14 @@ def _step_polynomial(fun: Staged, K, t_old, t, h, y_old, y, f):
     return t_old, t - t_old, F[::-1], y_old, np.zeros(len(y), dtype=complex)
 
 
-def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=None) -> IvpResult:
+def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) -> IvpResult:
     """Integrate ``y' = fun(t, y)`` for a complex vector ``y`` over the strictly
-    increasing checkpoint times ``grid``.  ``fun`` is a plain callable or
-    :class:`Staged`.  ``dense`` keeps every step polynomial; ``event(t, y)``
-    stops the integration at its first upward zero crossing.
+    increasing checkpoint times ``grid``.  ``event(t, y)`` stops the
+    integration at its first upward zero crossing.
 
     Raises:
         IntegratorFailure: when the step falls below 10 ulp of ``t``.
     """
-    fun = Staged.of(fun)
     coefficients, stage = fun.coefficients, fun.step
     times = grid.tolist()
     t, t_bound = times[0], times[-1]
@@ -258,7 +221,7 @@ def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=Non
     K = np.empty((16, y.size), dtype=complex)
     stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, N_STAGES)]
     k_solution, k_error = K[:N_STAGES].T, K[: N_STAGES + 1].T
-    rows, steps, step_times = [y], [], [t]
+    rows = [y]
     n_accepted = n_rejected = n_dense = 0
     g = None if event is None else event(t, y)
     event_time = None
@@ -297,11 +260,11 @@ def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=Non
         n_accepted += 1
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
 
-        step = _step_polynomial(fun, K, t_old, t, h, y_old, y, f) if dense else None
+        step = None
         if event is not None:
             g_new = event(t, y)
             if g <= 0 <= g_new:
-                step = step or _step_polynomial(fun, K, t_old, t, h, y_old, y, f)
+                step = _step_polynomial(fun, K, t_old, t, h, y_old, y, f)
                 lo, hi = t_old, t  # bisect down to about 4 eps
                 while hi - lo > 4 * np.finfo(float).eps * (1.0 + abs(hi)):
                     mid = 0.5 * (lo + hi)
@@ -314,9 +277,6 @@ def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=Non
             step = step or _step_polynomial(fun, K, t_old, t, h, y_old, y, f)
             rows.extend(_evaluate(step, np.array(times[len(rows) : i_new])))
         n_dense += step is not None
-        if dense:
-            step_times.append(t)
-            steps.append(step)
 
     return IvpResult(
         y=np.stack(rows, axis=1),
@@ -325,7 +285,6 @@ def integrate(fun, y0, grid, rtol, atol, max_step=np.inf, dense=False, event=Non
         n_rejected=n_rejected,
         max_step=max_step,
         event_time=event_time,
-        dense=DenseOutput(step_times, steps) if dense else None,
     )
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dop853 import Staged
 from .models import GeneratorModel
 # match_labels is unused here but stays importable from this module: the
 # benchmark's tracer (perfbench/tracer.py) wraps blochwave.frame.match_labels
@@ -108,9 +107,8 @@ def transporter(
 
     Sampled from a closed form where one exists (the identity for a static
     drift, else ``model.analytic_transporter``); otherwise ``W' = A(t) W`` is
-    integrated with the exact :func:`kato_generator`, as a
-    :class:`~blochwave.dop853.Staged` system: one call per batch of node
-    times.
+    integrated with the exact :func:`kato_generator`, asked for once per
+    batch of node times.
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
@@ -121,8 +119,7 @@ def transporter(
 
     closed = identity if model.static_drift else model.analytic_transporter
     if closed is None:
-        kato = Staged(lambda ts: kato_generator(model, ts), np.matmul)
-        return propagate(kato, t0, grid, tol=tol, dense=True)
+        return propagate(functools.partial(kato_generator, model), t0, grid, tol=tol, dense=True)
     mats = np.array(closed(t0, grid))
     return PropagatorPath(
         t0=t0,

@@ -328,18 +328,21 @@ def three_level_lab_frame(gamma: float, a: float, omega: float = 1.0):
 
     Returns ``(generator, rotation)`` with ``generator(t)`` the skew-Hermitian
     ``-i H(t)`` for ``H(t) = diag(0, w, w(2+gamma)) + a cos(w t) K`` and
-    ``rotation(t) = exp(-i t diag(0, w, 2w))``.  Used to cross-check the
-    analytic frame transformation against direct numerical conjugation.
+    ``rotation(t) = exp(-i t diag(0, w, 2w))``, stacked for an array of times
+    like the model callables.  Used to cross-check the analytic frame
+    transformation against direct numerical conjugation.
     """
     coupling = 1j * _three_level_coupling()  # Hermitian drive pattern
     h0 = np.diag([0.0, omega, omega * (2.0 + gamma)]).astype(complex)
     rot_freqs = np.array([0.0, omega, 2.0 * omega])
 
-    def generator(t: float) -> np.ndarray:
-        return -1j * (h0 + a * np.cos(omega * t) * coupling)
+    def generator(t) -> np.ndarray:
+        return -1j * (h0 + _matrix_axes(a * np.cos(omega * t)) * coupling)
 
-    def rotation(t: float) -> np.ndarray:
-        return np.diag(np.exp(-1j * rot_freqs * t))
+    def rotation(t) -> np.ndarray:
+        out = np.zeros((*np.shape(t), 3, 3), dtype=complex)
+        out[..., range(3), range(3)] = np.exp(-1j * rot_freqs * np.asarray(t)[..., None])
+        return out
 
     return generator, rotation
 

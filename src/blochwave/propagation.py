@@ -12,7 +12,9 @@ the wave operator keeps the step-by-step loop :func:`~blochwave.dop853.integrate
 (SciPy's DOP853 replayed bit for bit) through :func:`solve_matrix_ivp`, so
 the two routes share the tableau and nothing of the stepping.
 
-Handed an adiabatic frame instead of a callable, the integrators factor its
+Both integrators take a generator of one of two kinds: a callable that maps
+a 1-D array of times to one matrix per time (checked by :func:`_stack_at`),
+or an adiabatic frame.  Handed a frame, the integrators factor its
 strong drift out exactly.  In the frame the drift ``gamma B(t) = gamma sum_k
 b_k(t) P_k(t0)`` is block-scalar over frozen projectors, so its flow is
 ``D(t) = sum_k exp(phi_k(t)) P_k(t0)`` with ``phi_k' = gamma b_k(t)``.  Both
@@ -149,43 +151,37 @@ def _estimate_max_step(generator, t0: float, t1: float, samples: int = 33) -> fl
     return min(cap, period * OSCILLATION_STEP_FRACTION)
 
 
-def _batched_hamiltonian(generator):
-    """The generator as a map from an array of times to a stack: a frame's
-    ``hamiltonian_at``, a ``Staged`` system's coefficients, else a plain
-    callable asked once per time."""
-    if hasattr(generator, "hamiltonian_at"):
-        return generator.hamiltonian_at
-    if isinstance(generator, Staged):
-        return generator.coefficients
-
-    def per_time(ts):
-        return np.stack([np.asarray(generator(t), dtype=complex) for t in ts])
-
-    return per_time
+def _stack_at(generator, ts: np.ndarray) -> np.ndarray:
+    """``generator(ts)``, checked to be one square matrix per time (one
+    written for a single time would fail deep inside the stepper)."""
+    stack = np.asarray(generator(ts), dtype=complex)
+    if stack.ndim != 3 or len(stack) != len(ts) or stack.shape[1] != stack.shape[2]:
+        raise ValueError(
+            f"generator returned shape {stack.shape} for an array of {len(ts)} times; "
+            "generators take an array of times and return one matrix per time"
+        )
+    return stack
 
 
 def solve_matrix_ivp(
-    rhs,
+    rhs: Staged,
     y0: np.ndarray,
     grid: np.ndarray,
     tol: float,
     max_step: float | None = None,
-    dense: bool = False,
     event=None,
 ) -> IvpResult:
-    """Adaptive DOP853 integration of a matrix-valued ODE over a checkpoint grid.
+    """Adaptive step-by-step DOP853 integration of a matrix-valued ODE over a
+    checkpoint grid, for the nonlinear Riccati flow.
 
-    ``rhs(t, m)`` receives and returns a matrix; the flattening into the
-    solver's vector state is handled here (for a
-    :class:`~blochwave.dop853.Staged` ``rhs``, in its step).  Shared by the
-    linear propagator and the nonlinear wave-operator integrator.  ``event``
-    is terminal.
+    ``rhs`` is a :class:`~blochwave.dop853.Staged` right-hand side whose
+    step receives and returns a matrix shaped like ``y0``; the flattening
+    into the solver's vector state is handled here.  ``event`` is terminal.
 
     Returns the :class:`~blochwave.dop853.IvpResult` (matrices still
     flattened) with ``nfev``, accepted and rejected steps and ``max_step``.
     """
     shape = y0.shape
-    rhs = Staged.of(rhs)
     if len(shape) != 1:  # the solver's state is the flattened matrix
         step = rhs.step
 
@@ -201,7 +197,6 @@ def solve_matrix_ivp(
         rtol=max(tol, 1e-13),
         atol=tol,
         max_step=np.inf if max_step is None else max_step,
-        dense=dense,
         event=event,
     )
 
@@ -312,12 +307,10 @@ def propagate(
     a round of segments at a time (:func:`~blochwave.dop853.integrate_linear`).
 
     Args:
-        generator: callable ``t -> skew-Hermitian matrix G(t)``, asked once
-            per time; a :class:`~blochwave.dop853.Staged` system whose
-            coefficients are ``G`` at an array of times (its step, ``(G, M)
-            -> G M``, is the flow's), so that every batch of node times is
-            one call; or an adiabatic frame
-            (an object with ``split_at``, ``hamiltonian_at`` and ``frozen``
+        generator: a callable that maps a 1-D array of times to the stack
+            of skew-Hermitian ``G(t)``, one matrix per time, so that every
+            batch of node times is one call; or an adiabatic frame (an
+            object with ``split_at``, ``hamiltonian_at`` and ``frozen``
             projectors), whose Hamiltonian is then integrated in the
             rotating frame of its frozen blocks.  A frame with a ``period``
             ``T`` is integrated over ``[t0, min(t0 + T, grid[-1])]`` only, at
@@ -335,6 +328,8 @@ def propagate(
     Raises:
         IntegratorFailure: on step underflow.
         NotSkewHermitian: if a generator sample violates the precondition.
+        ValueError: on a bad grid, or a generator that does not return one
+            matrix per time.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -344,9 +339,9 @@ def propagate(
 
     rotating = hasattr(generator, "split_at")
     period = getattr(generator, "period", None)
-    hamiltonians = _batched_hamiltonian(generator)
+    hamiltonians = generator.hamiltonian_at if rotating else generator
     checked = np.linspace(t0, grid[-1], 7)
-    samples = hamiltonians(checked)
+    samples = _stack_at(hamiltonians, checked)
     require_skew_hermitian(
         samples, SKEW_CHECK_FACTOR * tol, name=lambda i: f"generator at t={checked[i]:g}"
     )

@@ -58,6 +58,12 @@ class PipelineBundle:
         return worst
 
 
+def constant(h):
+    """The generator ``t -> h``: the one matrix at every time of an array."""
+    h = np.asarray(h, dtype=complex)
+    return lambda ts: np.broadcast_to(h, (len(ts), *h.shape))
+
+
 def lz_projector_derivative(k, t):
     """Closed-form time derivative of the Landau-Zener eigenprojector ``k``
     (block 0 is ``(1 + (X + tZ)/sqrt(1+t²))/2``), as an oracle."""

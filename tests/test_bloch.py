@@ -26,6 +26,7 @@ from blochwave import (
 from blochwave import GeneratorModel, build_frame
 from blochwave.bloch import BLOWUP_NORM, WaveOperatorPath
 from blochwave.propagation import _estimate_max_step
+from tests.helpers import constant
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -110,7 +111,7 @@ def test_custom_ic_validation():
 def test_riccati_block_diagonal_h_stays_identity():
     h = -1j * np.diag([1.0, 3.0]).astype(complex)
     grid = np.linspace(0.0, 5.0, 21)
-    u = integrate_riccati(lambda t: h, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS, 0.0, grid)
+    u = integrate_riccati(constant(h), identity_ic(DIAG_BLOCKS), DIAG_BLOCKS, 0.0, grid)
     assert u.sup_deviation() == 0.0
     assert not u.blowup_flag
 
@@ -283,7 +284,7 @@ def test_riccati_defect_budget_truncates_at_first_failing_checkpoint():
 def _pure_coupling_setup(n_checkpoints=41, t_final=3.0):
     h = -1j * X  # purely off-block: the wave operator has a pole at pi/2
     grid = np.linspace(0.0, t_final, n_checkpoints)
-    m_path = propagate(lambda t: h, 0.0, grid, tol=1e-12)
+    m_path = propagate(constant(h), 0.0, grid, tol=1e-12)
     return h, grid, m_path
 
 
@@ -294,7 +295,7 @@ def test_blowup_detected_by_all_routes():
     u_c = closed_form_wave(m_path, ic, DIAG_BLOCKS, sv_tol=1e-2)
     u_d = radon_wave(m_path, ic, DIAG_BLOCKS, sv_tol=1e-2)
     u_r = integrate_riccati(
-        lambda t: h, ic, DIAG_BLOCKS, 0.0, grid, blowup_norm=1e2
+        constant(h), ic, DIAG_BLOCKS, 0.0, grid, blowup_norm=1e2
     )
     for u in (u_c, u_d, u_r):
         assert u.blowup_flag
@@ -371,7 +372,7 @@ def test_riccati_pole_flagged_by_event_near_pi_half():
     # the default norm threshold is reached between checkpoints: the event
     # time is the blow-up time and the path keeps the checkpoints before it
     h, grid, _ = _pure_coupling_setup()
-    u = integrate_riccati(lambda t: h, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS, 0.0, grid)
+    u = integrate_riccati(constant(h), identity_ic(DIAG_BLOCKS), DIAG_BLOCKS, 0.0, grid)
     assert u.blowup_flag
     assert abs(u.blowup_time - np.pi / 2) < 1e-5
     assert np.array_equal(u.times, grid[grid < u.blowup_time])
@@ -387,7 +388,7 @@ def test_riccati_blowup_event_is_raise_optional():
     ic = identity_ic(DIAG_BLOCKS)
     with pytest.raises(BlowUp):
         integrate_riccati(
-            lambda t: h, ic, DIAG_BLOCKS, 0.0, grid, blowup_norm=1e2,
+            constant(h), ic, DIAG_BLOCKS, 0.0, grid, blowup_norm=1e2,
             raise_on_blowup=True,
         )
 
@@ -397,7 +398,7 @@ def test_riccati_blowup_event_is_raise_optional():
 def test_effective_evolution_equals_m_for_block_diagonal_h():
     h = -1j * np.diag([1.0, 4.0]).astype(complex)
     grid = np.linspace(0.0, 3.0, 13)
-    m_path = propagate(lambda t: h, 0.0, grid, tol=1e-12)
+    m_path = propagate(constant(h), 0.0, grid, tol=1e-12)
     m_eff = bloch_effective_evolution(m_path, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS)
     for m, me in zip(m_path.matrices, m_eff.matrices):
         assert spectral_norm(m - me) < 1e-12
@@ -479,7 +480,7 @@ def test_zeno_first_order_accuracy_improves_with_gamma():
         frame = build_frame(model, 0.0, 5.0)
         m_path = propagate(frame.hamiltonian_at, 0.0, grid, tol=1e-11)
         zeno_path = propagate(
-            lambda t: zeno_generator(frame.hamiltonian_at(t), frame.blocks),
+            lambda ts: zeno_generator(frame.hamiltonian_at(ts), frame.blocks),
             0.0,
             grid,
             tol=1e-11,

@@ -1,5 +1,6 @@
 """The in-house DOP853 loop against SciPy's: tableau, states, step times,
-interpolants, the blow-up event and the step statistics."""
+the blow-up event and the step statistics; and the round stepper of linear
+flows."""
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from blochwave import (
 )
 from blochwave import dop853
 from blochwave.bloch import riccati_rhs
+from blochwave.dop853 import Staged
 from blochwave.propagation import (
     _estimate_max_step,
     _frozen_basis,
     _rotating_system,
     solve_matrix_ivp,
 )
+from tests.helpers import constant
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 DIAG_BLOCKS = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
@@ -35,7 +38,8 @@ def test_tableau_is_scipys_bit_for_bit():
 
 
 def scipy_solve(rhs, y0, grid, tol, max_step=None, dense=False, event=None):
-    """``solve_matrix_ivp``'s problem handed to SciPy's DOP853."""
+    """``solve_matrix_ivp``'s problem handed to SciPy's DOP853, one time per
+    call of the right-hand side."""
     events = None
     if event is not None:
         events = [lambda t, y: event(t, y)]
@@ -56,7 +60,7 @@ def scipy_solve(rhs, y0, grid, tol, max_step=None, dense=False, event=None):
 
 def plain_case():
     model = random_smooth_model(4, 2, seed=5)
-    rhs = lambda t, m: model.full_generator(t) @ m
+    rhs = Staged(model.full_generator, np.matmul)
     return rhs, np.eye(4, dtype=complex), np.linspace(0.0, 3.0, 7), 1e-9, {}
 
 
@@ -79,7 +83,7 @@ def pole_case(blowup_norm):
     def build():
         h = -1j * X  # purely off-block: the wave operator has a pole at pi/2
         event = lambda t, y: float(np.linalg.norm(y) - blowup_norm)
-        rhs = lambda t, u: riccati_rhs(h, u, DIAG_BLOCKS)
+        rhs = Staged(constant(h), lambda h, u: riccati_rhs(h, u, DIAG_BLOCKS))
         return rhs, np.eye(2, dtype=complex), np.linspace(0.0, 3.0, 31), 1e-10, {"event": event}
 
     return build
@@ -94,29 +98,49 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("dense", [False, True], ids=["checkpoints", "dense"])
+def watched(rhs):
+    """``rhs``, watched: ``seen["times"]`` collects a copy of every batch of
+    times it is asked for, ``seen["calls"]`` counts the calls of its step."""
+    seen = {"times": [], "calls": 0}
+
+    def coefficients(ts):
+        seen["times"].append(ts.copy())
+        return rhs.coefficients(ts)
+
+    def step(c, y):
+        seen["calls"] += 1
+        return rhs.step(c, y)
+
+    return Staged(coefficients, step), seen
+
+
+@pytest.mark.parametrize("step_ends", [False, True], ids=["checkpoints", "step_ends"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_bit_identical_to_scipy(case, dense):
+def test_bit_identical_to_scipy(case, step_ends):
     rhs, y0, grid, tol, kwargs = CASES[case]()
-    ours = solve_matrix_ivp(rhs, y0, grid, tol, dense=dense, **kwargs)
-    ref = scipy_solve(rhs, y0, grid, tol, dense=dense, **kwargs)
-    # the t0 checkpoint is y0 itself, SciPy's is y0 + 0 * (step polynomial)
-    assert ours.y.shape == ref.y.shape and ours.y.tobytes() == ref.y.tobytes()
-    # SciPy also builds a dense output for the first step's lone t0 checkpoint
-    assert ours.nfev == ref.nfev - (0 if dense else 3)
-    if "event" in kwargs:
-        assert ref.status == 1 and len(ours.y.T) < len(grid)
-    if dense:
-        # the last step ends at the event root, which only agrees to ~4 eps
-        end = -1 if "event" in kwargs else None
-        assert np.asarray(ours.dense.ts[:end]).tobytes() == ref.sol.ts[:end].tobytes()
-        times = np.random.default_rng(0).uniform(grid[0], ref.sol.ts[-1], 100)
-        # random times, every step boundary (owned by the earlier step) and
-        # the checkpoints, as numpy and as Python floats
-        for t in np.concatenate([times, ref.sol.ts, grid[: ours.y.shape[1]]]):
-            expected = ref.sol(t).tobytes()
-            assert ours.dense(t).tobytes() == expected
-            assert ours.dense(float(t)).tobytes() == expected
+    if not step_ends:
+        ours = solve_matrix_ivp(rhs, y0, grid, tol, **kwargs)
+        ref = scipy_solve(rhs, y0, grid, tol, **kwargs)
+        # the t0 checkpoint is y0 itself, SciPy's is y0 + 0 * (step polynomial)
+        assert ours.y.shape == ref.y.shape and ours.y.tobytes() == ref.y.tobytes()
+        # SciPy also builds a step polynomial for the first step's lone t0 checkpoint
+        assert ours.nfev == ref.nfev - 3
+        if "event" in kwargs:
+            assert ref.status == 1 and len(ours.y.T) < len(grid)
+        return
+    # every accepted step asks for its twelve stage times t + C h, the last
+    # at its end; SciPy's steps, in order, are among our batches bit for bit
+    watched_rhs, seen = watched(rhs)
+    ours = solve_matrix_ivp(watched_rhs, y0, grid, tol, **kwargs)
+    ends = scipy_solve(rhs, y0, grid, tol, dense=True, **kwargs).sol.ts
+    # the last step ends at the event root, which only agrees to ~4 eps
+    ends = ends[:-1] if "event" in kwargs else ends
+    attempts = [ts for ts in seen["times"] if len(ts) == 12]
+    assert len(attempts) == ours.n_accepted + ours.n_rejected
+    stages = iter(ts.tobytes() for ts in attempts)
+    for t_old, t in zip(ends[:-1], ends[1:]):
+        assert (t_old + dop853.STEP_NODES * (t - t_old)).tobytes() in stages
+    assert ours.n_accepted == len(ends) - 1 + ("event" in kwargs)
 
 
 @pytest.mark.parametrize("blowup_norm", [1e2, 1e6])
@@ -132,17 +156,14 @@ def test_event_time_matches_scipy_at_the_pole(blowup_norm):
 @pytest.mark.parametrize("case", ["plain", "pole_event"])
 def test_step_statistics_count_what_ran(case):
     rhs, y0, grid, tol, kwargs = CASES[case]()
-    times = []
-
-    def counted(t, m):
-        times.append(t)
-        return rhs(t, m)
-
-    sol = solve_matrix_ivp(counted, y0, grid, tol, dense=True, **kwargs)
-    assert sol.nfev == len(times)
-    # 2 for the initial step, 12 per attempt, 3 per dense output
-    assert sol.nfev == 2 + 12 * (sol.n_accepted + sol.n_rejected) + 3 * sol.n_accepted
-    assert sol.n_accepted == len(sol.dense.ts) - 1
+    watched_rhs, seen = watched(rhs)
+    sol = solve_matrix_ivp(watched_rhs, y0, grid, tol, **kwargs)
+    assert sol.nfev == seen["calls"]
+    # f(t0) and the initial step's probe, 12 per attempt, 3 per step polynomial
+    sizes = [len(ts) for ts in seen["times"]]
+    assert sizes[:2] == [1, 1] and set(sizes[2:]) <= {3, 12}
+    assert sizes.count(12) == sol.n_accepted + sol.n_rejected
+    assert sol.nfev == sum(sizes)
     assert sol.max_step == kwargs.get("max_step", np.inf)
 
     # SciPy's own stepper, one step at a time: 12 calls per attempt
@@ -161,7 +182,7 @@ def test_step_statistics_count_what_ran(case):
         accepted += 1
         rejected += (stepper.nfev - before) // 12 - 1
     if "event" not in kwargs:
-        assert stepper.t == sol.dense.ts[-1] == grid[-1]
+        assert stepper.t == grid[-1]
     assert (accepted, rejected) == (sol.n_accepted, sol.n_rejected)
     if case == "pole_event":
         assert sol.n_rejected > 0
@@ -170,7 +191,8 @@ def test_step_statistics_count_what_ran(case):
 def test_step_underflow_raises():
     # u' = u^2 with u(0) = 1 blows up at t = 1
     with pytest.raises(IntegratorFailure, match="spacing between numbers"):
-        solve_matrix_ivp(lambda t, u: u @ u, np.eye(1, dtype=complex), np.array([0.0, 2.0]), 1e-10)
+        rhs = Staged(lambda ts: ts, lambda _, u: u @ u)
+        solve_matrix_ivp(rhs, np.eye(1, dtype=complex), np.array([0.0, 2.0]), 1e-10)
 
 
 # ------------------------------------------------------------ linear flows

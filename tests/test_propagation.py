@@ -12,12 +12,14 @@ from blochwave import (
     landau_zener_model,
     lz_asymptotic_amplitude,
     build_frame,
+    identity_ic,
+    integrate_riccati,
     propagate,
     random_smooth_model,
     spectral_norm,
     three_level_model,
 )
-from blochwave.dop853 import DenseOutput, LinearDenseOutput
+from blochwave.dop853 import LinearDenseOutput
 from blochwave.frame import AdiabaticFrame
 from blochwave.models import load_tabulated_model
 from blochwave.propagation import (
@@ -26,7 +28,7 @@ from blochwave.propagation import (
     _rotating_system,
     solve_matrix_ivp,
 )
-from tests.helpers import write_tabulated
+from tests.helpers import constant, write_tabulated
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -34,7 +36,7 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def test_constant_generator_closed_form():
     grid = np.linspace(0.0, np.pi, 9)
-    path = propagate(lambda t: -1j * Z, 0.0, grid, tol=1e-12)
+    path = propagate(constant(-1j * Z), 0.0, grid, tol=1e-12)
     assert np.allclose(path.final, -np.eye(2), atol=1e-10)
     assert np.array_equal(path.matrices[0], np.eye(2))  # exactly identity at t0
 
@@ -42,7 +44,7 @@ def test_constant_generator_closed_form():
 def test_commuting_family_exact_integral():
     # G(t) = -i t Z integrates to exp(-i t^2/2 Z)
     grid = np.linspace(0.0, 2.0, 21)
-    path = propagate(lambda t: -1j * t * Z, 0.0, grid, tol=1e-12)
+    path = propagate(lambda ts: -1j * ts[:, None, None] * Z, 0.0, grid, tol=1e-12)
     for t, m in zip(path.times, path.matrices):
         expected = np.diag(np.exp([-1j * t**2 / 2, 1j * t**2 / 2]))
         assert spectral_norm(m - expected) < 1e-10
@@ -121,11 +123,26 @@ def test_norm_preservation():
 
 def test_rejects_non_skew_generator():
     with pytest.raises(NotSkewHermitian):
-        propagate(lambda t: X, 0.0, np.linspace(0.0, 1.0, 5), tol=1e-10)
+        propagate(constant(X), 0.0, np.linspace(0.0, 1.0, 5), tol=1e-10)
+
+
+def test_generator_written_for_one_time_is_refused():
+    # a generator maps an array of times to one matrix per time; one written
+    # for a single time is refused before any stepping
+    h = -1j * X
+    grid = np.linspace(0.0, 1.0, 5)
+    blocks = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    message = "generators take an array of times and return one matrix per time"
+    with pytest.raises(ValueError, match=message):
+        propagate(lambda t: h, 0.0, grid, tol=1e-10)
+    with pytest.raises(ValueError, match=message):
+        integrate_riccati(lambda t: h, identity_ic(blocks), blocks, 0.0, grid)
+    with pytest.raises(ValueError, match=message):  # one matrix too few
+        propagate(lambda ts: constant(h)(ts)[1:], 0.0, grid, tol=1e-10)
 
 
 def test_rejects_bad_grid():
-    gen = lambda t: -1j * Z
+    gen = constant(-1j * Z)
     with pytest.raises(ValueError):
         propagate(gen, 0.0, np.array([0.0, 0.5, 0.5, 1.0]), tol=1e-10)
     with pytest.raises(ValueError):
@@ -139,34 +156,6 @@ def test_dense_output_interpolates():
     fine = propagate(model.full_generator, 0.0, np.linspace(0.0, 2.0, 33), tol=1e-12)
     t_probe = fine.times[17]
     assert spectral_norm(path.at(t_probe) - fine.at(t_probe)) < 1e-8
-
-
-def test_dense_output_is_bit_identical_to_ode_solution():
-    from scipy.integrate import solve_ivp
-
-    model = random_smooth_model(4, 2, seed=5)
-    grid = np.linspace(0.0, 3.0, 7)
-    max_step = _estimate_max_step(model.full_generator, 0.0, 3.0)
-    rhs = lambda t, m: model.full_generator(t) @ m
-    sol = solve_matrix_ivp(rhs, np.eye(4, dtype=complex), grid, 1e-9, max_step=max_step, dense=True)
-    assert isinstance(sol.dense, DenseOutput)
-    ref = solve_ivp(
-        lambda t, y: (model.full_generator(t) @ y.reshape(4, 4)).ravel(),
-        (0.0, 3.0),
-        np.eye(4, dtype=complex).ravel(),
-        method="DOP853",
-        rtol=1e-9,
-        atol=1e-9,
-        max_step=max_step,
-        dense_output=True,
-    ).sol
-    rng = np.random.default_rng(0)
-    # random times, every step boundary (owned by the earlier step) and the
-    # checkpoints, as numpy and as Python floats
-    for t in np.concatenate([rng.uniform(0.0, 3.0, 200), ref.ts, grid]):
-        expected = ref(t).tobytes()
-        assert sol.dense(t).tobytes() == expected
-        assert sol.dense(float(t)).tobytes() == expected
 
 
 @pytest.mark.parametrize("rotating", [False, True], ids=["plain", "rotating"])
