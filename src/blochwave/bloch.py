@@ -20,7 +20,9 @@ the solution blows up exactly where a block of ``M U(t0)`` loses rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -255,7 +257,7 @@ def _bloch_defect(u: np.ndarray, blocks) -> float | np.ndarray:
 
 def integrate_riccati(
     hamiltonian,
-    ic: BlochInitialCondition,
+    ic: BlochInitialCondition | Sequence[BlochInitialCondition],
     blocks,
     t0: float,
     grid: np.ndarray,
@@ -264,7 +266,7 @@ def integrate_riccati(
     blowup_norm: float = BLOWUP_NORM,
     defect_budget: float = DEFECT_BUDGET,
     raise_on_blowup: bool = False,
-) -> WaveOperatorPath:
+) -> WaveOperatorPath | list[WaveOperatorPath]:
     """Integrate the Riccati equation ``U' = H U - U Q(U)`` blockwise.
 
     One adaptive pass covers the whole checkpoint grid.  The right-hand side
@@ -276,6 +278,11 @@ def integrate_riccati(
     ``defect_budget``, or where a terminal event monitoring the norm
     continuously fires first.
 
+    A sequence of initial conditions is integrated in lockstep, in one
+    solver call that asks for the Hamiltonian once per step of all of them;
+    each keeps its own steps, event and truncation, so each path is bit for
+    bit the one integrated alone.
+
     Handed the adiabatic frame, the flow is integrated in the rotating frame
     of its frozen blocks, ``U = D Ur D†`` (see :mod:`blochwave.propagation`):
     ``D`` commutes with every ``P_k``, so ``Ur`` obeys the Riccati flow of
@@ -285,14 +292,17 @@ def integrate_riccati(
     Args:
         hamiltonian: callable ``ts -> H(ts)``, one skew-Hermitian frame
             generator per time of an array, or the adiabatic frame itself.
-        ic: validated initial transformation.
+        ic: a validated initial transformation, or a sequence of them.
         blocks: frozen projectors ``P_k(t0)``; with a frame, they must be its
             own.
         grid: strictly increasing checkpoint times starting at ``t0``.
 
+    Returns the :class:`WaveOperatorPath` of ``ic``, or a list of them for a
+    sequence.
+
     Raises:
         IntegratorFailure: on step underflow.
-        BadInitialCondition: if ``ic`` fails validation.
+        BadInitialCondition: if an initial condition fails validation.
         BlowUp: only when ``raise_on_blowup`` is set.
         ValueError: if a frame is passed with ``blocks`` other than its
             frozen projectors, or a callable does not return one matrix per
@@ -301,7 +311,10 @@ def integrate_riccati(
     grid = np.asarray(grid, dtype=float)
     if grid[0] != t0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must start at t0 and strictly increase")
-    ic.validate(blocks)
+    single = isinstance(ic, BlochInitialCondition)
+    ics = [ic] if single else list(ic)
+    for condition in ics:
+        condition.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
     rotating = hasattr(hamiltonian, "split_at")
     if rotating and not np.array_equal(blocks, hamiltonian.frozen.projector_stack):
@@ -318,40 +331,37 @@ def integrate_riccati(
         hz = h @ z
         return hz - z @ (hz * same_block)
 
+    y0 = np.stack([condition.matrix for condition in ics])
     if rotating:
-        y0, rhs, back = _rotating_system(hamiltonian, rotated_rhs, ic.matrix)
+        y0, rhs, back = _rotating_system(hamiltonian, rotated_rhs, y0)
     else:
-        y0, rhs = ic.matrix, Staged(hamiltonian, lambda h, u: riccati_rhs(h, u, blocks))
-    size = ic.matrix.size
+        rhs = Staged(hamiltonian, lambda h, u: riccati_rhs(h, u, blocks))
+    size = ics[0].matrix.size
 
-    def blowup_event(t, y):
-        return float(np.linalg.norm(y[:size]) - blowup_norm)
+    def blowup_event(t, y):  # the Frobenius norm as np.linalg.norm takes it, without its checks
+        u = y[:size]
+        return math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag)) - blowup_norm
 
-    sol = solve_matrix_ivp(rhs, y0, grid, tol, max_step=max_step, event=blowup_event)
-    states = np.ascontiguousarray(sol.y.T)
-    mats = back(states) if rotating else states.reshape(-1, *ic.matrix.shape)
-    mats[0] = ic.matrix
-    defects = _bloch_defect(mats, blocks)
-    failed = (defects > defect_budget) | (np.linalg.norm(mats, axis=(-2, -1)) > blowup_norm)
-    failed[0] = False  # the validated initial condition
-    n = _first_true(failed)
-    # the first failed checkpoint, else where the blow-up event fired (None if neither)
-    blowup_time = float(grid[n]) if n < len(mats) else sol.event_time
-
-    if blowup_time is not None and raise_on_blowup:
-        raise BlowUp(f"wave operator left the invertibility region near t={blowup_time:g}")
-
-    return WaveOperatorPath(
-        t0=t0,
-        times=grid[:n].copy(),
-        matrices=mats[:n],
-        blocks=blocks,
-        bloch_defects=defects[:n],
-        route="riccati",
-        blowup_flag=blowup_time is not None,
-        blowup_time=blowup_time,
-        stats=sol.stats(),
-    )
+    sols = solve_matrix_ivp(rhs, y0[0] if single else list(y0), grid, tol, max_step=max_step, event=blowup_event)
+    paths = []
+    for sol, condition in zip([sols] if single else sols, ics):
+        states = np.ascontiguousarray(sol.y.T)
+        mats = back(states) if rotating else states.reshape(-1, *condition.matrix.shape)
+        mats[0] = condition.matrix
+        defects = _bloch_defect(mats, blocks)
+        failed = (defects > defect_budget) | (np.linalg.norm(mats, axis=(-2, -1)) > blowup_norm)
+        failed[0] = False  # the validated initial condition
+        n = _first_true(failed)
+        # the first failed checkpoint, else where the blow-up event fired (None if neither)
+        blowup_time = float(grid[n]) if n < len(mats) else sol.event_time
+        if blowup_time is not None and raise_on_blowup:
+            raise BlowUp(f"wave operator left the invertibility region near t={blowup_time:g}")
+        paths.append(WaveOperatorPath(
+            t0=t0, times=grid[:n].copy(), matrices=mats[:n], blocks=blocks,
+            bloch_defects=defects[:n], route="riccati", blowup_flag=blowup_time is not None,
+            blowup_time=blowup_time, stats=sol.stats(),
+        ))
+    return paths[0] if single else paths
 
 
 def _block_restrictions(m_path: PropagatorPath, ic: BlochInitialCondition, blocks):
@@ -465,16 +475,14 @@ def radon_wave(
 class EffectiveEvolutionPath:
     """Block-diagonal effective evolution ``M_k(t) = P_k M(t) U(t0) P_k``.
 
-    Generally not unitary; instead of unitarity defects it carries per-block
-    condition numbers and smallest singular values of the block restrictions.
-    The latter vanishing is the loss of invertibility (blow-up of the wave
-    operator); the former captures ill-conditioning inside degenerate blocks.
+    Generally not unitary; instead of unitarity defects it carries the
+    per-block smallest singular values of the block restrictions, whose
+    vanishing is the loss of invertibility (blow-up of the wave operator).
     """
 
     t0: float
     times: np.ndarray
     matrices: np.ndarray
-    block_conditions: np.ndarray  # (n_times, n_blocks)
     block_min_sv: np.ndarray  # (n_times, n_blocks)
 
     def invertible(self, sv_tol: float = 1e-8) -> bool:
@@ -489,16 +497,11 @@ def bloch_effective_evolution(
     """The effective diagonal evolution ``sum_k P_k M(t) U(t0) P_k``."""
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
     g, _, _, svs = _block_restrictions(m_path, ic, blocks)
-    s_max = np.stack([s[:, 0] for s in svs], axis=1)
-    s_min = np.stack([s[:, -1] for s in svs], axis=1)
     return EffectiveEvolutionPath(
         t0=m_path.t0,
         times=m_path.times.copy(),
         matrices=block_project(g, blocks),
-        block_conditions=np.divide(
-            s_max, s_min, out=np.full_like(s_max, np.inf), where=s_min != 0.0
-        ),
-        block_min_sv=s_min,
+        block_min_sv=np.stack([s[:, -1] for s in svs], axis=1),
     )
 
 

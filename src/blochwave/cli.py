@@ -54,6 +54,7 @@ from .errors import (
     BlowUp,
     BoundViolated,
     ConfigError,
+    IntegratorFailure,
     IoError,
 )
 from .frame import build_frame
@@ -176,7 +177,8 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
     (command line wins).  The output directory yields to the
     ``BLOCHWAVE_OUTPUT_DIR`` environment variable when that is set.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are literal: '%' starts no interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -367,6 +369,9 @@ def run_experiment(
     ``shared`` (internal; :func:`sweep` passes one dict per gamma) holds the
     ``model``, ``frame``, ``max_step`` and ``m`` that do not depend on the
     initial condition: reused when present, else stored once ``M`` exists.
+    It also carries the ``ic_kinds`` of the gamma's runs, their initial
+    conditions (``ics``, each built once) and their ``riccati`` paths,
+    integrated together by the first run that needs one.
     """
     start = time.perf_counter()
     out_dir = config.output_dir
@@ -415,6 +420,54 @@ def run_experiment(
     return summary
 
 
+def _initial_condition(config: ExperimentConfig, kind: str, shared: dict) -> BlochInitialCondition:
+    """The initial condition of ``kind`` in the frame of ``shared``, built once."""
+    built = shared.setdefault("ics", {})
+    if kind not in built:
+        frame = shared["frame"]
+        if kind == "identity":
+            built[kind] = identity_ic(frame.blocks)
+        elif kind == "stationary":
+            h0 = frame.hamiltonian_at(config.t0)
+            built[kind] = stationary_ic(h0, frame.frozen, shared["model"].gamma)
+        else:
+            built[kind] = _custom_ic(config.ic_path, frame.blocks)
+    return built[kind]
+
+
+def _riccati_path(config: ExperimentConfig, shared: dict, grid):
+    """The Riccati path of the run's initial condition, in the frame of ``shared``.
+
+    In a sweep the first run of a gamma integrates every kind of
+    ``shared["ic_kinds"]`` that can be built in one lockstep call and leaves
+    the paths in ``shared["riccati"]``.  A run whose path is not there (its
+    condition failed to build, or the lockstep call failed) integrates alone.
+    """
+    frame, paths = shared["frame"], shared.setdefault("riccati", {})
+
+    def solve(ics):
+        return integrate_riccati(
+            frame, ics, frame.blocks, config.t0, grid,
+            tol=config.integrator_tol, max_step=shared["max_step"],
+        )
+
+    if not paths:
+        ics = {config.ic_kind: _initial_condition(config, config.ic_kind, shared)}
+        for kind in set(shared.get("ic_kinds", ())) - {config.ic_kind}:
+            try:
+                ics[kind] = _initial_condition(config, kind, shared)
+            except BlochwaveError:  # left to its own run, which meets it again
+                pass
+        if len(ics) > 1:
+            try:
+                paths.update(zip(ics, solve(list(ics.values()))))
+            except IntegratorFailure:  # each run then integrates its own alone
+                pass
+    if config.ic_kind not in paths:
+        paths[config.ic_kind] = solve(_initial_condition(config, config.ic_kind, shared))
+    return paths[config.ic_kind]
+
+
 def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -> None:
     model = shared["model"] if "m" in shared else build_model(config)
     summary.gamma = model.gamma
@@ -434,20 +487,12 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
         shared.update(model=model, frame=frame, max_step=max_step, m=m_path)
     summary.integrator["propagate"] = m_path.stats
     blocks = frame.blocks
-
-    if config.ic_kind == "identity":
-        ic = identity_ic(blocks)
-    elif config.ic_kind == "stationary":
-        ic = stationary_ic(frame.hamiltonian_at(config.t0), frame.frozen, model.gamma)
-    else:
-        ic = _custom_ic(config.ic_path, blocks)
+    ic = _initial_condition(config, config.ic_kind, shared)
 
     u_paths = {}
     for route in config.routes:
         if route == "riccati":
-            u_paths[route] = integrate_riccati(
-                frame, ic, blocks, config.t0, grid, tol=tol, max_step=max_step
-            )
+            u_paths[route] = _riccati_path(config, shared, grid)
             summary.integrator["riccati"] = u_paths[route].stats
         elif route == "closed_form":
             u_paths[route] = closed_form_wave(m_path, ic, blocks)
@@ -552,7 +597,7 @@ def sweep(config: ExperimentConfig) -> dict:
 
     summaries: dict[str, RunSummary] = {}
     for gamma in gammas:
-        shared = {}
+        shared = {"ic_kinds": ics}
         for ic_kind in ics:
             label = f"{_gamma_label(gamma)}_{ic_kind}"
             sub = replace(

@@ -2,16 +2,19 @@
 and a dense output of order 7 (Hairer, Nørsett & Wanner, *Solving Ordinary
 Differential Equations I*, §II.5 and §II.10), as two steppers.
 
-:func:`integrate` steps a general ``y' = f(t, y)`` one step at a time.  Its
-loop replays SciPy 1.17.1's DOP853 operation by operation, so states and
-step times are bit-identical to SciPy's, with two exceptions.  The ``t0``
-checkpoint is the initial state itself, and the terminal event's root is
-bisected on the step polynomial to about 4 eps (SciPy runs Brent's method
-to the same tolerance).  The right-hand side is :class:`Staged`: its
-state-independent part (the coefficients) is asked for once per attempted
-step, at all twelve stage times, and once more at the three extra stage
-times of a step polynomial (for a checkpoint inside the step, or the event's
-root); only the cheap state-dependent part runs per stage.
+:func:`integrate` steps a general ``y' = f(t, y)`` one step at a time, for a
+stack of independent problems in lockstep.  Its loop replays SciPy 1.17.1's
+DOP853 operation by operation, so each problem's states and step times are
+bit-identical to SciPy's, with two exceptions.  The ``t0`` checkpoint is the
+initial state itself, and the terminal event's root is bisected on the step
+polynomial to about 4 eps (SciPy runs Brent's method to the same tolerance).
+Each problem keeps its own step size, controller, checkpoints and event; an
+iteration shares only the calls.  The right-hand side is :class:`Staged`: its
+state-independent part (the coefficients) is asked for once per iteration,
+at the twelve stage times of every running problem, and once more at the
+three extra stage times of the step polynomials it needs (for a checkpoint
+inside a step, or an event's root); only the cheap state-dependent part runs
+per stage, on the stacked states.
 
 :func:`integrate_linear` steps a linear flow ``X' = G(t) X`` a round at a
 time.  Its stage matrices do not depend on the state, so every segment's
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .errors import IntegratorFailure
 
 __all__ = [
     "IvpResult",
+    "IvpStack",
     "LinearDenseOutput",
     "Staged",
     "integrate",
@@ -116,23 +120,27 @@ _A, _B, _E3, _E5, _D = (v.astype(complex) for v in (A, B, E3, E5, D))
 # dense output's stages 13-15; a segment of integrate_linear has its stages
 # 0-11 at LINEAR_NODES (stage 12 shares stage 11's time)
 STEP_NODES, DENSE_NODES = C[1 : N_STAGES + 1], C[N_STAGES + 1 :]
+STEP_COLUMN, DENSE_COLUMN = STEP_NODES[:, None], DENSE_NODES[:, None]
 LINEAR_NODES = C[:N_STAGES]
 
 
 @dataclass(frozen=True)
 class Staged:
-    """A right-hand side ``f(t, y) = step(coefficients(t), y)`` split at the state.
+    """A right-hand side ``f(t, y) = step(coefficients(t), y)`` split at the
+    state.
 
-    ``coefficients(ts)`` takes a 1-D array of times and returns one entry per
-    time, in order; it holds everything that does not depend on the state.
-    ``step(c, y)`` is the rest, given the entry ``c`` of one time.
+    ``coefficients(ts)`` takes a 1-D array of times and returns one row per
+    time, in order (an array, or a tuple of arrays); it holds everything
+    that does not depend on the state.  ``step(c, y)`` is the rest, for a
+    stack of states ``y`` and the coefficients ``c`` at their times, one
+    row each.
     """
 
-    coefficients: Callable[[np.ndarray], Sequence]
+    coefficients: Callable[[np.ndarray], np.ndarray | tuple]
     step: Callable[[object, np.ndarray], np.ndarray]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return self.step(self.coefficients(np.array([t]))[0], y)
+        return self.step(self.coefficients(np.array([t])), np.asarray(y)[None])[0]
 
 
 @dataclass
@@ -160,6 +168,24 @@ class IvpResult:
         }
 
 
+class IvpStack(tuple):
+    """The :class:`IvpResult` of each problem of a stack, in order."""
+
+    @property
+    def nfev(self) -> int:
+        """The evaluations of all the problems together."""
+        return sum(result.nfev for result in self)
+
+
+def _by_stage(coefficients, count: int):
+    """Stage-major coefficients (an array, or a tuple of arrays, one row per
+    time) as ``count`` entries, one per stage, each with one row per problem."""
+    if isinstance(coefficients, tuple):
+        return list(zip(*[c.reshape(count, -1, *c.shape[1:]) for c in coefficients]))
+    c = np.asarray(coefficients)
+    return c.reshape(count, -1, *c.shape[1:])
+
+
 def _evaluate(step, ts: np.ndarray) -> np.ndarray:
     """A step polynomial at a 1-D array of times, one row each, with SciPy's
     Horner recurrence."""
@@ -174,8 +200,8 @@ def _evaluate(step, ts: np.ndarray) -> np.ndarray:
     return y
 
 
-def _norm(x: np.ndarray):  # a complex vector's 2-norm, computed as np.linalg.norm does
-    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+def _norm(x: np.ndarray) -> float:  # a complex vector's 2-norm, as np.linalg.norm computes it
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
@@ -189,102 +215,163 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
     d2 = _norm((f1 - f0) / scale) / root_n / h0
     small = d1 <= 1e-15 and d2 <= 1e-15
     h1 = max(1e-6, h0 * 1e-3) if small else (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length, max_step)
+    return float(min(100 * h0, h1, interval_length, max_step))
 
 
-def _step_polynomial(fun: Staged, K, t_old, t, h, y_old, y, f):
-    """The polynomial of the step ``t_old -> t`` taken with ``h``, from 3 more stages."""
-    coefficients = fun.coefficients(t_old + DENSE_NODES * h)
-    for s, c in enumerate(coefficients, start=N_STAGES + 1):
-        K[s] = fun.step(c, y_old + np.dot(K[:s].T, _A[s, :s]) * h)
-    F = np.empty((7, len(y)), dtype=complex)
+def _per_problem(K: np.ndarray) -> np.ndarray:
+    """Stages ``(stages, problems, n)`` as SciPy's ``K[:s].T``, per problem."""
+    return K.transpose(1, 2, 0)
+
+
+def _step_polynomials(fun: Staged, K, t_old, h, y_old, y, f) -> list:
+    """The polynomials of accepted steps ``t_old -> t_old + h`` (one problem
+    per column of the stages ``K``), from three more stages each."""
+    hs = np.empty(y.shape, dtype=complex)
+    hs[:] = h[:, None]  # complex, as SciPy's scalar h is cast, and unbroadcast
+    nodes = _by_stage(fun.coefficients((t_old + DENSE_COLUMN * h).ravel()), 3)
+    for s, c in enumerate(nodes, start=N_STAGES + 1):
+        K[s] = fun.step(c, y_old + np.matmul(_per_problem(K[:s]), _A[s, :s]) * hs)
+    F = np.empty((len(h), 7, y.shape[1]), dtype=complex)
     delta_y = y - y_old
-    F[:3] = delta_y, h * K[0] - delta_y, 2 * delta_y - h * (f + K[0])
-    F[3:] = h * np.dot(_D, K)
-    return t_old, t - t_old, F[::-1], y_old, np.zeros(len(y), dtype=complex)
+    F[:, 0], F[:, 1], F[:, 2] = delta_y, hs * K[0] - delta_y, 2 * delta_y - hs * (f + K[0])
+    F[:, 3:] = hs[:, None] * np.matmul(_D, K.swapaxes(0, 1))
+    zero = np.zeros(y.shape[1], dtype=complex)
+    return [(a, b, c[::-1], d, zero) for a, b, c, d in zip(t_old.tolist(), h.tolist(), F, y_old)]
 
 
-def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) -> IvpResult:
-    """Integrate ``y' = fun(t, y)`` for a complex vector ``y`` over the strictly
-    increasing checkpoint times ``grid``.  ``event(t, y)`` stops the
-    integration at its first upward zero crossing.
+class _Problem:
+    """One problem of :func:`integrate`: time, step, controller state, event
+    value, checkpoint rows and counts."""
+
+    __slots__ = ("t", "t_new", "h", "h_abs", "min_step", "fresh", "rejected", "g", "rows",
+                 "n_accepted", "n_rejected", "n_dense", "event_time")
+
+    def __init__(self, t, h_abs, y, g):
+        self.t, self.h_abs, self.g, self.rows = t, h_abs, g, [y]
+        self.fresh, self.rejected, self.event_time = True, False, None
+        self.n_accepted = self.n_rejected = self.n_dense = 0
+
+
+def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) -> IvpStack:
+    """Integrate ``y' = fun(t, y)`` for each row of ``y0``, a stack of
+    independent complex vector problems, over the strictly increasing
+    checkpoint times ``grid``.  ``event(t, y)`` stops a problem at its first
+    upward zero crossing.
+
+    The problems step in lockstep, each under its own control: an iteration
+    attempts one step of every running problem, at its own time and step
+    size, with one ``coefficients`` call at all their stage times and
+    stacked stage arithmetic.  Error norms, step controllers, checkpoints
+    and events stay per problem, so each result is bit for bit the one the
+    problem gets alone.  A problem retires at ``grid[-1]`` or its event.
 
     Raises:
-        IntegratorFailure: when the step falls below 10 ulp of ``t``.
+        IntegratorFailure: when a step falls below 10 ulp of its problem's ``t``.
     """
     coefficients, stage = fun.coefficients, fun.step
     times = grid.tolist()
-    t, t_bound = times[0], times[-1]
-    y = np.asarray(y0, dtype=complex)
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, t_bound, max_step, f, rtol, atol)
-    K = np.empty((16, y.size), dtype=complex)
-    stages = [(s, K[:s].T, _A[s, :s]) for s in range(1, N_STAGES)]
-    k_solution, k_error = K[:N_STAGES].T, K[: N_STAGES + 1].T
-    rows = [y]
-    n_accepted = n_rejected = n_dense = 0
-    g = None if event is None else event(t, y)
-    event_time = None
-    while event_time is None and t < t_bound:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegratorFailure(f"step at t={t:g} below the spacing between numbers")
-            t_new = min(t + h_abs, t_bound)
-            h = t_new - t
-            h_abs = abs(h)
-            nodes = coefficients(t + STEP_NODES * h)  # the last is at t + h
-            K[0] = f
-            for (s, k_t, a), c in zip(stages, nodes):
-                K[s] = stage(c, y + np.dot(k_t, a) * h)
-            y_new = y + h * np.dot(k_solution, _B)
-            K[N_STAGES] = f_new = stage(nodes[-1], y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5_2 = _norm(np.dot(k_error, _E5) / scale) ** 2
-            err3_2 = _norm(np.dot(k_error, _E3) / scale) ** 2
+    t0, t_bound = times[0], times[-1]
+    y = np.array(y0, dtype=complex)
+    n = y.shape[1]
+    f = stage(coefficients(np.full(len(y), t0)), y)
+    problems = [
+        _Problem(t0, _initial_step(fun, t0, y_p, t_bound, max_step, f_p, rtol, atol), y_p,
+                 None if event is None else event(t0, y_p))
+        for y_p, f_p in zip(y, f)
+    ]
+    active, K = problems, None
+    while active:
+        if K is None or K.shape[1] != len(active):  # buffers for the running problems
+            K = np.empty((16, len(active), n), dtype=complex)
+            t, h, hs = np.empty(len(active)), np.empty(len(active)), np.empty((len(active), n), complex)
+            stages = [(s, _per_problem(K[:s]), _A[s, :s]) for s in range(1, N_STAGES)]
+            k_solution, k_error = _per_problem(K[:N_STAGES]), _per_problem(K[: N_STAGES + 1])
+        for j, p in enumerate(active):
+            if p.fresh:  # a new step
+                p.min_step = 10 * abs(math.nextafter(p.t, math.inf) - p.t)
+                p.h_abs = max_step if p.h_abs > max_step else max(p.h_abs, p.min_step)
+                p.rejected = False
+            if p.h_abs < p.min_step:
+                raise IntegratorFailure(f"step at t={p.t:g} below the spacing between numbers")
+            p.t_new = min(p.t + p.h_abs, t_bound)
+            p.h = p.t_new - p.t
+            p.h_abs = abs(p.h)
+            t[j], h[j] = p.t, p.h
+        hs[:] = h[:, None]  # complex, as SciPy's scalar h is cast, and unbroadcast
+        # stage-major, so that each stage's rows are one slice; the last is at t + h
+        nodes = _by_stage(coefficients((t + STEP_COLUMN * h).ravel()), N_STAGES)
+        K[0] = f
+        for (s, k_t, a), c in zip(stages, nodes):
+            K[s] = stage(c, y + np.matmul(k_t, a) * hs)
+        y_new = y + hs * np.matmul(k_solution, _B)
+        K[N_STAGES] = f_new = stage(nodes[-1], y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = np.matmul(k_error, _E5) / scale
+        err3 = np.matmul(k_error, _E3) / scale
+        for p, e5, e3 in zip(active, err5, err3):
+            # Python floats: the IEEE operations of NumPy's scalars, at less cost
+            err5_2, err3_2 = _norm(e5) ** 2, _norm(e3) ** 2
             if err5_2 == 0 and err3_2 == 0:
                 error_norm = 0.0
             else:
-                error_norm = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * y.size)
-            if error_norm < 1:
+                error_norm = abs(p.h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * n)
+            p.fresh = error_norm < 1
+            if p.fresh:
                 factor = MAX_FACTOR
                 if error_norm > 0:
                     factor = min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
-            rejected = True
-            n_rejected += 1
-        n_accepted += 1
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+                p.h_abs *= min(1, factor) if p.rejected else factor
+            else:
+                p.h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
+                p.rejected = True
+                p.n_rejected += 1
+        accepted = [j for j, p in enumerate(active) if p.fresh]
+        if not accepted:
+            continue
+        y_old = y
+        if len(accepted) == len(active):
+            y, f = y_new, f_new
+        else:
+            y, f = y.copy(), f.copy()
+            y[accepted], f[accepted] = y_new[accepted], f_new[accepted]
 
-        step = None
-        if event is not None:
-            g_new = event(t, y)
-            if g <= 0 <= g_new:
-                step = _step_polynomial(fun, K, t_old, t, h, y_old, y, f)
-                lo, hi = t_old, t  # bisect down to about 4 eps
-                while hi - lo > 4 * np.finfo(float).eps * (1.0 + abs(hi)):
-                    mid = 0.5 * (lo + hi)
-                    y_mid = _evaluate(step, np.array([mid]))[0]
-                    lo, hi = (mid, hi) if event(mid, y_mid) < 0 else (lo, mid)
-                event_time = t = float(0.5 * (lo + hi))
-            g = g_new
-        i_new = bisect_right(times, t)
-        if i_new > len(rows):
-            step = step or _step_polynomial(fun, K, t_old, t, h, y_old, y, f)
-            rows.extend(_evaluate(step, np.array(times[len(rows) : i_new])))
-        n_dense += step is not None
+        need, fired, ended = [], [], False  # who needs a step polynomial, whose event fired
+        for j in accepted:
+            p = active[j]
+            p.n_accepted += 1
+            p.t = p.t_new
+            ended |= p.t == t_bound
+            if event is not None:
+                g_new = event(p.t, y[j])
+                if p.g <= 0 <= g_new:
+                    fired.append(j)
+                p.g = g_new
+            if j in fired or bisect_right(times, p.t) > len(p.rows):
+                need.append(j)
+        if need:
+            some = slice(None) if len(need) == len(active) else need
+            polynomials = _step_polynomials(fun, K[:, some], t[some], h[some], y_old[some], y[some], f[some])
+            for j, step in zip(need, polynomials):
+                p = active[j]
+                p.n_dense += 1
+                if j in fired:
+                    lo, hi = step[0], p.t  # bisect down to about 4 eps
+                    while hi - lo > 4 * np.finfo(float).eps * (1.0 + abs(hi)):
+                        mid = 0.5 * (lo + hi)
+                        y_mid = _evaluate(step, np.array([mid]))[0]
+                        lo, hi = (mid, hi) if event(mid, y_mid) < 0 else (lo, mid)
+                    p.event_time = p.t = float(0.5 * (lo + hi))
+                i_new = bisect_right(times, p.t)
+                if i_new > len(p.rows):
+                    p.rows.extend(_evaluate(step, np.array(times[len(p.rows) : i_new])))
+        if fired or ended:  # retire the problems that are done
+            running = [j for j, p in enumerate(active) if p.event_time is None and p.t < t_bound]
+            active, y, f = [active[j] for j in running], y[running], f[running]
 
-    return IvpResult(
-        y=np.stack(rows, axis=1),
-        nfev=2 + N_STAGES * (n_accepted + n_rejected) + 3 * n_dense,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        max_step=max_step,
-        event_time=event_time,
+    return IvpStack(
+        IvpResult(np.stack(p.rows, axis=1), 2 + N_STAGES * (p.n_accepted + p.n_rejected) + 3 * p.n_dense,
+                  p.n_accepted, p.n_rejected, max_step, p.event_time)
+        for p in problems
     )
 
 

@@ -9,8 +9,9 @@ order 8(5,3) (DOP853) forms the step map of every pending segment from the
 identity, asking for ``G`` at the stage nodes of many segments in one
 batched call, and composes the accepted maps.  The nonlinear Riccati flow of
 the wave operator keeps the step-by-step loop :func:`~blochwave.dop853.integrate`
-(SciPy's DOP853 replayed bit for bit) through :func:`solve_matrix_ivp`, so
-the two routes share the tableau and nothing of the stepping.
+(SciPy's DOP853 replayed bit for bit) through :func:`solve_matrix_ivp`, which
+steps the flows of several initial conditions in lockstep, so the two routes
+share the tableau and nothing of the stepping.
 
 Both integrators take a generator of one of two kinds: a callable that maps
 a 1-D array of times to one matrix per time (checked by :func:`_stack_at`),
@@ -25,8 +26,9 @@ mask.  :func:`propagate` hands the rates ``gamma b_k`` and the rotated drive
 D† C D Mr`` on each segment with phases local to the segment.  The Riccati
 integrator carries the phases in its solver state next to the matrix and
 integrates ``U = D Ur D†`` with the Riccati flow of ``D† C D``; the loop asks
-the frame for one step's rates and rotated drive at all twelve stage times
-in one batched call (:class:`~blochwave.dop853.Staged`).  Either way the
+the frame for the rates and rotated drive at all twelve stage times of one
+step of every initial condition in one batched call
+(:class:`~blochwave.dop853.Staged`).  Either way the
 solver no longer resolves the fast phase of ``gamma B`` step by step, and
 the step cap stays that of the full frame Hamiltonian.  The step cap and the
 skew-Hermiticity check sample the frame Hamiltonian in one batched call
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dop853 import IvpResult, Staged, integrate, integrate_linear
+from .dop853 import IvpResult, IvpStack, Staged, integrate, integrate_linear
 from .operators import require_skew_hermitian, spectral_norm
 
 __all__ = ["PropagatorPath", "propagate", "solve_matrix_ivp"]
@@ -165,40 +167,46 @@ def _stack_at(generator, ts: np.ndarray) -> np.ndarray:
 
 def solve_matrix_ivp(
     rhs: Staged,
-    y0: np.ndarray,
+    y0,
     grid: np.ndarray,
     tol: float,
     max_step: float | None = None,
     event=None,
-) -> IvpResult:
+) -> IvpResult | IvpStack:
     """Adaptive step-by-step DOP853 integration of a matrix-valued ODE over a
     checkpoint grid, for the nonlinear Riccati flow.
 
-    ``rhs`` is a :class:`~blochwave.dop853.Staged` right-hand side whose
-    step receives and returns a matrix shaped like ``y0``; the flattening
-    into the solver's vector state is handled here.  ``event`` is terminal.
+    ``y0`` is one initial state (a matrix, or a vector) or a sequence of
+    them, independent problems stepped in lockstep.  ``rhs`` is a
+    :class:`~blochwave.dop853.Staged` right-hand side whose step receives
+    and returns a stack of such states; the flattening into the solver's
+    vector states is handled here.  ``event`` is terminal, per problem.
 
     Returns the :class:`~blochwave.dop853.IvpResult` (matrices still
-    flattened) with ``nfev``, accepted and rejected steps and ``max_step``.
+    flattened) with ``nfev``, accepted and rejected steps and ``max_step``,
+    or for a sequence the :class:`~blochwave.dop853.IvpStack` of them.
     """
-    shape = y0.shape
-    if len(shape) != 1:  # the solver's state is the flattened matrix
+    stacked = not isinstance(y0, np.ndarray)
+    states = np.array(y0 if stacked else [y0], dtype=complex)
+    shape = states.shape[1:]
+    if len(shape) != 1:  # the solver's states are the flattened matrices
         step = rhs.step
 
         def flat_step(c, y):
-            return step(c, y.reshape(shape)).ravel()
+            return step(c, y.reshape(len(y), *shape)).reshape(len(y), -1)
 
         rhs = Staged(rhs.coefficients, flat_step)
 
-    return integrate(
+    results = integrate(
         rhs,
-        np.asarray(y0, dtype=complex).ravel(),
+        states.reshape(len(states), -1),
         grid,
         rtol=max(tol, 1e-13),
         atol=tol,
         max_step=np.inf if max_step is None else max_step,
         event=event,
     )
+    return results if stacked else results[0]
 
 
 def _frozen_basis(frame):
@@ -230,34 +238,40 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray):
     b_k(t)``, is ``V E V†`` with ``E = diag(exp(phi[labels]))`` in the
     eigenbasis ``V`` of :func:`_frozen_basis`.  The solver state is
     ``[vec(Z), phi]`` and ``Y = V E Z E† V†``.  ``matrix_rhs(c, z,
-    same_block)`` is ``Z'`` given the rotated drive in that basis, ``c = E†
-    V† C V E``, and the mask of index pairs in one block, so that the
-    block-diagonal part of ``x`` is ``x * same_block``.
+    same_block)`` is ``Z'`` for a stack of ``z``, given the rotated drives
+    in that basis, ``c = E† V† C V E``, and the masks of the index pairs in
+    one block, all three with one matrix per ``z``: the block-diagonal part
+    of ``x`` is ``x * same_block``.
 
-    Returns ``(state0, rhs, back)``: the initial state, the solver's
-    :class:`~blochwave.dop853.Staged` right-hand side and ``back(states)``,
-    which maps a state or a stack of them to ``Y``.  The matrix part is the
-    first ``y0.size`` entries.  The right-hand side's coefficients are the
-    state-independent rates ``gamma b_k(t)`` and rotated drive ``V† C V`` at
-    all the times of one call; its step adds the phases ``exp(phi)`` and the
-    matrix products.
+    Returns ``(state0, rhs, back)``: the initial state of ``y0`` (a stack
+    for a stack of matrices), the solver's :class:`~blochwave.dop853.Staged`
+    right-hand side and ``back(states)``, which maps a state or a stack of
+    them to ``Y``.  The matrix part is the first ``n * n`` entries of a
+    state.  The right-hand side's coefficients are the state-independent
+    rates ``gamma b_k(t)`` and rotated drive ``V† C V`` at all the times of
+    one call; its step adds the phases ``exp(phi)`` and the matrix products.
     """
     labels, into, out_of = _frozen_basis(frame)
-    same_block = labels[:, None] == labels[None, :]
-    shape, size = y0.shape, y0.size
+    shape = y0.shape[-2:]
+    size, stack_shape = shape[0] * shape[1], (-1, *shape)
+    same_block = (labels[:, None] == labels[None, :]).astype(complex)
+
+    @functools.lru_cache(maxsize=None)
+    def masks(count):  # one per state: a product that broadcasts costs twice as much
+        return np.repeat(same_block[None], count, axis=0)
 
     def coefficients(ts):
         rates, drive = frame.split_at(ts)
-        return list(zip(rates, into(drive)))
+        return rates, into(drive)
 
-    phases = size + labels  # where each column's phase sits in the state
+    phases = size + labels  # where each column's phase sits in a state
 
     def step(coefficient, y):
         rates, drive = coefficient
-        e = np.exp(y[phases])
-        c = drive * (e.conj()[:, None] * e)
-        z = matrix_rhs(c, y[:size].reshape(shape), same_block)
-        return np.concatenate((z.ravel(), rates))
+        e = np.exp(y.take(phases, axis=1))
+        c = drive * (e.conj()[:, :, None] * e[:, None, :])
+        z = matrix_rhs(c, y[:, :size].reshape(stack_shape), masks(len(y)))
+        return np.concatenate((z.reshape(len(y), size), rates), axis=1)
 
     def back(states):
         e = np.exp(states[..., size:][..., labels])
@@ -265,7 +279,9 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray):
         return out_of(z * e[..., :, None] * e.conj()[..., None, :])
 
     z0 = into(np.asarray(y0, dtype=complex))
-    state0 = np.concatenate([z0.ravel(), np.zeros(frame.frozen.n_blocks, complex)])
+    lead = z0.shape[:-2]
+    phases0 = np.zeros((*lead, frame.frozen.n_blocks), dtype=complex)
+    state0 = np.concatenate([z0.reshape(*lead, size), phases0], axis=-1)
     return state0, Staged(coefficients, step), back
 
 

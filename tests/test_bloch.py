@@ -343,6 +343,29 @@ def test_rotating_riccati_truncates_where_the_plain_path_does():
         assert abs(rotating.blowup_time - plain.blowup_time) < 1e-6
 
 
+@pytest.mark.parametrize("rotating", [False, True], ids=["plain", "rotating"])
+def test_riccati_lockstep_keeps_each_condition_to_itself(rotating):
+    # U = [[1, u], [v, 1]] has u' = -i (1 - u^2): the identity meets a pole
+    # at pi/2, while a tilt with real off-block entries has none and runs on
+    frame = rotating_coupling_frame()
+    blocks = frame.blocks if rotating else DIAG_BLOCKS
+    hamiltonian = frame if rotating else constant(-1j * X)
+    grid = np.linspace(0.0, 3.0, 41)
+    p, q = blocks
+    tilt = np.eye(2) + 0.5 * (p @ X @ q - q @ X @ p)
+    ics = [identity_ic(blocks), custom_ic(tilt, blocks)]
+    both = integrate_riccati(hamiltonian, ics, blocks, 0.0, grid, blowup_norm=1e2)
+    assert [u.blowup_flag for u in both] == [True, False]
+    assert abs(both[0].blowup_time - np.pi / 2) < 0.2
+    assert np.array_equal(both[1].times, grid)
+    for ours, ic in zip(both, ics):
+        alone = integrate_riccati(hamiltonian, ic, blocks, 0.0, grid, blowup_norm=1e2)
+        assert np.array_equal(ours.times, alone.times)
+        assert ours.matrices.tobytes() == alone.matrices.tobytes()
+        assert ours.bloch_defects.tobytes() == alone.bloch_defects.tobytes()
+        assert (ours.blowup_time, ours.stats) == (alone.blowup_time, alone.stats)
+
+
 def test_existence_triad_cross_check():
     # blow-up flag <-> minimum block singular value <-> effective-evolution
     # conditioning, each computed independently

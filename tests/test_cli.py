@@ -659,6 +659,67 @@ def test_sweep_single_gamma_matches_run(tmp_path):
             )
 
 
+def test_sweep_runs_write_what_standalone_runs_write(tmp_path, monkeypatch):
+    # the runs of a gamma integrate their Riccati paths in one lockstep
+    # call; each run still writes its own standalone data and statistics
+    import blochwave.bloch
+
+    calls = _count_calls(monkeypatch, blochwave.bloch, "solve_matrix_ivp")
+    short = ["run.t_final=4", "run.checkpoint_count=21"]
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n", name="sw.cfg")
+    config = load_config(cfg, overrides=short)
+    summaries = sweep(config)["summaries"]
+    assert len(calls) == 2  # one per gamma
+    for gamma in ("10", "20"):
+        for ic_kind in ("identity", "stationary"):
+            label = f"gamma_{gamma}_{ic_kind}"
+            assert summaries[label].status == "ok"
+            alone = load_config(
+                write_cfg(tmp_path, out=tmp_path / "alone" / label),
+                overrides=[*short, f"model.gamma={gamma}", f"run.ic={ic_kind}"],
+            )
+            run_experiment(alone, label)
+            for name in ("trace.csv", "summary.csv"):
+                assert data_bytes(config.output_dir / label / name) == data_bytes(
+                    alone.output_dir / name
+                )
+            header, alone_header = (
+                read_header(out / "summary.csv") for out in (config.output_dir / label, alone.output_dir)
+            )
+            riccati = {k: v for k, v in header.items() if k.startswith("riccati_")}
+            assert riccati and riccati == {k: alone_header[k] for k in riccati}
+    assert len(calls) == 6  # and one per standalone run
+
+
+def test_sweep_lockstep_failure_leaves_each_run_to_itself(tmp_path, monkeypatch):
+    # a failed lockstep call fails no run: each integrates its own condition
+    import blochwave.cli as cli_mod
+    from blochwave.errors import IntegratorFailure
+
+    original = cli_mod.integrate_riccati
+
+    def failing_together(frame, ic, *args, **kwargs):
+        if isinstance(ic, list):
+            raise IntegratorFailure("forged step underflow")
+        return original(frame, ic, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "integrate_riccati", failing_together)
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0\n", name="sw.cfg")
+    config = load_config(cfg, overrides=SHORT_SWEEP)
+    summaries = sweep(config)["summaries"]
+    monkeypatch.setattr(cli_mod, "integrate_riccati", original)
+    for label in ("gamma_10_identity", "gamma_10_stationary"):
+        assert summaries[label].status == "ok"
+        alone = load_config(
+            write_cfg(tmp_path, out=tmp_path / "alone" / label),
+            overrides=[*SHORT_SWEEP, f"run.ic={label.split('_')[-1]}"],
+        )
+        run_experiment(alone, label)
+        assert data_bytes(config.output_dir / label / "trace.csv") == data_bytes(
+            alone.output_dir / "trace.csv"
+        )
+
+
 def test_sweep_two_gammas_fits_slope(tmp_path):
     text = BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n"
     config = load_config(write_cfg(tmp_path, text, name="sw2.cfg"))
@@ -932,6 +993,64 @@ dir = {out}
     assert codes == {"blow_up", "ambiguous_clustering"}
     slopes = read_csv(config.output_dir / "slopes.csv")
     assert all(r["n_points"] == "0" for r in slopes)  # nothing left to fit
+
+
+#: replacement values for a fuzzed config line: numbers out of range, odd
+#: literals, other keys' values, interpolation syntax and section headers
+ODD_VALUES = [
+    "", "nan", "-inf", "1e400", "1e-320", "-1", "0", "1,2", "10 20", "abc", "%", "%(a)s",
+    "%%", "custom", "stationary", "radon", "landau_zener", "random_smooth", "1e9", "[run]",
+]
+
+
+@st.composite
+def mutated_config(draw):
+    """The three-level example config with one to three lines changed:
+    mostly a value replaced, else a key renamed, a line dropped,
+    duplicated or moved, or a stray line inserted."""
+    lines = (REPO / "docs" / "examples" / "three_level.cfg").read_text().splitlines()
+    text = st.sampled_from(ODD_VALUES) | st.text(
+        st.characters(min_codepoint=32, max_codepoint=126), max_size=8
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ["value"] * 4 + ["key", "drop", "duplicate", "move", "insert"]
+        kind = draw(st.sampled_from(kinds))
+        assignments = [i for i, line in enumerate(lines) if "=" in line]
+        if kind in ("value", "key") and assignments:
+            i = draw(st.sampled_from(assignments))
+            key, _, value = lines[i].partition("=")
+            if kind == "value":
+                lines[i] = f"{key}= {draw(text)}"
+            else:
+                lines[i] = f"{draw(st.sampled_from(['gamma', 'omega', 'ic_path', 'path', 'x']))} ={value}"
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "move":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        else:
+            lines.insert(i, draw(text))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=mutated_config())
+def test_fuzzed_config_validates_or_exits_config(tmp_path_factory, text):
+    cfg = tmp_path_factory.mktemp("fuzz") / "three_level.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) in (EXIT_OK, EXIT_CONFIG)
+
+
+def test_percent_in_a_config_value_is_literal(tmp_path):
+    # no interpolation: '%' is a character like any other, never a traceback
+    cfg = write_cfg(tmp_path, BASE_CFG.replace("name = three_level", "name = three%level"))
+    assert main(["validate", str(cfg)]) == EXIT_CONFIG
+    with pytest.raises(ConfigError, match="three%level"):
+        load_config(cfg)
+    assert main(["validate", str(write_cfg(tmp_path)), "--set", "output.dir=100%"]) == EXIT_OK
 
 
 def test_shipped_example_configs_validate():

@@ -14,6 +14,7 @@ from blochwave import (
     identity_ic,
     landau_zener_model,
     random_smooth_model,
+    stationary_ic,
     three_level_model,
 )
 from blochwave import dop853
@@ -186,6 +187,61 @@ def test_step_statistics_count_what_ran(case):
     assert (accepted, rejected) == (sol.n_accepted, sol.n_rejected)
     if case == "pole_event":
         assert sol.n_rejected > 0
+
+
+def stacked_rotating_riccati():
+    """The ``rotating_riccati`` flow from three initial conditions: the
+    identity, an off-block tilt of it and the stationary one."""
+    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 20.0, tol=1e-10)
+    coupling = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    ics = [
+        identity_ic(frame.blocks).matrix,
+        np.eye(3) + 0.4j * sum(p @ coupling @ (np.eye(3) - p) for p in frame.blocks),
+        stationary_ic(frame.hamiltonian_at(0.0), frame.frozen, 10.0).matrix,
+    ]
+    matrix_rhs = lambda h, z, same: h @ z - z @ ((h @ z) * same)
+    states, rhs, _ = _rotating_system(frame, matrix_rhs, np.stack(ics))
+    max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, 20.0)
+    return rhs, list(states), np.linspace(0.0, 20.0, 101), 1e-10, {"max_step": max_step}
+
+
+def stacked_pole_event():
+    """The ``pole_event`` flow from three initial conditions: ``U = [[1, u],
+    [v, 1]]`` has ``u' = -i (1 - u^2)``, so ``u = -i tan(t + arctan(i u0))``
+    has its pole at ``pi/2`` for ``u0 = 0``, at ``pi/2 - arctan(1/2)`` for
+    ``u0 = -i/2``, and none for a real ``u0``."""
+    rhs, _, grid, tol, kwargs = pole_case(1e2)()
+    ics = [np.array([[1, u], [v, 1]], dtype=complex) for u, v in ((0, 0), (-0.5j, -0.5j), (0.5, -0.5))]
+    return rhs, ics, grid, tol, kwargs
+
+
+STACKS = {"rotating_riccati": stacked_rotating_riccati, "pole_event": stacked_pole_event}
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("case", sorted(STACKS))
+def test_stacked_problems_each_match_their_solo_run_bit_for_bit(case, count):
+    rhs, y0s, grid, tol, kwargs = STACKS[case]()
+    y0s = y0s[:count]
+    solos = [solve_matrix_ivp(rhs, y0, grid, tol, **kwargs) for y0 in y0s]
+    watched_rhs, seen = watched(rhs)
+    stack = solve_matrix_ivp(watched_rhs, y0s, grid, tol, **kwargs)
+    assert isinstance(stack, dop853.IvpStack) and len(stack) == count
+    for ours, solo in zip(stack, solos):
+        assert ours.y.shape == solo.y.shape and ours.y.tobytes() == solo.y.tobytes()
+        assert ours.stats() == solo.stats() and ours.event_time == solo.event_time
+    assert stack.nfev == sum(solo.nfev for solo in solos) == sum(len(ts) for ts in seen["times"])
+    # one loop: a batch of the stage times of every running problem per
+    # iteration, as many iterations as the longest problem takes attempts,
+    # and the problems' steps are of their own sizes
+    attempts = [ts.reshape(12, -1) for ts in seen["times"] if len(ts) % 12 == 0]
+    assert len(attempts) == max(solo.n_accepted + solo.n_rejected for solo in solos)
+    assert any((ts != ts[:, :1]).any() for ts in attempts)
+    if case == "pole_event":  # each pole retires its own problem only
+        times = [solo.event_time for solo in solos]
+        assert abs(times[0] - np.pi / 2) < 0.02
+        assert abs(times[1] - (np.pi / 2 - np.arctan(0.5))) < 0.02
+        assert count == 2 or (times[2] is None and stack[2].y.shape[1] == len(grid))
 
 
 def test_step_underflow_raises():
