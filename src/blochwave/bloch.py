@@ -13,7 +13,10 @@ routes compute it:
   ``Pi_k = P_k M U_k(t0) P_k + (1 - P_k)`` and its full inverse
   (:func:`radon_wave`).
 
-Route agreement is the package's primary correctness oracle.  The smallest
+Route agreement is the package's primary correctness oracle.  Given ``M``,
+the Riccati route cuts a long grid into windows solved by parareal, with the
+closed form as the coarse map; every checkpoint it reports is still an
+integrated one, so it stays independent of ``M``.  The smallest
 block singular value recorded along the way is the existence certificate:
 the solution blows up exactly where a block of ``M U(t0)`` loses rank.
 """
@@ -31,6 +34,7 @@ from .errors import (
     AmbiguousClustering,
     BadInitialCondition,
     BlowUp,
+    IntegratorFailure,
     SingularBlock,
 )
 from .operators import (
@@ -74,6 +78,14 @@ BLOWUP_NORM = 1e6
 
 #: default budget for the monitored Bloch-condition defect along integration
 DEFECT_BUDGET = 1e-6
+
+#: the most windows a Riccati solve is cut into, the fewest worth their sweeps,
+#: and the step caps a window spans at least (so that its restart stays small
+#: against the steps it takes)
+MAX_WINDOWS, MIN_WINDOWS, WINDOW_STEPS = 16, 8, 16
+
+#: sweeps of a windowed Riccati solve before it falls back to one pass
+MAX_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -241,11 +253,6 @@ class WaveOperatorPath:
     def sup_deviation(self, norm: str = "spectral") -> float:
         return float(np.max(self.deviation(norm)))
 
-    def final_deviation(self, norm: str = "spectral") -> float:
-        eye = np.eye(self.dim)
-        ord_ = 2 if norm == "spectral" else "fro"
-        return float(np.linalg.norm(self.final - eye, ord_))
-
     def max_bloch_defect(self) -> float:
         return float(np.max(self.bloch_defects))
 
@@ -266,22 +273,31 @@ def integrate_riccati(
     blowup_norm: float = BLOWUP_NORM,
     defect_budget: float = DEFECT_BUDGET,
     raise_on_blowup: bool = False,
+    m_path: PropagatorPath | None = None,
 ) -> WaveOperatorPath | list[WaveOperatorPath]:
     """Integrate the Riccati equation ``U' = H U - U Q(U)`` blockwise.
 
-    One adaptive pass covers the whole checkpoint grid.  The right-hand side
-    is exactly tangent to the Bloch manifold and a Runge-Kutta step keeps
-    every invariant its stages keep, so the condition is never re-imposed:
-    the recorded Bloch defect is the integration's own.  The path is
-    truncated with ``blowup_flag`` set at the first checkpoint after ``t0``
-    whose Frobenius norm exceeds ``blowup_norm`` or whose defect exceeds
-    ``defect_budget``, or where a terminal event monitoring the norm
-    continuously fires first.
+    The right-hand side is exactly tangent to the Bloch manifold and a
+    Runge-Kutta step keeps every invariant its stages keep, so the condition
+    is never re-imposed: the recorded Bloch defect is the integration's own.
+    The path is truncated with ``blowup_flag`` set at the first checkpoint
+    after ``t0`` whose Frobenius norm exceeds ``blowup_norm`` or whose
+    defect exceeds ``defect_budget``, or where a terminal event monitoring
+    the norm continuously fires first.
+
+    Without ``m_path`` one adaptive pass covers the whole checkpoint grid.
+    Handed the full evolution ``M``, a grid that fits :data:`MIN_WINDOWS`
+    windows (:func:`_window_bounds`) is solved by parareal
+    (:func:`_parareal`), the windows of a sweep in one lockstep solver call.
+    Every reported checkpoint still comes from an integration of the
+    Riccati flow, so ``M`` only places the windows' starts and the path
+    stays independent of it to within ``tol``.  A condition the windows do
+    not serve is solved in one pass.
 
     A sequence of initial conditions is integrated in lockstep, in one
-    solver call that asks for the Hamiltonian once per step of all of them;
-    each keeps its own steps, event and truncation, so each path is bit for
-    bit the one integrated alone.
+    solver call per sweep that asks for the Hamiltonian once per step of all
+    of them; each keeps its own windows, steps, event and truncation, so
+    each path is bit for bit the one integrated alone.
 
     Handed the adiabatic frame, the flow is integrated in the rotating frame
     of its frozen blocks, ``U = D Ur D†`` (see :mod:`blochwave.propagation`):
@@ -296,17 +312,21 @@ def integrate_riccati(
         blocks: frozen projectors ``P_k(t0)``; with a frame, they must be its
             own.
         grid: strictly increasing checkpoint times starting at ``t0``.
+        m_path: the full evolution from ``t0``, at least at the checkpoints
+            (the pipeline's ``M``); enables the windows.
 
     Returns the :class:`WaveOperatorPath` of ``ic``, or a list of them for a
-    sequence.
+    sequence.  Its ``stats`` are summed over windows and sweeps, with the
+    ``windows`` of the path, the ``sweeps`` run (a pass counts as one) and
+    the largest jump ``max_jump`` of the last sweep (0 with no sweep).
 
     Raises:
         IntegratorFailure: on step underflow.
         BadInitialCondition: if an initial condition fails validation.
         BlowUp: only when ``raise_on_blowup`` is set.
         ValueError: if a frame is passed with ``blocks`` other than its
-            frozen projectors, or a callable does not return one matrix per
-            time.
+            frozen projectors, a callable does not return one matrix per
+            time, or ``m_path`` starts elsewhere than ``t0``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] != t0 or np.any(np.diff(grid) <= 0):
@@ -319,6 +339,8 @@ def integrate_riccati(
     rotating = hasattr(hamiltonian, "split_at")
     if rotating and not np.array_equal(blocks, hamiltonian.frozen.projector_stack):
         raise ValueError("blocks must be the frozen projectors of the frame")
+    if m_path is not None and m_path.t0 != t0:
+        raise ValueError("m_path must start at t0")
 
     if not rotating:  # one matrix per time, before the stepper relies on it
         _stack_at(hamiltonian, grid[[0, -1]])
@@ -331,37 +353,147 @@ def integrate_riccati(
         hz = h @ z
         return hz - z @ (hz * same_block)
 
-    y0 = np.stack([condition.matrix for condition in ics])
+    shape, size = ics[0].matrix.shape, ics[0].matrix.size
     if rotating:
-        y0, rhs, back = _rotating_system(hamiltonian, rotated_rhs, y0)
+        _, rhs, back = _rotating_system(hamiltonian, rotated_rhs, ics[0].matrix)
+        to_states = lambda u: _rotating_system(hamiltonian, rotated_rhs, u)[0]  # phases from 0
     else:
         rhs = Staged(hamiltonian, lambda h, u: riccati_rhs(h, u, blocks))
-    size = ics[0].matrix.size
+        to_states, back = (lambda u: u), (lambda states: states.reshape(*states.shape[:-1], *shape))
 
     def blowup_event(t, y):  # the Frobenius norm as np.linalg.norm takes it, without its checks
         u = y[:size]
         return math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag)) - blowup_norm
 
-    sols = solve_matrix_ivp(rhs, y0[0] if single else list(y0), grid, tol, max_step=max_step, event=blowup_event)
+    def solve(starts, grids):
+        states = list(to_states(np.stack(starts)))
+        return solve_matrix_ivp(rhs, states, grids, tol, max_step=max_step, event=blowup_event)
+
+    runs = [_Windows([]) for _ in ics]
+    if m_path is not None and len(bounds := _window_bounds(grid, max_step)) > 2:
+        runs = _parareal(solve, back, [c.matrix for c in ics], grid, bounds, m_path, blocks, tol)
+    alone = [(run, condition.matrix) for run, condition in zip(runs, ics) if run.states is None]
+    if alone:  # one pass over the whole grid
+        for (run, _), sol in zip(alone, solve([u0 for _, u0 in alone], grid)):
+            run.solves.append(sol)
+            run.sweeps += 1
+            run.states, run.event_time = np.ascontiguousarray(sol.y.T), sol.event_time
+
     paths = []
-    for sol, condition in zip([sols] if single else sols, ics):
-        states = np.ascontiguousarray(sol.y.T)
-        mats = back(states) if rotating else states.reshape(-1, *condition.matrix.shape)
+    for run, condition in zip(runs, ics):
+        counts = [sol.stats() for sol in run.solves]  # summed over every solve of the condition
+        stats = {key: sum(c[key] for c in counts) for key in ("nfev", "n_accepted", "n_rejected")}
+        stats.update(max_step=max_step, windows=run.windows, sweeps=run.sweeps, max_jump=run.max_jump)
+        mats = back(run.states)
         mats[0] = condition.matrix
         defects = _bloch_defect(mats, blocks)
         failed = (defects > defect_budget) | (np.linalg.norm(mats, axis=(-2, -1)) > blowup_norm)
         failed[0] = False  # the validated initial condition
         n = _first_true(failed)
         # the first failed checkpoint, else where the blow-up event fired (None if neither)
-        blowup_time = float(grid[n]) if n < len(mats) else sol.event_time
+        blowup_time = float(grid[n]) if n < len(mats) else run.event_time
         if blowup_time is not None and raise_on_blowup:
             raise BlowUp(f"wave operator left the invertibility region near t={blowup_time:g}")
         paths.append(WaveOperatorPath(
             t0=t0, times=grid[:n].copy(), matrices=mats[:n], blocks=blocks,
             bloch_defects=defects[:n], route="riccati", blowup_flag=blowup_time is not None,
-            blowup_time=blowup_time, stats=sol.stats(),
+            blowup_time=blowup_time, stats=stats,
         ))
     return paths[0] if single else paths
+
+
+def _window_bounds(grid: np.ndarray, max_step: float) -> np.ndarray:
+    """The checkpoint indices that cut ``grid`` into windows of about equal
+    checkpoint counts: as many as fit :data:`WINDOW_STEPS` step caps each, at
+    most :data:`MAX_WINDOWS` and one per interval; one if under :data:`MIN_WINDOWS`."""
+    intervals = len(grid) - 1
+    count = min(MAX_WINDOWS, intervals, int((grid[-1] - grid[0]) // (WINDOW_STEPS * max_step)))
+    count = count if count >= MIN_WINDOWS else 1
+    return np.rint(np.linspace(0, intervals, count + 1)).astype(int)
+
+
+class _Windows:
+    """One initial condition's window starts, the solve of each, all its
+    solves, and its path (``states``, ``event_time``) once assembled."""
+
+    def __init__(self, starts):
+        self.starts, self.fine, self.solves = starts, [None] * len(starts), []
+        self.states = self.event_time = None
+        self.windows, self.sweeps, self.max_jump = 1, 0, 0.0
+
+
+def _parareal(solve, back, ics, grid, bounds, m_path, blocks, tol) -> list:
+    """Parareal over the windows ``grid[bounds[n] : bounds[n + 1] + 1]`` for
+    each initial matrix of ``ics``.
+
+    The fine map ``F`` is ``solve(starts, grids)``, the Riccati flow from
+    each start over its window, all in one lockstep call (``back`` maps its
+    states to matrices); the coarse map ``G`` is the closed form through
+    ``M(t_{n+1}) M(t_n)†``.  Sweep 0 starts the windows from the closed form
+    of ``M(t_n)``; a correction sets ``U_{n+1} = F(U_n^old) + G(U_n^new) -
+    G(U_n^old)`` and re-solves only the windows whose start moved.  A
+    condition has converged once no window in use starts from the closed
+    form and each starts within ``tol`` (spectral norm) of its predecessor's
+    integrated end.  Its path is the windows' checkpoints, a window's first
+    being its predecessor's end, up to the first window whose event fired.
+
+    Returns one :class:`_Windows` per condition, with ``states`` left
+    ``None`` where the closed form truncates at a window start (as
+    :func:`closed_form_wave` does), :data:`MAX_SWEEPS` sweeps did not
+    converge or a sweep failed.
+    """
+    bases = [_range_basis(p) for p in blocks]
+    grids = [grid[a : b + 1] for a, b in zip(bounds[:-1], bounds[1:])]
+    m = m_path.at(grid[bounds])
+    flows = m[1:] @ m[:-1].conj().swapaxes(-1, -2)  # M(t_{n+1}) M(t_n)†, one per window
+
+    def coarse(n, u):  # the closed form of window n (or of a stack of them) from u
+        return _wave_from(flows[n] @ u, bases)
+
+    runs = []
+    for u0 in ics:  # sweep 0 starts from the closed form M(t_n) U0 [...]^-1
+        g = m[1:-1] @ u0
+        restricted = [q.conj().T @ g @ q for q in bases]
+        if min(np.linalg.svd(r, compute_uv=False)[:, -1].min() for r in restricted) < 1e-8:
+            runs.append(_Windows([]))
+        else:
+            runs.append(_Windows(np.concatenate([u0[None], _wave_from(g, bases, restricted)])))
+
+    live = [run for run in runs if run.fine]
+    for sweep in range(MAX_SWEEPS):
+        if not live:
+            break
+        todo = [(run, n) for run in live for n, sol in enumerate(run.fine) if sol is None]
+        try:
+            sols = solve([run.starts[n] for run, n in todo], [grids[n] for _, n in todo])
+        except IntegratorFailure:  # left to the one pass
+            return runs
+        for (run, n), sol in zip(todo, sols):
+            run.fine[n] = sol
+            run.solves.append(sol)
+        for run in list(live):
+            run.sweeps += 1
+            # the windows up to the first whose event fired; later ones are moot
+            fired = [n for n, sol in enumerate(run.fine) if sol.event_time is not None]
+            last = fired[0] if fired else len(grids) - 1
+            ends = back(np.stack([sol.y[:, -1] for sol in run.fine[: last + 1]]))[:last]
+            run.max_jump = float(np.max(spectral_norm(ends - run.starts[1 : last + 1]), initial=0))
+            if (sweep or not last) and run.max_jump <= tol:  # converged
+                states = [run.fine[0].y.T] + [sol.y.T[1:] for sol in run.fine[1 : last + 1]]
+                run.states = np.ascontiguousarray(np.concatenate(states))
+                run.event_time, run.windows = run.fine[last].event_time, len(grids)
+                live.remove(run)
+                continue
+            # the correction; a start that did not move keeps its fine solve
+            old, new = run.starts, run.starts.copy()
+            before = coarse(np.arange(last), old[:last])
+            for n in range(last):
+                moved = not np.array_equal(new[n], old[n])
+                new[n + 1] = ends[n] + (coarse(n, new[n]) - before[n]) if moved else ends[n]
+                if not np.array_equal(new[n + 1], old[n + 1]):
+                    run.fine[n + 1] = None
+            run.starts = new
+    return runs
 
 
 def _block_restrictions(m_path: PropagatorPath, ic: BlochInitialCondition, blocks):
@@ -376,6 +508,19 @@ def _block_restrictions(m_path: PropagatorPath, ic: BlochInitialCondition, block
     restricted = [q.conj().T @ g @ q for q in bases]
     svs = [np.linalg.svd(r, compute_uv=False) for r in restricted]
     return g, bases, restricted, svs
+
+
+def _wave_from(g: np.ndarray, bases, restricted=None) -> np.ndarray:
+    """``sum_k G Q_k (Q_k† G Q_k)^{-1} Q_k†`` for ``G`` or each matrix of a
+    stack: the wave operator that ``G = M U0`` carries ``U0`` to, given the
+    frozen blocks' range bases ``Q_k`` and, when at hand, the restrictions
+    ``Q_k† G Q_k``."""
+    if restricted is None:
+        restricted = [q.conj().T @ g @ q for q in bases]
+    u = np.zeros_like(g)
+    for q, r in zip(bases, restricted):
+        u += g @ (q @ np.linalg.inv(r) @ q.conj().T)
+    return u
 
 
 def _first_true(flags: np.ndarray) -> int:
@@ -404,10 +549,7 @@ def closed_form_wave(
     min_sv = np.min([s[:, -1] for s in svs], axis=0)
     n = _first_true(min_sv < sv_tol)
 
-    u = np.zeros_like(g[:n])
-    for q, r in zip(bases, restricted):
-        u += g[:n] @ (q @ np.linalg.inv(r[:n]) @ q.conj().T)
-
+    u = _wave_from(g[:n], bases, [r[:n] for r in restricted])
     return WaveOperatorPath(
         t0=m_path.t0,
         times=m_path.times[:n].copy(),

@@ -448,7 +448,7 @@ def _riccati_path(config: ExperimentConfig, shared: dict, grid):
     def solve(ics):
         return integrate_riccati(
             frame, ics, frame.blocks, config.t0, grid,
-            tol=config.integrator_tol, max_step=shared["max_step"],
+            tol=config.integrator_tol, max_step=shared["max_step"], m_path=shared["m"],
         )
 
     if not paths:
@@ -555,8 +555,8 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     fields.update(
         {
             "primary_route": primary,
-            "delta_spectral_final": u_path.final_deviation("spectral"),
-            "delta_frobenius_final": u_path.final_deviation("frobenius"),
+            "delta_spectral_final": float(dev_s[-1]),
+            "delta_frobenius_final": float(dev_f[-1]),
             "max_bloch_defect": u_path.max_bloch_defect(),
             "min_block_sv_min": float(np.min(min_sv)),
             "m_unitarity_defect": m_path.max_unitarity_defect(),

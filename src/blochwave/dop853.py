@@ -240,44 +240,47 @@ def _step_polynomials(fun: Staged, K, t_old, h, y_old, y, f) -> list:
 
 
 class _Problem:
-    """One problem of :func:`integrate`: time, step, controller state, event
-    value, checkpoint rows and counts."""
+    """One problem of :func:`integrate`: checkpoint times, time, step,
+    controller state, event value, checkpoint rows and counts."""
 
-    __slots__ = ("t", "t_new", "h", "h_abs", "min_step", "fresh", "rejected", "g", "rows",
-                 "n_accepted", "n_rejected", "n_dense", "event_time")
+    __slots__ = ("times", "t_bound", "t", "t_new", "h", "h_abs", "min_step", "fresh", "rejected",
+                 "g", "rows", "n_accepted", "n_rejected", "n_dense", "event_time")
 
-    def __init__(self, t, h_abs, y, g):
-        self.t, self.h_abs, self.g, self.rows = t, h_abs, g, [y]
+    def __init__(self, times, h_abs, y, g):
+        self.times, self.t, self.t_bound = times, times[0], times[-1]
+        self.h_abs, self.g, self.rows = h_abs, g, [y]
         self.fresh, self.rejected, self.event_time = True, False, None
         self.n_accepted = self.n_rejected = self.n_dense = 0
 
 
 def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) -> IvpStack:
     """Integrate ``y' = fun(t, y)`` for each row of ``y0``, a stack of
-    independent complex vector problems, over the strictly increasing
-    checkpoint times ``grid``.  ``event(t, y)`` stops a problem at its first
-    upward zero crossing.
+    independent complex vector problems, over strictly increasing checkpoint
+    times: ``grid`` for every problem, or a sequence of such grids, one per
+    problem, each starting at its problem's initial time.  ``event(t, y)``
+    stops a problem at its first upward zero crossing.
 
     The problems step in lockstep, each under its own control: an iteration
     attempts one step of every running problem, at its own time and step
     size, with one ``coefficients`` call at all their stage times and
     stacked stage arithmetic.  Error norms, step controllers, checkpoints
     and events stay per problem, so each result is bit for bit the one the
-    problem gets alone.  A problem retires at ``grid[-1]`` or its event.
+    problem gets alone.  A problem retires at its last checkpoint or its
+    event.
 
     Raises:
         IntegratorFailure: when a step falls below 10 ulp of its problem's ``t``.
     """
     coefficients, stage = fun.coefficients, fun.step
-    times = grid.tolist()
-    t0, t_bound = times[0], times[-1]
     y = np.array(y0, dtype=complex)
     n = y.shape[1]
-    f = stage(coefficients(np.full(len(y), t0)), y)
+    one_grid = isinstance(grid, np.ndarray) and grid.ndim == 1
+    grids = [g.tolist() for g in ([grid] * len(y) if one_grid else grid)]
+    f = stage(coefficients(np.array([times[0] for times in grids])), y)
     problems = [
-        _Problem(t0, _initial_step(fun, t0, y_p, t_bound, max_step, f_p, rtol, atol), y_p,
-                 None if event is None else event(t0, y_p))
-        for y_p, f_p in zip(y, f)
+        _Problem(times, _initial_step(fun, times[0], y_p, times[-1], max_step, f_p, rtol, atol),
+                 y_p, None if event is None else event(times[0], y_p))
+        for times, y_p, f_p in zip(grids, y, f)
     ]
     active, K = problems, None
     while active:
@@ -293,7 +296,7 @@ def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) ->
                 p.rejected = False
             if p.h_abs < p.min_step:
                 raise IntegratorFailure(f"step at t={p.t:g} below the spacing between numbers")
-            p.t_new = min(p.t + p.h_abs, t_bound)
+            p.t_new = min(p.t + p.h_abs, p.t_bound)
             p.h = p.t_new - p.t
             p.h_abs = abs(p.h)
             t[j], h[j] = p.t, p.h
@@ -340,13 +343,13 @@ def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) ->
             p = active[j]
             p.n_accepted += 1
             p.t = p.t_new
-            ended |= p.t == t_bound
+            ended |= p.t == p.t_bound
             if event is not None:
                 g_new = event(p.t, y[j])
                 if p.g <= 0 <= g_new:
                     fired.append(j)
                 p.g = g_new
-            if j in fired or bisect_right(times, p.t) > len(p.rows):
+            if j in fired or bisect_right(p.times, p.t) > len(p.rows):
                 need.append(j)
         if need:
             some = slice(None) if len(need) == len(active) else need
@@ -361,11 +364,11 @@ def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) ->
                         y_mid = _evaluate(step, np.array([mid]))[0]
                         lo, hi = (mid, hi) if event(mid, y_mid) < 0 else (lo, mid)
                     p.event_time = p.t = float(0.5 * (lo + hi))
-                i_new = bisect_right(times, p.t)
+                i_new = bisect_right(p.times, p.t)
                 if i_new > len(p.rows):
-                    p.rows.extend(_evaluate(step, np.array(times[len(p.rows) : i_new])))
+                    p.rows.extend(_evaluate(step, np.array(p.times[len(p.rows) : i_new])))
         if fired or ended:  # retire the problems that are done
-            running = [j for j, p in enumerate(active) if p.event_time is None and p.t < t_bound]
+            running = [j for j, p in enumerate(active) if p.event_time is None and p.t < p.t_bound]
             active, y, f = [active[j] for j in running], y[running], f[running]
 
     return IvpStack(

@@ -10,8 +10,10 @@ identity, asking for ``G`` at the stage nodes of many segments in one
 batched call, and composes the accepted maps.  The nonlinear Riccati flow of
 the wave operator keeps the step-by-step loop :func:`~blochwave.dop853.integrate`
 (SciPy's DOP853 replayed bit for bit) through :func:`solve_matrix_ivp`, which
-steps the flows of several initial conditions in lockstep, so the two routes
-share the tableau and nothing of the stepping.
+steps several problems in lockstep, each from its own start time over its own
+checkpoints (the initial conditions of a sweep, and the windows that the
+Riccati route cuts a long grid into), so the two routes share the tableau
+and nothing of the stepping.
 
 Both integrators take a generator of one of two kinds: a callable that maps
 a 1-D array of times to one matrix per time (checked by :func:`_stack_at`),
@@ -168,7 +170,7 @@ def _stack_at(generator, ts: np.ndarray) -> np.ndarray:
 def solve_matrix_ivp(
     rhs: Staged,
     y0,
-    grid: np.ndarray,
+    grid,
     tol: float,
     max_step: float | None = None,
     event=None,
@@ -177,7 +179,9 @@ def solve_matrix_ivp(
     checkpoint grid, for the nonlinear Riccati flow.
 
     ``y0`` is one initial state (a matrix, or a vector) or a sequence of
-    them, independent problems stepped in lockstep.  ``rhs`` is a
+    them, independent problems stepped in lockstep; ``grid`` is their
+    checkpoint grid, or a sequence of grids, one per problem, each starting
+    at its problem's initial time.  ``rhs`` is a
     :class:`~blochwave.dop853.Staged` right-hand side whose step receives
     and returns a stack of such states; the flattening into the solver's
     vector states is handled here.  ``event`` is terminal, per problem.

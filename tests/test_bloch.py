@@ -1,5 +1,7 @@
 """Wave-operator routes, initial conditions, effective evolutions, blow-up."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from blochwave import (
     effective_generator,
     identity_ic,
     integrate_riccati,
+    landau_zener_model,
     lz_asymptotic_amplitude,
     propagate,
     radon_wave,
@@ -24,7 +27,7 @@ from blochwave import (
     zeno_generator,
 )
 from blochwave import GeneratorModel, build_frame
-from blochwave.bloch import BLOWUP_NORM, WaveOperatorPath
+from blochwave.bloch import BLOWUP_NORM, MAX_SWEEPS, MIN_WINDOWS, WaveOperatorPath
 from blochwave.propagation import _estimate_max_step
 from tests.helpers import constant
 
@@ -118,7 +121,7 @@ def test_riccati_block_diagonal_h_stays_identity():
 
 def test_riccati_lz_final_deviation_matches_formula(lz_bundle):
     _, tan_phi = lz_asymptotic_amplitude(2.0)
-    final = lz_bundle.u_riccati.final_deviation("spectral")
+    final = lz_bundle.u_riccati.deviation("spectral")[-1]
     assert abs(final - tan_phi) / tan_phi < 0.02
 
 
@@ -366,6 +369,109 @@ def test_riccati_lockstep_keeps_each_condition_to_itself(rotating):
         assert (ours.blowup_time, ours.stats) == (alone.blowup_time, alone.stats)
 
 
+# ------------------------------------------------------------ windowed Riccati
+
+def windowed_case(name):
+    """A frame, grid, step cap, tolerance and ``M`` on which the Riccati
+    solve is cut into windows: the three-level example over [0, 50] with
+    its own step cap, or the non-periodic Landau-Zener frame with a cap that
+    makes windows and a tolerance that sets its error."""
+    if name == "three_level":
+        frame = build_frame(three_level_model(10.0, 1.0), 0.0, 50.0)
+        grid, tol = np.linspace(0.0, 50.0, 251), 1e-10
+        max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, 50.0)
+    else:
+        frame = build_frame(landau_zener_model(2.0), -10.0, 10.0)
+        grid, max_step, tol = np.linspace(-10.0, 10.0, 81), 0.05, 1e-8
+    return frame, grid, max_step, tol, propagate(frame, grid[0], grid, tol=tol, max_step=max_step)
+
+
+@pytest.mark.parametrize("case", ["three_level", "landau_zener"])
+def test_windowed_riccati_matches_the_sequential_solve(case):
+    frame, grid, max_step, tol, m_path = windowed_case(case)
+    ics = [identity_ic(frame.blocks), stationary_ic(frame.hamiltonian_at(grid[0]), frame.frozen, frame.model.gamma)]
+
+    def solve(ic, m=None):
+        return integrate_riccati(frame, ic, frame.blocks, grid[0], grid, tol=tol, max_step=max_step, m_path=m)
+
+    both = solve(ics, m_path)
+    for ours, ic in zip(both, ics):
+        seq, alone = solve(ic), solve(ic, m_path)
+        # in lockstep with another condition, each path is its own solve's
+        assert ours.matrices.tobytes() == alone.matrices.tobytes() and ours.stats == alone.stats
+        assert ours.stats["windows"] >= MIN_WINDOWS and ours.stats["sweeps"] >= 2
+        assert ours.stats["max_jump"] <= tol
+        assert ours.stats["nfev"] > seq.stats["nfev"]  # summed over windows and sweeps
+        assert np.array_equal(ours.times, grid) and np.array_equal(ours.matrices[0], ic.matrix)
+        assert np.max(spectral_norm(ours.matrices - seq.matrices)) <= 10 * tol
+        closed = closed_form_wave(m_path, ic, frame.blocks).matrices
+        agreement = [np.max(spectral_norm(u.matrices - closed)) for u in (seq, ours)]
+        assert agreement[1] <= 2 * agreement[0]
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-2])
+def test_windowed_riccati_does_not_inherit_an_error_of_m(size):
+    # M only places the window starts: a wrong M costs sweeps or the
+    # fall-back to one pass, never accuracy, and the agreement shows it
+    frame, grid, max_step, _, m_path = windowed_case("three_level")
+    noise = np.random.default_rng(3).normal(size=(*m_path.matrices.shape, 2)) @ [1, 1j]
+    noise[0] = 0
+    noise /= np.maximum(spectral_norm(noise), 1.0)[:, None, None]
+    wrong = replace(m_path, matrices=m_path.matrices + size * noise)
+    ic = identity_ic(frame.blocks)
+    seq, ours = (
+        integrate_riccati(frame, ic, frame.blocks, 0.0, grid, max_step=max_step, m_path=m)
+        for m in (None, wrong)
+    )
+    assert np.max(spectral_norm(ours.matrices - seq.matrices)) <= 10 * 1e-10
+    closed = closed_form_wave(wrong, ic, frame.blocks).matrices
+    assert np.max(spectral_norm(ours.matrices - closed)) > 0.1 * size
+    if size > 1e-4:  # too far off to converge: the one pass, bit for bit
+        assert (ours.stats["windows"], ours.stats["sweeps"]) == (1, MAX_SWEEPS + 1)
+        assert ours.matrices.tobytes() == seq.matrices.tobytes()
+        assert ours.stats["nfev"] > seq.stats["nfev"]
+    else:
+        assert ours.stats["windows"] > 1 and ours.stats["max_jump"] <= 1e-10
+
+
+@pytest.mark.parametrize("blowup_norm", [1e2, BLOWUP_NORM])
+def test_windowed_riccati_truncates_where_the_sequential_solve_does(blowup_norm):
+    # the window holding the pole at pi/2 ends the path; the closed form
+    # starts the windows beyond it, where the solution exists again
+    frame = rotating_coupling_frame()
+    grid = np.linspace(0.0, 3.0, 41)
+    m_path = propagate(frame, 0.0, grid)
+    ic = identity_ic(frame.blocks)
+    seq, ours = (
+        integrate_riccati(frame, ic, frame.blocks, 0.0, grid, max_step=0.02, blowup_norm=blowup_norm, m_path=m)
+        for m in (None, m_path)
+    )
+    assert ours.stats["windows"] >= MIN_WINDOWS
+    assert seq.blowup_flag and ours.blowup_flag
+    assert np.array_equal(ours.times, seq.times)
+    assert abs(ours.blowup_time - seq.blowup_time) < 1e-6
+    assert np.max(spectral_norm(ours.matrices - seq.matrices)) < 1e-8
+
+
+@pytest.mark.parametrize("why", ["short_grid", "closed_form_truncates"])
+def test_one_window_is_the_sequential_solve_bit_for_bit(why):
+    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 50.0)
+    grid = np.linspace(0.0, 5.0 if why == "short_grid" else 50.0, 26)
+    max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, grid[-1])
+    m_path = propagate(frame, 0.0, grid, max_step=max_step)
+    if why == "closed_form_truncates":  # every block of M U0 singular after t0
+        m_path = replace(m_path, matrices=m_path.matrices * (grid == 0.0)[:, None, None])
+    ic = identity_ic(frame.blocks)
+    seq, ours = (
+        integrate_riccati(frame, ic, frame.blocks, 0.0, grid, max_step=max_step, m_path=m)
+        for m in (None, m_path)
+    )
+    assert ours.matrices.tobytes() == seq.matrices.tobytes()
+    assert ours.bloch_defects.tobytes() == seq.bloch_defects.tobytes()
+    assert ours.stats == seq.stats
+    assert (ours.stats["windows"], ours.stats["sweeps"], ours.stats["max_jump"]) == (1, 1, 0.0)
+
+
 def test_existence_triad_cross_check():
     # blow-up flag <-> minimum block singular value <-> effective-evolution
     # conditioning, each computed independently
@@ -532,4 +638,4 @@ def test_wave_operator_path_deviation_norms():
     )
     assert abs(path.sup_deviation("frobenius") - 0.6) < 1e-14
     assert abs(path.sup_deviation("spectral") - 0.6) < 1e-14
-    assert path.final_deviation("spectral") == path.sup_deviation("spectral")
+    assert path.deviation("spectral")[-1] == path.sup_deviation("spectral")

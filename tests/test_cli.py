@@ -661,15 +661,20 @@ def test_sweep_single_gamma_matches_run(tmp_path):
 
 def test_sweep_runs_write_what_standalone_runs_write(tmp_path, monkeypatch):
     # the runs of a gamma integrate their Riccati paths in one lockstep
-    # call; each run still writes its own standalone data and statistics
+    # call per sweep of its windows; each run still writes its own
+    # standalone data and statistics
     import blochwave.bloch
 
     calls = _count_calls(monkeypatch, blochwave.bloch, "solve_matrix_ivp")
-    short = ["run.t_final=4", "run.checkpoint_count=21"]
+    short = ["run.t_final=30", "run.checkpoint_count=151"]
     cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n", name="sw.cfg")
     config = load_config(cfg, overrides=short)
     summaries = sweep(config)["summaries"]
-    assert len(calls) == 2  # one per gamma
+    headers = {label: read_header(config.output_dir / label / "summary.csv") for label in summaries}
+    assert all(int(header["riccati_windows"]) > 1 for header in headers.values())
+    sweeps = {label: int(header["riccati_sweeps"]) for label, header in headers.items()}
+    per_gamma = sum(max(sweeps[f"gamma_{g}_{ic}"] for ic in ("identity", "stationary")) for g in ("10", "20"))
+    assert len(calls) == per_gamma  # one per sweep of each gamma
     for gamma in ("10", "20"):
         for ic_kind in ("identity", "stationary"):
             label = f"gamma_{gamma}_{ic_kind}"
@@ -688,7 +693,7 @@ def test_sweep_runs_write_what_standalone_runs_write(tmp_path, monkeypatch):
             )
             riccati = {k: v for k, v in header.items() if k.startswith("riccati_")}
             assert riccati and riccati == {k: alone_header[k] for k in riccati}
-    assert len(calls) == 6  # and one per standalone run
+    assert len(calls) == per_gamma + sum(sweeps.values())  # and one per sweep of each standalone run
 
 
 def test_sweep_lockstep_failure_leaves_each_run_to_itself(tmp_path, monkeypatch):
@@ -809,25 +814,31 @@ def test_summary_header_records_integrator_statistics(tmp_path, monkeypatch):
     from blochwave.dop853 import MAX_NODES, Staged
 
     # count the right-hand-side evaluations and step attempts of every solve
-    # from outside the step arithmetic.  Riccati: one stage per evaluation,
-    # one batch of the twelve stage times per attempted step.  Propagation:
-    # one evaluation per node time asked for, in batches of at most
-    # MAX_NODES, and one attempt per segment tried
+    # from outside the step arithmetic.  Riccati, summed over the solver
+    # calls of its sweeps: one evaluation per state a stage is taken of, and
+    # per attempted step of each running window one batch of its twelve
+    # stage times, which twelve stage calls then take.  Propagation: one
+    # evaluation per node time asked for, in batches of at most MAX_NODES,
+    # and one attempt per segment tried
     seen = {}
     original = blochwave.bloch.solve_matrix_ivp
 
     def counted(rhs, y0, grid, tol, max_step, *args, **kw):
-        count = seen["riccati"] = {"nfev": 0, "attempts": 0, "max_step": max_step}
+        count = seen.setdefault("riccati", {"nfev": 0, "attempts": 0, "max_step": max_step})
+        batches = []  # per batch of times: its size and the stage calls it served
 
         def coefficients(ts):
-            count["attempts"] += len(ts) == 12
+            batches.append([len(ts), 0])
             return rhs.coefficients(ts)
 
         def step(c, y):
-            count["nfev"] += 1
+            batches[-1][1] += 1
+            count["nfev"] += len(y)
             return rhs.step(c, y)
 
-        return original(Staged(coefficients, step), y0, grid, tol, max_step, *args, **kw)
+        sols = original(Staged(coefficients, step), y0, grid, tol, max_step, *args, **kw)
+        count["attempts"] += sum(size // 12 for size, stages in batches if stages == 12)
+        return sols
 
     monkeypatch.setattr(blochwave.bloch, "solve_matrix_ivp", counted)
     linear, attempt = blochwave.propagation.integrate_linear, blochwave.dop853._attempt
@@ -849,10 +860,12 @@ def test_summary_header_records_integrator_statistics(tmp_path, monkeypatch):
 
     monkeypatch.setattr(blochwave.propagation, "integrate_linear", counted_linear)
     config = load_config(
-        write_cfg(tmp_path), overrides=["run.t_final=5", "run.checkpoint_count=26"]
+        write_cfg(tmp_path), overrides=["run.t_final=30", "run.checkpoint_count=151"]
     )
     assert run_experiment(config).status == "ok"
     header = read_header(config.output_dir / "summary.csv")
+    assert int(header["riccati_windows"]) > 1 and int(header["riccati_sweeps"]) > 1
+    assert float(header["riccati_max_jump"]) <= config.integrator_tol
     for stage in ("propagate", "riccati"):
         count = seen[stage]
         assert int(header[f"{stage}_nfev"]) == count["nfev"] > 0
@@ -887,9 +900,10 @@ def test_riccati_states_are_row_major_whatever_the_solver_layout(tmp_path, monke
     for name, layout in (("C", np.ascontiguousarray), ("F", np.asfortranarray)):
 
         def relaid(*args, _layout=layout, **kwargs):
-            sol = original(*args, **kwargs)
-            sol.y = _layout(sol.y)
-            return sol
+            sols = original(*args, **kwargs)
+            for sol in sols:  # one result per problem of the call
+                sol.y = _layout(sol.y)
+            return sols
 
         monkeypatch.setattr(blochwave.bloch, "solve_matrix_ivp", relaid)
         config = load_config(

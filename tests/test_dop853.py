@@ -223,25 +223,28 @@ STACKS = {"rotating_riccati": stacked_rotating_riccati, "pole_event": stacked_po
 def test_stacked_problems_each_match_their_solo_run_bit_for_bit(case, count):
     rhs, y0s, grid, tol, kwargs = STACKS[case]()
     y0s = y0s[:count]
-    solos = [solve_matrix_ivp(rhs, y0, grid, tol, **kwargs) for y0 in y0s]
-    watched_rhs, seen = watched(rhs)
-    stack = solve_matrix_ivp(watched_rhs, y0s, grid, tol, **kwargs)
-    assert isinstance(stack, dop853.IvpStack) and len(stack) == count
-    for ours, solo in zip(stack, solos):
-        assert ours.y.shape == solo.y.shape and ours.y.tobytes() == solo.y.tobytes()
-        assert ours.stats() == solo.stats() and ours.event_time == solo.event_time
-    assert stack.nfev == sum(solo.nfev for solo in solos) == sum(len(ts) for ts in seen["times"])
-    # one loop: a batch of the stage times of every running problem per
-    # iteration, as many iterations as the longest problem takes attempts,
-    # and the problems' steps are of their own sizes
-    attempts = [ts.reshape(12, -1) for ts in seen["times"] if len(ts) % 12 == 0]
-    assert len(attempts) == max(solo.n_accepted + solo.n_rejected for solo in solos)
-    assert any((ts != ts[:, :1]).any() for ts in attempts)
-    if case == "pole_event":  # each pole retires its own problem only
-        times = [solo.event_time for solo in solos]
-        assert abs(times[0] - np.pi / 2) < 0.02
-        assert abs(times[1] - (np.pi / 2 - np.arctan(0.5))) < 0.02
-        assert count == 2 or (times[2] is None and stack[2].y.shape[1] == len(grid))
+    for sliced in (False, True):
+        # one grid for all, or each problem its own start time and checkpoint slice
+        grids = [grid[2 * p : len(grid) - 5 * p] if sliced else grid for p in range(count)]
+        solos = [solve_matrix_ivp(rhs, y0, g, tol, **kwargs) for y0, g in zip(y0s, grids)]
+        watched_rhs, seen = watched(rhs)
+        stack = solve_matrix_ivp(watched_rhs, y0s, grids if sliced else grid, tol, **kwargs)
+        assert isinstance(stack, dop853.IvpStack) and len(stack) == count
+        for ours, solo in zip(stack, solos):
+            assert ours.y.shape == solo.y.shape and ours.y.tobytes() == solo.y.tobytes()
+            assert ours.stats() == solo.stats() and ours.event_time == solo.event_time
+        assert stack.nfev == sum(solo.nfev for solo in solos) == sum(len(ts) for ts in seen["times"])
+        # one loop: a batch of the stage times of every running problem per
+        # iteration, as many iterations as the longest problem takes attempts,
+        # and the problems' steps are of their own sizes
+        attempts = [ts.reshape(12, -1) for ts in seen["times"] if len(ts) % 12 == 0]
+        assert len(attempts) == max(solo.n_accepted + solo.n_rejected for solo in solos)
+        assert any((ts != ts[:, :1]).any() for ts in attempts)
+        if case == "pole_event":  # each pole retires its own problem only
+            times = [solo.event_time for solo in solos]
+            assert abs(times[0] - np.pi / 2) < 0.02
+            assert abs(times[1] - grids[1][0] - (np.pi / 2 - np.arctan(0.5))) < 0.02
+            assert count == 2 or (times[2] is None and stack[2].y.shape[1] == len(grids[2]))
 
 
 def test_step_underflow_raises():
