@@ -65,7 +65,6 @@ from .operators import (
     SpectralDecomposition,
     SpectralPath,
     block_project,
-    block_pseudo_inverse,
     decompose,
     match_labels,
     offblock_norm,

@@ -7,18 +7,20 @@ operator Riccati equation ``U'_k = H U_k - U_k H U_k`` per block.  Three
 routes compute it:
 
 * direct integration of the Riccati equation (:func:`integrate_riccati`);
-* the closed form ``U_k = M U_k(t0) [P_k M U_k(t0) P_k]^{-1}`` through block
-  pseudo-inverses of the full evolution (:func:`closed_form_wave`);
+* the closed form ``U_k = M U_k(t0) [P_k M U_k(t0) P_k]^{-1}`` through the
+  block restrictions of the full evolution (:func:`closed_form_wave`);
 * the linearization route through the block-diagonal auxiliary operator
   ``Pi_k = P_k M U_k(t0) P_k + (1 - P_k)`` and its full inverse
   (:func:`radon_wave`).
 
-Route agreement is the package's primary correctness oracle.  Given ``M``,
-the Riccati route cuts a long grid into windows solved by parareal, with the
-closed form as the coarse map; every checkpoint it reports is still an
-integrated one, so it stays independent of ``M``.  The smallest
-block singular value recorded along the way is the existence certificate:
-the solution blows up exactly where a block of ``M U(t0)`` loses rank.
+Every block restriction ``P_k G P_k`` is a slice of ``G`` in the frozen
+eigenbasis of :func:`~blochwave.operators.block_basis`.  Route agreement is
+the package's primary correctness oracle.  Given ``M``, the Riccati route
+cuts a long grid into windows solved by parareal, with the closed form as
+the coarse map; every checkpoint it reports is still an integrated one, so
+it stays independent of ``M``.  The smallest block singular value recorded
+along the way is the existence certificate: the solution blows up exactly
+where a block of ``M U(t0)`` loses rank.
 """
 
 from __future__ import annotations
@@ -29,28 +31,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .dop853 import Staged
-from .errors import (
-    AmbiguousClustering,
-    BadInitialCondition,
-    BlowUp,
-    IntegratorFailure,
-    SingularBlock,
-)
+from .errors import AmbiguousClustering, BadInitialCondition, IntegratorFailure, SingularBlock
 from .operators import (
     SpectralDecomposition,
-    _range_basis,
+    block_basis,
     block_project,
-    block_pseudo_inverse,
     offblock_norm,
     require_skew_hermitian,
     spectral_norm,
 )
 from .propagation import (
     PropagatorPath,
+    _checked_grid,
     _estimate_max_step,
     _rotating_system,
-    _stack_at,
     solve_matrix_ivp,
 )
 
@@ -70,8 +64,14 @@ __all__ = [
     "zeno_generator",
 ]
 
-#: default validation tolerance for initial conditions
+#: validation tolerance of initial conditions
 IC_TOL = 1e-8
+
+#: smallest singular value of an invertible matrix where no caller sets one
+SINGULAR_SV = 1e-12
+
+#: :func:`stationary_ic`'s ambiguity margin over ``gamma * (min block gap)``
+AMBIGUITY_FACTOR = 0.25
 
 #: wave-operator norm beyond which the solution counts as blown up
 BLOWUP_NORM = 1e6
@@ -101,27 +101,27 @@ class BlochInitialCondition:
     matrix: np.ndarray
     stationarity_defect: float | None = None
 
-    def validate(self, blocks, tol: float = IC_TOL) -> None:
+    def validate(self, blocks) -> None:
         """Check the Bloch condition and unitarization compatibility.
 
         Raises:
             BadInitialCondition: if ``P_k U0 P_k != P_k`` or ``U0†U0`` fails
-                to commute with some block beyond ``tol``.
+                to commute with some block beyond :data:`IC_TOL`.
         """
         u0 = self.matrix
         gram = u0.conj().T @ u0
         for k, p in enumerate(blocks):
             bloch = spectral_norm(p @ u0 @ p - p)
-            if bloch > tol:
+            if bloch > IC_TOL:
                 raise BadInitialCondition(
                     f"initial condition violates the Bloch condition on block "
-                    f"{k}: defect {bloch:.3e} > {tol:.1e}"
+                    f"{k}: defect {bloch:.3e} > {IC_TOL:.1e}"
                 )
             comm = spectral_norm(gram @ p - p @ gram)
-            if comm > tol:
+            if comm > IC_TOL:
                 raise BadInitialCondition(
                     f"U0†U0 does not commute with block {k}: "
-                    f"defect {comm:.3e} > {tol:.1e}"
+                    f"defect {comm:.3e} > {IC_TOL:.1e}"
                 )
 
 
@@ -131,10 +131,10 @@ def identity_ic(blocks) -> BlochInitialCondition:
     return BlochInitialCondition(kind="identity", matrix=np.eye(dim, dtype=complex))
 
 
-def custom_ic(u0: np.ndarray, blocks, tol: float = IC_TOL) -> BlochInitialCondition:
+def custom_ic(u0: np.ndarray, blocks) -> BlochInitialCondition:
     """Wrap a user-supplied ``U(t0)``, validating it against the blocks."""
     ic = BlochInitialCondition(kind="custom", matrix=np.asarray(u0, dtype=complex))
-    ic.validate(blocks, tol)
+    ic.validate(blocks)
     return ic
 
 
@@ -142,30 +142,30 @@ def stationary_ic(
     h0: np.ndarray,
     strong: SpectralDecomposition,
     gamma: float,
-    sv_tol: float = 1e-12,
-    ambiguity_factor: float = 0.25,
 ) -> BlochInitialCondition:
     """Solution of the time-independent Bloch problem at the initial time.
 
     Builds the spectral projector of ``H(t0)`` onto the eigenvalue group
     nearest ``gamma * b_k(t0)`` for each block and returns
     ``U0 = sum_k Ptilde_k P_k [P_k Ptilde_k P_k]^{-1}``, whose Riccati
-    derivative vanishes for the frozen-generator problem.
+    derivative vanishes for the frozen-generator problem: the wave operator
+    that ``G = sum_k Ptilde_k P_k`` carries the identity to, since
+    ``P_k G P_k = P_k Ptilde_k P_k``.
 
     Eigenvalues of ``H(t0)`` are assigned to blocks by nearest target, with an
-    ambiguity margin of ``ambiguity_factor * gamma * (min block gap)``.
+    ambiguity margin of :data:`AMBIGUITY_FACTOR` ``* gamma * (min block gap)``.
 
     Raises:
         AmbiguousClustering: if some eigenvalue sits farther from every
             target than the margin, or group sizes disagree with block
             multiplicities (both mean gamma is too small for the
             perturbative picture).
-        SingularBlock: if some ``P_k Ptilde_k P_k`` is not invertible on its
-            block.
+        SingularBlock: if some ``P_k Ptilde_k P_k`` has a singular value
+            below :data:`SINGULAR_SV` on its block.
     """
     lam, vec, _ = require_skew_hermitian(h0, what="stationary-ic Hamiltonian")
     targets = gamma * strong.eigenvalues.imag
-    margin = ambiguity_factor * gamma * strong.min_gap()
+    margin = AMBIGUITY_FACTOR * gamma * strong.min_gap()
 
     dist = np.abs(lam[:, None] - targets[None, :])
     assigned = np.argmin(dist, axis=1)
@@ -183,15 +183,16 @@ def stationary_ic(
             f"multiplicities {tuple(strong.multiplicities)}"
         )
 
-    dim = strong.dim
-    u0 = np.zeros((dim, dim), dtype=complex)
-    for k, p in enumerate(strong.projectors):
-        cols = vec[:, assigned == k]
-        ptilde = cols @ cols.conj().T
-        inv_block = block_pseudo_inverse(ptilde, p, sv_tol)
-        u0 += ptilde @ inv_block
-
     blocks = strong.projectors
+    g = sum((vec * (assigned == k)) @ vec.conj().T @ p for k, p in enumerate(blocks))
+    basis = block_basis(blocks)
+    gv, svs = _block_restrictions(g, basis)
+    smin = min(s[-1] for s in svs)
+    if smin < SINGULAR_SV:
+        raise SingularBlock(
+            f"block restriction singular: min singular value {smin:.3e} < {SINGULAR_SV:.1e}"
+        )
+    u0 = _wave_from(gv, basis)
     defect = spectral_norm(riccati_rhs(np.asarray(h0, dtype=complex), u0, blocks))
     ic = BlochInitialCondition(
         kind="stationary", matrix=u0, stationarity_defect=defect
@@ -263,27 +264,30 @@ def _bloch_defect(u: np.ndarray, blocks) -> float | np.ndarray:
 
 
 def integrate_riccati(
-    hamiltonian,
+    frame,
     ic: BlochInitialCondition | Sequence[BlochInitialCondition],
-    blocks,
     t0: float,
     grid: np.ndarray,
     tol: float = 1e-10,
     max_step: float | None = None,
     blowup_norm: float = BLOWUP_NORM,
     defect_budget: float = DEFECT_BUDGET,
-    raise_on_blowup: bool = False,
     m_path: PropagatorPath | None = None,
 ) -> WaveOperatorPath | list[WaveOperatorPath]:
-    """Integrate the Riccati equation ``U' = H U - U Q(U)`` blockwise.
+    """Integrate the Riccati equation ``U' = H U - U Q(U)`` of a frame blockwise.
 
-    The right-hand side is exactly tangent to the Bloch manifold and a
-    Runge-Kutta step keeps every invariant its stages keep, so the condition
-    is never re-imposed: the recorded Bloch defect is the integration's own.
-    The path is truncated with ``blowup_flag`` set at the first checkpoint
-    after ``t0`` whose Frobenius norm exceeds ``blowup_norm`` or whose
-    defect exceeds ``defect_budget``, or where a terminal event monitoring
-    the norm continuously fires first.
+    The flow is integrated in the rotating frame of the frozen blocks, ``U =
+    D Ur D†`` (see :mod:`blochwave.propagation`): ``D`` commutes with every
+    ``P_k``, so ``Ur`` obeys the Riccati flow of the rotated drive, the
+    ``gamma B`` terms cancel, and the Bloch condition and the norm, hence the
+    event and the budget, carry over unchanged.  The right-hand side is
+    exactly tangent to the Bloch manifold and a Runge-Kutta step keeps every
+    invariant its stages keep, so the condition is never re-imposed: the
+    recorded Bloch defect is the integration's own.  The path is truncated
+    with ``blowup_flag`` set at the first checkpoint after ``t0`` whose
+    Frobenius norm exceeds ``blowup_norm`` or whose defect exceeds
+    ``defect_budget``, or where a terminal event monitoring the norm
+    continuously fires first.
 
     Without ``m_path`` one adaptive pass covers the whole checkpoint grid.
     Handed the full evolution ``M``, a grid that fits :data:`MIN_WINDOWS`
@@ -295,23 +299,14 @@ def integrate_riccati(
     not serve is solved in one pass.
 
     A sequence of initial conditions is integrated in lockstep, in one
-    solver call per sweep that asks for the Hamiltonian once per step of all
-    of them; each keeps its own windows, steps, event and truncation, so
-    each path is bit for bit the one integrated alone.
-
-    Handed the adiabatic frame, the flow is integrated in the rotating frame
-    of its frozen blocks, ``U = D Ur D†`` (see :mod:`blochwave.propagation`):
-    ``D`` commutes with every ``P_k``, so ``Ur`` obeys the Riccati flow of
-    the rotated drive, the ``gamma B`` terms cancel, and the Bloch condition
-    and the norm, hence the event and the budget, carry over unchanged.
+    solver call per sweep that asks for the frame once per step of all of
+    them; each keeps its own windows, steps, event and truncation, so each
+    path is bit for bit the one integrated alone.
 
     Args:
-        hamiltonian: callable ``ts -> H(ts)``, one skew-Hermitian frame
-            generator per time of an array, or the adiabatic frame itself.
+        frame: the adiabatic frame; its frozen projectors are the blocks.
         ic: a validated initial transformation, or a sequence of them.
-        blocks: frozen projectors ``P_k(t0)``; with a frame, they must be its
-            own.
-        grid: strictly increasing checkpoint times starting at ``t0``.
+        grid: two or more strictly increasing checkpoint times from ``t0``.
         m_path: the full evolution from ``t0``, at least at the checkpoints
             (the pipeline's ``M``); enables the windows.
 
@@ -323,43 +318,27 @@ def integrate_riccati(
     Raises:
         IntegratorFailure: on step underflow.
         BadInitialCondition: if an initial condition fails validation.
-        BlowUp: only when ``raise_on_blowup`` is set.
-        ValueError: if a frame is passed with ``blocks`` other than its
-            frozen projectors, a callable does not return one matrix per
-            time, or ``m_path`` starts elsewhere than ``t0``.
+        ValueError: on a bad grid, or if ``m_path`` starts elsewhere than
+            ``t0``.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != t0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must start at t0 and strictly increase")
+    grid = _checked_grid(grid, t0)
     single = isinstance(ic, BlochInitialCondition)
     ics = [ic] if single else list(ic)
+    blocks = frame.blocks
     for condition in ics:
         condition.validate(blocks)
-    blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    rotating = hasattr(hamiltonian, "split_at")
-    if rotating and not np.array_equal(blocks, hamiltonian.frozen.projector_stack):
-        raise ValueError("blocks must be the frozen projectors of the frame")
     if m_path is not None and m_path.t0 != t0:
         raise ValueError("m_path must start at t0")
-
-    if not rotating:  # one matrix per time, before the stepper relies on it
-        _stack_at(hamiltonian, grid[[0, -1]])
     if max_step is None:
-        sampled = hamiltonian.hamiltonian_at if rotating else hamiltonian
-        max_step = _estimate_max_step(sampled, t0, grid[-1])
+        max_step = _estimate_max_step(frame.hamiltonian_at, t0, grid[-1])
 
     def rotated_rhs(h, z, same_block):
         # riccati_rhs in the frozen eigenbasis, where block_project is a mask
         hz = h @ z
         return hz - z @ (hz * same_block)
 
-    shape, size = ics[0].matrix.shape, ics[0].matrix.size
-    if rotating:
-        _, rhs, back = _rotating_system(hamiltonian, rotated_rhs, ics[0].matrix)
-        to_states = lambda u: _rotating_system(hamiltonian, rotated_rhs, u)[0]  # phases from 0
-    else:
-        rhs = Staged(hamiltonian, lambda h, u: riccati_rhs(h, u, blocks))
-        to_states, back = (lambda u: u), (lambda states: states.reshape(*states.shape[:-1], *shape))
+    to_states, rhs, back = _rotating_system(frame, rotated_rhs)
+    size = ics[0].matrix.size
 
     def blowup_event(t, y):  # the Frobenius norm as np.linalg.norm takes it, without its checks
         u = y[:size]
@@ -371,7 +350,7 @@ def integrate_riccati(
 
     runs = [_Windows([]) for _ in ics]
     if m_path is not None and len(bounds := _window_bounds(grid, max_step)) > 2:
-        runs = _parareal(solve, back, [c.matrix for c in ics], grid, bounds, m_path, blocks, tol)
+        runs = _parareal(solve, back, [c.matrix for c in ics], grid, bounds, m_path, frame.basis, tol)
     alone = [(run, condition.matrix) for run, condition in zip(runs, ics) if run.states is None]
     if alone:  # one pass over the whole grid
         for (run, _), sol in zip(alone, solve([u0 for _, u0 in alone], grid)):
@@ -392,8 +371,6 @@ def integrate_riccati(
         n = _first_true(failed)
         # the first failed checkpoint, else where the blow-up event fired (None if neither)
         blowup_time = float(grid[n]) if n < len(mats) else run.event_time
-        if blowup_time is not None and raise_on_blowup:
-            raise BlowUp(f"wave operator left the invertibility region near t={blowup_time:g}")
         paths.append(WaveOperatorPath(
             t0=t0, times=grid[:n].copy(), matrices=mats[:n], blocks=blocks,
             bloch_defects=defects[:n], route="riccati", blowup_flag=blowup_time is not None,
@@ -422,9 +399,9 @@ class _Windows:
         self.windows, self.sweeps, self.max_jump = 1, 0, 0.0
 
 
-def _parareal(solve, back, ics, grid, bounds, m_path, blocks, tol) -> list:
+def _parareal(solve, back, ics, grid, bounds, m_path, basis, tol) -> list:
     """Parareal over the windows ``grid[bounds[n] : bounds[n + 1] + 1]`` for
-    each initial matrix of ``ics``.
+    each initial matrix of ``ics``, in the frame's frozen eigenbasis ``basis``.
 
     The fine map ``F`` is ``solve(starts, grids)``, the Riccati flow from
     each start over its window, all in one lockstep call (``back`` maps its
@@ -442,22 +419,20 @@ def _parareal(solve, back, ics, grid, bounds, m_path, blocks, tol) -> list:
     :func:`closed_form_wave` does), :data:`MAX_SWEEPS` sweeps did not
     converge or a sweep failed.
     """
-    bases = [_range_basis(p) for p in blocks]
     grids = [grid[a : b + 1] for a, b in zip(bounds[:-1], bounds[1:])]
     m = m_path.at(grid[bounds])
     flows = m[1:] @ m[:-1].conj().swapaxes(-1, -2)  # M(t_{n+1}) M(t_n)†, one per window
 
     def coarse(n, u):  # the closed form of window n (or of a stack of them) from u
-        return _wave_from(flows[n] @ u, bases)
+        return _wave_from(basis[1](flows[n] @ u), basis)
 
     runs = []
     for u0 in ics:  # sweep 0 starts from the closed form M(t_n) U0 [...]^-1
-        g = m[1:-1] @ u0
-        restricted = [q.conj().T @ g @ q for q in bases]
-        if min(np.linalg.svd(r, compute_uv=False)[:, -1].min() for r in restricted) < 1e-8:
+        gv, svs = _block_restrictions(m[1:-1] @ u0, basis)
+        if min(s[:, -1].min() for s in svs) < 1e-8:
             runs.append(_Windows([]))
         else:
-            runs.append(_Windows(np.concatenate([u0[None], _wave_from(g, bases, restricted)])))
+            runs.append(_Windows(np.concatenate([u0[None], _wave_from(gv, basis)])))
 
     live = [run for run in runs if run.fine]
     for sweep in range(MAX_SWEEPS):
@@ -496,31 +471,30 @@ def _parareal(solve, back, ics, grid, bounds, m_path, blocks, tol) -> list:
     return runs
 
 
-def _block_restrictions(m_path: PropagatorPath, ic: BlochInitialCondition, blocks):
-    """The block algebra shared by the routes that see the full evolution.
-
-    Returns ``G = M(t) U0`` over the checkpoint stack, each frozen block's
-    range basis ``Q_k``, the restrictions ``Q_k† G Q_k`` and their singular
-    values (descending, one row per checkpoint).
-    """
-    g = m_path.matrices @ ic.matrix
-    bases = [_range_basis(p) for p in blocks]
-    restricted = [q.conj().T @ g @ q for q in bases]
-    svs = [np.linalg.svd(r, compute_uv=False) for r in restricted]
-    return g, bases, restricted, svs
+def _index_sets(labels: np.ndarray) -> list:
+    """The indices of each block in a frozen eigenbasis, from its labels."""
+    return [np.flatnonzero(labels == k) for k in range(labels.max() + 1)]
 
 
-def _wave_from(g: np.ndarray, bases, restricted=None) -> np.ndarray:
-    """``sum_k G Q_k (Q_k† G Q_k)^{-1} Q_k†`` for ``G`` or each matrix of a
-    stack: the wave operator that ``G = M U0`` carries ``U0`` to, given the
-    frozen blocks' range bases ``Q_k`` and, when at hand, the restrictions
-    ``Q_k† G Q_k``."""
-    if restricted is None:
-        restricted = [q.conj().T @ g @ q for q in bases]
-    u = np.zeros_like(g)
-    for q, r in zip(bases, restricted):
-        u += g @ (q @ np.linalg.inv(r) @ q.conj().T)
-    return u
+def _block_restrictions(g: np.ndarray, basis):
+    """``into(G)`` in the frozen eigenbasis ``basis`` (:func:`block_basis`)
+    and the singular values (descending, one row per matrix of a stack) of
+    each ``P_k G P_k``: the slice of ``into(G)`` on block ``k``'s indices."""
+    gv = basis[1](g)
+    restricted = [gv[..., ix[:, None], ix] for ix in _index_sets(basis[0])]
+    return gv, [np.linalg.svd(r, compute_uv=False) for r in restricted]
+
+
+def _wave_from(gv: np.ndarray, basis) -> np.ndarray:
+    """``sum_k G P_k [P_k G P_k]^{-1}`` for ``G`` or each matrix of a stack,
+    from ``into(G)`` in the frozen eigenbasis ``basis``: the wave operator
+    that ``G = M U0`` carries ``U0`` to.  Block ``k``'s columns of
+    ``into(U)`` are those of ``into(G)`` times its inverse restriction."""
+    labels, _, out_of = basis
+    u = np.empty_like(gv)
+    for ix in _index_sets(labels):
+        u[..., ix] = gv[..., ix] @ np.linalg.inv(gv[..., ix[:, None], ix])
+    return out_of(u)
 
 
 def _first_true(flags: np.ndarray) -> int:
@@ -545,11 +519,12 @@ def closed_form_wave(
     """
     ic.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    g, bases, restricted, svs = _block_restrictions(m_path, ic, blocks)
+    basis = block_basis(blocks)
+    gv, svs = _block_restrictions(m_path.matrices @ ic.matrix, basis)
     min_sv = np.min([s[:, -1] for s in svs], axis=0)
     n = _first_true(min_sv < sv_tol)
 
-    u = _wave_from(g[:n], bases, [r[:n] for r in restricted])
+    u = _wave_from(gv[:n], basis)
     return WaveOperatorPath(
         t0=m_path.t0,
         times=m_path.times[:n].copy(),
@@ -558,8 +533,8 @@ def closed_form_wave(
         bloch_defects=_bloch_defect(u, blocks),
         route="closed_form",
         min_block_sv=min_sv[:n],
-        blowup_flag=n < len(g),
-        blowup_time=float(m_path.times[n]) if n < len(g) else None,
+        blowup_flag=n < len(gv),
+        blowup_time=float(m_path.times[n]) if n < len(gv) else None,
     )
 
 
@@ -581,7 +556,8 @@ def radon_wave(
     """
     ic.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    g, _, _, svs = _block_restrictions(m_path, ic, blocks)
+    g = m_path.matrices @ ic.matrix
+    svs = _block_restrictions(g, block_basis(blocks))[1]
     eye = np.eye(blocks[0].shape[0], dtype=complex)
 
     pis = [p @ g @ p + (eye - p) for p in blocks]
@@ -627,9 +603,6 @@ class EffectiveEvolutionPath:
     matrices: np.ndarray
     block_min_sv: np.ndarray  # (n_times, n_blocks)
 
-    def invertible(self, sv_tol: float = 1e-8) -> bool:
-        return bool(np.all(self.block_min_sv >= sv_tol))
-
 
 def bloch_effective_evolution(
     m_path: PropagatorPath,
@@ -637,8 +610,8 @@ def bloch_effective_evolution(
     blocks,
 ) -> EffectiveEvolutionPath:
     """The effective diagonal evolution ``sum_k P_k M(t) U(t0) P_k``."""
-    blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    g, _, _, svs = _block_restrictions(m_path, ic, blocks)
+    g = m_path.matrices @ ic.matrix
+    svs = _block_restrictions(g, block_basis(blocks))[1]
     return EffectiveEvolutionPath(
         t0=m_path.t0,
         times=m_path.times.copy(),
@@ -651,7 +624,6 @@ def effective_generator(
     h: np.ndarray,
     u: np.ndarray,
     u_dot: np.ndarray,
-    sv_tol: float = 1e-12,
 ) -> np.ndarray:
     """Canonical effective generator ``H_eff = U^{-1} H U - U^{-1} U'``.
 
@@ -659,11 +631,11 @@ def effective_generator(
     respect to the frozen family (verified in tests, not enforced here).
 
     Raises:
-        SingularBlock: if ``U`` is not invertible within ``sv_tol``.
+        SingularBlock: if ``U`` has a singular value below :data:`SINGULAR_SV`.
     """
     u = np.asarray(u, dtype=complex)
     smin = np.linalg.svd(u, compute_uv=False)[-1]
-    if smin < sv_tol:
+    if smin < SINGULAR_SV:
         raise SingularBlock(
             f"transformation not invertible: min singular value {smin:.3e}"
         )

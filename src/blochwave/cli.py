@@ -447,7 +447,7 @@ def _riccati_path(config: ExperimentConfig, shared: dict, grid):
 
     def solve(ics):
         return integrate_riccati(
-            frame, ics, frame.blocks, config.t0, grid,
+            frame, ics, config.t0, grid,
             tol=config.integrator_tol, max_step=shared["max_step"], m_path=shared["m"],
         )
 

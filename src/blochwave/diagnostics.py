@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import EffectiveEvolutionPath, WaveOperatorPath
+from .bloch import IC_TOL, SINGULAR_SV, EffectiveEvolutionPath, WaveOperatorPath
 from .errors import BadInitialCondition, BoundViolated, OutOfRange, SingularBlock
 from .operators import offblock_norm, spectral_norm
 from .propagation import PropagatorPath
@@ -37,6 +37,9 @@ __all__ = [
     "unitarize",
     "distance_report",
 ]
+
+#: numerical noise: how far a distance may exceed its theorem bound
+NOISE = 1e-12
 
 
 def leakage(m_path: PropagatorPath, blocks, norm: str = "spectral") -> np.ndarray:
@@ -111,14 +114,13 @@ class UnitarizedPath:
 def unitarize(
     u_path: WaveOperatorPath,
     blocks,
-    sv_tol: float = 1e-12,
-    ic_tol: float = 1e-8,
     m_path: PropagatorPath | None = None,
 ) -> UnitarizedPath:
     """Unitarize a wave-operator path by polar decomposition.
 
     The inverse square root of the Hermitian positive matrix ``U†U`` is taken
-    through its eigendecomposition with an eigenvalue floor of ``sv_tol²``
+    through its eigendecomposition with an eigenvalue floor of
+    :data:`~blochwave.bloch.SINGULAR_SV` ``²``
     (raising :class:`SingularBlock` below it, since ``U`` would not be
     invertible there).
 
@@ -128,27 +130,27 @@ def unitarize(
 
     Raises:
         BadInitialCondition: if ``U†(t0) U(t0)`` fails to commute with some
-            block beyond ``ic_tol`` (the compatibility condition for the
-            construction).
+            block beyond :data:`~blochwave.bloch.IC_TOL` (the compatibility
+            condition for the construction).
         SingularBlock: if ``U`` loses invertibility along the path.
     """
     u0 = u_path.matrices[0]
     gram0 = u0.conj().T @ u0
     for k, p in enumerate(blocks):
         defect = spectral_norm(gram0 @ p - p @ gram0)
-        if defect > ic_tol:
+        if defect > IC_TOL:
             raise BadInitialCondition(
-                f"[U0†U0, P_{k}] = {defect:.3e} > {ic_tol:.1e}; initial condition "
+                f"[U0†U0, P_{k}] = {defect:.3e} > {IC_TOL:.1e}; initial condition "
                 "incompatible with unitarization"
             )
 
     us = u_path.matrices
     grams = us.conj().swapaxes(-1, -2) @ us
     w, q = np.linalg.eigh(grams)
-    floor = w[:, 0] < sv_tol**2
+    floor = w[:, 0] < SINGULAR_SV**2
     if floor.any():
         raise SingularBlock(
-            f"U†U eigenvalue {w[np.argmax(floor), 0]:.3e} below floor {sv_tol**2:.1e}; "
+            f"U†U eigenvalue {w[np.argmax(floor), 0]:.3e} below floor {SINGULAR_SV**2:.1e}; "
             "transformation not invertible"
         )
     vs = us @ ((q * (1.0 / np.sqrt(w))[:, None, :]) @ q.conj().swapaxes(-1, -2))
@@ -190,11 +192,9 @@ class LeakageReport:
     bound_leakage: float
     bound_v: float
     delta_in_range: bool
-    v_delta_in_range: bool
     max_effective_distance: float
     v_deviation_max: float | None
     grid: np.ndarray
-    norms_used: dict
 
     @property
     def per_block_leakage(self) -> np.ndarray:
@@ -224,13 +224,12 @@ def distance_report(
     m_eff_path: EffectiveEvolutionPath,
     blocks,
     v_path: UnitarizedPath | None = None,
-    noise_tol: float = 1e-12,
 ) -> LeakageReport:
     """Assemble the leakage report and enforce the theorem-level bounds.
 
     Checks ``‖M(t) - M_eff(t)‖ <= 2*delta/(1-delta)`` at every checkpoint
     (and ``sup‖V - 1‖`` against its bound when a unitarized path is given).
-    A violation beyond ``noise_tol`` raises :class:`BoundViolated`: the
+    A violation beyond :data:`NOISE` raises :class:`BoundViolated`: the
     inequalities are theorems, so failure signals a solver defect.
 
     All paths must share the wave-operator grid (truncate to a common prefix
@@ -251,7 +250,7 @@ def distance_report(
 
     delta_ok = delta_spec < 1.0
     bound_leak = leakage_bound(delta_spec) if delta_ok else np.inf
-    if delta_ok and dist > bound_leak + noise_tol:
+    if delta_ok and dist > bound_leak + NOISE:
         raise BoundViolated(
             f"‖M - M_eff‖ = {dist:.6e} exceeds 2d/(1-d) = {bound_leak:.6e} "
             f"(delta = {delta_spec:.6e}); solver defect"
@@ -262,7 +261,7 @@ def distance_report(
     v_dev = None
     if v_path is not None:
         v_dev = float(np.max(v_path.deviation("spectral")))
-        if v_ok and v_dev > boundv + noise_tol:
+        if v_ok and v_dev > boundv + NOISE:
             raise BoundViolated(
                 f"‖V - 1‖ = {v_dev:.6e} exceeds its bound {boundv:.6e} "
                 f"(delta = {delta_spec:.6e}); solver defect"
@@ -275,14 +274,7 @@ def distance_report(
         bound_leakage=bound_leak,
         bound_v=boundv,
         delta_in_range=delta_ok,
-        v_delta_in_range=v_ok,
         max_effective_distance=dist,
         v_deviation_max=v_dev,
         grid=u_path.times.copy(),
-        norms_used={
-            "per_block_leakage": "spectral",
-            "delta_spectral": "spectral",
-            "delta_frobenius": "frobenius",
-            "bounds": "spectral",
-        },
     )

@@ -34,6 +34,7 @@ from .models import GeneratorModel
 # benchmark's tracer (perfbench/tracer.py) wraps blochwave.frame.match_labels
 from .operators import (  # noqa: F401
     SpectralDecomposition,
+    block_basis,
     match_labels,
     spectral_norm,
     track_spectral_path,
@@ -138,7 +139,9 @@ class AdiabaticFrame:
     Exposes the frame drift, drive and full Hamiltonian as callables over the
     span of the transporter path.  :meth:`split_at` gives the drift's rates
     and the drive apart, so that the integrators can factor the drift out
-    exactly (see :mod:`blochwave.propagation`).  Frames are immutable once
+    exactly (see :mod:`blochwave.propagation`); ``basis`` is the
+    eigenbasis of the frozen projectors in which they do
+    (:func:`~blochwave.operators.block_basis`).  Frames are immutable once
     built; distinct frames (different models or gammas) can be used
     concurrently.
     """
@@ -157,6 +160,7 @@ class AdiabaticFrame:
             if self.model.static_drift
             else None
         )
+        self.basis = block_basis(self.frozen.projector_stack)
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -167,9 +171,6 @@ class AdiabaticFrame:
         """The model's period: with a static drift the frame Hamiltonian
         repeats with the drive (``None`` if it does not)."""
         return self.model.period
-
-    def transporter_at(self, t) -> np.ndarray:
-        return self.w_path.at(t)
 
     def drift_at(self, t) -> np.ndarray:
         """Frame drift ``B(t) = sum_k b_k(t) P_k(t0)``."""
@@ -201,6 +202,11 @@ class AdiabaticFrame:
         anchor = None if self.model.analytic_spectral is not None else self.model.spectral_at(t)
         eigenvalues = self.model.eigenvalues_at(t) if anchor is None else anchor.eigenvalues
         return self.model.gamma * eigenvalues, self.drive_at(t, anchor)
+
+    def rotated_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`split_at` with the drive in :attr:`basis`, ``V† C V``."""
+        rates, drive = self.split_at(t)
+        return rates, self.basis[1](drive)
 
     def hamiltonian_at(self, t) -> np.ndarray:
         """Full frame generator ``gamma B(t) + C(t)``, from :meth:`split_at`;

@@ -1,8 +1,9 @@
 """Complex dense-matrix foundation.
 
 Skew-Hermitian validation, spectral decomposition with degeneracy grouping,
-smooth eigenprojector tracking across time, block algebra, and block
-pseudo-inverses.  Everything here is a pure function of its inputs; the
+smooth eigenprojector tracking across time, and block algebra, including the
+one eigenbasis of a block family in which every block restriction is a slice
+(:func:`block_basis`).  Everything here is a pure function of its inputs; the
 returned objects are treated as immutable.
 
 The spectral layer is batched: :func:`decompose` takes a stack of matrices
@@ -32,7 +33,7 @@ __all__ = [
     "decompose",
     "match_labels",
     "track_spectral_path",
-    "block_pseudo_inverse",
+    "block_basis",
     "block_project",
     "offblock_norm",
 ]
@@ -43,6 +44,9 @@ DEFAULT_GAP_FACTOR = 1e-8
 
 #: tolerance of the skew-Hermiticity check, relative to ``max(1, ‖a‖)``
 SKEW_TOL = 1e-10
+
+#: how far a tracked block's overlap with its predecessor may fall below its rank
+OVERLAP_SLACK = 0.5
 
 
 def spectral_norm(a: np.ndarray) -> float | np.ndarray:
@@ -270,14 +274,13 @@ def track_spectral_path(
     drift,
     grid: np.ndarray,
     gap_tol: float | None = None,
-    overlap_slack: float = 0.5,
 ) -> SpectralPath:
     """Decompose ``drift(t)`` along ``grid`` with sequentially matched labels.
 
     The whole grid is decomposed in one stacked :func:`decompose` call, whose
     blocks must keep their multiplicities; labels are then matched pair by
     pair.  Validates the path invariants: adjacent overlaps must stay above
-    ``multiplicity - overlap_slack`` and the eigenvalue gap must stay positive.
+    ``multiplicity - OVERLAP_SLACK`` and the eigenvalue gap must stay positive.
 
     Args:
         drift: callable mapping an array of times to a stack of
@@ -294,48 +297,39 @@ def track_spectral_path(
         nxt = match_labels(decs[-1], stack[i])
         for k, p in enumerate(decs[-1].projectors):
             ov = np.trace(p @ nxt.projectors[k]).real
-            if ov < decs[-1].multiplicities[k] - overlap_slack:
+            if ov < decs[-1].multiplicities[k] - OVERLAP_SLACK:
                 raise CrossingDetected(
                     f"label consistency lost at t={t:g} for block {k}: "
-                    f"overlap {ov:.3f} < {decs[-1].multiplicities[k] - overlap_slack}"
+                    f"overlap {ov:.3f} < {decs[-1].multiplicities[k] - OVERLAP_SLACK}"
                 )
         decs.append(nxt)
     return SpectralPath(grid=grid, decompositions=decs)
 
 
-def _range_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of a Hermitian projector."""
-    w, v = np.linalg.eigh(p)
-    cols = v[:, w > 0.5]
-    if cols.shape[1] == 0:
-        raise SingularBlock("projector has empty range")
-    return cols
+def block_basis(blocks):
+    """An orthonormal eigenbasis ``V`` of a complete family of orthogonal
+    projectors ``P_k`` (a sequence or a stack); an empty one raises
+    :class:`~blochwave.errors.SingularBlock`.
 
-
-def block_pseudo_inverse(
-    a: np.ndarray,
-    projector: np.ndarray,
-    sv_tol: float = 1e-12,
-) -> np.ndarray:
-    """Inverse of ``P a P`` on the range of ``P``, zero elsewhere.
-
-    The result ``X`` satisfies ``X (P a P) = (P a P) X = P`` and
-    ``X = P X P``.
-
-    Raises:
-        SingularBlock: if the smallest singular value of ``P a P`` restricted
-            to the range of ``P`` is below ``sv_tol`` (the blow-up condition of
-            the block-diagonal effective evolution).
+    Returns ``(labels, into, out_of)``: ``labels[i]`` is the block of column
+    ``i`` of ``V``, ``into(x) = V† x V`` and ``out_of(x) = V x V†`` (per
+    matrix for a stack).  There ``P_k`` is the mask of the indices ``labels
+    == k``, and ``P_k X P_k`` the slice of ``into(X)`` on them.  Coordinate
+    projectors give ``V = 1``: ``into`` and ``out_of`` return their argument.
     """
-    a = np.asarray(a, dtype=complex)
-    q = _range_basis(np.asarray(projector, dtype=complex))
-    restricted = q.conj().T @ a @ q
-    smin = np.linalg.svd(restricted, compute_uv=False)[-1]
-    if smin < sv_tol:
-        raise SingularBlock(
-            f"block restriction singular: min singular value {smin:.3e} < {sv_tol:.1e}"
-        )
-    return q @ np.linalg.inv(restricted) @ q.conj().T
+    proj = np.asarray(blocks, dtype=complex)
+    if not np.any(proj * ~np.eye(proj.shape[-1], dtype=bool)):  # V = 1
+        labels = np.argmax(np.einsum("kii->ki", proj).real, axis=0)
+        into = out_of = lambda x: x
+    else:
+        # sum_k k P_k has the eigenvalue k on block k, so its eigh labels columns
+        weights, basis = np.linalg.eigh(np.tensordot(np.arange(len(proj)), proj, axes=1))
+        basis_h = basis.conj().T
+        labels = np.rint(weights).astype(int)
+        into, out_of = (lambda x: basis_h @ x @ basis), (lambda x: basis @ x @ basis_h)
+    if np.any(np.bincount(labels, minlength=len(proj)) == 0):
+        raise SingularBlock("projector has empty range")
+    return labels, into, out_of
 
 
 def block_project(a: np.ndarray, blocks) -> np.ndarray:

@@ -15,26 +15,25 @@ checkpoints (the initial conditions of a sweep, and the windows that the
 Riccati route cuts a long grid into), so the two routes share the tableau
 and nothing of the stepping.
 
-Both integrators take a generator of one of two kinds: a callable that maps
-a 1-D array of times to one matrix per time (checked by :func:`_stack_at`),
-or an adiabatic frame.  Handed a frame, the integrators factor its
-strong drift out exactly.  In the frame the drift ``gamma B(t) = gamma sum_k
-b_k(t) P_k(t0)`` is block-scalar over frozen projectors, so its flow is
-``D(t) = sum_k exp(phi_k(t)) P_k(t0)`` with ``phi_k' = gamma b_k(t)``.  Both
-integrators work in an eigenbasis of the frozen projectors
-(:func:`_frozen_basis`), where ``D`` is diagonal and a block projection is a
-mask.  :func:`propagate` hands the rates ``gamma b_k`` and the rotated drive
-``V† C V`` to the round stepper, which integrates ``M = D Mr`` with ``Mr' =
-D† C D Mr`` on each segment with phases local to the segment.  The Riccati
-integrator carries the phases in its solver state next to the matrix and
-integrates ``U = D Ur D†`` with the Riccati flow of ``D† C D``; the loop asks
-the frame for the rates and rotated drive at all twelve stage times of one
-step of every initial condition in one batched call
-(:class:`~blochwave.dop853.Staged`).  Either way the
-solver no longer resolves the fast phase of ``gamma B`` step by step, and
-the step cap stays that of the full frame Hamiltonian.  The step cap and the
-skew-Hermiticity check sample the frame Hamiltonian in one batched call
-each.
+:func:`propagate` takes a callable that maps a 1-D array of times to one
+matrix per time, or an adiabatic frame; the Riccati route takes the frame
+only.  Handed a frame, the integrators factor its strong drift out exactly.
+In the frame the drift ``gamma B(t) = gamma sum_k b_k(t) P_k(t0)`` is
+block-scalar over frozen projectors, so its flow is ``D(t) = sum_k
+exp(phi_k(t)) P_k(t0)`` with ``phi_k' = gamma b_k(t)``.  Both integrators
+work in the frame's eigenbasis of the frozen projectors (``frame.basis``),
+where ``D`` is diagonal and a block projection is a mask.  :func:`propagate`
+hands the rates ``gamma b_k`` and the rotated drive ``V† C V`` to the round
+stepper, which integrates ``M = D Mr`` with ``Mr' = D† C D Mr`` on each
+segment with phases local to the segment.  The Riccati integrator carries
+the phases in its solver state next to the matrix and integrates ``U = D Ur
+D†`` with the Riccati flow of ``D† C D``; the loop asks the frame for the
+rates and rotated drive at all twelve stage times of one step of every
+initial condition in one batched call (:class:`~blochwave.dop853.Staged`).
+Either way the solver no longer resolves the fast phase of ``gamma B`` step
+by step, and the step cap stays that of the full frame Hamiltonian.  The
+step cap and the skew-Hermiticity check sample the frame Hamiltonian in one
+batched call each.
 
 A frame whose Hamiltonian repeats with a period ``T`` (``frame.period``,
 model data) is integrated over one period only.  By Floquet's theorem
@@ -42,7 +41,8 @@ model data) is integrated over one period only.  By Floquet's theorem
 each checkpoint ``t`` is folded to its residue ``s = t0 + (t - t0) mod T``
 and its whole periods ``n``, the residues (and ``t0 + T``) are the
 checkpoints of the one integration, and the path is composed from the
-powers of ``F``.  The cost no longer grows with the horizon.
+powers of ``F``.  The cost no longer grows with the horizon.  A request for
+dense output integrates the whole grid.
 
 Unitarity is monitored, never silently enforced: the recorded defect
 ``‖M†M - 1‖`` doubles as an independent error estimate.  Empirically the
@@ -155,16 +155,15 @@ def _estimate_max_step(generator, t0: float, t1: float, samples: int = 33) -> fl
     return min(cap, period * OSCILLATION_STEP_FRACTION)
 
 
-def _stack_at(generator, ts: np.ndarray) -> np.ndarray:
-    """``generator(ts)``, checked to be one square matrix per time (one
-    written for a single time would fail deep inside the stepper)."""
-    stack = np.asarray(generator(ts), dtype=complex)
-    if stack.ndim != 3 or len(stack) != len(ts) or stack.shape[1] != stack.shape[2]:
-        raise ValueError(
-            f"generator returned shape {stack.shape} for an array of {len(ts)} times; "
-            "generators take an array of times and return one matrix per time"
-        )
-    return stack
+def _checked_grid(grid, t0: float) -> np.ndarray:
+    """``grid`` as a float array, refused unless it holds at least two
+    strictly increasing times, one-dimensional, starting at ``t0``."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must contain at least two strictly increasing times")
+    if grid[0] != t0:
+        raise ValueError(f"grid[0] = {grid[0]!r} must equal t0 = {t0!r}")
+    return grid
 
 
 def solve_matrix_ivp(
@@ -213,60 +212,37 @@ def solve_matrix_ivp(
     return results if stacked else results[0]
 
 
-def _frozen_basis(frame):
-    """An orthonormal eigenbasis ``V`` of the frame's frozen projectors.
-
-    Returns ``(labels, into, out_of)``: ``labels[i]`` is the block of column
-    ``i`` of ``V``, ``into(x) = V† x V`` and ``out_of(x) = V x V†`` (per
-    matrix for a stack).  In that basis ``P_k`` is the mask of block ``k``'s
-    indices, and the frozen drift's flow ``sum_k exp(phi_k) P_k`` is
-    ``diag(exp(phi[labels]))``.
-    """
-    proj = frame.frozen.projector_stack
-    if not np.any(proj * ~np.eye(proj.shape[-1], dtype=bool)):  # V = 1
-        labels = np.argmax(np.einsum("kii->ki", proj).real, axis=0)
-        return labels, (lambda x: x), (lambda x: x)
-    # sum_k k P_k has the eigenvalue k on block k, so its eigh labels columns
-    weights, basis = np.linalg.eigh(np.tensordot(np.arange(len(proj)), proj, axes=1))
-    basis_h = basis.conj().T
-    labels = np.rint(weights).astype(int)
-    return labels, (lambda x: basis_h @ x @ basis), (lambda x: basis @ x @ basis_h)
-
-
-def _rotating_system(frame, matrix_rhs, y0: np.ndarray):
+def _rotating_system(frame, matrix_rhs):
     """Pack a matrix ODE driven by a frame Hamiltonian, with the two-sided
     solution ``Y = D Z D†``, into the rotating frame of the frame's frozen
     blocks.
 
     The rotation ``D = sum_k exp(phi_k) P_k(t0)``, with ``phi_k' = gamma
     b_k(t)``, is ``V E V†`` with ``E = diag(exp(phi[labels]))`` in the
-    eigenbasis ``V`` of :func:`_frozen_basis`.  The solver state is
+    frame's eigenbasis ``V`` (``frame.basis``).  The solver state is
     ``[vec(Z), phi]`` and ``Y = V E Z E† V†``.  ``matrix_rhs(c, z,
     same_block)`` is ``Z'`` for a stack of ``z``, given the rotated drives
     in that basis, ``c = E† V† C V E``, and the masks of the index pairs in
     one block, all three with one matrix per ``z``: the block-diagonal part
     of ``x`` is ``x * same_block``.
 
-    Returns ``(state0, rhs, back)``: the initial state of ``y0`` (a stack
-    for a stack of matrices), the solver's :class:`~blochwave.dop853.Staged`
-    right-hand side and ``back(states)``, which maps a state or a stack of
-    them to ``Y``.  The matrix part is the first ``n * n`` entries of a
-    state.  The right-hand side's coefficients are the state-independent
-    rates ``gamma b_k(t)`` and rotated drive ``V† C V`` at all the times of
-    one call; its step adds the phases ``exp(phi)`` and the matrix products.
+    Returns ``(states, rhs, back)``: ``states(y0)`` is the initial state of a
+    matrix, with the phases at 0 (a stack for a stack of matrices), ``rhs``
+    the solver's :class:`~blochwave.dop853.Staged` right-hand side and
+    ``back(states)`` maps a state or a stack of them to ``Y``.  The matrix
+    part is the first ``n * n`` entries of a state.  The right-hand side's
+    coefficients are the state-independent rates ``gamma b_k(t)`` and
+    rotated drive ``V† C V`` at all the times of one call; its step adds the
+    phases ``exp(phi)`` and the matrix products.
     """
-    labels, into, out_of = _frozen_basis(frame)
-    shape = y0.shape[-2:]
+    labels, into, out_of = frame.basis
+    shape = (frame.model.dim,) * 2
     size, stack_shape = shape[0] * shape[1], (-1, *shape)
     same_block = (labels[:, None] == labels[None, :]).astype(complex)
 
     @functools.lru_cache(maxsize=None)
     def masks(count):  # one per state: a product that broadcasts costs twice as much
         return np.repeat(same_block[None], count, axis=0)
-
-    def coefficients(ts):
-        rates, drive = frame.split_at(ts)
-        return rates, into(drive)
 
     phases = size + labels  # where each column's phase sits in a state
 
@@ -278,15 +254,18 @@ def _rotating_system(frame, matrix_rhs, y0: np.ndarray):
         return np.concatenate((z.reshape(len(y), size), rates), axis=1)
 
     def back(states):
-        e = np.exp(states[..., size:][..., labels])
+        # exp(phi_i - phi_j), which is 1 exactly within a block
+        phi = states[..., size:][..., labels]
         z = states[..., :size].reshape(*states.shape[:-1], *shape)
-        return out_of(z * e[..., :, None] * e.conj()[..., None, :])
+        return out_of(z * np.exp(phi[..., :, None] - phi[..., None, :]))
 
-    z0 = into(np.asarray(y0, dtype=complex))
-    lead = z0.shape[:-2]
-    phases0 = np.zeros((*lead, frame.frozen.n_blocks), dtype=complex)
-    state0 = np.concatenate([z0.reshape(*lead, size), phases0], axis=-1)
-    return state0, Staged(coefficients, step), back
+    def states(y0):
+        z0 = into(np.asarray(y0, dtype=complex))
+        lead = z0.shape[:-2]
+        phases0 = np.zeros((*lead, frame.frozen.n_blocks), dtype=complex)
+        return np.concatenate([z0.reshape(*lead, size), phases0], axis=-1)
+
+    return states, Staged(frame.rotated_at, step), back
 
 
 def _fold(times: np.ndarray, t0: float, period: float | None):
@@ -336,7 +315,8 @@ def propagate(
             ``T`` is integrated over ``[t0, min(t0 + T, grid[-1])]`` only, at
             the residues of the checkpoints, and the path is composed as
             ``M(t0 + nT + s) = M(t0 + s) F^n`` with ``F = M(t0 + T)``; the
-            skew check and the step cap still sample the whole grid.
+            skew check and the step cap still sample the whole grid.  With
+            ``dense`` the whole grid is integrated.
         t0: initial time; must equal ``grid[0]``.
         grid: strictly increasing checkpoint times.
         tol: local error tolerance, the scale of each segment's error norm.
@@ -351,17 +331,19 @@ def propagate(
         ValueError: on a bad grid, or a generator that does not return one
             matrix per time.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must contain at least two strictly increasing times")
-    if grid[0] != t0:
-        raise ValueError(f"grid[0] = {grid[0]!r} must equal t0 = {t0!r}")
-
+    grid = _checked_grid(grid, t0)
     rotating = hasattr(generator, "split_at")
-    period = getattr(generator, "period", None)
+    # dense output interpolates the steps of the whole grid
+    period = None if dense else getattr(generator, "period", None)
     hamiltonians = generator.hamiltonian_at if rotating else generator
     checked = np.linspace(t0, grid[-1], 7)
-    samples = _stack_at(hamiltonians, checked)
+    samples = np.asarray(hamiltonians(checked), dtype=complex)
+    if samples.ndim != 3 or len(samples) != len(checked) or samples.shape[1] != samples.shape[2]:
+        # a generator written for one time would fail deep inside the stepper
+        raise ValueError(
+            f"generator returned shape {samples.shape} for an array of {len(checked)} times; "
+            "generators take an array of times and return one matrix per time"
+        )
     require_skew_hermitian(
         samples, SKEW_CHECK_FACTOR * tol, name=lambda i: f"generator at t={checked[i]:g}"
     )
@@ -372,11 +354,8 @@ def propagate(
     eye = np.eye(samples.shape[-1], dtype=complex)
     labels, out_of, coefficients = None, None, hamiltonians
     if rotating:  # the rates and the rotated drive, for the stepper's local phases
-        labels, into, out_of = _frozen_basis(generator)
-
-        def coefficients(ts):
-            rates, drive = generator.split_at(ts)
-            return rates, into(drive)
+        labels, _, out_of = generator.basis
+        coefficients = generator.rotated_at
 
     # one integration over the residues, up to t0 + T once a checkpoint lies beyond
     laps, residues = _fold(grid, t0, period)
@@ -392,8 +371,6 @@ def propagate(
     interpolant = None
     if dense:
         interpolant = (lambda t: out_of(sol.dense(t))) if rotating else sol.dense
-        if periods:
-            interpolant = functools.partial(_composed, interpolant, t0, period, at_knots[-1])
 
     stats = sol.stats()
     if period is not None:
@@ -407,14 +384,3 @@ def propagate(
         dense=interpolant,
         stats=stats,
     )
-
-
-def _composed(one_period, t0: float, period: float, monodromy: np.ndarray, t) -> np.ndarray:
-    """Dense output of a path built from one period: ``M(s) F^n`` at the
-    residues ``s`` and whole periods ``n`` of the times ``t``."""
-    ts = np.asarray(t, dtype=float)
-    laps, residues = _fold(ts.reshape(-1), t0, period)
-    out = one_period(residues)
-    if laps.any():
-        out = out @ _powers(monodromy, laps)
-    return out.reshape(*ts.shape, *monodromy.shape)

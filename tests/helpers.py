@@ -11,7 +11,11 @@ from blochwave import (
     propagate,
     radon_wave,
     random_smooth_model,
+    riccati_rhs,
 )
+from blochwave.bloch import BLOWUP_NORM
+from blochwave.dop853 import Staged
+from blochwave.propagation import _estimate_max_step, solve_matrix_ivp
 
 
 class PipelineBundle:
@@ -27,9 +31,7 @@ class PipelineBundle:
         self.grid = np.linspace(t0, t1, n_checkpoints)
         self.m_path = propagate(self.frame, t0, self.grid, tol=tol)
         self.ic = ic if ic is not None else identity_ic(self.blocks)
-        self.u_riccati = integrate_riccati(
-            self.frame, self.ic, self.blocks, t0, self.grid, tol=tol
-        )
+        self.u_riccati = integrate_riccati(self.frame, self.ic, t0, self.grid, tol=tol)
         self.u_closed = closed_form_wave(self.m_path, self.ic, self.blocks)
         self.u_radon = radon_wave(self.m_path, self.ic, self.blocks)
         self.m_eff = bloch_effective_evolution(self.m_path, self.ic, self.blocks)
@@ -62,6 +64,26 @@ def constant(h):
     """The generator ``t -> h``: the one matrix at every time of an array."""
     h = np.asarray(h, dtype=complex)
     return lambda ts: np.broadcast_to(h, (len(ts), *h.shape))
+
+
+def plain_riccati(hamiltonian, u0, blocks, grid, tol=1e-10, max_step=None, blowup_norm=BLOWUP_NORM):
+    """The Riccati flow ``U' = H U - U Q(U)`` of a callable ``ts -> H(ts)``,
+    stepped as it stands (no rotating frame) by the same DOP853 loop and
+    stopped by the same norm event: the plain reference for the rotating
+    solve of ``integrate_riccati``.  ``max_step`` defaults to the cap
+    estimated from ``hamiltonian``.
+
+    Returns the checkpoints reached, ``U`` there and the time the event
+    fired (``None`` if it did not).
+    """
+    u0 = np.asarray(u0, dtype=complex)
+    if max_step is None:
+        max_step = _estimate_max_step(hamiltonian, grid[0], grid[-1])
+    rhs = Staged(hamiltonian, lambda h, u: riccati_rhs(h, u, blocks))
+    event = lambda t, y: np.linalg.norm(y) - blowup_norm
+    sol = solve_matrix_ivp(rhs, u0, grid, tol, max_step=max_step, event=event)
+    mats = sol.y.T.reshape(-1, *u0.shape)
+    return grid[: len(mats)], mats, sol.event_time
 
 
 def lz_projector_derivative(k, t):

@@ -8,6 +8,7 @@ import pytest
 from blochwave import (
     AmbiguousClustering,
     BadInitialCondition,
+    SingularBlock,
     SpectralDecomposition,
     bloch_effective_evolution,
     closed_form_wave,
@@ -29,7 +30,7 @@ from blochwave import (
 from blochwave import GeneratorModel, build_frame
 from blochwave.bloch import BLOWUP_NORM, MAX_SWEEPS, MIN_WINDOWS, WaveOperatorPath
 from blochwave.propagation import _estimate_max_step
-from tests.helpers import constant
+from tests.helpers import constant, plain_riccati
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -98,6 +99,35 @@ def test_stationary_ic_ambiguous_for_small_gamma():
         stationary_ic(model.full_generator(0.0), model.spectral_at(0.0), model.gamma)
 
 
+def test_stationary_ic_matches_the_block_pseudo_inverse_formula():
+    # U0 = sum_k Ptilde_k P_k [P_k Ptilde_k P_k]^+ with Moore-Penrose inverses,
+    # on a model whose frozen projectors are not coordinate projectors
+    model = random_smooth_model(6, 3, seed=4, gamma=20.0)
+    strong = model.spectral_at(0.0)
+    h0 = model.full_generator(0.0)
+    ic = stationary_ic(h0, strong, model.gamma)
+    lam, vec = np.linalg.eigh(-1j * h0)
+    targets = model.gamma * strong.eigenvalues.imag
+    assigned = np.argmin(np.abs(lam[:, None] - targets[None, :]), axis=1)
+    u0 = 0
+    for k, p in enumerate(strong.projectors):
+        ptilde = vec[:, assigned == k] @ vec[:, assigned == k].conj().T
+        u0 = u0 + ptilde @ np.linalg.pinv(p @ ptilde @ p)
+    assert spectral_norm(ic.matrix - u0) < 1e-12
+    assert ic.stationarity_defect < 1e-12 * spectral_norm(h0)
+
+
+def test_stationary_ic_refuses_a_singular_block():
+    # the eigenvector nearest block 0's target gamma * (-1) lies in block 1,
+    # so P_0 Ptilde_0 P_0 = 0
+    strong = SpectralDecomposition(
+        eigenvalues=np.array([-1j, 0.0j]), projectors=DIAG_BLOCKS, multiplicities=(1, 1)
+    )
+    h0 = 1j * 5.0 * np.diag([0.0, -1.0]).astype(complex)
+    with pytest.raises(SingularBlock, match="singular"):
+        stationary_ic(h0, strong, 5.0)
+
+
 def test_custom_ic_validation():
     good = np.array([[1.0, 0.3], [0.0, 1.0]], dtype=complex)
     with pytest.raises(BadInitialCondition):
@@ -112,9 +142,9 @@ def test_custom_ic_validation():
 # ------------------------------------------------------------------- routes
 
 def test_riccati_block_diagonal_h_stays_identity():
-    h = -1j * np.diag([1.0, 3.0]).astype(complex)
+    frame = build_frame(three_level_model(10.0, 0.0), 0.0, 5.0)  # no drive: H = gamma B
     grid = np.linspace(0.0, 5.0, 21)
-    u = integrate_riccati(constant(h), identity_ic(DIAG_BLOCKS), DIAG_BLOCKS, 0.0, grid)
+    u = integrate_riccati(frame, identity_ic(frame.blocks), 0.0, grid)
     assert u.sup_deviation() == 0.0
     assert not u.blowup_flag
 
@@ -151,7 +181,7 @@ def test_route_agreement_random_two_block():
     grid = np.linspace(0.0, 5.0, 51)
     m_path = propagate(frame.hamiltonian_at, 0.0, grid, tol=1e-11)
     ic = identity_ic(frame.blocks)
-    u_r = integrate_riccati(frame.hamiltonian_at, ic, frame.blocks, 0.0, grid, tol=1e-11)
+    u_r = integrate_riccati(frame, ic, 0.0, grid, tol=1e-11)
     u_c = closed_form_wave(m_path, ic, frame.blocks)
     u_d = radon_wave(m_path, ic, frame.blocks)
     assert (
@@ -201,9 +231,11 @@ def test_bloch_defect_stays_at_roundoff_for_every_tolerance():
     grid = np.linspace(0.0, 4.0, 17)
     ic = identity_ic(frame.blocks)
     for tol in (1e-6, 1e-8, 1e-10):
-        for hamiltonian in (frame.hamiltonian_at, frame):  # plain and rotating
-            u = integrate_riccati(hamiltonian, ic, frame.blocks, 0.0, grid, tol=tol)
-            assert u.max_bloch_defect() <= 1e3 * np.finfo(float).eps
+        u = integrate_riccati(frame, ic, 0.0, grid, tol=tol)
+        _, plain, _ = plain_riccati(frame.hamiltonian_at, ic.matrix, frame.blocks, grid, tol)
+        for mats in (u.matrices, plain):  # rotating and plain
+            defects = [spectral_norm(p @ mats @ p - p) for p in frame.blocks]
+            assert np.max(defects) <= 1e3 * np.finfo(float).eps
 
 
 def test_riccati_integrates_in_one_solver_call(monkeypatch):
@@ -221,7 +253,7 @@ def test_riccati_integrates_in_one_solver_call(monkeypatch):
     frame = build_frame(model, 0.0, 5.0)
     grid = np.linspace(0.0, 5.0, 26)
     ic = identity_ic(frame.blocks)
-    u = integrate_riccati(frame.hamiltonian_at, ic, frame.blocks, 0.0, grid)
+    u = integrate_riccati(frame, ic, 0.0, grid)
     assert len(calls) == 1
     assert np.array_equal(u.times, grid)
     assert np.array_equal(u.matrices[0], np.eye(3))
@@ -233,25 +265,13 @@ def test_rotating_riccati_is_no_less_accurate():
     ic = identity_ic(frame.blocks)
     max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, 50.0)
 
-    def run(hamiltonian, tol):
-        return integrate_riccati(
-            hamiltonian, ic, frame.blocks, 0.0, grid, tol=tol, max_step=max_step
-        )
+    def plain(tol):
+        return plain_riccati(frame.hamiltonian_at, ic.matrix, frame.blocks, grid, tol, max_step)[1]
 
-    ref = run(frame.hamiltonian_at, 1e-13)
-    errors = [
-        np.max(spectral_norm(run(h, 1e-10).matrices - ref.matrices))
-        for h in (frame.hamiltonian_at, frame)
-    ]
+    ref = plain(1e-13)
+    rotating = integrate_riccati(frame, ic, 0.0, grid, tol=1e-10, max_step=max_step).matrices
+    errors = [np.max(spectral_norm(u - ref)) for u in (plain(1e-10), rotating)]
     assert errors[1] <= errors[0]
-
-
-def test_rotating_riccati_rejects_foreign_blocks():
-    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 1.0)
-    grid = np.linspace(0.0, 1.0, 5)
-    blocks = frame.blocks[::-1]
-    with pytest.raises(ValueError):
-        integrate_riccati(frame, identity_ic(blocks), blocks, 0.0, grid)
 
 
 def test_riccati_defect_budget_truncates_at_first_failing_checkpoint():
@@ -261,10 +281,7 @@ def test_riccati_defect_budget_truncates_at_first_failing_checkpoint():
     ic = identity_ic(frame.blocks)
 
     def run(budget):
-        return integrate_riccati(
-            frame.hamiltonian_at, ic, frame.blocks, 0.0, grid, tol=1e-8,
-            defect_budget=budget,
-        )
+        return integrate_riccati(frame, ic, 0.0, grid, tol=1e-8, defect_budget=budget)
 
     full = run(np.inf)
     assert not full.blowup_flag and len(full.times) == len(grid)
@@ -292,14 +309,12 @@ def _pure_coupling_setup(n_checkpoints=41, t_final=3.0):
 
 
 def test_blowup_detected_by_all_routes():
-    h, grid, m_path = _pure_coupling_setup()
+    _, grid, m_path = _pure_coupling_setup()
     ic = identity_ic(DIAG_BLOCKS)
 
     u_c = closed_form_wave(m_path, ic, DIAG_BLOCKS, sv_tol=1e-2)
     u_d = radon_wave(m_path, ic, DIAG_BLOCKS, sv_tol=1e-2)
-    u_r = integrate_riccati(
-        constant(h), ic, DIAG_BLOCKS, 0.0, grid, blowup_norm=1e2
-    )
+    u_r = integrate_riccati(rotating_coupling_frame(), ic, 0.0, grid, blowup_norm=1e2)
     for u in (u_c, u_d, u_r):
         assert u.blowup_flag
         assert u.blowup_time is not None
@@ -336,33 +351,32 @@ def test_rotating_riccati_truncates_where_the_plain_path_does():
     grid = np.linspace(0.0, 3.0, 41)
     ic = identity_ic(frame.blocks)
     for blowup_norm in (1e2, BLOWUP_NORM):
-        plain, rotating = (
-            integrate_riccati(h, ic, frame.blocks, 0.0, grid, blowup_norm=blowup_norm)
-            for h in (frame.hamiltonian_at, frame)
+        times, _, blowup_time = plain_riccati(
+            frame.hamiltonian_at, ic.matrix, frame.blocks, grid, blowup_norm=blowup_norm
         )
-        assert plain.blowup_flag and rotating.blowup_flag
-        assert abs(plain.blowup_time - np.pi / 2) < 0.2
-        assert np.array_equal(rotating.times, plain.times)
-        assert abs(rotating.blowup_time - plain.blowup_time) < 1e-6
+        rotating = integrate_riccati(frame, ic, 0.0, grid, blowup_norm=blowup_norm)
+        assert blowup_time is not None and rotating.blowup_flag
+        assert abs(blowup_time - np.pi / 2) < 0.2
+        assert np.array_equal(rotating.times, times)
+        assert abs(rotating.blowup_time - blowup_time) < 1e-6
 
 
 @pytest.mark.parametrize("rotating", [False, True], ids=["plain", "rotating"])
 def test_riccati_lockstep_keeps_each_condition_to_itself(rotating):
     # U = [[1, u], [v, 1]] has u' = -i (1 - u^2): the identity meets a pole
-    # at pi/2, while a tilt with real off-block entries has none and runs on
-    frame = rotating_coupling_frame()
-    blocks = frame.blocks if rotating else DIAG_BLOCKS
-    hamiltonian = frame if rotating else constant(-1j * X)
+    # at pi/2, while a tilt with real off-block entries has none and runs on.
+    # At gamma = 0 the frame's rates vanish and its Hamiltonian is -iX itself
+    frame = rotating_coupling_frame(gamma=10.0 if rotating else 0.0)
     grid = np.linspace(0.0, 3.0, 41)
-    p, q = blocks
+    p, q = frame.blocks
     tilt = np.eye(2) + 0.5 * (p @ X @ q - q @ X @ p)
-    ics = [identity_ic(blocks), custom_ic(tilt, blocks)]
-    both = integrate_riccati(hamiltonian, ics, blocks, 0.0, grid, blowup_norm=1e2)
+    ics = [identity_ic(frame.blocks), custom_ic(tilt, frame.blocks)]
+    both = integrate_riccati(frame, ics, 0.0, grid, blowup_norm=1e2)
     assert [u.blowup_flag for u in both] == [True, False]
     assert abs(both[0].blowup_time - np.pi / 2) < 0.2
     assert np.array_equal(both[1].times, grid)
     for ours, ic in zip(both, ics):
-        alone = integrate_riccati(hamiltonian, ic, blocks, 0.0, grid, blowup_norm=1e2)
+        alone = integrate_riccati(frame, ic, 0.0, grid, blowup_norm=1e2)
         assert np.array_equal(ours.times, alone.times)
         assert ours.matrices.tobytes() == alone.matrices.tobytes()
         assert ours.bloch_defects.tobytes() == alone.bloch_defects.tobytes()
@@ -392,7 +406,7 @@ def test_windowed_riccati_matches_the_sequential_solve(case):
     ics = [identity_ic(frame.blocks), stationary_ic(frame.hamiltonian_at(grid[0]), frame.frozen, frame.model.gamma)]
 
     def solve(ic, m=None):
-        return integrate_riccati(frame, ic, frame.blocks, grid[0], grid, tol=tol, max_step=max_step, m_path=m)
+        return integrate_riccati(frame, ic, grid[0], grid, tol=tol, max_step=max_step, m_path=m)
 
     both = solve(ics, m_path)
     for ours, ic in zip(both, ics):
@@ -420,7 +434,7 @@ def test_windowed_riccati_does_not_inherit_an_error_of_m(size):
     wrong = replace(m_path, matrices=m_path.matrices + size * noise)
     ic = identity_ic(frame.blocks)
     seq, ours = (
-        integrate_riccati(frame, ic, frame.blocks, 0.0, grid, max_step=max_step, m_path=m)
+        integrate_riccati(frame, ic, 0.0, grid, max_step=max_step, m_path=m)
         for m in (None, wrong)
     )
     assert np.max(spectral_norm(ours.matrices - seq.matrices)) <= 10 * 1e-10
@@ -443,7 +457,7 @@ def test_windowed_riccati_truncates_where_the_sequential_solve_does(blowup_norm)
     m_path = propagate(frame, 0.0, grid)
     ic = identity_ic(frame.blocks)
     seq, ours = (
-        integrate_riccati(frame, ic, frame.blocks, 0.0, grid, max_step=0.02, blowup_norm=blowup_norm, m_path=m)
+        integrate_riccati(frame, ic, 0.0, grid, max_step=0.02, blowup_norm=blowup_norm, m_path=m)
         for m in (None, m_path)
     )
     assert ours.stats["windows"] >= MIN_WINDOWS
@@ -463,7 +477,7 @@ def test_one_window_is_the_sequential_solve_bit_for_bit(why):
         m_path = replace(m_path, matrices=m_path.matrices * (grid == 0.0)[:, None, None])
     ic = identity_ic(frame.blocks)
     seq, ours = (
-        integrate_riccati(frame, ic, frame.blocks, 0.0, grid, max_step=max_step, m_path=m)
+        integrate_riccati(frame, ic, 0.0, grid, max_step=max_step, m_path=m)
         for m in (None, m_path)
     )
     assert ours.matrices.tobytes() == seq.matrices.tobytes()
@@ -492,7 +506,6 @@ def test_existence_triad_cross_check():
     direct_sv = np.abs(np.cos(grid))  # |P0 M(t) P0| on the block
     assert direct_sv[n_ok] < sv_tol
     # effective evolution loses invertibility at the same checkpoint
-    assert not m_eff.invertible(sv_tol)
     assert m_eff.block_min_sv[n_ok].min() < sv_tol
     assert np.all(m_eff.block_min_sv[:n_ok].min(axis=1) >= sv_tol)
 
@@ -500,26 +513,27 @@ def test_existence_triad_cross_check():
 def test_riccati_pole_flagged_by_event_near_pi_half():
     # the default norm threshold is reached between checkpoints: the event
     # time is the blow-up time and the path keeps the checkpoints before it
-    h, grid, _ = _pure_coupling_setup()
-    u = integrate_riccati(constant(h), identity_ic(DIAG_BLOCKS), DIAG_BLOCKS, 0.0, grid)
+    frame = rotating_coupling_frame()
+    _, grid, _ = _pure_coupling_setup()
+    u = integrate_riccati(frame, identity_ic(frame.blocks), 0.0, grid)
     assert u.blowup_flag
     assert abs(u.blowup_time - np.pi / 2) < 1e-5
     assert np.array_equal(u.times, grid[grid < u.blowup_time])
-    # exact solution off the pole: U = 1 - i tan(t) X
-    expected = np.eye(2) - 1j * np.tan(u.times)[:, None, None] * X
+    # exact solution off the pole: U = D (1 - i tan(t) X) D†, where the
+    # drifting frame's flow D turns -iX into the drive C = -i D X D†
+    expected = np.eye(2) + np.tan(u.times)[:, None, None] * frame.model.drive(u.times)
     assert np.max(spectral_norm(u.matrices - expected)) < 1e-6
 
 
-def test_riccati_blowup_event_is_raise_optional():
-    from blochwave import BlowUp
-
-    h, grid, _ = _pure_coupling_setup()
-    ic = identity_ic(DIAG_BLOCKS)
-    with pytest.raises(BlowUp):
-        integrate_riccati(
-            constant(h), ic, DIAG_BLOCKS, 0.0, grid, blowup_norm=1e2,
-            raise_on_blowup=True,
-        )
+@pytest.mark.parametrize("solve", ["riccati", "propagate"])
+def test_grid_of_one_time_or_two_dimensions_is_refused(solve):
+    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 1.0)
+    for grid in (np.array([0.0]), np.linspace(0.0, 1.0, 6).reshape(2, 3)):
+        with pytest.raises(ValueError, match="grid"):
+            if solve == "riccati":
+                integrate_riccati(frame, identity_ic(frame.blocks), 0.0, grid)
+            else:
+                propagate(frame, 0.0, grid)
 
 
 # -------------------------------------------------- effective evolutions
@@ -550,16 +564,13 @@ def test_effective_evolution_block_commutes(tl_bundle):
 
 
 def test_wave_operator_from_effective_inverse(random_bundle):
-    # U(t) = M(t) U(t0) M_eff^{-1}(t) with the block pseudo-inverse
-    from blochwave import block_pseudo_inverse
-
+    # U(t) = M(t) U(t0) M_eff^{-1}(t), M_eff inverted block by block (the
+    # pseudo-inverse of P_k M_eff P_k inverts it on its block)
     u = random_bundle.u_riccati
     m_eff = random_bundle.m_eff
     u0 = random_bundle.ic.matrix
     for i in range(0, len(u.times), 10):
-        inv = sum(
-            block_pseudo_inverse(m_eff.matrices[i], p) for p in random_bundle.blocks
-        )
+        inv = sum(np.linalg.pinv(p @ m_eff.matrices[i] @ p) for p in random_bundle.blocks)
         rebuilt = random_bundle.m_path.matrices[i] @ u0 @ inv
         assert spectral_norm(u.matrices[i] - rebuilt) < 1e-8
 

@@ -1116,3 +1116,25 @@ def test_runs_of_analytic_models_import_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_benchmark_tracer_wraps_names_that_exist_and_restores_them(monkeypatch):
+    # the benchmark's traced run patches these module and class attributes;
+    # deleting or renaming one would crash it, so a missing name fails here
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer() as traced:
+        patched = list(traced._patches)
+        assert patched and all(getattr(owner, attr) is not fn for owner, attr, fn in patched)
+    assert all(getattr(owner, attr) is fn for owner, attr, fn in patched)
+    import blochwave.bloch
+    import blochwave.cli
+
+    names = {(owner, attr) for owner, attr, _ in patched}
+    assert {(blochwave.cli, stage) for stage in tracer.CLI_STAGES} <= names
+    assert (blochwave.bloch, "solve_matrix_ivp") in names

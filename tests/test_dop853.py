@@ -20,12 +20,7 @@ from blochwave import (
 from blochwave import dop853
 from blochwave.bloch import riccati_rhs
 from blochwave.dop853 import Staged
-from blochwave.propagation import (
-    _estimate_max_step,
-    _frozen_basis,
-    _rotating_system,
-    solve_matrix_ivp,
-)
+from blochwave.propagation import _estimate_max_step, _rotating_system, solve_matrix_ivp
 from tests.helpers import constant
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,7 +68,8 @@ def rotating_case(make, t0, t1, n, two_sided=False):
             y0 = identity_ic(frame.blocks).matrix
         else:
             matrix_rhs, y0 = (lambda c, z, _: c @ z), np.eye(frame.model.dim, dtype=complex)
-        y0, rhs, _ = _rotating_system(frame, matrix_rhs, y0)
+        states, rhs, _ = _rotating_system(frame, matrix_rhs)
+        y0 = states(y0)
         max_step = _estimate_max_step(frame.hamiltonian_at, t0, t1)
         return rhs, y0, np.linspace(t0, t1, n), 1e-10, {"max_step": max_step}
 
@@ -200,9 +196,9 @@ def stacked_rotating_riccati():
         stationary_ic(frame.hamiltonian_at(0.0), frame.frozen, 10.0).matrix,
     ]
     matrix_rhs = lambda h, z, same: h @ z - z @ ((h @ z) * same)
-    states, rhs, _ = _rotating_system(frame, matrix_rhs, np.stack(ics))
+    states, rhs, _ = _rotating_system(frame, matrix_rhs)
     max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, 20.0)
-    return rhs, list(states), np.linspace(0.0, 20.0, 101), 1e-10, {"max_step": max_step}
+    return rhs, list(states(np.stack(ics))), np.linspace(0.0, 20.0, 101), 1e-10, {"max_step": max_step}
 
 
 def stacked_pole_event():
@@ -259,15 +255,12 @@ def test_step_underflow_raises():
 def lz_rotating_generator(calls=None):
     """The Landau-Zener frame as ``integrate_linear``'s rates and drive."""
     frame = build_frame(landau_zener_model(2.0), -25.0, 25.0, tol=1e-10)
-    labels, into, _ = _frozen_basis(frame)
-
     def generator(ts):
         if calls is not None:
             calls.append(len(ts))
-        rates, drive = frame.split_at(ts)
-        return rates, into(drive)
+        return frame.rotated_at(ts)
 
-    return generator, labels, _estimate_max_step(frame.hamiltonian_at, -25.0, 25.0)
+    return generator, frame.basis[0], _estimate_max_step(frame.hamiltonian_at, -25.0, 25.0)
 
 
 def test_linear_rounds_ask_for_at_most_max_nodes_times_per_call():

@@ -102,6 +102,25 @@ def numeric_frame():
     return model, build_frame(model, 0.0, 2.0, tol=1e-8, checkpoints=9)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [numeric_frame, lambda: (None, build_frame(landau_zener_model(2.0), -5.0, 5.0))],
+    ids=["numeric", "landau_zener"],
+)
+def test_frame_basis_diagonalizes_the_frozen_drift(make):
+    # in the frame's one eigenbasis the frozen drift is diag(rates[labels]),
+    # and the rotated drive is the rest of the frame Hamiltonian
+    _, frame = make()
+    labels, into, out_of = frame.basis
+    ts = np.linspace(frame.t0, frame.t1, 7)
+    rates, drive = frame.rotated_at(ts)
+    hamiltonians = frame.hamiltonian_at(ts)
+    drift = into(hamiltonians) - drive
+    assert np.max(np.abs(drift - rates[:, labels][:, :, None] * np.eye(frame.model.dim))) < 1e-12
+    assert np.max(spectral_norm(out_of(into(hamiltonians)) - hamiltonians)) < 1e-12
+    assert np.bincount(labels).tolist() == list(frame.frozen.multiplicities)
+
+
 def reference_kato(model, t):
     """``sum_{k != l} P_l B' P_k / (b_k - b_l)`` pair by pair, as a reference."""
     anchor = decompose(model.drift(t), model.gap_tol)
@@ -120,7 +139,7 @@ def test_shared_anchor_is_bit_identical_to_per_block_reference():
     for t in (0.3, 1.1, 1.7):
         anchor, kato = reference_kato(model, t)
         assert np.array_equal(kato_generator(model, t), kato)
-        w = frame.transporter_at(t)
+        w = frame.w_path.at(t)
         expected = np.einsum(
             "k,kij->ij", model.gamma * anchor.eigenvalues, proj_stack
         ) + w.conj().T @ (model.drive(t) - kato) @ w
@@ -428,7 +447,7 @@ def test_batched_frame_evaluation_is_the_per_time_one_bit_for_bit(case, tmp_path
     ts = rng.permutation(np.concatenate([knots, between, rng.uniform(t0, t1, 8)]))
     rates, drives = frame.split_at(ts)
     hamiltonians = frame.hamiltonian_at(ts)
-    transporters = frame.transporter_at(ts)
+    transporters = frame.w_path.at(ts)
     assert rates.shape == (len(ts), len(frame.blocks))
     stack = (len(ts), model.dim, model.dim)
     assert drives.shape == hamiltonians.shape == transporters.shape == stack
@@ -438,7 +457,7 @@ def test_batched_frame_evaluation_is_the_per_time_one_bit_for_bit(case, tmp_path
             assert rate.tobytes() == rates[i].tobytes()
             assert drive.tobytes() == drives[i].tobytes()
             assert frame.hamiltonian_at(time).tobytes() == hamiltonians[i].tobytes()
-            assert frame.transporter_at(time).tobytes() == transporters[i].tobytes()
+            assert frame.w_path.at(time).tobytes() == transporters[i].tobytes()
             for part in (model.drift, model.drive, model.drift_derivative):
                 assert part(time).tobytes() == part(ts)[i].tobytes()
 

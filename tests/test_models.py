@@ -138,9 +138,7 @@ def test_three_level_uncoupled_is_static():
 
     frame = build_frame(model, 0.0, 5.0)
     grid = np.linspace(0.0, 5.0, 21)
-    u = integrate_riccati(
-        frame.hamiltonian_at, identity_ic(frame.blocks), frame.blocks, 0.0, grid
-    )
+    u = integrate_riccati(frame, identity_ic(frame.blocks), 0.0, grid)
     assert u.sup_deviation() < 1e-12
     assert not u.blowup_flag
 

@@ -8,7 +8,6 @@ from blochwave import (
     NotSkewHermitian,
     SingularBlock,
     block_project,
-    block_pseudo_inverse,
     decompose,
     landau_zener_model,
     match_labels,
@@ -16,7 +15,7 @@ from blochwave import (
     spectral_norm,
     track_spectral_path,
 )
-from blochwave.operators import DEFAULT_GAP_FACTOR
+from blochwave.operators import DEFAULT_GAP_FACTOR, block_basis
 
 TOL = 1e-10
 
@@ -306,39 +305,42 @@ def test_match_labels_crossing_on_low_overlap():
         match_labels(basis, fourier)
 
 
-# ------------------------------------------------------ block pseudo-inverse
+# -------------------------------------------------------------- block_basis
 
-def test_block_pseudo_inverse_identity():
-    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    x = block_pseudo_inverse(np.eye(3, dtype=complex), p)
-    assert np.allclose(x, p)
-
-
-def test_block_pseudo_inverse_scalar_block():
-    a = np.diag([2.0, 5.0]).astype(complex)
-    p = np.diag([1.0, 0.0]).astype(complex)
-    assert np.allclose(block_pseudo_inverse(a, p), np.diag([0.5, 0.0]))
+def test_block_basis_of_coordinate_projectors_is_the_identity():
+    blocks = [np.diag([0.0, 1.0, 0.0]).astype(complex), np.diag([1.0, 0.0, 1.0]).astype(complex)]
+    labels, into, out_of = block_basis(blocks)
+    assert labels.tolist() == [1, 0, 1]
+    a = np.random.default_rng(5).normal(size=(2, 3, 3)) + 0j
+    assert into(a) is a and out_of(a) is a
 
 
-def test_block_pseudo_inverse_random_roundtrip():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        q, _ = np.linalg.qr(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
-        p = q @ q.conj().T
-        x = block_pseudo_inverse(a, p)
-        pap = p @ a @ p
-        assert spectral_norm(x @ pap - p) < 1e-10
-        assert spectral_norm(pap @ x - p) < 1e-10
-        assert spectral_norm(x - p @ x @ p) < 1e-12  # zero outside the block
+def test_block_basis_refuses_an_empty_block():
+    # a zero projector has no column in the basis, in either branch
+    p = np.full((2, 2), 0.5, dtype=complex)
+    zero, eye = np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex)
+    for blocks in ((eye, zero), (zero, eye), (p, eye - p, zero), (p, zero, eye - p)):
+        with pytest.raises(SingularBlock, match="empty range"):
+            block_basis(blocks)
 
 
-def test_block_pseudo_inverse_singular_raises():
-    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    a = np.zeros((3, 3), dtype=complex)
-    a[2, 2] = 1.0
-    with pytest.raises(SingularBlock):
-        block_pseudo_inverse(a, p, sv_tol=1e-12)
+def test_block_basis_slices_are_the_block_restrictions():
+    # P_k X P_k, read in the eigenbasis, is the slice of block k's indices
+    rng = np.random.default_rng(19)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    blocks = np.stack([q[:, ix] @ q[:, ix].conj().T for ix in ([0, 3], [1], [2, 4])])
+    labels, into, out_of = block_basis(blocks)
+    assert np.bincount(labels).tolist() == [2, 1, 2]
+    x = rng.normal(size=(2, 5, 5)) + 1j * rng.normal(size=(2, 5, 5))
+    assert np.max(spectral_norm(out_of(into(x)) - x)) < 1e-13
+    xv = into(x)
+    for k, p in enumerate(blocks):
+        mask = (labels == k)[:, None] & (labels == k)[None, :]
+        assert np.max(spectral_norm(out_of(xv * mask) - p @ x @ p)) < 1e-13
+        # the singular values of a restriction do not depend on the basis within the block
+        ix = np.flatnonzero(labels == k)
+        ref = np.linalg.svd(p @ x @ p, compute_uv=False)[:, : len(ix)]
+        assert np.allclose(np.linalg.svd(xv[:, ix[:, None], ix], compute_uv=False), ref, atol=1e-13)
 
 
 # -------------------------------------------------------------- block_project
