@@ -80,9 +80,9 @@ BLOWUP_NORM = 1e6
 DEFECT_BUDGET = 1e-6
 
 #: the most windows a Riccati solve is cut into, the fewest worth their sweeps,
-#: and the step caps a window spans at least (so that its restart stays small
-#: against the steps it takes)
-MAX_WINDOWS, MIN_WINDOWS, WINDOW_STEPS = 16, 8, 16
+#: and the expected steps a window spans at least (so that its restart stays
+#: small against the steps it takes)
+MAX_WINDOWS, MIN_WINDOWS, WINDOW_STEPS = 32, 8, 16
 
 #: sweeps of a windowed Riccati solve before it falls back to one pass
 MAX_SWEEPS = 3
@@ -291,8 +291,11 @@ def integrate_riccati(
 
     Without ``m_path`` one adaptive pass covers the whole checkpoint grid.
     Handed the full evolution ``M``, a grid that fits :data:`MIN_WINDOWS`
-    windows (:func:`_window_bounds`) is solved by parareal
-    (:func:`_parareal`), the windows of a sweep in one lockstep solver call.
+    windows of :data:`WINDOW_STEPS` expected steps (:func:`_window_bounds`)
+    is solved by parareal (:func:`_parareal`), the windows of a sweep in one
+    lockstep solver call.  The expected step is ``M``'s mean accepted
+    segment (:func:`_expected_step`), so every condition of a call gets the
+    same windows, and more of them where the steps shrink with gamma.
     Every reported checkpoint still comes from an integration of the
     Riccati flow, so ``M`` only places the windows' starts and the path
     stays independent of it to within ``tol``.  A condition the windows do
@@ -308,7 +311,8 @@ def integrate_riccati(
         ic: a validated initial transformation, or a sequence of them.
         grid: two or more strictly increasing checkpoint times from ``t0``.
         m_path: the full evolution from ``t0``, at least at the checkpoints
-            (the pipeline's ``M``); enables the windows.
+            (the pipeline's ``M``); enables the windows, and its step
+            statistics count them.
 
     Returns the :class:`WaveOperatorPath` of ``ic``, or a list of them for a
     sequence.  Its ``stats`` are summed over windows and sweeps, with the
@@ -349,7 +353,8 @@ def integrate_riccati(
         return solve_matrix_ivp(rhs, states, grids, tol, max_step=max_step, event=blowup_event)
 
     runs = [_Windows([]) for _ in ics]
-    if m_path is not None and len(bounds := _window_bounds(grid, max_step)) > 2:
+    bounds = None if m_path is None else _window_bounds(grid, _expected_step(m_path, frame, max_step))
+    if bounds is not None and len(bounds) > 2:
         runs = _parareal(solve, back, [c.matrix for c in ics], grid, bounds, m_path, frame.basis, tol)
     alone = [(run, condition.matrix) for run, condition in zip(runs, ics) if run.states is None]
     if alone:  # one pass over the whole grid
@@ -379,12 +384,24 @@ def integrate_riccati(
     return paths[0] if single else paths
 
 
-def _window_bounds(grid: np.ndarray, max_step: float) -> np.ndarray:
+def _expected_step(m_path: PropagatorPath, frame, max_step: float) -> float:
+    """The mean accepted segment of ``M`` over the span ``propagate``
+    integrated (one period at most, for a path composed from one), never
+    longer than ``max_step``; the cap itself when ``M`` has no statistics."""
+    accepted = (m_path.stats or {}).get("n_accepted")
+    span = m_path.times[-1] - m_path.t0
+    if accepted and "periods" in m_path.stats:
+        span = min(span, frame.period)
+    return min(max_step, span / accepted) if accepted else max_step
+
+
+def _window_bounds(grid: np.ndarray, step: float) -> np.ndarray:
     """The checkpoint indices that cut ``grid`` into windows of about equal
-    checkpoint counts: as many as fit :data:`WINDOW_STEPS` step caps each, at
-    most :data:`MAX_WINDOWS` and one per interval; one if under :data:`MIN_WINDOWS`."""
+    checkpoint counts: as many as fit :data:`WINDOW_STEPS` expected steps
+    ``step`` each, at most :data:`MAX_WINDOWS` and one per interval; one if
+    under :data:`MIN_WINDOWS`."""
     intervals = len(grid) - 1
-    count = min(MAX_WINDOWS, intervals, int((grid[-1] - grid[0]) // (WINDOW_STEPS * max_step)))
+    count = min(MAX_WINDOWS, intervals, int((grid[-1] - grid[0]) // (WINDOW_STEPS * step)))
     count = count if count >= MIN_WINDOWS else 1
     return np.rint(np.linspace(0, intervals, count + 1)).astype(int)
 
@@ -525,6 +542,7 @@ def closed_form_wave(
     n = _first_true(min_sv < sv_tol)
 
     u = _wave_from(gv[:n], basis)
+    u[:1] = ic.matrix  # M(t0) = 1 exactly: U(t0) is the initial condition
     return WaveOperatorPath(
         t0=m_path.t0,
         times=m_path.times[:n].copy(),
@@ -574,6 +592,7 @@ def radon_wave(
         u += np.linalg.solve(
             pi[:n].swapaxes(-1, -2), (g[:n] @ p).swapaxes(-1, -2)
         ).swapaxes(-1, -2)
+    u[:1] = ic.matrix  # M(t0) = 1 exactly: U(t0) is the initial condition
 
     return WaveOperatorPath(
         t0=m_path.t0,

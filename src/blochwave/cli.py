@@ -75,6 +75,9 @@ ROUTES = ("riccati", "closed_form", "radon")
 IC_KINDS = ("identity", "stationary", "custom")
 NORMS = ("spectral", "frobenius")
 
+#: the most checkpoints a run may ask for (each is a few matrices per route)
+MAX_CHECKPOINTS = 10**6
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
@@ -118,8 +121,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if not self.t_final > self.t0:
             raise ConfigError(f"t_final={self.t_final} must exceed t0={self.t0}")
-        if self.checkpoint_count < 2:
-            raise ConfigError("checkpoint_count must be >= 2")
+        if not 2 <= self.checkpoint_count <= MAX_CHECKPOINTS:
+            raise ConfigError(f"checkpoint_count must lie in [2, {MAX_CHECKPOINTS}]")
         if not 1e-14 < self.integrator_tol < 1e-2:
             raise ConfigError("integrator_tol must lie in (1e-14, 1e-2)")
         if self.ic_kind not in IC_KINDS:

@@ -175,6 +175,21 @@ def test_closed_form_at_initial_time_returns_ic(tl_bundle):
     assert spectral_norm(tl_bundle.u_closed.matrices[0] - tl_bundle.ic.matrix) < 1e-13
 
 
+@pytest.mark.parametrize("route", [closed_form_wave, radon_wave])
+@pytest.mark.parametrize("kind", ["identity", "stationary"])
+def test_algebraic_routes_start_exactly_at_the_initial_condition(route, kind):
+    # M(t0) = 1 exactly, so U(t0) is U0 exactly, also in the Landau-Zener
+    # frame, whose frozen blocks are not coordinate projectors
+    frame = build_frame(landau_zener_model(2.0), -8.0, 8.0)
+    grid = np.linspace(-8.0, 8.0, 65)
+    if kind == "identity":
+        ic = identity_ic(frame.blocks)
+    else:
+        ic = stationary_ic(frame.hamiltonian_at(-8.0), frame.frozen, frame.model.gamma)
+    path = route(propagate(frame, -8.0, grid), ic, frame.blocks)
+    assert np.array_equal(path.matrices[0], ic.matrix)
+
+
 def test_route_agreement_random_two_block():
     model = random_smooth_model(4, 2, seed=27, gamma=12.0)
     frame = build_frame(model, 0.0, 5.0, tol=1e-11)
@@ -388,19 +403,22 @@ def test_riccati_lockstep_keeps_each_condition_to_itself(rotating):
 def windowed_case(name):
     """A frame, grid, step cap, tolerance and ``M`` on which the Riccati
     solve is cut into windows: the three-level example over [0, 50] with
-    its own step cap, or the non-periodic Landau-Zener frame with a cap that
-    makes windows and a tolerance that sets its error."""
-    if name == "three_level":
-        frame = build_frame(three_level_model(10.0, 1.0), 0.0, 50.0)
-        grid, tol = np.linspace(0.0, 50.0, 251), 1e-10
-        max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, 50.0)
+    its own step cap; the three-level system at gamma = 80 over [0, 4], whose
+    windows come from M's step count, not from the cap; or the non-periodic
+    Landau-Zener frame with a cap that makes windows and a tolerance that
+    sets its error."""
+    if name.startswith("three_level"):
+        gamma, t1, count = (80.0, 4.0, 21) if name == "three_level_gamma80" else (10.0, 50.0, 251)
+        frame = build_frame(three_level_model(gamma, 1.0), 0.0, t1)
+        grid, tol = np.linspace(0.0, t1, count), 1e-10
+        max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, t1)
     else:
         frame = build_frame(landau_zener_model(2.0), -10.0, 10.0)
         grid, max_step, tol = np.linspace(-10.0, 10.0, 81), 0.05, 1e-8
     return frame, grid, max_step, tol, propagate(frame, grid[0], grid, tol=tol, max_step=max_step)
 
 
-@pytest.mark.parametrize("case", ["three_level", "landau_zener"])
+@pytest.mark.parametrize("case", ["three_level", "three_level_gamma80", "landau_zener"])
 def test_windowed_riccati_matches_the_sequential_solve(case):
     frame, grid, max_step, tol, m_path = windowed_case(case)
     ics = [identity_ic(frame.blocks), stationary_ic(frame.hamiltonian_at(grid[0]), frame.frozen, frame.model.gamma)]

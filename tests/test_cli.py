@@ -85,6 +85,15 @@ def test_config_validation_errors(tmp_path):
         load_config(write_cfg(tmp_path), overrides=["model.name=unknown"])
 
 
+def test_checkpoint_count_too_large_to_allocate_is_a_config_error(tmp_path):
+    # 1e11 checkpoints would ask numpy for hundreds of GiB; only validate runs
+    cfg, sets = write_cfg(tmp_path), ["--set", "run.checkpoint_count=100000000000"]
+    with pytest.raises(ConfigError, match="checkpoint_count"):
+        load_config(cfg, overrides=[sets[1]])
+    assert main(["validate", str(cfg), *sets]) == EXIT_CONFIG
+    assert load_config(cfg, overrides=["run.checkpoint_count=1000000"]).checkpoint_count == 10**6
+
+
 def test_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/exp.cfg")
