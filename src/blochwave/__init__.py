@@ -48,6 +48,7 @@ from .frame import (
     AdiabaticFrame,
     build_frame,
     factorization_defect,
+    frozen_decomposition,
     intertwining_defect,
     kato_generator,
     transporter,
@@ -63,13 +64,11 @@ from .models import (
 )
 from .operators import (
     SpectralDecomposition,
-    SpectralPath,
     block_project,
     decompose,
     match_labels,
     offblock_norm,
     spectral_norm,
-    track_spectral_path,
 )
 from .propagation import PropagatorPath, propagate
 

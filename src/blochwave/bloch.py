@@ -70,6 +70,10 @@ IC_TOL = 1e-8
 #: smallest singular value of an invertible matrix where no caller sets one
 SINGULAR_SV = 1e-12
 
+#: smallest singular value of a block restriction of ``M U0`` for which the
+#: wave operator exists: the closed form and radon truncate below it
+EXISTENCE_SV = 1e-8
+
 #: :func:`stationary_ic`'s ambiguity margin over ``gamma * (min block gap)``
 AMBIGUITY_FACTOR = 0.25
 
@@ -446,7 +450,7 @@ def _parareal(solve, back, ics, grid, bounds, m_path, basis, tol) -> list:
     runs = []
     for u0 in ics:  # sweep 0 starts from the closed form M(t_n) U0 [...]^-1
         gv, svs = _block_restrictions(m[1:-1] @ u0, basis)
-        if min(s[:, -1].min() for s in svs) < 1e-8:
+        if min(s[:, -1].min() for s in svs) < EXISTENCE_SV:
             runs.append(_Windows([]))
         else:
             runs.append(_Windows(np.concatenate([u0[None], _wave_from(gv, basis)])))
@@ -523,7 +527,7 @@ def closed_form_wave(
     m_path: PropagatorPath,
     ic: BlochInitialCondition,
     blocks,
-    sv_tol: float = 1e-8,
+    sv_tol: float = EXISTENCE_SV,
 ) -> WaveOperatorPath:
     """Wave operator from the full evolution:
     ``U_k(t) = M(t) U_k(t0) [P_k M(t) U_k(t0) P_k]^{-1}``.
@@ -560,7 +564,7 @@ def radon_wave(
     m_path: PropagatorPath,
     ic: BlochInitialCondition,
     blocks,
-    sv_tol: float = 1e-8,
+    sv_tol: float = EXISTENCE_SV,
 ) -> WaveOperatorPath:
     """Wave operator through the linearization of the Riccati equation.
 

@@ -57,7 +57,7 @@ from .errors import (
     IntegratorFailure,
     IoError,
 )
-from .frame import build_frame
+from .frame import build_frame, frozen_decomposition
 from .models import (
     GeneratorModel,
     builtin_model_names,
@@ -525,12 +525,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     summary.paths = {"m": m_path, "u": u_paths, "m_eff": m_eff, "v": v_path, "frame": frame}
 
     n = len(u_path.times)
-    min_sv = u_path.min_block_sv
-    if min_sv is None:
-        closed = u_paths.get("closed_form") or closed_form_wave(m_path, ic, blocks)
-        min_sv = closed.min_block_sv
-    if len(min_sv) < n:  # routes may cease to exist at slightly different times
-        min_sv = np.concatenate([min_sv, np.full(n - len(min_sv), np.nan)])
+    min_sv = m_eff.block_min_sv.min(axis=1)[:n]  # the closed form's existence certificate
 
     dev_f = u_path.deviation("frobenius")
     dev_s = u_path.deviation("spectral")
@@ -726,12 +721,13 @@ def main(argv=None) -> int:
                     model.validate(np.array([config.t0, config.t_final]), tol=SKEW_TOL)
                 except ValueError as exc:
                     raise ConfigError(f"model {model.name!r}: {exc}") from exc
-            if config.ic_kind == "custom":  # against the drift's blocks at t0
-                _custom_ic(config.ic_path, model.spectral_at(config.t0).projectors)
+                frozen = frozen_decomposition(model, config.t0, config.t_final)  # as build_frame
+            if config.ic_kind == "custom":
+                _custom_ic(config.ic_path, frozen.projectors)
     except (ConfigError, IoError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlochwaveError as exc:  # a drift at t0 the run could not decompose either
+    except BlochwaveError as exc:  # a drift the run could not decompose or label either
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -18,8 +18,8 @@ class NotSkewHermitian(BlochwaveError):
 
 
 class CrossingDetected(BlochwaveError):
-    """Eigenprojector label matching failed; the step straddles an
-    (avoided) crossing too coarsely for continuous tracking."""
+    """Two levels of the drift cross or merge where the adiabatic frame
+    needs them apart, or eigenprojector label matching failed."""
 
     code = "crossing_detected"
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CrossingDetected
 from .models import GeneratorModel
 # match_labels is unused here but stays importable from this module: the
 # benchmark's tracer (perfbench/tracer.py) wraps blochwave.frame.match_labels
@@ -37,7 +38,6 @@ from .operators import (  # noqa: F401
     block_basis,
     match_labels,
     spectral_norm,
-    track_spectral_path,
 )
 from .propagation import PropagatorPath, propagate
 
@@ -45,10 +45,15 @@ __all__ = [
     "AdiabaticFrame",
     "kato_generator",
     "transporter",
+    "frozen_decomposition",
     "build_frame",
     "intertwining_defect",
     "factorization_defect",
 ]
+
+#: how far a block's overlap with its last checkpoint's eigenspace may fall below its rank
+OVERLAP_SLACK = 0.5
+
 
 def _times_or_time(batched):
     """Let a method written for a 1-D array of times (and, if it takes one,
@@ -246,6 +251,30 @@ def _require_stacks(model: GeneratorModel, t0: float, t1: float) -> None:
             )
 
 
+def frozen_decomposition(model: GeneratorModel, t0: float, t1: float, checkpoints: int = 65):
+    """The drift's decomposition at ``t0`` that a frame over ``[t0, t1]``
+    freezes, its blocks in ascending order.  Without analytic spectral data
+    that labeling is checked at the transporter's ``checkpoints`` times, from
+    one stacked decomposition: each block keeps its eigenspace from one to the
+    next, ``tr(P_k(t_i) P_k(t_{i+1})) >= m_k - OVERLAP_SLACK``, or
+    ``CrossingDetected`` names the two times its levels cross between.  Levels
+    that cross and uncross between two checkpoints are not seen."""
+    if model.analytic_spectral is not None:
+        return model.spectral_at(t0)
+    times = np.linspace(t0, t1, checkpoints)
+    stack = model.spectral_at(times)
+    p = stack.projector_stack
+    overlap = np.einsum("tkij,tkji->tk", p[:-1], p[1:]).real
+    lost = np.argwhere(overlap < np.array(stack.multiplicities) - OVERLAP_SLACK)
+    if len(lost):
+        i, k = lost[0]
+        raise CrossingDetected(
+            f"the drift's levels cross between t={times[i]:g} and t={times[i + 1]:g}: "
+            f"block {k} keeps an overlap of {overlap[i, k]:.3f} with its eigenspace"
+        )
+    return stack[0]
+
+
 def build_frame(
     model: GeneratorModel,
     t0: float,
@@ -255,10 +284,9 @@ def build_frame(
 ) -> AdiabaticFrame:
     """Construct the adiabatic frame of ``model`` over ``[t0, t1]``.
 
-    When the model has no analytic spectral data, the ascending-eigenvalue
-    labeling is tracked along the transporter checkpoints with
-    :func:`track_spectral_path` (raises ``CrossingDetected`` on failure) and
-    the frozen decomposition is its first.
+    The frozen blocks come from :func:`frozen_decomposition` at the
+    transporter's ``checkpoints`` times, before the transporter is
+    integrated: a drift whose levels cross raises ``CrossingDetected``.
 
     A model's ``period`` is checked at ``t0`` and ``t1``
     (:meth:`~blochwave.models.GeneratorModel.validate`): the propagator
@@ -272,19 +300,9 @@ def build_frame(
     _require_stacks(model, t0, t1)
     if model.period is not None:
         model.validate(np.array([t0, t1]))
+    frozen = frozen_decomposition(model, t0, t1, checkpoints)
     w_path = transporter(model, t0, t1, tol=tol, checkpoints=checkpoints)
-    if model.analytic_spectral is None:
-        frozen = track_spectral_path(model.drift, w_path.times, model.gap_tol).decompositions[0]
-    else:
-        frozen = model.spectral_at(t0)
-    return AdiabaticFrame(
-        model=model,
-        t0=t0,
-        t1=t1,
-        frozen=frozen,
-        w_path=w_path,
-        tol=tol,
-    )
+    return AdiabaticFrame(model=model, t0=t0, t1=t1, frozen=frozen, w_path=w_path, tol=tol)
 
 
 def intertwining_defect(frame: AdiabaticFrame, times=None) -> float:

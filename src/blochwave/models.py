@@ -2,8 +2,8 @@
 
 A :class:`GeneratorModel` is a time-parametrized pair of skew-Hermitian
 matrices: a strong drift (scaled by the adiabatic parameter ``gamma``) and a
-weak drive, with optional analytic spectral data used to avoid numerical
-eigenprojector tracking where closed forms exist.
+weak drive, with optional analytic spectral data used in place of the
+numerical decomposition where closed forms exist.
 
 Built-ins:
 
@@ -110,7 +110,6 @@ class GeneratorModel:
     analytic_kato: Callable[[float], np.ndarray] | None = None
     analytic_transporter: Callable[[float, float], np.ndarray] | None = None
     static_drift: bool = False
-    gap_tol: float | None = None
     period: float | None = None
 
     def full_generator(self, t) -> np.ndarray:
@@ -122,7 +121,7 @@ class GeneratorModel:
         :func:`~blochwave.operators.decompose` without analytic data."""
         if self.analytic_spectral is not None:
             return self.analytic_spectral(t)
-        return decompose(self.drift(t), self.gap_tol, times=t)
+        return decompose(self.drift(t), times=t)
 
     def eigenvalues_at(self, t) -> np.ndarray:
         """Block eigenvalues ``b_k(t)`` only (cheaper than a full
@@ -379,7 +378,7 @@ def random_smooth_model(
     Deterministic for a given seed.
 
     With ``analytic=False`` the closed-form spectral data is withheld, forcing
-    consumers through the numerical decomposition/tracking route (used to
+    consumers through the numerical decomposition and its crossing check (used to
     exercise that machinery against the analytic twin).
     """
     if dim < 2 or not (1 <= n_blocks <= dim):

@@ -1,7 +1,7 @@
 """Complex dense-matrix foundation.
 
 Skew-Hermitian validation, spectral decomposition with degeneracy grouping,
-smooth eigenprojector tracking across time, and block algebra, including the
+label matching between two decompositions, and block algebra, including the
 one eigenbasis of a block family in which every block restriction is a slice
 (:func:`block_basis`).  Everything here is a pure function of its inputs; the
 returned objects are treated as immutable.
@@ -14,7 +14,8 @@ Conventions
 A skew-Hermitian matrix ``A`` is diagonalized through the Hermitian matrix
 ``-iA``; its eigenvalues are purely imaginary, ``b_k = i * lam_k`` with
 ``lam_k`` real, and blocks are always listed with ``lam_k`` ascending.
-Under the non-crossing assumption this ordering is the continuous labeling.
+Under the non-crossing assumption this ordering is the continuous labeling;
+:func:`~blochwave.frame.frozen_decomposition` checks it along a frame's span.
 """
 
 from __future__ import annotations
@@ -27,12 +28,10 @@ from .errors import CrossingDetected, NotSkewHermitian, SingularBlock
 
 __all__ = [
     "SpectralDecomposition",
-    "SpectralPath",
     "spectral_norm",
     "require_skew_hermitian",
     "decompose",
     "match_labels",
-    "track_spectral_path",
     "block_basis",
     "block_project",
     "offblock_norm",
@@ -44,9 +43,6 @@ DEFAULT_GAP_FACTOR = 1e-8
 
 #: tolerance of the skew-Hermiticity check, relative to ``max(1, ‖a‖)``
 SKEW_TOL = 1e-10
-
-#: how far a tracked block's overlap with its predecessor may fall below its rank
-OVERLAP_SLACK = 0.5
 
 
 def spectral_norm(a: np.ndarray) -> float | np.ndarray:
@@ -147,17 +143,6 @@ class SpectralDecomposition:
         time of a stack)."""
         gaps = np.diff(np.sort(self.eigenvalues.imag, axis=-1), axis=-1)
         return float(np.min(gaps, initial=np.inf))
-
-
-@dataclass
-class SpectralPath:
-    """Smoothly labeled spectral decompositions on a strictly increasing grid."""
-
-    grid: np.ndarray
-    decompositions: list[SpectralDecomposition] = field(default_factory=list)
-
-    def min_gap(self) -> float:
-        return min(d.min_gap() for d in self.decompositions)
 
 
 def decompose(
@@ -268,42 +253,6 @@ def match_labels(
         projectors=new.projector_stack[perm],
         multiplicities=tuple(new.multiplicities[l] for l in perm),
     )
-
-
-def track_spectral_path(
-    drift,
-    grid: np.ndarray,
-    gap_tol: float | None = None,
-) -> SpectralPath:
-    """Decompose ``drift(t)`` along ``grid`` with sequentially matched labels.
-
-    The whole grid is decomposed in one stacked :func:`decompose` call, whose
-    blocks must keep their multiplicities; labels are then matched pair by
-    pair.  Validates the path invariants: adjacent overlaps must stay above
-    ``multiplicity - OVERLAP_SLACK`` and the eigenvalue gap must stay positive.
-
-    Args:
-        drift: callable mapping an array of times to a stack of
-            skew-Hermitian matrices.
-        grid: strictly increasing sample times.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be one-dimensional and strictly increasing")
-
-    stack = decompose(drift(grid), gap_tol, times=grid)
-    decs = [stack[0]]
-    for i, t in enumerate(grid[1:], start=1):
-        nxt = match_labels(decs[-1], stack[i])
-        for k, p in enumerate(decs[-1].projectors):
-            ov = np.trace(p @ nxt.projectors[k]).real
-            if ov < decs[-1].multiplicities[k] - OVERLAP_SLACK:
-                raise CrossingDetected(
-                    f"label consistency lost at t={t:g} for block {k}: "
-                    f"overlap {ov:.3f} < {decs[-1].multiplicities[k] - OVERLAP_SLACK}"
-                )
-        decs.append(nxt)
-    return SpectralPath(grid=grid, decompositions=decs)
 
 
 def block_basis(blocks):

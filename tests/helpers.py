@@ -3,6 +3,7 @@
 import numpy as np
 
 from blochwave import (
+    GeneratorModel,
     bloch_effective_evolution,
     build_frame,
     closed_form_wave,
@@ -84,6 +85,21 @@ def plain_riccati(hamiltonian, u0, blocks, grid, tol=1e-10, max_step=None, blowu
     sol = solve_matrix_ivp(rhs, u0, grid, tol, max_step=max_step, event=event)
     mats = sol.y.T.reshape(-1, *u0.shape)
     return grid[: len(mats)], mats, sol.event_time
+
+
+def crossing_model(gamma=5.0):
+    """Two levels that cross at ``t = 0``: drift ``-i t Z`` under a weak
+    ``X`` drive.  Ascending order swaps the blocks' eigenspaces there."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    return GeneratorModel(
+        name="crossing",
+        dim=2,
+        gamma=gamma,
+        drift=lambda t: -1j * np.asarray(t)[..., None, None] * z,
+        drive=lambda t: np.broadcast_to(-0.1j * x, (*np.shape(t), 2, 2)),
+        drift_derivative=lambda t: np.broadcast_to(-1j * z, (*np.shape(t), 2, 2)),
+    )
 
 
 def lz_projector_derivative(k, t):

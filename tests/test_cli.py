@@ -370,6 +370,33 @@ def test_run_stationary_ic(tmp_path):
     assert summary.fields["stationarity_defect"] <= 1e-8 * h_norm
 
 
+def test_riccati_run_reads_min_block_sv_off_the_effective_evolution(tmp_path, monkeypatch):
+    # the existence certificate comes from the SVDs M_eff already takes,
+    # without a closed form run for it alone
+    import blochwave.cli
+    from blochwave import identity_ic
+
+    closed_form_wave = blochwave.cli.closed_form_wave
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closed_form_wave(*args, **kwargs)
+
+    monkeypatch.setattr(blochwave.cli, "closed_form_wave", counted)
+    config = load_config(
+        write_cfg(tmp_path),
+        overrides=["run.route=riccati", "run.t_final=2", "run.checkpoint_count=11"],
+    )
+    summary = run_experiment(config)
+    assert summary.status == "ok" and calls == []
+    blocks = summary.paths["frame"].blocks
+    expected = closed_form_wave(summary.paths["m"], identity_ic(blocks), blocks).min_block_sv
+    trace = read_csv(tmp_path / "out" / "trace.csv")
+    assert [float(row["min_block_sv"]) for row in trace] == expected.tolist()
+    assert summary.fields["min_block_sv_min"] == expected.min()
+
+
 def test_run_custom_model_matches_builtin(tmp_path):
     from blochwave import three_level_model
     from tests.helpers import write_tabulated
@@ -517,6 +544,69 @@ def test_run_whose_drift_merges_two_levels_at_t0_exits_solver(tmp_path, capsys):
     args = custom_model_args(tmp_path, lines)
     assert main(["run", *args]) == EXIT_SOLVER
     assert "crossing_detected" in capsys.readouterr().out
+
+
+def crossing_args(tmp_path):
+    """Command-line arguments running the crossing model of
+    ``tests.helpers``, tabulated, over [-1, 1.2] at gamma = 5."""
+    from tests.helpers import crossing_model, write_tabulated
+
+    table = tmp_path / "crossing.csv"
+    write_tabulated(table, crossing_model(), np.linspace(-1.5, 1.6, 32))
+    sets = [
+        "model.name=custom",
+        f"model.path={table}",
+        "model.gamma=5",
+        "run.t0=-1",
+        "run.t_final=1.2",
+        "run.checkpoint_count=22",
+        "run.integrator_tol=1e-8",
+    ]
+    return [str(write_cfg(tmp_path)), *[arg for item in sets for arg in ("--set", item)]]
+
+
+def test_drift_whose_levels_cross_exits_solver_from_validate_and_run(tmp_path, capsys):
+    # -i t Z crosses at t = 0, between two of the frame's 65 checkpoints; past
+    # it ascending order would hand each block the other level's rate
+    args = crossing_args(tmp_path)
+    assert main(["validate", *args]) == EXIT_SOLVER
+    assert "crossing_detected" in capsys.readouterr().err
+    assert main(["run", *args]) == EXIT_SOLVER
+    (row,) = read_csv(tmp_path / "out" / "summary.csv")
+    assert row["status"] == "error" and row["error_code"] == "crossing_detected"
+
+
+def test_validate_checks_the_labels_at_the_frame_times_without_a_transporter(tmp_path, monkeypatch):
+    # validate and build_frame decompose the drift once, at the same 65
+    # times; validate integrates no transporter, build_frame checks first
+    import blochwave.frame
+    import blochwave.models
+    from blochwave import build_frame, random_smooth_model
+    from tests.helpers import write_tabulated
+
+    table = tmp_path / "model.csv"
+    write_tabulated(table, random_smooth_model(4, 2, seed=3), np.linspace(-0.2, 2.2, 49))
+    args = [str(write_cfg(tmp_path)), "--set", "model.name=custom", "--set", f"model.path={table}",
+            "--set", "run.t_final=2"]
+    decomposed = []
+    decompose = blochwave.models.decompose
+
+    def recorded(a, *rest, times=None, **kwargs):
+        decomposed.append(np.array(times))
+        return decompose(a, *rest, times=times, **kwargs)
+
+    def no_transporter(*args, **kwargs):
+        raise AssertionError("transporter integrated")
+
+    monkeypatch.setattr(blochwave.models, "decompose", recorded)
+    monkeypatch.setattr(blochwave.frame, "transporter", no_transporter)
+    assert main(["validate", *args]) == EXIT_OK
+    (checked,) = decomposed
+    decomposed.clear()
+    with pytest.raises(AssertionError, match="transporter integrated"):
+        build_frame(load_tabulated_model(table, gamma=10.0), 0.0, 2.0)
+    assert len(checked) == 65 and len(decomposed) == 1
+    assert np.array_equal(decomposed[0], checked)
 
 
 @st.composite

@@ -18,6 +18,7 @@ from blochwave import (
     build_frame,
     decompose,
     factorization_defect,
+    frozen_decomposition,
     intertwining_defect,
     kato_generator,
     landau_zener_model,
@@ -29,7 +30,7 @@ from blochwave import (
 from blochwave.dop853 import MAX_NODES
 from blochwave.models import load_tabulated_model
 
-from tests.helpers import write_tabulated
+from tests.helpers import crossing_model, write_tabulated
 
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -123,7 +124,7 @@ def test_frame_basis_diagonalizes_the_frozen_drift(make):
 
 def reference_kato(model, t):
     """``sum_{k != l} P_l B' P_k / (b_k - b_l)`` pair by pair, as a reference."""
-    anchor = decompose(model.drift(t), model.gap_tol)
+    anchor = decompose(model.drift(t))
     bdot = model.drift_derivative(t)
     out = np.zeros((model.dim, model.dim), dtype=complex)
     for l, (b_l, p_l) in enumerate(zip(anchor.eigenvalues, anchor.projectors)):
@@ -228,6 +229,38 @@ def test_batch_straddling_a_block_merge_raises_crossing_detected():
     with pytest.raises(CrossingDetected, match=r"t=0(?![.\d])"):
         model.spectral_at(np.array([-0.01, 0.0, 0.01]))
     assert kato_generator(model, np.array([-0.01, 0.01])).shape == (2, 2, 2)
+
+
+def test_build_frame_refuses_levels_that_cross_between_checkpoints(monkeypatch):
+    # -i t Z crosses at t = 0, which is no checkpoint of [-1, 1.1]: ascending
+    # order would hand block 0 the rate -2.5i at t = 0.5, where its level
+    # (the one it had at t0) has +2.5i.  The crossing is refused, naming the
+    # checkpoints around it, before any transporter is integrated.
+    model = crossing_model()
+    assert not np.any(np.isclose(np.linspace(-1.0, 1.1, 65), 0.0))
+    integrated = []
+    monkeypatch.setattr(blochwave.frame, "transporter", lambda *a, **k: integrated.append(a))
+    with pytest.raises(CrossingDetected, match=r"t=-0\.015625 and t=0\.0171875"):
+        build_frame(model, -1.0, 1.1)
+    assert integrated == []
+    # on one side of the crossing the same model builds
+    frozen = frozen_decomposition(model, -1.0, -0.1)
+    assert frozen.multiplicities == (1, 1)
+
+
+def test_frozen_decomposition_checks_numeric_models_only():
+    # analytic spectral data is the model's own labeling, taken at t0
+    model = landau_zener_model(1.0)
+    assert np.array_equal(
+        frozen_decomposition(model, -2.0, 2.0).projector_stack,
+        model.spectral_at(-2.0).projector_stack,
+    )
+    numeric = strip_analytic(model)
+    frozen = frozen_decomposition(numeric, -2.0, 2.0)
+    assert np.array_equal(
+        frozen.projector_stack,
+        numeric.spectral_at(np.linspace(-2.0, 2.0, 65)).projector_stack[0],
+    )
 
 
 # -------------------------------------------------------------- transporter
@@ -380,7 +413,8 @@ def test_factorization_defect_converges_with_tolerance():
 
 
 def test_numeric_label_verification_path():
-    # a model without analytic data goes through matched numerical tracking
+    # a model without analytic data goes through the numerical decomposition
+    # and its crossing check
     model = strip_analytic(random_smooth_model(4, 2, seed=19))
     frame = build_frame(model, 0.0, 2.0, tol=1e-9, checkpoints=17)
     assert intertwining_defect(frame) <= 1e-5

@@ -1,4 +1,4 @@
-"""Spectral decomposition, label tracking, and block algebra."""
+"""Spectral decomposition, label matching, and block algebra."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from blochwave import (
     match_labels,
     offblock_norm,
     spectral_norm,
-    track_spectral_path,
 )
 from blochwave.operators import DEFAULT_GAP_FACTOR, block_basis
 
@@ -427,18 +426,11 @@ def test_stack_primitives_equal_per_matrix_results():
 
 # ---------------------------------------------------------------- path tools
 
-def test_track_spectral_path_lz():
+def test_stacked_decompose_follows_the_lz_branches():
+    # ascending order is the continuous labeling while the levels stay apart
     model = landau_zener_model(1.0)
     grid = np.linspace(-2.0, 2.0, 41)
-    path = track_spectral_path(model.drift, grid)
-    assert path.min_gap() > 1.9  # 2*sqrt(1+t^2) >= 2
-    for dec, t in zip(path.decompositions, grid):
-        analytic = model.analytic_spectral(t)
-        for k in range(2):
-            assert spectral_norm(dec.projectors[k] - analytic.projectors[k]) < 1e-10
-
-
-def test_track_spectral_path_rejects_bad_grid():
-    model = landau_zener_model(1.0)
-    with pytest.raises(ValueError):
-        track_spectral_path(model.drift, np.array([0.0, 0.0, 1.0]))
+    stack = decompose(model.drift(grid), times=grid)
+    assert stack.min_gap() > 1.9  # 2*sqrt(1+t^2) >= 2
+    analytic = model.analytic_spectral(grid)
+    assert np.max(spectral_norm(stack.projector_stack - analytic.projector_stack)) < 1e-10
