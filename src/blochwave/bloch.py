@@ -39,6 +39,7 @@ from .operators import (
     offblock_norm,
     require_skew_hermitian,
     spectral_norm,
+    stack_product,
 )
 from .propagation import (
     PropagatorPath,
@@ -57,6 +58,7 @@ __all__ = [
     "custom_ic",
     "riccati_rhs",
     "integrate_riccati",
+    "restrict",
     "closed_form_wave",
     "radon_wave",
     "bloch_effective_evolution",
@@ -115,18 +117,13 @@ class BlochInitialCondition:
         u0 = self.matrix
         gram = u0.conj().T @ u0
         for k, p in enumerate(blocks):
-            bloch = spectral_norm(p @ u0 @ p - p)
-            if bloch > IC_TOL:
-                raise BadInitialCondition(
-                    f"initial condition violates the Bloch condition on block "
-                    f"{k}: defect {bloch:.3e} > {IC_TOL:.1e}"
-                )
-            comm = spectral_norm(gram @ p - p @ gram)
-            if comm > IC_TOL:
-                raise BadInitialCondition(
-                    f"U0†U0 does not commute with block {k}: "
-                    f"defect {comm:.3e} > {IC_TOL:.1e}"
-                )
+            for what, residue in (
+                ("initial condition violates the Bloch condition on block", p @ u0 @ p - p),
+                ("U0†U0 does not commute with block", gram @ p - p @ gram),
+            ):
+                defect = spectral_norm(residue)
+                if defect > IC_TOL:
+                    raise BadInitialCondition(f"{what} {k}: defect {defect:.3e} > {IC_TOL:.1e}")
 
 
 def identity_ic(blocks) -> BlochInitialCondition:
@@ -190,8 +187,8 @@ def stationary_ic(
     blocks = strong.projectors
     g = sum((vec * (assigned == k)) @ vec.conj().T @ p for k, p in enumerate(blocks))
     basis = block_basis(blocks)
-    gv, svs = _block_restrictions(g, basis)
-    smin = min(s[-1] for s in svs)
+    gv, min_sv = _block_restrictions(g, basis)
+    smin = min_sv.min()
     if smin < SINGULAR_SV:
         raise SingularBlock(
             f"block restriction singular: min singular value {smin:.3e} < {SINGULAR_SV:.1e}"
@@ -224,8 +221,8 @@ class WaveOperatorPath:
     ``bloch_defects`` records ``max_k ‖P_k U P_k - P_k‖`` per checkpoint; no
     route re-projects onto the Bloch manifold, so it is the route's own
     error.  ``min_block_sv`` is the per-checkpoint existence
-    certificate (smallest block singular value of ``M U(t0)``); it is only
-    available from the routes that see the full evolution.  On blow-up the
+    certificate (smallest block singular value of ``M U(t0)``); only the
+    closed form records it.  On blow-up the
     path is truncated and ``blowup_flag`` set.  ``stats`` holds the
     integrator's step statistics on the Riccati route.
     """
@@ -262,9 +259,11 @@ class WaveOperatorPath:
         return float(np.max(self.bloch_defects))
 
 
-def _bloch_defect(u: np.ndarray, blocks) -> float | np.ndarray:
-    """``max_k ‖P_k U P_k - P_k‖``, per matrix for a stack."""
-    return np.max([spectral_norm(p @ u @ p - p) for p in blocks], axis=0)
+def _bloch_defect(u: np.ndarray, basis) -> float | np.ndarray:
+    """``max_k ‖P_k U P_k - P_k‖`` (per matrix for a stack) as the slices
+    ``‖into(U)[k, k] - 1‖`` in the frozen eigenbasis ``basis``."""
+    uv, sets = basis[1](u), _index_sets(basis[0])
+    return np.max([spectral_norm(uv[..., i[:, None], i] - np.eye(len(i))) for i in sets], axis=0)
 
 
 def integrate_riccati(
@@ -374,7 +373,7 @@ def integrate_riccati(
         stats.update(max_step=max_step, windows=run.windows, sweeps=run.sweeps, max_jump=run.max_jump)
         mats = back(run.states)
         mats[0] = condition.matrix
-        defects = _bloch_defect(mats, blocks)
+        defects = _bloch_defect(mats, frame.basis)
         failed = (defects > defect_budget) | (np.linalg.norm(mats, axis=(-2, -1)) > blowup_norm)
         failed[0] = False  # the validated initial condition
         n = _first_true(failed)
@@ -449,8 +448,8 @@ def _parareal(solve, back, ics, grid, bounds, m_path, basis, tol) -> list:
 
     runs = []
     for u0 in ics:  # sweep 0 starts from the closed form M(t_n) U0 [...]^-1
-        gv, svs = _block_restrictions(m[1:-1] @ u0, basis)
-        if min(s[:, -1].min() for s in svs) < EXISTENCE_SV:
+        gv, min_sv = _block_restrictions(stack_product(m[1:-1], u0), basis)
+        if min_sv.min() < EXISTENCE_SV:
             runs.append(_Windows([]))
         else:
             runs.append(_Windows(np.concatenate([u0[None], _wave_from(gv, basis)])))
@@ -499,11 +498,18 @@ def _index_sets(labels: np.ndarray) -> list:
 
 def _block_restrictions(g: np.ndarray, basis):
     """``into(G)`` in the frozen eigenbasis ``basis`` (:func:`block_basis`)
-    and the singular values (descending, one row per matrix of a stack) of
-    each ``P_k G P_k``: the slice of ``into(G)`` on block ``k``'s indices."""
+    and the smallest singular value of each ``P_k G P_k``, the slice of
+    ``into(G)`` on block ``k``'s indices (last axis: the blocks)."""
     gv = basis[1](g)
     restricted = [gv[..., ix[:, None], ix] for ix in _index_sets(basis[0])]
-    return gv, [np.linalg.svd(r, compute_uv=False) for r in restricted]
+    return gv, np.stack([np.linalg.svd(r, compute_uv=False)[..., -1] for r in restricted], axis=-1)
+
+
+def restrict(m_path: PropagatorPath, ic: BlochInitialCondition, blocks) -> tuple:
+    """``(basis, into(G), min_sv)`` of :func:`_block_restrictions` for ``G = M
+    U(t0)``: what the closed form and ``M_eff`` share, taken once per run."""
+    basis = block_basis(blocks)
+    return (basis, *_block_restrictions(stack_product(m_path.matrices, ic.matrix), basis))
 
 
 def _wave_from(gv: np.ndarray, basis) -> np.ndarray:
@@ -523,11 +529,25 @@ def _first_true(flags: np.ndarray) -> int:
     return int(np.argmax(flags)) if flags.any() else len(flags)
 
 
+def _algebraic_path(m_path, ic, u, blocks, basis, route, **fields) -> WaveOperatorPath:
+    """The path of ``U`` at ``M``'s checkpoints up to where it ceased to
+    exist, blown up there; ``M(t0) = 1``, so ``U(t0)`` is the initial condition."""
+    n = len(u)
+    u[:1] = ic.matrix
+    flagged = n < len(m_path.times)
+    return WaveOperatorPath(
+        t0=m_path.t0, times=m_path.times[:n].copy(), matrices=u, blocks=blocks,
+        bloch_defects=_bloch_defect(u, basis), route=route, blowup_flag=flagged,
+        blowup_time=float(m_path.times[n]) if flagged else None, **fields,
+    )
+
+
 def closed_form_wave(
     m_path: PropagatorPath,
     ic: BlochInitialCondition,
     blocks,
     sv_tol: float = EXISTENCE_SV,
+    restricted: tuple | None = None,
 ) -> WaveOperatorPath:
     """Wave operator from the full evolution:
     ``U_k(t) = M(t) U_k(t0) [P_k M(t) U_k(t0) P_k]^{-1}``.
@@ -536,28 +556,15 @@ def closed_form_wave(
     ``M(t) U(t0)`` keeps its smallest singular value above ``sv_tol``; the
     recorded ``min_block_sv`` is that existence certificate.  Where it fails
     the path is truncated and flagged as blown up -- the solution ceases to
-    exist there.
+    exist there.  ``restricted`` is :func:`restrict` of the same inputs.
     """
     ic.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    basis = block_basis(blocks)
-    gv, svs = _block_restrictions(m_path.matrices @ ic.matrix, basis)
-    min_sv = np.min([s[:, -1] for s in svs], axis=0)
+    basis, gv, block_sv = restricted or restrict(m_path, ic, blocks)
+    min_sv = block_sv.min(axis=1)
     n = _first_true(min_sv < sv_tol)
-
     u = _wave_from(gv[:n], basis)
-    u[:1] = ic.matrix  # M(t0) = 1 exactly: U(t0) is the initial condition
-    return WaveOperatorPath(
-        t0=m_path.t0,
-        times=m_path.times[:n].copy(),
-        matrices=u,
-        blocks=blocks,
-        bloch_defects=_bloch_defect(u, blocks),
-        route="closed_form",
-        min_block_sv=min_sv[:n],
-        blowup_flag=n < len(gv),
-        blowup_time=float(m_path.times[n]) if n < len(gv) else None,
-    )
+    return _algebraic_path(m_path, ic, u, blocks, basis, "closed_form", min_block_sv=min_sv[:n])
 
 
 def radon_wave(
@@ -575,41 +582,22 @@ def radon_wave(
     recorded under ``diagnostics['pi_offblock_defect']`` as a self-check.
 
     Truncates with ``blowup_flag`` where ``cond(Pi_k)`` exceeds ``1/sv_tol``.
+    It records no ``min_block_sv``.
     """
     ic.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    g = m_path.matrices @ ic.matrix
-    svs = _block_restrictions(g, block_basis(blocks))[1]
+    g = stack_product(m_path.matrices, ic.matrix)
     eye = np.eye(blocks[0].shape[0], dtype=complex)
+    pis = np.stack([stack_product(g, p, p) + (eye - p) for p in blocks])  # (block, time)
+    s = np.linalg.svd(pis, compute_uv=False)
+    n = _first_true(((s[..., 0] > s[..., -1] / sv_tol) | (s[..., -1] == 0.0)).any(axis=0))
 
-    pis = [p @ g @ p + (eye - p) for p in blocks]
-    failed = np.zeros(len(g), dtype=bool)
-    for pi in pis:
-        s = np.linalg.svd(pi, compute_uv=False)
-        failed |= (s[:, 0] > s[:, -1] / sv_tol) | (s[:, -1] == 0.0)
-    n = _first_true(failed)
-
-    u = np.zeros_like(g[:n])
-    offblock = [0.0]
-    for p, pi in zip(blocks, pis):
-        offblock.extend(offblock_norm(pi[:n], blocks))
-        u += np.linalg.solve(
-            pi[:n].swapaxes(-1, -2), (g[:n] @ p).swapaxes(-1, -2)
-        ).swapaxes(-1, -2)
-    u[:1] = ic.matrix  # M(t0) = 1 exactly: U(t0) is the initial condition
-
-    return WaveOperatorPath(
-        t0=m_path.t0,
-        times=m_path.times[:n].copy(),
-        matrices=u,
-        blocks=blocks,
-        bloch_defects=_bloch_defect(u, blocks),
-        route="radon",
-        min_block_sv=np.min([s[:n, -1] for s in svs], axis=0),
-        blowup_flag=n < len(g),
-        blowup_time=float(m_path.times[n]) if n < len(g) else None,
-        diagnostics={"pi_offblock_defect": float(max(offblock))},
-    )
+    # U = sum_k G P_k Pi_k^-1, each term solved as Pi_k^T X^T = (G P_k)^T
+    gp = np.stack([stack_product(g[:n], p) for p in blocks]).swapaxes(-1, -2)
+    u = np.linalg.solve(pis[:, :n].swapaxes(-1, -2), gp).swapaxes(-1, -2).sum(axis=0)
+    offblock = float(np.max(offblock_norm(pis[:, :n], blocks), initial=0.0))
+    return _algebraic_path(m_path, ic, u, blocks, block_basis(blocks), "radon",
+                           diagnostics={"pi_offblock_defect": offblock})
 
 
 @dataclass
@@ -631,16 +619,14 @@ def bloch_effective_evolution(
     m_path: PropagatorPath,
     ic: BlochInitialCondition,
     blocks,
+    restricted: tuple | None = None,
 ) -> EffectiveEvolutionPath:
-    """The effective diagonal evolution ``sum_k P_k M(t) U(t0) P_k``."""
-    g = m_path.matrices @ ic.matrix
-    svs = _block_restrictions(g, block_basis(blocks))[1]
-    return EffectiveEvolutionPath(
-        t0=m_path.t0,
-        times=m_path.times.copy(),
-        matrices=block_project(g, blocks),
-        block_min_sv=np.stack([s[:, -1] for s in svs], axis=1),
-    )
+    """The effective diagonal evolution ``sum_k P_k M(t) U(t0) P_k``, the
+    block-diagonal mask of ``into(M U(t0))``; ``restricted`` is
+    :func:`restrict` of the same inputs."""
+    (labels, _, out_of), gv, min_sv = restricted or restrict(m_path, ic, blocks)
+    matrices = out_of(gv * (labels[:, None] == labels))
+    return EffectiveEvolutionPath(m_path.t0, m_path.times.copy(), matrices, block_min_sv=min_sv)
 
 
 def effective_generator(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bloch import IC_TOL, SINGULAR_SV, EffectiveEvolutionPath, WaveOperatorPath
 from .errors import BadInitialCondition, BoundViolated, OutOfRange, SingularBlock
-from .operators import offblock_norm, spectral_norm
+from .operators import block_basis, offblock_norm, spectral_norm, stack_product
 from .propagation import PropagatorPath
 
 __all__ = [
@@ -55,12 +55,12 @@ def leakage(m_path: PropagatorPath, blocks, norm: str = "spectral") -> np.ndarra
 
 
 def _leakage_trace(m_path: PropagatorPath, blocks, ord_=2) -> np.ndarray:
-    """``‖(1 - P_k) M(t) P_k‖`` per checkpoint (rows) and block (columns)."""
-    eye = np.eye(m_path.dim)
-    return np.stack(
-        [np.linalg.norm((eye - p) @ m_path.matrices @ p, ord_, axis=(-2, -1)) for p in blocks],
-        axis=-1,
-    )
+    """``‖(1 - P_k) M(t) P_k‖`` per checkpoint (rows) and block (columns): the
+    norm of ``into(M)[¬k, k]``, as a mask, in the eigenbasis of ``blocks``."""
+    labels, into, _ = block_basis(blocks)
+    mv = into(m_path.matrices)
+    masks = [(labels != k)[:, None] & (labels == k) for k in range(len(blocks))]
+    return np.stack([np.linalg.norm(mv * mask, ord_, axis=(-2, -1)) for mask in masks], axis=-1)
 
 
 def leakage_bound(delta: float) -> float:
@@ -160,9 +160,8 @@ def unitarize(
         n = len(u_path.times)
         if len(m_path.times) < n or not np.array_equal(m_path.times[:n], u_path.times):
             raise ValueError("m_path grid does not cover the wave-operator grid")
-        conjugated = float(
-            np.max(offblock_norm(vs.conj().swapaxes(-1, -2) @ m_path.matrices[:n] @ vs[0], blocks))
-        )
+        conjugated = vs.conj().swapaxes(-1, -2) @ m_path.matrices[:n]
+        conjugated = float(np.max(offblock_norm(stack_product(conjugated, vs[0]), blocks)))
 
     return UnitarizedPath(
         t0=u_path.t0,

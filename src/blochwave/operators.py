@@ -32,6 +32,7 @@ __all__ = [
     "require_skew_hermitian",
     "decompose",
     "match_labels",
+    "stack_product",
     "block_basis",
     "block_project",
     "offblock_norm",
@@ -255,6 +256,17 @@ def match_labels(
     )
 
 
+def stack_product(x: np.ndarray, right: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
+    """``left @ x @ right`` (``x @ right`` without ``left``) for a matrix or a
+    stack of them, as one GEMM per constant factor over the flattened stack's
+    rows, the left one as ``(x^T left^T)^T``.  A GEMM row depends on its own
+    input row only: each matrix of a stack comes out bit for bit as alone."""
+    d = x.shape[-1]
+    if left is not None:
+        x = (x.swapaxes(-1, -2).reshape(-1, d) @ left.T).reshape(x.shape).swapaxes(-1, -2)
+    return (x.reshape(-1, d) @ right).reshape(x.shape)
+
+
 def block_basis(blocks):
     """An orthonormal eigenbasis ``V`` of a complete family of orthogonal
     projectors ``P_k`` (a sequence or a stack); an empty one raises
@@ -262,9 +274,10 @@ def block_basis(blocks):
 
     Returns ``(labels, into, out_of)``: ``labels[i]`` is the block of column
     ``i`` of ``V``, ``into(x) = V† x V`` and ``out_of(x) = V x V†`` (per
-    matrix for a stack).  There ``P_k`` is the mask of the indices ``labels
-    == k``, and ``P_k X P_k`` the slice of ``into(X)`` on them.  Coordinate
-    projectors give ``V = 1``: ``into`` and ``out_of`` return their argument.
+    matrix for a stack: two flat GEMMs, :func:`stack_product`).  There ``P_k``
+    is the mask of the indices ``labels == k``, and ``P_k X P_k`` the slice of
+    ``into(X)`` on them.  Coordinate projectors give ``V = 1``: ``into`` and
+    ``out_of`` return their argument.
     """
     proj = np.asarray(blocks, dtype=complex)
     if not np.any(proj * ~np.eye(proj.shape[-1], dtype=bool)):  # V = 1
@@ -275,7 +288,8 @@ def block_basis(blocks):
         weights, basis = np.linalg.eigh(np.tensordot(np.arange(len(proj)), proj, axes=1))
         basis_h = basis.conj().T
         labels = np.rint(weights).astype(int)
-        into, out_of = (lambda x: basis_h @ x @ basis), (lambda x: basis @ x @ basis_h)
+        into = lambda x: stack_product(x, basis, basis_h)
+        out_of = lambda x: stack_product(x, basis_h, basis)
     if np.any(np.bincount(labels, minlength=len(proj)) == 0):
         raise SingularBlock("projector has empty range")
     return labels, into, out_of
@@ -291,6 +305,8 @@ def block_project(a: np.ndarray, blocks) -> np.ndarray:
 
 
 def offblock_norm(a: np.ndarray, blocks) -> float | np.ndarray:
-    """Spectral norm of the part of ``a`` outside the block diagonal (per
-    matrix for a stack)."""
-    return spectral_norm(np.asarray(a, dtype=complex) - block_project(a, blocks))
+    """Spectral norm of the part of ``a`` outside the block diagonal of a
+    complete family ``blocks`` (per matrix for a stack): the off-block mask
+    of ``into(a)`` in :func:`block_basis`."""
+    labels, into, _ = block_basis(blocks)
+    return spectral_norm(into(np.asarray(a, dtype=complex)) * (labels[:, None] != labels))

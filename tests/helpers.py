@@ -87,6 +87,30 @@ def plain_riccati(hamiltonian, u0, blocks, grid, tol=1e-10, max_step=None, blowu
     return grid[: len(mats)], mats, sol.event_time
 
 
+def projector_bloch_defect(u, blocks):
+    """``max_k ‖P_k U P_k - P_k‖`` per matrix, as plain projector products:
+    the reference for the slices of ``bloch._bloch_defect``."""
+    return np.max([np.linalg.norm(p @ u @ p - p, 2, axis=(-2, -1)) for p in blocks], axis=0)
+
+
+def projector_leakage(m, blocks, ord_=2):
+    """``‖(1 - P_k) M P_k‖`` per matrix (rows) and block (columns), as plain
+    projector products: the reference for ``diagnostics._leakage_trace``."""
+    eye = np.eye(m.shape[-1])
+    return np.stack([np.linalg.norm((eye - p) @ m @ p, ord_, axis=(-2, -1)) for p in blocks], axis=-1)
+
+
+def projector_block_project(a, blocks):
+    """``sum_k P_k a P_k`` block by block, as plain projector products."""
+    return sum(p @ a @ p for p in blocks)
+
+
+def projector_offblock_norm(a, blocks, ord_=2):
+    """The norm of ``a - sum_k P_k a P_k`` per matrix, as plain projector
+    products: the reference for the mask of ``operators.offblock_norm``."""
+    return np.linalg.norm(a - projector_block_project(a, blocks), ord_, axis=(-2, -1))
+
+
 def crossing_model(gamma=5.0):
     """Two levels that cross at ``t = 0``: drift ``-i t Z`` under a weak
     ``X`` drive.  Ascending order swaps the blocks' eigenspaces there."""

@@ -231,7 +231,10 @@ def test_radon_identity_evolution():
     m_path = PropagatorPath(0.0, grid, mats, np.zeros(5), tol=1e-12)
     u = radon_wave(m_path, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS)
     assert u.sup_deviation() == 0.0
-    assert np.all(u.min_block_sv == 1.0)
+    # radon records no certificate; the effective evolution carries it
+    assert u.min_block_sv is None
+    m_eff = bloch_effective_evolution(m_path, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS)
+    assert np.all(m_eff.block_min_sv == 1.0)
 
 
 def test_bloch_condition_preserved_along_riccati(random_bundle):
@@ -519,7 +522,7 @@ def test_existence_triad_cross_check():
     assert np.all(u_c.min_block_sv >= sv_tol)
     # radon's own condition test truncates at the same checkpoint
     assert u_d.blowup_flag and len(u_d.times) == n_ok
-    assert len(u_c.min_block_sv) == len(u_d.min_block_sv) == n_ok
+    assert len(u_c.min_block_sv) == len(u_d.times) == n_ok
     # the certificate fails exactly where the path was truncated
     direct_sv = np.abs(np.cos(grid))  # |P0 M(t) P0| on the block
     assert direct_sv[n_ok] < sv_tol

@@ -609,6 +609,55 @@ def test_validate_checks_the_labels_at_the_frame_times_without_a_transporter(tmp
     assert np.array_equal(decomposed[0], checked)
 
 
+def test_tabulated_sweep_reads_and_decomposes_its_table_once(tmp_path, monkeypatch):
+    # a table's drift and drive do not depend on gamma: validate reads the
+    # file and decomposes its 65 checkpoint drifts once for four gammas, and
+    # a sweep reads it once, each gamma's run writing what a standalone run
+    # of that gamma writes; every gamma is still checked
+    import builtins
+
+    import blochwave.models
+    from blochwave import random_smooth_model
+    from tests.helpers import write_tabulated
+
+    table = tmp_path / "model.csv"
+    write_tabulated(table, random_smooth_model(4, 2, seed=3), np.linspace(-0.2, 2.2, 49))
+    cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10, 20, 40, 80\n")
+    sets = ["model.name=custom", f"model.path={table}", "run.t_final=1",
+            "run.checkpoint_count=6", "run.integrator_tol=1e-8", "run.route=closed_form"]
+    args = [str(cfg), *[arg for item in sets for arg in ("--set", item)]]
+    reads, decomposed = [], []
+    decompose = blochwave.models.decompose
+
+    def counted_open(path, *rest, **kwargs):
+        reads.append(str(path))
+        return builtins.open(path, *rest, **kwargs)
+
+    def recorded(a, *rest, times=None, **kwargs):
+        decomposed.append(len(times))
+        return decompose(a, *rest, times=times, **kwargs)
+
+    monkeypatch.setattr(blochwave.models, "open", counted_open, raising=False)
+    monkeypatch.setattr(blochwave.models, "decompose", recorded)
+    assert main(["validate", *args]) == EXIT_OK
+    assert reads == [str(table)] and decomposed == [65]
+    assert main(["validate", *args, "--set", "sweep.gamma=10, 0"]) == EXIT_CONFIG
+
+    reads.clear()
+    result = sweep(load_config(cfg, overrides=sets + ["sweep.gamma=10, 20"]))
+    assert reads == [str(table)]
+    assert {s.gamma for s in result["summaries"].values()} == {10.0, 20.0}
+    alone = write_cfg(tmp_path, name="alone.cfg", out=tmp_path / "alone")
+    run_experiment(load_config(alone, overrides=sets + ["model.gamma=20"]))
+    for name in ("trace.csv", "summary.csv"):
+        ours = read_csv(tmp_path / "out" / "gamma_20_identity" / name)
+        theirs = read_csv(tmp_path / "alone" / name)
+        if name == "summary.csv":  # the label and the run's own output names differ
+            for row in ours + theirs:
+                row.pop("label")
+        assert ours == theirs
+
+
 @st.composite
 def mutated_ic(draw):
     """The 3x3 identity as IC CSV text with one cell, row or column broken."""

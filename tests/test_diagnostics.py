@@ -9,12 +9,17 @@ from blochwave import (
     OutOfRange,
     PropagatorPath,
     bloch_effective_evolution,
+    build_frame,
+    closed_form_wave,
     distance_report,
     identity_ic,
+    landau_zener_model,
     leakage,
     leakage_bound,
     lz_asymptotic_amplitude,
+    offblock_norm,
     propagate,
+    random_smooth_model,
     spectral_norm,
     unitarize,
     v_bound,
@@ -239,3 +244,45 @@ def test_inequality_chains_on_bundles(lz_bundle, tl_bundle, random_bundle):
             assert spectral_norm(u_inv - eye) <= delta / (1.0 - delta) + 1e-10
             gram = u.conj().T @ u
             assert spectral_norm(gram - eye) <= 2 * delta + delta**2 + 1e-10
+
+
+@pytest.mark.parametrize(
+    "model, span",
+    [
+        (lambda: landau_zener_model(2.0), (-5.0, 5.0)),
+        (lambda: random_smooth_model(6, 3, seed=11), (0.0, 1.0)),
+    ],
+    ids=["landau_zener", "random_6x6_three_blocks"],
+)
+def test_block_algebra_slices_match_the_projector_products(model, span):
+    # leakage, Bloch defect, off-block norm and M_eff are slices or masks of
+    # into(.) in the frozen eigenbasis; each must give what the projector
+    # sandwiches give, on a frame whose blocks are not coordinate blocks
+    from blochwave.bloch import _bloch_defect
+    from blochwave.diagnostics import _leakage_trace
+    from tests.helpers import (
+        projector_block_project,
+        projector_bloch_defect,
+        projector_leakage,
+        projector_offblock_norm,
+    )
+
+    frame = build_frame(model(), *span)
+    blocks = frame.blocks
+    assert np.any(np.abs(np.asarray(blocks)) * ~np.eye(frame.model.dim, dtype=bool) > 0.05)
+    m_path = propagate(frame, span[0], np.linspace(*span, 41))
+    ic = identity_ic(blocks)
+    u_path = closed_form_wave(m_path, ic, blocks)
+    rng = np.random.default_rng(3)
+    noise = rng.normal(size=m_path.matrices.shape) + 1j * rng.normal(size=m_path.matrices.shape)
+    for ord_ in (2, "fro"):
+        ours = _leakage_trace(m_path, blocks, ord_)
+        assert np.max(np.abs(ours - projector_leakage(m_path.matrices, blocks, ord_))) < 1e-13
+    for x in (m_path.matrices, u_path.matrices, noise):
+        assert np.max(np.abs(_bloch_defect(x, frame.basis) - projector_bloch_defect(x, blocks))) < 1e-13
+        assert np.max(np.abs(offblock_norm(x, blocks) - projector_offblock_norm(x, blocks))) < 1e-13
+    # M_eff is the block-diagonal mask of into(M U0), mapped back
+    diff = bloch_effective_evolution(m_path, ic, blocks).matrices
+    diff = diff - projector_block_project(m_path.matrices @ ic.matrix, blocks)
+    for ord_ in (2, "fro"):
+        assert np.max(np.linalg.norm(diff, ord_, axis=(-2, -1))) < 1e-13

@@ -14,7 +14,7 @@ from blochwave import (
     offblock_norm,
     spectral_norm,
 )
-from blochwave.operators import DEFAULT_GAP_FACTOR, block_basis
+from blochwave.operators import DEFAULT_GAP_FACTOR, block_basis, stack_product
 
 TOL = 1e-10
 
@@ -340,6 +340,54 @@ def test_block_basis_slices_are_the_block_restrictions():
         ix = np.flatnonzero(labels == k)
         ref = np.linalg.svd(p @ x @ p, compute_uv=False)[:, : len(ix)]
         assert np.allclose(np.linalg.svd(xv[:, ix[:, None], ix], compute_uv=False), ref, atol=1e-13)
+
+
+def sandwich_inputs(dim, rng):
+    """A random matrix, 3-D and 4-D stacks, and a non-contiguous view."""
+    def draw(*shape):
+        return rng.normal(size=(*shape, dim, dim)) + 1j * rng.normal(size=(*shape, dim, dim))
+
+    view = draw(2, 4).swapaxes(-1, -2)[1, ::2]
+    return {"matrix": draw(), "stack": draw(7), "4d": draw(2, 3), "view": view}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_stack_product_is_the_product_by_constant_matrices(dim):
+    rng = np.random.default_rng(40 + dim)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    blocks = [q[:, ix] @ q[:, ix].conj().T for ix in (slice(0, dim // 2), slice(dim // 2, dim))]
+    _, into, out_of = block_basis(blocks)
+    v = np.linalg.eigh(np.tensordot(np.arange(2), np.asarray(blocks), axes=1))[1]  # block_basis's V
+    left, right = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    gain_l, gain_r = np.linalg.norm(left, 2), np.linalg.norm(right, 2)
+    for name, x in sandwich_inputs(dim, rng).items():
+        if name == "view":
+            assert not x.flags.c_contiguous
+        for got, want, gain in [
+            (into(x), v.conj().T @ x @ v, 1.0),
+            (out_of(x), v @ x @ v.conj().T, 1.0),
+            (stack_product(x, right, left), left @ x @ right, gain_l * gain_r),
+            (stack_product(x, right), x @ right, gain_r),
+        ]:
+            assert got.shape == x.shape
+            error = np.linalg.norm(got - want, 2, axis=(-2, -1))
+            assert np.all(error <= 1e-14 * gain * np.linalg.norm(x, 2, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_stack_product_gives_each_matrix_of_a_stack_its_solo_bits(dim):
+    # a lockstep solve rotates the stage times of all its problems in one call,
+    # and its paths stay bit for bit the solo ones only if this holds
+    rng = np.random.default_rng(dim)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    left, right = q.conj().T, q
+    stack = rng.normal(size=(3096 // dim, dim, dim)) + 1j * rng.normal(size=(3096 // dim, dim, dim))
+    for factors in [(right,), (right, left)]:
+        whole = stack_product(stack, *factors)
+        for i, x in enumerate(stack):
+            assert stack_product(x, *factors).tobytes() == whole[i].tobytes()
+        # and a 4-D stack row by row as the 3-D one
+        assert stack_product(stack[:12].reshape(3, 4, dim, dim), *factors).tobytes() == whole[:12].tobytes()
 
 
 # -------------------------------------------------------------- block_project
