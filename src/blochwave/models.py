@@ -55,6 +55,11 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: a drive repeats with the model's period within this factor of max(1, ‖C‖)
 PERIOD_TOL = 1e-12
 
+#: floats per term array of a tabulated model's spline evaluation (96 KB):
+#: larger batches of times are summed block by block, which keeps a 600-time
+#: batch as fast per time as a 95-time one
+SPLINE_BLOCK = 12288
+
 
 def _constant(value: np.ndarray):
     """A callable returning ``value`` at a time, and one copy per time for
@@ -483,8 +488,143 @@ def random_smooth_model(
     )
 
 
+def _tridiagonal_solve(dl, d, du, b):
+    """Solve ``tridiag(dl, d, du) s = b`` for the rows of ``b`` (``(n, m)``
+    complex, overwritten) as LAPACK's ``zgtsv`` does, operation by operation:
+    Gaussian elimination with a row interchange wherever the subdiagonal entry
+    is the larger in ``|re| + |im|``, then back substitution.
+
+    The real matrix is held in Python complex numbers, whose products and
+    quotients are Fortran's formulas (Smith's quotient).  Their imaginary
+    parts stay signed zeros, so NumPy's products of them with ``b`` round as
+    Fortran's do, fused or not; the quotients are taken in real arithmetic,
+    because NumPy divides by a complex through its reciprocal.
+    """
+    n = len(d)
+    dl, d, du = ([complex(v) for v in diag] for diag in (dl, d, du))
+    for k in range(n - 1):
+        if dl[k] == 0:  # nothing to eliminate (the two-row chord)
+            continue
+        if abs(d[k].real) + abs(d[k].imag) >= abs(dl[k].real) + abs(dl[k].imag):
+            mult = dl[k] / d[k]
+            d[k + 1] -= mult * du[k]
+            b[k + 1] -= mult * b[k]
+            if k < n - 2:
+                dl[k] = 0j
+        else:
+            mult = d[k] / dl[k]
+            below = d[k + 1]
+            d[k], d[k + 1] = dl[k], du[k] - mult * below
+            if k < n - 2:
+                dl[k] = du[k + 1]
+                du[k + 1] = -(mult * dl[k])
+            du[k] = below
+            b[k], b[k + 1] = b[k + 1].copy(), b[k] - mult * b[k + 1]
+
+    def divide(v, c):
+        # Smith: (v.real + v.imag r, v.imag - v.real r) / (c.real + c.imag r)
+        # with r = c.imag / c.real, a signed zero, so the product is exact
+        ratio = c.imag / c.real
+        out = v * complex(1.0, -ratio)
+        out.view(float)[...] /= c.imag * ratio + c.real
+        return out
+
+    b[-1] = divide(b[-1], d[-1])
+    b[-2] = divide(b[-2] - du[-1] * b[-1], d[-2])
+    for k in range(n - 3, -1, -1):
+        b[k] = divide(b[k] - du[k] * b[k + 1] - dl[k] * b[k + 2], d[k])
+    return b
+
+
+def _not_a_knot_spline(x, y):
+    """Coefficients ``(4, n - 1, ...)``, highest power first, of the cubic
+    spline through rows ``y`` (complex) at increasing times ``x`` with de Boor's
+    not-a-knot ends: bit for bit those of SciPy 1.17.1's
+    ``CubicSpline(x, y, axis=0)``, whose arithmetic this replays.  Two rows
+    give the chord and three the parabola through them, as SciPy's special
+    cases do; more give the end slopes from the tridiagonal system for the
+    knot slopes, and each interval is the Hermite cubic of its two values and
+    slopes.  The parabola's slopes come from ``numpy.linalg.solve``, which is
+    SciPy's LAPACK solve bit for bit except for a single column (1×1
+    samples), where SciPy's one-right-hand-side path can differ in the last
+    bit.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    if n == 3:  # the two end conditions coincide
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.stack((2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]), 2 * slope[1]))
+        s = np.linalg.solve(a, b.reshape(3, -1)).reshape(b.shape)
+    else:
+        dl, d, du = np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
+        b = np.empty((n,) + y.shape[1:], dtype=complex)
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        du[1:] = dx[:-1]
+        dl[:-1] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if n == 2:  # both ends take the chord's slope
+            d[:] = 1.0
+            b[0] = b[-1] = slope[0]
+        else:
+            span = x[2] - x[0]
+            d[0], du[0] = dx[1], span
+            b[0] = ((dxr[0] + 2 * span) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / span
+            span = x[-1] - x[-3]
+            d[-1], dl[-1] = dx[-2], span
+            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * span + dxr[-1]) * dxr[-2] * slope[-1]) / span
+        s = _tridiagonal_solve(dl, d, du, b.reshape(n, -1)).reshape(b.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _piecewise_cubic(coeffs, x):
+    """The piecewise cubic with coefficients ``(4, n - 1, ...)`` (highest
+    power first) on the intervals of ``x``, as a function of an array of times
+    that returns one value per time: bit for bit SciPy's ``PPoly(coeffs, x,
+    extrapolate=False)``, with NaN outside ``[x[0], x[-1]]``.
+
+    Each value is PPoly's ascending power sum ``c3 + c2 s + c1 s^2 + c0 s^3``
+    of the offset ``s`` into its interval, added left to right from ``+0``.
+    A sum started from ``+0`` is never ``-0``, so the signs of zero terms do
+    not matter, and each term, a complex times a real, is taken on the float
+    view, block by block of times, so that the terms stay in cache.
+    NaN rows before the first interval and after the last one give the NaN,
+    and nudging the last knot up closes the last interval.
+    """
+    planes = np.full((4, len(x) + 1) + coeffs.shape[2:], np.nan, dtype=complex)
+    planes[:, 1:-1] = coeffs[::-1]
+    planes[0, 1:-1] += 0.0  # the sum's +0 start
+    planes = planes.reshape(4, len(x) + 1, -1).view(float)
+    block = max(1, SPLINE_BLOCK // planes.shape[-1])
+    knots = x.copy()
+    knots[-1] = np.nextafter(x[-1], np.inf)
+    left = np.concatenate((x[:1], x))
+
+    def evaluate(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        row = knots.searchsorted(flat, "right")
+        s = (flat - left[row])[:, None]
+        square = s * s
+        powers = (s, square, square * s)
+        value = planes[0].take(row, axis=0)
+        for start in range(0, flat.size, block):
+            part = slice(start, start + block)
+            rows, out = row[part], value[part]
+            for plane, power in zip(planes[1:], powers):
+                term = plane.take(rows, axis=0)
+                term *= power[part]
+                out += term
+        return value.view(complex).reshape(t.shape + coeffs.shape[2:])
+
+    return evaluate
+
+
 def load_tabulated_model(path, gamma: float) -> GeneratorModel:
-    """Custom model from a tabulated-matrix CSV file, cubic-interpolated.
+    """Custom model from a tabulated-matrix CSV file, interpolated by the
+    not-a-knot cubic spline of :func:`_not_a_knot_spline`.
 
     Format: one header line ``time,B_00,B_01,...,C_00,...`` followed by rows
     of a strictly increasing time column and the row-major complex entries of
@@ -499,8 +639,6 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     times: the three accessors return read-only views of that evaluation.  Evaluation outside
     the tabulated span is refused for all three.
     """
-    from scipy.interpolate import CubicSpline, PPoly  # only tabulated models need SciPy
-
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
@@ -542,10 +680,9 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     # one cubic with coefficients (power, interval, [B, C, B'], row, column):
     # B = a s^3 + b s^2 + c s + d on an interval gives B' = 3a s^2 + 2b s + c
     coeffs = np.zeros((4, len(times) - 1, 3, dim, dim), dtype=complex)
-    for k in (0, 1):
-        coeffs[:, :, k] = CubicSpline(times, samples[:, k], axis=0, extrapolate=False).c
+    coeffs[:, :, :2] = _not_a_knot_spline(times, samples)
     coeffs[1:, :, 2] = coeffs[:-1, :, 0] * np.array([3.0, 2.0, 1.0])[:, None, None, None]
-    table = PPoly(coeffs, times, extrapolate=False)
+    table = _piecewise_cubic(coeffs, times)
     between = (times[:-1, None] + np.diff(times)[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
     try:
         require_skew_hermitian(

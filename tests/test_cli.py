@@ -1266,6 +1266,41 @@ def test_runs_of_analytic_models_import_no_scipy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+#: validates and runs a tiny tabulated-model job, then reports the SciPy
+#: modules loaded by then
+FRESH_TABULATED_RUN = """
+import sys
+from blochwave.cli import main
+
+out, table = sys.argv[1:]
+custom = ["docs/examples/three_level.cfg", "--set", "model.name=custom", "--set", f"model.path={table}"]
+tiny = ["--set", "run.t_final=1", "--set", "run.checkpoint_count=5"]
+assert main(["validate", *custom, *tiny]) == 0
+assert main(["run", *custom, *tiny, "--set", f"output.dir={out}"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_validate_and_run_of_a_tabulated_model_import_no_scipy(tmp_path):
+    from tests.helpers import write_tabulated
+
+    from blochwave import random_smooth_model
+
+    table = tmp_path / "model.csv"
+    write_tabulated(table, random_smooth_model(3, 2, seed=1), np.linspace(-0.2, 1.2, 29))
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_TABULATED_RUN, str(tmp_path / "out"), str(table)],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_benchmark_tracer_wraps_names_that_exist_and_restores_them(monkeypatch):
     # the benchmark's traced run patches these module and class attributes;
     # deleting or renaming one would crash it, so a missing name fails here

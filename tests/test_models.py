@@ -374,3 +374,93 @@ def test_tabulated_accessors_equal_separate_splines_bit_for_bit(tmp_path):
         value = getattr(loaded, name)(t)
         assert np.array_equal(value, reference[name](t))
         assert not value.flags.writeable
+
+
+# The spline is SciPy's CubicSpline replayed in NumPy; SciPy stays the
+# reference here, compared byte for byte, signed zeros included.
+
+
+def spline_knots(rows, spacing, rng):
+    if spacing == "uniform":
+        return np.linspace(-0.5, 3.5, rows)
+    gaps = np.exp(rng.uniform(-7.0, 3.0, rows - 1))
+    if rows > 3:
+        # a third gap above the first two together makes zgtsv interchange
+        # the second and third rows of the not-a-knot system
+        gaps[2] = 100.0 * (gaps[0] + gaps[1])
+    return rng.uniform(-1.0, 1.0) + np.concatenate(([0.0], np.cumsum(gaps)))
+
+
+def with_signed_zeros(samples, rng):
+    """``samples`` with some cells ``±0 ± 0j``, and the real parts of a
+    diagonal (zero for skew-Hermitian samples) as signed zeros."""
+    samples = samples.copy()
+    dim = samples.shape[-1]
+    diagonal = samples.real[..., range(dim), range(dim)]
+    samples.real[..., range(dim), range(dim)] = np.copysign(0.0, rng.normal(size=diagonal.shape))
+    zero = rng.random(samples.shape) < 0.1
+    zero |= zero.swapaxes(-1, -2)  # in pairs, so that skew samples stay skew
+    samples.real[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    samples.imag[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    return samples
+
+
+def times_to_ask(knots, rng):
+    """Batches of the sizes a frame asks for, the knots, and 0-d times."""
+    inside = [np.sort(rng.uniform(knots[0], knots[-1], size)) for size in (1, 12, 95, 600)]
+    return [*inside, knots, knots[-1:], knots[-1], knots[0], knots[1], float(rng.uniform(knots[0], knots[-1]))]
+
+
+@pytest.mark.parametrize("spacing", ["uniform", "non_uniform"])
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 81])
+def test_spline_is_scipys_cubic_spline_bit_for_bit(rows, spacing):
+    from scipy.interpolate import CubicSpline, PPoly
+
+    from blochwave.models import _not_a_knot_spline, _piecewise_cubic
+
+    rng = np.random.default_rng(rows)
+    knots = spline_knots(rows, spacing, rng)
+    samples = with_signed_zeros(
+        rng.normal(size=(rows, 2, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2, 2)), rng
+    )
+    coeffs = _not_a_knot_spline(knots, samples)
+    table = _piecewise_cubic(coeffs, knots)
+    for k in (0, 1):
+        spline = CubicSpline(knots, samples[:, k], axis=0, extrapolate=False)
+        assert np.ascontiguousarray(coeffs[:, :, k]).tobytes() == spline.c.tobytes()
+        for t in times_to_ask(knots, rng):
+            assert table(t)[..., k, :, :].tobytes() == spline(t).tobytes()
+    # the NaN of a time outside the span is PPoly's too
+    outside = np.array([np.nextafter(knots[0], -np.inf), np.nextafter(knots[-1], np.inf)])
+    assert table(outside).tobytes() == PPoly(coeffs, knots, extrapolate=False)(outside).tobytes()
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 81])
+def test_tabulated_model_is_scipys_spline_and_derivative_bit_for_bit(tmp_path, rows):
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(100 + rows)
+    knots = spline_knots(rows, "non_uniform", rng)
+    z = rng.normal(size=(rows, 2, 3, 3)) + 1j * rng.normal(size=(rows, 2, 3, 3))
+    samples = with_signed_zeros(z - z.conj().swapaxes(-1, -2), rng)
+    header = ["time"] + [f"{p}_{i}{j}" for p in "BC" for i in range(3) for j in range(3)]
+    lines = [",".join(header)]
+    for t, sample in zip(knots, samples):
+        lines.append(",".join([repr(float(t))] + [str(complex(x)) for x in sample.ravel()]))
+    file = tmp_path / "m.csv"
+    file.write_text("\n".join(lines) + "\n")
+    loaded = load_tabulated_model(file, gamma=1.0)
+
+    drift = CubicSpline(knots, samples[:, 0], axis=0, extrapolate=False)
+    reference = {
+        "drift": drift,
+        "drive": CubicSpline(knots, samples[:, 1], axis=0, extrapolate=False),
+        "drift_derivative": drift.derivative(),
+    }
+    for t in times_to_ask(knots, rng):
+        for name, spline in reference.items():
+            assert getattr(loaded, name)(t).tobytes() == spline(t).tobytes(), name
+    for name in reference:
+        for t in (np.nextafter(knots[0], -np.inf), np.nextafter(knots[-1], np.inf)):
+            with pytest.raises(ConfigError, match="outside its span"):
+                getattr(loaded, name)(t)
