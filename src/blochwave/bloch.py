@@ -14,13 +14,14 @@ routes compute it:
   (:func:`radon_wave`).
 
 Every block restriction ``P_k G P_k`` is a slice of ``G`` in the frozen
-eigenbasis of :func:`~blochwave.operators.block_basis`.  Route agreement is
-the package's primary correctness oracle.  Given ``M``, the Riccati route
+eigenbasis of :func:`~blochwave.operators.block_basis`; a run takes that
+basis once, with its frame, and every path carries it on.  Route agreement
+is the package's primary correctness oracle.  Given ``M``, the Riccati route
 cuts a long grid into windows solved by parareal, with the closed form as
 the coarse map; every checkpoint it reports is still an integrated one, so
-it stays independent of ``M``.  The smallest block singular value recorded
-along the way is the existence certificate: the solution blows up exactly
-where a block of ``M U(t0)`` loses rank.
+it stays independent of ``M``.  The smallest block singular values of ``M
+U(t0)``, which the effective evolution records, are the existence
+certificate: the solution blows up exactly where a block loses rank.
 """
 
 from __future__ import annotations
@@ -218,22 +219,20 @@ def riccati_rhs(h: np.ndarray, u: np.ndarray, blocks) -> np.ndarray:
 class WaveOperatorPath:
     """The Bloch transformation sampled at checkpoints.
 
-    ``bloch_defects`` records ``max_k ‖P_k U P_k - P_k‖`` per checkpoint; no
-    route re-projects onto the Bloch manifold, so it is the route's own
-    error.  ``min_block_sv`` is the per-checkpoint existence
-    certificate (smallest block singular value of ``M U(t0)``); only the
-    closed form records it.  On blow-up the
-    path is truncated and ``blowup_flag`` set.  ``stats`` holds the
-    integrator's step statistics on the Riccati route.
+    ``basis`` is the frozen eigenbasis (:func:`block_basis`) the route worked
+    in, which the diagnostics read the blocks off.  ``bloch_defects`` records
+    ``max_k ‖P_k U P_k - P_k‖`` per checkpoint; no route re-projects onto the
+    Bloch manifold, so it is the route's own error.  On blow-up the path is
+    truncated and ``blowup_flag`` set.  ``stats`` holds the integrator's step
+    statistics on the Riccati route.
     """
 
     t0: float
     times: np.ndarray
     matrices: np.ndarray
-    blocks: tuple[np.ndarray, ...]
+    basis: tuple
     bloch_defects: np.ndarray
     route: str
-    min_block_sv: np.ndarray | None = None
     blowup_flag: bool = False
     blowup_time: float | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -331,9 +330,8 @@ def integrate_riccati(
     grid = _checked_grid(grid, t0)
     single = isinstance(ic, BlochInitialCondition)
     ics = [ic] if single else list(ic)
-    blocks = frame.blocks
     for condition in ics:
-        condition.validate(blocks)
+        condition.validate(frame.blocks)
     if m_path is not None and m_path.t0 != t0:
         raise ValueError("m_path must start at t0")
     if max_step is None:
@@ -380,7 +378,7 @@ def integrate_riccati(
         # the first failed checkpoint, else where the blow-up event fired (None if neither)
         blowup_time = float(grid[n]) if n < len(mats) else run.event_time
         paths.append(WaveOperatorPath(
-            t0=t0, times=grid[:n].copy(), matrices=mats[:n], blocks=blocks,
+            t0=t0, times=grid[:n].copy(), matrices=mats[:n], basis=frame.basis,
             bloch_defects=defects[:n], route="riccati", blowup_flag=blowup_time is not None,
             blowup_time=blowup_time, stats=stats,
         ))
@@ -505,10 +503,10 @@ def _block_restrictions(g: np.ndarray, basis):
     return gv, np.stack([np.linalg.svd(r, compute_uv=False)[..., -1] for r in restricted], axis=-1)
 
 
-def restrict(m_path: PropagatorPath, ic: BlochInitialCondition, blocks) -> tuple:
+def restrict(m_path: PropagatorPath, ic: BlochInitialCondition, basis) -> tuple:
     """``(basis, into(G), min_sv)`` of :func:`_block_restrictions` for ``G = M
-    U(t0)``: what the closed form and ``M_eff`` share, taken once per run."""
-    basis = block_basis(blocks)
+    U(t0)`` in the frozen eigenbasis ``basis``: what the closed form and
+    ``M_eff`` share, taken once per run."""
     return (basis, *_block_restrictions(stack_product(m_path.matrices, ic.matrix), basis))
 
 
@@ -529,14 +527,14 @@ def _first_true(flags: np.ndarray) -> int:
     return int(np.argmax(flags)) if flags.any() else len(flags)
 
 
-def _algebraic_path(m_path, ic, u, blocks, basis, route, **fields) -> WaveOperatorPath:
+def _algebraic_path(m_path, ic, u, basis, route, **fields) -> WaveOperatorPath:
     """The path of ``U`` at ``M``'s checkpoints up to where it ceased to
     exist, blown up there; ``M(t0) = 1``, so ``U(t0)`` is the initial condition."""
     n = len(u)
     u[:1] = ic.matrix
     flagged = n < len(m_path.times)
     return WaveOperatorPath(
-        t0=m_path.t0, times=m_path.times[:n].copy(), matrices=u, blocks=blocks,
+        t0=m_path.t0, times=m_path.times[:n].copy(), matrices=u, basis=basis,
         bloch_defects=_bloch_defect(u, basis), route=route, blowup_flag=flagged,
         blowup_time=float(m_path.times[n]) if flagged else None, **fields,
     )
@@ -553,18 +551,16 @@ def closed_form_wave(
     ``U_k(t) = M(t) U_k(t0) [P_k M(t) U_k(t0) P_k]^{-1}``.
 
     The block pseudo-inverse exists as long as the block restriction of
-    ``M(t) U(t0)`` keeps its smallest singular value above ``sv_tol``; the
-    recorded ``min_block_sv`` is that existence certificate.  Where it fails
-    the path is truncated and flagged as blown up -- the solution ceases to
-    exist there.  ``restricted`` is :func:`restrict` of the same inputs.
+    ``M(t) U(t0)`` keeps its smallest singular value above ``sv_tol``.  Where
+    it fails the path is truncated and flagged as blown up -- the solution
+    ceases to exist there.  Those singular values, the existence
+    certificate, are :attr:`EffectiveEvolutionPath.block_min_sv` of the same
+    inputs.  ``restricted`` is :func:`restrict` of the same inputs.
     """
     ic.validate(blocks)
-    blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
-    basis, gv, block_sv = restricted or restrict(m_path, ic, blocks)
-    min_sv = block_sv.min(axis=1)
-    n = _first_true(min_sv < sv_tol)
-    u = _wave_from(gv[:n], basis)
-    return _algebraic_path(m_path, ic, u, blocks, basis, "closed_form", min_block_sv=min_sv[:n])
+    basis, gv, block_sv = restricted or restrict(m_path, ic, block_basis(blocks))
+    n = _first_true(block_sv.min(axis=1) < sv_tol)
+    return _algebraic_path(m_path, ic, _wave_from(gv[:n], basis), basis, "closed_form")
 
 
 def radon_wave(
@@ -582,10 +578,10 @@ def radon_wave(
     recorded under ``diagnostics['pi_offblock_defect']`` as a self-check.
 
     Truncates with ``blowup_flag`` where ``cond(Pi_k)`` exceeds ``1/sv_tol``.
-    It records no ``min_block_sv``.
     """
     ic.validate(blocks)
     blocks = tuple(np.asarray(p, dtype=complex) for p in blocks)
+    basis = block_basis(blocks)
     g = stack_product(m_path.matrices, ic.matrix)
     eye = np.eye(blocks[0].shape[0], dtype=complex)
     pis = np.stack([stack_product(g, p, p) + (eye - p) for p in blocks])  # (block, time)
@@ -595,9 +591,8 @@ def radon_wave(
     # U = sum_k G P_k Pi_k^-1, each term solved as Pi_k^T X^T = (G P_k)^T
     gp = np.stack([stack_product(g[:n], p) for p in blocks]).swapaxes(-1, -2)
     u = np.linalg.solve(pis[:, :n].swapaxes(-1, -2), gp).swapaxes(-1, -2).sum(axis=0)
-    offblock = float(np.max(offblock_norm(pis[:, :n], blocks), initial=0.0))
-    return _algebraic_path(m_path, ic, u, blocks, block_basis(blocks), "radon",
-                           diagnostics={"pi_offblock_defect": offblock})
+    offblock = float(np.max(offblock_norm(pis[:, :n], basis), initial=0.0))
+    return _algebraic_path(m_path, ic, u, basis, "radon", diagnostics={"pi_offblock_defect": offblock})
 
 
 @dataclass
@@ -624,7 +619,7 @@ def bloch_effective_evolution(
     """The effective diagonal evolution ``sum_k P_k M(t) U(t0) P_k``, the
     block-diagonal mask of ``into(M U(t0))``; ``restricted`` is
     :func:`restrict` of the same inputs."""
-    (labels, _, out_of), gv, min_sv = restricted or restrict(m_path, ic, blocks)
+    (labels, _, out_of), gv, min_sv = restricted or restrict(m_path, ic, block_basis(blocks))
     matrices = out_of(gv * (labels[:, None] == labels))
     return EffectiveEvolutionPath(m_path.t0, m_path.times.copy(), matrices, block_min_sv=min_sv)
 

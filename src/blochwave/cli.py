@@ -78,6 +78,9 @@ NORMS = ("spectral", "frobenius")
 
 #: the most checkpoints a run may ask for (each is a few matrices per route)
 MAX_CHECKPOINTS = 10**6
+#: the largest ``random_smooth`` dimension a run may ask for (one batch of
+#: ``dop853.MAX_NODES`` 64x64 complex matrices is 100 MB)
+MAX_DIM = 64
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -272,12 +275,15 @@ def build_model(config: ExperimentConfig) -> GeneratorModel:
                 params["gamma"], params["a"], params.get("omega", 1.0)
             )
         if name == "random_smooth":
+            given = {"seed": config.seed or 0, **params}
+            for key in ("dim", "n_blocks", "seed"):
+                if given[key] != int(given[key]):
+                    raise ConfigError(f"model.{key} must be an integer, got {given[key]!r}")
+            if given["dim"] > MAX_DIM:
+                raise ConfigError(f"model.dim must be at most {MAX_DIM}, got {given['dim']!r}")
             return random_smooth_model(
-                dim=int(params["dim"]),
-                n_blocks=int(params["n_blocks"]),
-                seed=int(params.get("seed", config.seed or 0)),
-                gamma=params["gamma"],
-                drive_strength=params.get("drive_strength", 1.0),
+                int(given["dim"]), int(given["n_blocks"]), int(given["seed"]),
+                gamma=params["gamma"], drive_strength=params.get("drive_strength", 1.0),
             )
         if name == "custom":
             return load_tabulated_model(params["path"], params["gamma"])
@@ -493,7 +499,7 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     summary.integrator["propagate"] = m_path.stats
     blocks = frame.blocks
     ic = _initial_condition(config, config.ic_kind, shared)
-    restricted = restrict(m_path, ic, blocks)  # shared by the closed form and M_eff
+    restricted = restrict(m_path, ic, frame.basis)  # shared by the closed form and M_eff
 
     u_paths = {}
     for route in config.routes:
@@ -521,8 +527,8 @@ def _run_pipeline(config: ExperimentConfig, summary: RunSummary, shared: dict) -
     m_eff = bloch_effective_evolution(m_path, ic, blocks, restricted=restricted)
     v_path = None
     if not u_path.blowup_flag:
-        v_path = unitarize(u_path, blocks, m_path=m_path)
-    report = distance_report(u_path, m_path, m_eff, blocks, v_path=v_path)
+        v_path = unitarize(u_path, m_path=m_path)
+    report = distance_report(u_path, m_path, m_eff, v_path=v_path)
     summary.report = report
     summary.blowup = any(p.blowup_flag for p in u_paths.values())
     summary.paths = {"m": m_path, "u": u_paths, "m_eff": m_eff, "v": v_path, "frame": frame}

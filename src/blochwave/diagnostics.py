@@ -51,15 +51,16 @@ def leakage(m_path: PropagatorPath, blocks, norm: str = "spectral") -> np.ndarra
     and Frobenius norms).
     """
     ord_ = 2 if norm == "spectral" else "fro"
-    return _leakage_trace(m_path, blocks, ord_).max(axis=0)
+    return _leakage_trace(m_path.matrices, block_basis(blocks), ord_).max(axis=0)
 
 
-def _leakage_trace(m_path: PropagatorPath, blocks, ord_=2) -> np.ndarray:
-    """``‖(1 - P_k) M(t) P_k‖`` per checkpoint (rows) and block (columns): the
-    norm of ``into(M)[¬k, k]``, as a mask, in the eigenbasis of ``blocks``."""
-    labels, into, _ = block_basis(blocks)
-    mv = into(m_path.matrices)
-    masks = [(labels != k)[:, None] & (labels == k) for k in range(len(blocks))]
+def _leakage_trace(matrices: np.ndarray, basis, ord_=2) -> np.ndarray:
+    """``‖(1 - P_k) M P_k‖`` per matrix of a stack (rows) and block (columns;
+    one row for one matrix): the norm of ``into(M)[¬k, k]``, as a mask, in
+    the frozen eigenbasis ``basis`` (:func:`~blochwave.operators.block_basis`)."""
+    labels, into, _ = basis
+    mv = into(matrices)
+    masks = [(labels != k)[:, None] & (labels == k) for k in range(labels.max() + 1)]
     return np.stack([np.linalg.norm(mv * mask, ord_, axis=(-2, -1)) for mask in masks], axis=-1)
 
 
@@ -111,12 +112,9 @@ class UnitarizedPath:
         return float(np.max(self.unitarity_defects))
 
 
-def unitarize(
-    u_path: WaveOperatorPath,
-    blocks,
-    m_path: PropagatorPath | None = None,
-) -> UnitarizedPath:
-    """Unitarize a wave-operator path by polar decomposition.
+def unitarize(u_path: WaveOperatorPath, m_path: PropagatorPath | None = None) -> UnitarizedPath:
+    """Unitarize a wave-operator path by polar decomposition, blocks being
+    those of its frozen eigenbasis ``u_path.basis``.
 
     The inverse square root of the Hermitian positive matrix ``U†U`` is taken
     through its eigendecomposition with an eigenvalue floor of
@@ -131,18 +129,18 @@ def unitarize(
     Raises:
         BadInitialCondition: if ``U†(t0) U(t0)`` fails to commute with some
             block beyond :data:`~blochwave.bloch.IC_TOL` (the compatibility
-            condition for the construction).
+            condition for the construction).  For the Hermitian ``G = U0†U0``,
+            ``‖[G, P_k]‖ = ‖(1 - P_k) G P_k‖``, block ``k``'s leakage mask.
         SingularBlock: if ``U`` loses invertibility along the path.
     """
-    u0 = u_path.matrices[0]
-    gram0 = u0.conj().T @ u0
-    for k, p in enumerate(blocks):
-        defect = spectral_norm(gram0 @ p - p @ gram0)
-        if defect > IC_TOL:
-            raise BadInitialCondition(
-                f"[U0†U0, P_{k}] = {defect:.3e} > {IC_TOL:.1e}; initial condition "
-                "incompatible with unitarization"
-            )
+    basis, u0 = u_path.basis, u_path.matrices[0]
+    commutators = _leakage_trace(u0.conj().T @ u0, basis)
+    if commutators.max() > IC_TOL:
+        k = int(np.argmax(commutators > IC_TOL))
+        raise BadInitialCondition(
+            f"[U0†U0, P_{k}] = {commutators[k]:.3e} > {IC_TOL:.1e}; initial condition "
+            "incompatible with unitarization"
+        )
 
     us = u_path.matrices
     grams = us.conj().swapaxes(-1, -2) @ us
@@ -161,14 +159,14 @@ def unitarize(
         if len(m_path.times) < n or not np.array_equal(m_path.times[:n], u_path.times):
             raise ValueError("m_path grid does not cover the wave-operator grid")
         conjugated = vs.conj().swapaxes(-1, -2) @ m_path.matrices[:n]
-        conjugated = float(np.max(offblock_norm(stack_product(conjugated, vs[0]), blocks)))
+        conjugated = float(np.max(offblock_norm(stack_product(conjugated, vs[0]), basis)))
 
     return UnitarizedPath(
         t0=u_path.t0,
         times=u_path.times.copy(),
         matrices=vs,
         unitarity_defects=spectral_norm(vs.conj().swapaxes(-1, -2) @ vs - np.eye(u_path.dim)),
-        gram_offblock_defect=float(np.max(offblock_norm(grams, blocks))),
+        gram_offblock_defect=float(np.max(offblock_norm(grams, basis))),
         conjugated_offblock_defect=conjugated,
     )
 
@@ -221,10 +219,10 @@ def distance_report(
     u_path: WaveOperatorPath,
     m_path: PropagatorPath,
     m_eff_path: EffectiveEvolutionPath,
-    blocks,
     v_path: UnitarizedPath | None = None,
 ) -> LeakageReport:
-    """Assemble the leakage report and enforce the theorem-level bounds.
+    """Assemble the leakage report and enforce the theorem-level bounds; the
+    leakage is taken in the blocks of ``u_path.basis``.
 
     Checks ``‖M(t) - M_eff(t)‖ <= 2*delta/(1-delta)`` at every checkpoint
     (and ``sup‖V - 1‖`` against its bound when a unitarized path is given).
@@ -267,7 +265,7 @@ def distance_report(
             )
 
     return LeakageReport(
-        leakage=_leakage_trace(m_path, blocks),
+        leakage=_leakage_trace(m_path.matrices, u_path.basis),
         delta_spectral=delta_spec,
         delta_frobenius=delta_fro,
         bound_leakage=bound_leak,

@@ -700,13 +700,13 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
         last_key, values = latest[0]
         if key == last_key:
             return values
-        values = table(ts)
-        outside = np.isnan(values).reshape(ts.size, -1).any(axis=1)
+        outside = ~((ts >= times[0]) & (ts <= times[-1]))  # a NaN time too
         if outside.any():
             raise ConfigError(
-                f"tabulated model evaluated at t={ts.reshape(-1)[outside][0]:g} outside "
+                f"tabulated model evaluated at t={ts[outside][0]:g} outside "
                 f"its span [{times[0]:g}, {times[-1]:g}]"
             )
+        values = table(ts)
         values.flags.writeable = False
         latest[0] = (key, values)
         return values

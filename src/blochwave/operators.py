@@ -304,9 +304,9 @@ def block_project(a: np.ndarray, blocks) -> np.ndarray:
     return terms.sum(axis=-3) + 0.0
 
 
-def offblock_norm(a: np.ndarray, blocks) -> float | np.ndarray:
+def offblock_norm(a: np.ndarray, basis) -> float | np.ndarray:
     """Spectral norm of the part of ``a`` outside the block diagonal of a
-    complete family ``blocks`` (per matrix for a stack): the off-block mask
-    of ``into(a)`` in :func:`block_basis`."""
-    labels, into, _ = block_basis(blocks)
+    complete family (per matrix for a stack): the off-block mask of
+    ``into(a)`` in the family's eigenbasis ``basis`` (:func:`block_basis`)."""
+    labels, into, _ = basis
     return spectral_norm(into(np.asarray(a, dtype=complex)) * (labels[:, None] != labels))

@@ -208,7 +208,7 @@ def test_criterion_4_no_secular_growth(eternity_run):
     )
 
 
-def _theorem_checks(u_path, m_path, m_eff, blocks, label):
+def _theorem_checks(u_path, m_path, m_eff, label):
     """Inequality chains for one run; returns worst slacks and defects."""
     delta = u_path.sup_deviation("spectral")
     assert delta < 1.0, f"{label}: delta={delta} out of theorem range"
@@ -228,7 +228,7 @@ def _theorem_checks(u_path, m_path, m_eff, blocks, label):
             spectral_norm(m_path.matrices[i] - m_eff.matrices[i])
             - 2 * delta / (1 - delta),
         )
-    v_path = unitarize(u_path, blocks, m_path=m_path)
+    v_path = unitarize(u_path, m_path=m_path)
     from blochwave import v_bound
 
     assert 2 * delta + delta**2 < 1.0, f"{label}: V bound out of range"
@@ -249,23 +249,19 @@ def test_criterion_5_theorem_suite(builtin_bundles, corpus_bundles, lz_runs, ete
     n_runs = 0
 
     bundle_paths = [
-        (b.u_closed, b.m_path, b.m_eff, b.blocks, name)
+        (b.u_closed, b.m_path, b.m_eff, name)
         for name, b in builtin_bundles.items()
     ] + [
-        (b.u_closed, b.m_path, b.m_eff, b.blocks, f"corpus_{i}")
+        (b.u_closed, b.m_path, b.m_eff, f"corpus_{i}")
         for i, b in enumerate(corpus_bundles)
     ]
     for summary in lz_runs.values():
         paths = summary.paths
         route = next(iter(paths["u"].values()))
-        bundle_paths.append(
-            (route, paths["m"], paths["m_eff"], paths["frame"].blocks, summary.label)
-        )
+        bundle_paths.append((route, paths["m"], paths["m_eff"], summary.label))
 
-    for u_path, m_path, m_eff, blocks, label in bundle_paths:
-        slack, unitarity, gram_off, conj_off, _ = _theorem_checks(
-            u_path, m_path, m_eff, blocks, label
-        )
+    for u_path, m_path, m_eff, label in bundle_paths:
+        slack, unitarity, gram_off, conj_off, _ = _theorem_checks(u_path, m_path, m_eff, label)
         worst_slack = max(worst_slack, slack)
         worst_unitarity = max(worst_unitarity, unitarity)
         worst_offblock = max(worst_offblock, gram_off, conj_off)
@@ -277,7 +273,7 @@ def test_criterion_5_theorem_suite(builtin_bundles, corpus_bundles, lz_runs, ete
     paths = eternity_run.paths
     route = next(iter(paths["u"].values()))
     slack, unitarity, gram_off, conj_off, m_unit = _theorem_checks(
-        route, paths["m"], paths["m_eff"], paths["frame"].blocks, eternity_run.label
+        route, paths["m"], paths["m_eff"], eternity_run.label
     )
     worst_slack = max(worst_slack, slack)
     worst_unitarity = max(worst_unitarity, unitarity)

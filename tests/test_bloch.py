@@ -29,6 +29,7 @@ from blochwave import (
 )
 from blochwave import GeneratorModel, build_frame
 from blochwave.bloch import BLOWUP_NORM, MAX_SWEEPS, MIN_WINDOWS, WaveOperatorPath
+from blochwave.operators import block_basis
 from blochwave.propagation import _estimate_max_step
 from tests.helpers import constant, plain_riccati
 
@@ -231,8 +232,8 @@ def test_radon_identity_evolution():
     m_path = PropagatorPath(0.0, grid, mats, np.zeros(5), tol=1e-12)
     u = radon_wave(m_path, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS)
     assert u.sup_deviation() == 0.0
-    # radon records no certificate; the effective evolution carries it
-    assert u.min_block_sv is None
+    # no wave-operator path records a certificate; the effective evolution carries it
+    assert not hasattr(u, "min_block_sv")
     m_eff = bloch_effective_evolution(m_path, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS)
     assert np.all(m_eff.block_min_sv == 1.0)
 
@@ -519,10 +520,10 @@ def test_existence_triad_cross_check():
 
     n_ok = len(u_c.times)
     assert u_c.blowup_flag
-    assert np.all(u_c.min_block_sv >= sv_tol)
+    # the closed form keeps exactly the checkpoints whose certificate holds
+    assert np.all(m_eff.block_min_sv[:n_ok] >= sv_tol)
     # radon's own condition test truncates at the same checkpoint
     assert u_d.blowup_flag and len(u_d.times) == n_ok
-    assert len(u_c.min_block_sv) == len(u_d.times) == n_ok
     # the certificate fails exactly where the path was truncated
     direct_sv = np.abs(np.cos(grid))  # |P0 M(t) P0| on the block
     assert direct_sv[n_ok] < sv_tol
@@ -613,7 +614,7 @@ def test_effective_generator_block_diagonal_on_solution(random_bundle):
         u = u_path.matrices[i]
         u_dot = riccati_rhs(h, u, random_bundle.blocks)
         h_eff = effective_generator(h, u, u_dot)
-        assert offblock_norm(h_eff, random_bundle.blocks) < 1e-8
+        assert offblock_norm(h_eff, frame.basis) < 1e-8
         # consistency: substituting back reproduces the derivative
         assert spectral_norm(h @ u - u @ h_eff - u_dot) < 1e-10
 
@@ -664,7 +665,7 @@ def test_wave_operator_path_deviation_norms():
         t0=0.0,
         times=times,
         matrices=mats,
-        blocks=DIAG_BLOCKS,
+        basis=block_basis(DIAG_BLOCKS),
         bloch_defects=np.zeros(2),
         route="manual",
     )

@@ -165,10 +165,16 @@ def test_missing_input_file_is_a_config_error(tmp_path, overrides):
         ["model.a=nan"],
         ["model.a=inf"],
         ["model.name=random_smooth", "model.dim=4", "model.n_blocks=2", "model.drive_strength=nan"],
+        # refused, not truncated; a huge dim before any matrix of it is allocated
+        ["model.name=random_smooth", "model.dim=2.5", "model.n_blocks=2"],
+        ["model.name=random_smooth", "model.dim=4", "model.n_blocks=1.9"],
+        ["model.name=random_smooth", "model.dim=4", "model.n_blocks=2", "model.seed=1.5"],
+        ["model.name=random_smooth", "model.dim=1e7", "model.n_blocks=9999999"],
     ],
     ids=[
         "seed", "gamma_negative", "gamma_nan", "sweep_gamma_negative", "a_negative", "dim_1",
         "t0_inf", "t_final_inf", "a_nan", "a_inf", "drive_strength_nan",
+        "dim_fractional", "n_blocks_fractional", "model_seed_fractional", "dim_huge",
     ],
 )
 def test_malformed_input_exits_config(tmp_path, overrides):
@@ -317,7 +323,7 @@ def test_run_experiment_trace_and_summary(tmp_path):
 
 
 def test_trace_leakage_and_certificate_match_direct_evaluation(tmp_path):
-    from blochwave import spectral_norm
+    from blochwave import bloch_effective_evolution, identity_ic, spectral_norm
 
     config = load_config(
         write_cfg(tmp_path), overrides=["run.t_final=2", "run.checkpoint_count=11"]
@@ -331,8 +337,10 @@ def test_trace_leakage_and_certificate_match_direct_evaluation(tmp_path):
         column = [float(row[f"leakage_block_{k}"]) for row in trace]
         assert column == [spectral_norm((eye - p) @ m @ p) for m in m_path.matrices]
         assert summary.fields[f"leakage_block_{k}"] == max(column)
-    closed = summary.paths["u"]["closed_form"]
-    assert [float(row["min_block_sv"]) for row in trace] == list(closed.min_block_sv)
+    # the existence certificate, taken anew from the frame's blocks
+    blocks = summary.paths["frame"].blocks
+    m_eff = bloch_effective_evolution(m_path, identity_ic(blocks), blocks)
+    assert [float(row["min_block_sv"]) for row in trace] == list(m_eff.block_min_sv.min(axis=1))
     # radon's block-diagonality self-check reaches the summary
     (row,) = read_csv(config.output_dir / "summary.csv")
     radon = summary.paths["u"]["radon"]
@@ -374,7 +382,7 @@ def test_riccati_run_reads_min_block_sv_off_the_effective_evolution(tmp_path, mo
     # the existence certificate comes from the SVDs M_eff already takes,
     # without a closed form run for it alone
     import blochwave.cli
-    from blochwave import identity_ic
+    from blochwave import bloch_effective_evolution, identity_ic
 
     closed_form_wave = blochwave.cli.closed_form_wave
     calls = []
@@ -391,7 +399,8 @@ def test_riccati_run_reads_min_block_sv_off_the_effective_evolution(tmp_path, mo
     summary = run_experiment(config)
     assert summary.status == "ok" and calls == []
     blocks = summary.paths["frame"].blocks
-    expected = closed_form_wave(summary.paths["m"], identity_ic(blocks), blocks).min_block_sv
+    m_eff = bloch_effective_evolution(summary.paths["m"], identity_ic(blocks), blocks)
+    expected = m_eff.block_min_sv.min(axis=1)
     trace = read_csv(tmp_path / "out" / "trace.csv")
     assert [float(row["min_block_sv"]) for row in trace] == expected.tolist()
     assert summary.fields["min_block_sv_min"] == expected.min()
@@ -913,7 +922,7 @@ def test_sweep_builds_frame_and_m_once_per_gamma(tmp_path, monkeypatch):
 def test_route_all_runs_closed_form_once(tmp_path, monkeypatch):
     import blochwave.cli as cli_mod
 
-    # Riccati is the primary route; min_block_sv comes from the closed form
+    # Riccati is the primary route; the closed form runs once, as its own route
     calls = _count_calls(monkeypatch, cli_mod, "closed_form_wave")
     config = load_config(
         write_cfg(tmp_path), overrides=["run.t_final=2", "run.checkpoint_count=11"]
@@ -921,6 +930,40 @@ def test_route_all_runs_closed_form_once(tmp_path, monkeypatch):
     summary = run_experiment(config)
     assert summary.status == "ok" and summary.fields["primary_route"] == "riccati"
     assert len(calls) == 1
+
+
+def test_a_run_takes_the_block_basis_once_with_its_frame(tmp_path, monkeypatch):
+    # the frame diagonalizes its frozen projectors and the pipeline hands that
+    # basis down; only the public functions handed bare blocks (radon_wave,
+    # stationary_ic) take one of their own
+    import blochwave.operators
+
+    calls = []
+    original = blochwave.operators.block_basis
+
+    def counted(blocks):
+        calls.append(1)
+        return original(blocks)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "blochwave" and getattr(module, "block_basis", None) is original:
+            monkeypatch.setattr(module, "block_basis", counted)
+
+    def count(cfg, overrides, out):
+        calls.clear()
+        config = load_config(cfg, overrides=overrides + [f"output.dir={tmp_path / out}"])
+        if config.sweep_gammas is None:
+            assert run_experiment(config).status == "ok"
+        else:
+            assert all(s.status == "ok" for s in sweep(config)["summaries"].values())
+        return len(calls)
+
+    short = ["run.t_final=2", "run.checkpoint_count=11"]
+    assert count(write_cfg(tmp_path), short, "all") == 2  # the frame and radon
+    lz = ["run.t0=-2", "run.t_final=2", "run.checkpoint_count=9"]
+    assert count("docs/examples/landau_zener.cfg", lz, "lz") == 1  # closed form only
+    sweep_cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n", name="sweep.cfg")
+    assert count(sweep_cfg, SHORT_SWEEP, "sweep") == 4  # per gamma, the frame and stationary_ic
 
 
 def test_step_cap_estimated_once_per_run_and_per_gamma(tmp_path, monkeypatch):

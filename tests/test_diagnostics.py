@@ -24,7 +24,8 @@ from blochwave import (
     unitarize,
     v_bound,
 )
-from blochwave.bloch import WaveOperatorPath
+from blochwave.bloch import IC_TOL, WaveOperatorPath
+from blochwave.operators import block_basis
 
 DIAG_BLOCKS = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
@@ -36,7 +37,7 @@ def _manual_u_path(mats, blocks=DIAG_BLOCKS):
         t0=0.0,
         times=times,
         matrices=mats,
-        blocks=blocks,
+        basis=block_basis(blocks),
         bloch_defects=np.zeros(len(mats)),
         route="manual",
     )
@@ -139,7 +140,7 @@ def test_unitarize_unitary_input_is_fixed_point():
         dtype=complex,
     )
     path = _manual_u_path([np.eye(2), rot])
-    v = unitarize(path, DIAG_BLOCKS)
+    v = unitarize(path)
     assert spectral_norm(v.matrices[1] - rot) < 1e-14
     assert v.max_unitarity_defect() < 1e-14
 
@@ -149,14 +150,14 @@ def test_unitarize_small_offblock_respects_bound():
         u = np.eye(2, dtype=complex)
         u[0, 1] = eps
         path = _manual_u_path([np.eye(2), u])
-        v = unitarize(path, DIAG_BLOCKS)
+        v = unitarize(path)
         dev = v.deviation("spectral").max()
         delta = spectral_norm(u - np.eye(2))
         assert dev <= v_bound(delta) + 1e-12
 
 
 def test_unitarize_three_level_block_diagonalizes(tl_bundle):
-    v = unitarize(tl_bundle.u_closed, tl_bundle.blocks, m_path=tl_bundle.m_path)
+    v = unitarize(tl_bundle.u_closed, m_path=tl_bundle.m_path)
     assert v.max_unitarity_defect() <= 1e-10
     assert v.gram_offblock_defect <= 1e-8
     assert v.conjugated_offblock_defect <= 1e-6
@@ -167,13 +168,37 @@ def test_unitarize_rejects_incompatible_initial_condition():
     u0[0, 1] = 0.2  # gram does not commute with the blocks
     path = _manual_u_path([u0, u0])
     with pytest.raises(BadInitialCondition):
-        unitarize(path, DIAG_BLOCKS)
+        unitarize(path)
+
+
+@pytest.mark.parametrize("coupling, raises", [(0.8 * IC_TOL, True), (0.6 * IC_TOL, False)])
+def test_unitarize_checks_the_initial_gram_block_by_block(coupling, raises):
+    # three blocks (ranks 1, 1, 2) in a basis other than the coordinate one;
+    # U0 couples block 0 to blocks 1 and 2 by `coupling` each, so that
+    # ‖[U0†U0, P_k]‖ is √2 coupling for block 0 and coupling for the others:
+    # at 0.8 IC_TOL block 0 alone exceeds the tolerance, at 0.6 none does
+    rng = np.random.default_rng(41)
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    blocks = [v[:, ix] @ v[:, ix].conj().T for ix in ([0], [1], [2, 3])]
+    e = np.zeros((4, 4), dtype=complex)
+    e[1, 0] = e[2, 0] = coupling
+    u0 = np.eye(4) + v @ e @ v.conj().T
+    gram = u0.conj().T @ u0
+    commutators = [spectral_norm(gram @ p - p @ gram) for p in blocks]
+    assert (commutators[0] > IC_TOL) == raises and max(commutators[1:]) < IC_TOL
+    path = _manual_u_path([u0, u0], blocks)
+    if raises:
+        with pytest.raises(BadInitialCondition, match=r"\[U0†U0, P_0\] = 1\.13"):
+            unitarize(path)
+    else:
+        # the gram's whole off-block part: block 0's column of couplings
+        assert abs(unitarize(path).gram_offblock_defect - np.sqrt(2) * coupling) < 1e-15
 
 
 def test_unitarize_requires_matching_grid(tl_bundle):
     short = _manual_m_path([np.eye(3)] * 3)
     with pytest.raises(ValueError):
-        unitarize(tl_bundle.u_closed, tl_bundle.blocks, m_path=short)
+        unitarize(tl_bundle.u_closed, m_path=short)
 
 
 # ------------------------------------------------------------ distance report
@@ -183,8 +208,8 @@ def test_distance_report_identity_everything():
     u = _manual_u_path(eye_mats)
     m = _manual_m_path(eye_mats)
     m_eff = bloch_effective_evolution(m, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS)
-    v = unitarize(u, DIAG_BLOCKS, m_path=m)
-    report = distance_report(u, m, m_eff, DIAG_BLOCKS, v_path=v)
+    v = unitarize(u, m_path=m)
+    report = distance_report(u, m, m_eff, v_path=v)
     assert report.delta_spectral == 0.0
     assert report.bound_leakage == 0.0
     assert np.all(report.per_block_leakage == 0.0)
@@ -194,10 +219,8 @@ def test_distance_report_identity_everything():
 def test_distance_report_lz_pipeline(lz_bundle):
     ic = identity_ic(lz_bundle.blocks)
     u = lz_bundle.u_closed
-    v = unitarize(u, lz_bundle.blocks, m_path=lz_bundle.m_path)
-    report = distance_report(
-        u, lz_bundle.m_path, lz_bundle.m_eff, lz_bundle.blocks, v_path=v
-    )
+    v = unitarize(u, m_path=lz_bundle.m_path)
+    report = distance_report(u, lz_bundle.m_path, lz_bundle.m_eff, v_path=v)
     assert report.delta_in_range
     assert report.max_effective_distance <= report.bound_leakage + 1e-12
     assert report.v_deviation_max <= report.bound_v + 1e-12
@@ -215,7 +238,7 @@ def test_distance_report_detects_forged_violation():
         _manual_m_path([np.eye(2)] * 3), identity_ic(DIAG_BLOCKS), DIAG_BLOCKS
     )
     with pytest.raises(BoundViolated):
-        distance_report(u, m, m_eff, DIAG_BLOCKS)
+        distance_report(u, m, m_eff)
 
 
 def test_distance_report_flags_out_of_range_delta():
@@ -224,7 +247,7 @@ def test_distance_report_flags_out_of_range_delta():
     u = _manual_u_path([np.eye(2), big])
     m = _manual_m_path([np.eye(2)] * 2)
     m_eff = bloch_effective_evolution(m, identity_ic(DIAG_BLOCKS), DIAG_BLOCKS)
-    report = distance_report(u, m, m_eff, DIAG_BLOCKS)
+    report = distance_report(u, m, m_eff)
     assert not report.delta_in_range
     assert np.isinf(report.bound_leakage)
 
@@ -276,11 +299,11 @@ def test_block_algebra_slices_match_the_projector_products(model, span):
     rng = np.random.default_rng(3)
     noise = rng.normal(size=m_path.matrices.shape) + 1j * rng.normal(size=m_path.matrices.shape)
     for ord_ in (2, "fro"):
-        ours = _leakage_trace(m_path, blocks, ord_)
+        ours = _leakage_trace(m_path.matrices, frame.basis, ord_)
         assert np.max(np.abs(ours - projector_leakage(m_path.matrices, blocks, ord_))) < 1e-13
     for x in (m_path.matrices, u_path.matrices, noise):
         assert np.max(np.abs(_bloch_defect(x, frame.basis) - projector_bloch_defect(x, blocks))) < 1e-13
-        assert np.max(np.abs(offblock_norm(x, blocks) - projector_offblock_norm(x, blocks))) < 1e-13
+        assert np.max(np.abs(offblock_norm(x, frame.basis) - projector_offblock_norm(x, blocks))) < 1e-13
     # M_eff is the block-diagonal mask of into(M U0), mapped back
     diff = bloch_effective_evolution(m_path, ic, blocks).matrices
     diff = diff - projector_block_project(m_path.matrices @ ic.matrix, blocks)

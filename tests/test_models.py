@@ -1,6 +1,7 @@
 """Built-in models: analytic data against numerics, asymptotic formulas,
 frame-consistency of the interaction picture, and the tabulated loader."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -316,6 +317,12 @@ def test_tabulated_model_refuses_extrapolation(tmp_path):
         loaded.drive(-0.5)
     with pytest.raises(ConfigError):
         loaded.drift_derivative(2.0)
+    # a batch is refused by its first time outside the span, a NaN time included
+    for batch, first in (([0.5, 2.0, -0.5], "2"), ([0.0, np.nan, 1.5], "nan")):
+        for accessor in (loaded.drift, loaded.drive, loaded.drift_derivative):
+            with pytest.raises(ConfigError, match=re.escape(f"at t={first} outside its span [0, 1]")):
+                accessor(np.array(batch))
+    assert loaded.drift(np.array([0.0, 1.0])).shape == (2, 3, 3)  # both ends are inside
 
 
 @pytest.mark.parametrize("seed", range(3))
