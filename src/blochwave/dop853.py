@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegratorFailure
+from .operators import stack_matmul
 
 __all__ = [
     "IvpResult",
@@ -411,7 +412,7 @@ class LinearDenseOutput:
         x = (flat - self._starts[owner]) / self._widths[owner]
         n = self._maps.shape[-1]
         local = _polynomial_maps(self._polynomials, owner, x, self._labels, n)
-        return (local @ self._maps[owner]).reshape(*ts.shape, n, n)
+        return stack_matmul(local, self._maps[owner]).reshape(*ts.shape, n, n)
 
 
 def _split(lo: np.ndarray, hi: np.ndarray, pieces: np.ndarray):
@@ -452,7 +453,7 @@ def _fill_stages(K, g, first, h, eye):
         y = (_A[s, :s] @ flat[:s]).reshape(K.shape[1:])
         y *= h
         y += eye
-        np.matmul(g_s, y, out=K[s])
+        K[s] = stack_matmul(g_s, y)
 
 
 def _squared_norms(x: np.ndarray) -> np.ndarray:
@@ -499,11 +500,11 @@ def _attempt(generator, lo, hi, labels, atol, want):
     K = np.concatenate([K[:, mine], np.empty((4, len(h), n, n), dtype=complex)])
     extra_rates, extra = _coefficients(generator, labels, DENSE_NODES, lo[mine], h)
     if rates is None:
-        K[N_STAGES] = drive[-1, mine] @ local
+        K[N_STAGES] = stack_matmul(drive[-1, mine], local)
     else:
         phase = phase[mine]
         r = np.concatenate([rates[:, mine], rates[-1:, mine], extra_rates])
-        K[N_STAGES] = _rotate(drive[-1, mine], phase, labels) @ local
+        K[N_STAGES] = stack_matmul(_rotate(drive[-1, mine], phase, labels), local)
         extra = _rotate(extra, h[:, None] * np.tensordot(_A[N_STAGES + 1 :], r, 1), labels)
     _fill_stages(K, extra, N_STAGES + 1, hs, eye)
     # the stage values and the increment of the local state [P, phases]
@@ -600,7 +601,7 @@ def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels
     # a checkpoint is a segment's start, the end, or inside a segment
     y = at_start[np.searchsorted(starts, knots)]
     for hit, owners, local in inside:
-        y[hit] = local @ at_start[np.searchsorted(starts, owners)]
+        y[hit] = stack_matmul(local, at_start[np.searchsorted(starts, owners)])
     interpolant = None
     if dense:
         polynomials = np.concatenate(kept, axis=1)[:, order]

@@ -1,10 +1,11 @@
 """Complex dense-matrix foundation.
 
 Skew-Hermitian validation, spectral decomposition with degeneracy grouping,
-label matching between two decompositions, and block algebra, including the
-one eigenbasis of a block family in which every block restriction is a slice
-(:func:`block_basis`).  Everything here is a pure function of its inputs; the
-returned objects are treated as immutable.
+label matching between two decompositions, products of stacks of small
+matrices (:func:`stack_matmul`, :func:`stack_product`), and block algebra,
+including the one eigenbasis of a block family in which every block
+restriction is a slice (:func:`block_basis`).  Everything here is a pure
+function of its inputs; the returned objects are treated as immutable.
 
 The spectral layer is batched: :func:`decompose` takes a stack of matrices
 (one per time) in one pass, a single matrix being the one-element case.
@@ -32,6 +33,7 @@ __all__ = [
     "require_skew_hermitian",
     "decompose",
     "match_labels",
+    "stack_matmul",
     "stack_product",
     "block_basis",
     "block_project",
@@ -44,6 +46,12 @@ DEFAULT_GAP_FACTOR = 1e-8
 
 #: tolerance of the skew-Hermiticity check, relative to ``max(1, ‖a‖)``
 SKEW_TOL = 1e-10
+
+#: the largest inner dimension that :func:`stack_matmul` sums as broadcast
+#: products: NumPy's stacked matmul makes one BLAS call per matrix (about
+#: 0.3 µs at any size), which the summed products undercut by 6x at d = 2;
+#: at d = 3 they win 2x in isolation but no run was measurably faster
+SUMMED_MATMUL_MAX_DIM = 2
 
 
 def spectral_norm(a: np.ndarray) -> float | np.ndarray:
@@ -254,6 +262,28 @@ def match_labels(
         projectors=new.projector_stack[perm],
         multiplicities=tuple(new.multiplicities[l] for l in perm),
     )
+
+
+def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` matrix by matrix, for stacks broadcast as ``np.matmul`` does.
+
+    For an inner dimension from 2 to :data:`SUMMED_MATMUL_MAX_DIM` a stack's
+    product is the sum of the broadcast products ``a[..., :, j:j+1] *
+    b[..., j:j+1, :]`` in the order of ``j``, into a C-ordered result: an
+    elementwise kernel, so each matrix comes out bit for bit as in a
+    one-matrix stack.  Other dimensions take ``np.matmul``, whose BLAS call
+    rounds differently.  The choice depends on the dimension only, so a
+    stack of one matrix takes the same kernel as a stack of many.
+    """
+    dim = a.shape[-1]
+    # 1 x 1 products would be one loop along the stack, whose kernel NumPy
+    # picks by the loop's length and strides, and so its rounding
+    if not 2 <= dim <= SUMMED_MATMUL_MAX_DIM:
+        return np.matmul(a, b)
+    total = np.multiply(a[..., :, :1], b[..., :1, :], order="C")
+    for j in range(1, dim):
+        total += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return total
 
 
 def stack_product(x: np.ndarray, right: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:

@@ -59,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dop853 import IvpResult, IvpStack, Staged, integrate, integrate_linear
-from .operators import require_skew_hermitian, spectral_norm
+from .errors import IntegratorFailure
+from .operators import require_skew_hermitian, spectral_norm, stack_matmul
 
 __all__ = ["PropagatorPath", "propagate", "solve_matrix_ivp"]
 
@@ -136,13 +137,21 @@ def _estimate_max_step(generator, t0: float, t1: float, samples: int = 33) -> fl
 
     ``generator`` maps an array of times to a stack of matrices; it is asked
     once, for the sample grid and the central differences together.
+
+    Raises:
+        IntegratorFailure: if a sample is not finite (a generator too large
+            for float64, such as ``gamma B`` at a huge ``gamma``).
     """
     span = t1 - t0
     cap = span / 50.0
     ts = np.linspace(t0, t1, samples)
     h = 1e-6 * span
     inner = ts[1:-1]
-    stack = np.asarray(generator(np.concatenate([ts, inner + h, inner - h])), dtype=complex)
+    times = np.concatenate([ts, inner + h, inner - h])
+    stack = np.asarray(generator(times), dtype=complex)
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        raise IntegratorFailure(f"non-finite generator at t={times[np.argmin(finite)]:g}")
     gs, ahead, behind = np.split(stack, [samples, samples + len(inner)])
     mean = sum(gs) / len(gs)
     osc = np.max(spectral_norm(gs - mean))
@@ -379,7 +388,7 @@ def propagate(
         t0=t0,
         times=grid,
         matrices=mats,
-        unitarity_defects=spectral_norm(mats.conj().swapaxes(-1, -2) @ mats - eye),
+        unitarity_defects=spectral_norm(stack_matmul(mats.conj().swapaxes(-1, -2), mats) - eye),
         tol=tol,
         dense=interpolant,
         stats=stats,

@@ -1140,6 +1140,30 @@ def test_sweep_failed_propagation_fails_every_initial_condition(tmp_path, monkey
     assert main(["sweep", str(cfg), *sets]) == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("gamma", ["1e160", "1e308"])
+def test_a_huge_gamma_is_a_solver_failure_with_its_error_row(tmp_path, gamma):
+    # at 1e308 gamma b overflows to inf in the frame Hamiltonian the step cap
+    # samples; at 1e160 it stays finite until the first round's error norms
+    lz = Path("docs/examples/landau_zener.cfg").read_text()
+    cfg = tmp_path / "lz.cfg"
+    cfg.write_text(lz + f"\n[sweep]\ngamma = 2.0, {gamma}\n")
+    short = ["run.t0=-2", "run.t_final=2", "run.checkpoint_count=9"]
+    sets = [arg for item in short for arg in ("--set", item)]
+    out = tmp_path / "run"
+    run = ["run", str(cfg), *sets, "--set", f"model.gamma={gamma}", "--set", f"output.dir={out}"]
+    assert main(run) == EXIT_SOLVER
+    (row,) = read_csv(out / "summary.csv")
+    assert (row["status"], row["error_code"]) == ("error", "integrator_failure")
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), *sets, "--set", f"output.dir={out}"]) == EXIT_SOLVER
+    rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 4  # both initial conditions of both gammas
+    assert all(r["status"] == ("ok" if float(r["gamma"]) == 2.0 else "error") for r in rows)
+    summaries = [row for path in out.glob("gamma_*/summary.csv") for row in read_csv(path)]
+    failed = {r["error_code"] for r in summaries if float(r["gamma"]) != 2.0}
+    assert len(summaries) == 4 and failed == {"integrator_failure"}
+
+
 @pytest.mark.parametrize("gammas", ["10, 10.0000001", "10, 20, 10"])
 def test_sweep_gammas_sharing_a_label_are_rejected(tmp_path, gammas):
     # both runs would write one output directory and one summaries key

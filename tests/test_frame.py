@@ -98,8 +98,8 @@ def test_kato_generator_properties_random_models(dim, block_fraction, seed, anal
 
 # ----------------------------------- one drift decomposition per time point
 
-def numeric_frame():
-    model = random_smooth_model(4, 3, seed=8, analytic=False)
+def numeric_frame(dim=4, n_blocks=3):
+    model = random_smooth_model(dim, n_blocks, seed=8, analytic=False)
     return model, build_frame(model, 0.0, 2.0, tol=1e-8, checkpoints=9)
 
 
@@ -135,16 +135,19 @@ def reference_kato(model, t):
 
 
 def test_shared_anchor_is_bit_identical_to_per_block_reference():
-    model, frame = numeric_frame()
-    proj_stack = np.stack(frame.blocks)
-    for t in (0.3, 1.1, 1.7):
-        anchor, kato = reference_kato(model, t)
-        assert np.array_equal(kato_generator(model, t), kato)
-        w = frame.w_path.at(t)
-        expected = np.einsum(
-            "k,kij->ij", model.gamma * anchor.eigenvalues, proj_stack
-        ) + w.conj().T @ (model.drive(t) - kato) @ w
-        assert np.array_equal(frame.hamiltonian_at(t), expected)
+    # above the summed dimensions of stack_matmul the frame's products are
+    # np.matmul's, associated as in the reference: (W† X) W
+    for dim, n_blocks in [(4, 3), (6, 4)]:
+        model, frame = numeric_frame(dim, n_blocks)
+        proj_stack = np.stack(frame.blocks)
+        for t in (0.3, 1.1, 1.7):
+            anchor, kato = reference_kato(model, t)
+            assert np.array_equal(kato_generator(model, t), kato)
+            w = frame.w_path.at(t)
+            expected = np.einsum(
+                "k,kij->ij", model.gamma * anchor.eigenvalues, proj_stack
+            ) + w.conj().T @ (model.drive(t) - kato) @ w
+            assert np.array_equal(frame.hamiltonian_at(t), expected)
 
 
 def test_numeric_frame_evaluation_decomposes_once(monkeypatch):

@@ -14,7 +14,13 @@ from blochwave import (
     offblock_norm,
     spectral_norm,
 )
-from blochwave.operators import DEFAULT_GAP_FACTOR, block_basis, stack_product
+from blochwave.operators import (
+    DEFAULT_GAP_FACTOR,
+    SUMMED_MATMUL_MAX_DIM,
+    block_basis,
+    stack_matmul,
+    stack_product,
+)
 
 TOL = 1e-10
 
@@ -388,6 +394,44 @@ def test_stack_product_gives_each_matrix_of_a_stack_its_solo_bits(dim):
             assert stack_product(x, *factors).tobytes() == whole[i].tobytes()
         # and a 4-D stack row by row as the 3-D one
         assert stack_product(stack[:12].reshape(3, 4, dim, dim), *factors).tobytes() == whole[:12].tobytes()
+
+
+# -------------------------------------------------------------- stack_matmul
+
+def norms(x):
+    return np.linalg.norm(x, 2, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_stack_matmul_is_the_matrix_product(dim):
+    rng = np.random.default_rng(60 + dim)
+    first, second = sandwich_inputs(dim, rng), sandwich_inputs(dim, rng)
+    constant = first.pop("matrix")
+    for name, a in first.items():
+        b = second[name]
+        # stack by stack, and a constant factor broadcast on either side
+        for x, y in [(a, b), (a, constant), (constant, a)]:
+            got, want = stack_matmul(x, y), x @ y
+            assert got.shape == want.shape
+            assert np.all(norms(got - want) <= 1e-14 * norms(x) * norms(y))
+            if not 2 <= dim <= SUMMED_MATMUL_MAX_DIM:
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_stack_matmul_gives_each_matrix_of_a_stack_its_solo_bits(dim):
+    # the integrators multiply stacks of every size, one matrix included, and
+    # a matrix must not change its bits with the company it is in
+    rng = np.random.default_rng(dim)
+    a, b = rng.normal(size=(2, 3000, dim, dim)) + 1j * rng.normal(size=(2, 3000, dim, dim))
+    for right in (b, b[0]):
+        whole = stack_matmul(a, right)
+        for i in range(len(a)):
+            solo = stack_matmul(a[i : i + 1], right[i : i + 1] if right.ndim == 3 else right)
+            assert solo.tobytes() == whole[i].tobytes()
+        # and a 4-D stack row by row as the 3-D one
+        four = right[:12].reshape(3, 4, dim, dim) if right.ndim == 3 else right
+        assert stack_matmul(a[:12].reshape(3, 4, dim, dim), four).tobytes() == whole[:12].tobytes()
 
 
 # -------------------------------------------------------------- block_project

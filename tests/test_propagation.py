@@ -20,6 +20,7 @@ from blochwave import (
 from blochwave.dop853 import LinearDenseOutput
 from blochwave.frame import AdiabaticFrame
 from blochwave.models import load_tabulated_model
+from blochwave.operators import stack_matmul
 from blochwave.propagation import _estimate_max_step, _rotating_system, solve_matrix_ivp
 from tests.helpers import constant, write_tabulated
 
@@ -293,7 +294,7 @@ def test_one_period_composed_matches_the_direct_integration(gamma):
     assert "periods" not in direct.stats
     assert np.array_equal(composed.matrices[0], np.eye(3))
     m = composed.matrices
-    defects = spectral_norm(m.conj().swapaxes(-1, -2) @ m - np.eye(3))
+    defects = spectral_norm(stack_matmul(m.conj().swapaxes(-1, -2), m) - np.eye(3))
     assert np.array_equal(composed.unitarity_defects, defects)
 
 
