@@ -248,8 +248,10 @@ class WaveOperatorPath:
 
     def deviation(self, norm: str = "spectral") -> np.ndarray:
         """Per-checkpoint ``‖U(t) - 1‖`` in the requested norm."""
-        ord_ = 2 if norm == "spectral" else "fro"
-        return np.linalg.norm(self.matrices - np.eye(self.matrices.shape[-1]), ord_, axis=(-2, -1))
+        shifted = self.matrices - np.eye(self.matrices.shape[-1])
+        if norm == "spectral":
+            return spectral_norm(shifted)
+        return np.linalg.norm(shifted, "fro", axis=(-2, -1))
 
     def sup_deviation(self, norm: str = "spectral") -> float:
         return float(np.max(self.deviation(norm)))

@@ -56,12 +56,13 @@ def leakage(m_path: PropagatorPath, blocks, norm: str = "spectral") -> np.ndarra
 
 def _leakage_trace(matrices: np.ndarray, basis, ord_=2) -> np.ndarray:
     """``‖(1 - P_k) M P_k‖`` per matrix of a stack (rows) and block (columns;
-    one row for one matrix): the norm of ``into(M)[¬k, k]``, as a mask, in
-    the frozen eigenbasis ``basis`` (:func:`~blochwave.operators.block_basis`)."""
+    one row for one matrix): the norm of the slice ``into(M)[¬k, k]`` in the
+    frozen eigenbasis ``basis`` (:func:`~blochwave.operators.block_basis`)."""
     labels, into, _ = basis
     mv = into(matrices)
-    masks = [(labels != k)[:, None] & (labels == k) for k in range(labels.max() + 1)]
-    return np.stack([np.linalg.norm(mv * mask, ord_, axis=(-2, -1)) for mask in masks], axis=-1)
+    norm = spectral_norm if ord_ == 2 else lambda x: np.linalg.norm(x, ord_, axis=(-2, -1))
+    slices = [mv[..., labels != k, :][..., labels == k] for k in range(labels.max() + 1)]
+    return np.stack([norm(x) for x in slices], axis=-1)
 
 
 def leakage_bound(delta: float) -> float:

@@ -23,8 +23,9 @@ asks for ``G`` at the stage nodes of every pending segment in batched calls
 of at most :data:`MAX_NODES` times, runs the stage recursions as stacked
 matrix products, accepts each segment whose error norm is below 1, and
 splits each other one into the pieces the step controller predicts, for the
-next round.  The accepted maps are composed into the checkpoints; a
-checkpoint inside a segment is read off the segment's step polynomial.
+next round.  The accepted maps are composed into the checkpoints as a
+blocked prefix product; a checkpoint inside a segment is read off the
+segment's step polynomial.
 Each accepted segment is a DOP853 step with the same tableau, error
 estimate and dense output, but the segments are not :func:`integrate`'s
 steps: a failed segment is refined in place instead of a step size being
@@ -481,14 +482,17 @@ def _attempt(generator, lo, hi, labels, atol, want):
     flat = K.reshape(N_STAGES, -1)
     # each segment's estimates over the entries of its step and its phases
     values = [flat] if rates is None else [flat, rates.reshape(N_STAGES, -1)]
-    err5, err3 = (
-        sum(_squared_norms((e[:N_STAGES] @ v).reshape(count, -1)) for v in values) / atol**2
-        for e in (_E5, _E3)
-    )
-    phase = None if rates is None else h[:, None] * (_B @ values[1]).reshape(count, -1)
     size = sum(v.shape[1] for v in values) // count
-    scale = np.sqrt((err5 + 0.01 * err3) * size)
-    error = h * err5 / np.maximum(scale, np.finfo(float).tiny)  # 0 for a zero estimate
+    # a non-finite estimate (a huge generator) is a non-finite error, which
+    # integrate_linear reports as its failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        err5, err3 = (
+            sum(_squared_norms((e[:N_STAGES] @ v).reshape(count, -1)) for v in values) / atol**2
+            for e in (_E5, _E3)
+        )
+        scale = np.sqrt((err5 + 0.01 * err3) * size)
+        error = h * err5 / np.maximum(scale, np.finfo(float).tiny)  # 0 for a zero estimate
+    phase = None if rates is None else h[:, None] * (_B @ values[1]).reshape(count, -1)
     local = eye + hs * (_B @ flat).reshape(count, n, n)
     maps = local if phase is None else np.exp(phase[:, labels])[:, :, None] * local
     mine = (error < 1) & want
@@ -519,6 +523,32 @@ def _attempt(generator, lo, hi, labels, atol, want):
     return error, maps, F[::-1]
 
 
+def _prefix_products(maps: np.ndarray) -> np.ndarray:
+    """The running products ``1, m_0, m_1 m_0, ...`` of a stack of maps, as a
+    blocked prefix scan (Blelloch, *Prefix sums and their applications*,
+    CMU-CS-90-190, 1990).  The maps are cut into rows of width
+    ``isqrt(count)``, padded with identities; one stacked product per column
+    forms every row's running products at once, the row ends are carried
+    serially, and one last stacked product applies the carries: about ``2
+    sqrt(count)`` calls of :func:`stack_matmul` instead of ``count``."""
+    count, n = len(maps), maps.shape[-1]
+    width = max(1, math.isqrt(count))
+    rows = -(-count // width)
+    eye = np.eye(n, dtype=complex)
+    padding = np.broadcast_to(eye, (rows * width - count, n, n))
+    runs = np.concatenate([maps, padding]).reshape(rows, width, n, n)
+    for column in range(1, width):
+        runs[:, column] = stack_matmul(runs[:, column], runs[:, column - 1])
+    carries = np.empty((rows, n, n), dtype=complex)
+    carries[0] = eye
+    for row in range(1, rows):
+        carries[row] = stack_matmul(runs[row - 1, -1], carries[row - 1])
+    at_start = np.empty((count + 1, n, n), dtype=complex)
+    at_start[0] = eye
+    at_start[1:] = stack_matmul(runs, carries[:, None]).reshape(-1, n, n)[:count]
+    return at_start
+
+
 def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels=None) -> IvpResult:
     """Integrate the linear flow ``X' = G(t) X`` with ``X(grid[0]) = 1`` over
     the strictly increasing checkpoint times ``grid``, a round at a time.
@@ -541,9 +571,12 @@ def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels
     ``atol``: for the step from a unitary ``X`` the error ``E X`` has ``‖E
     X‖_F = ‖E‖_F``.  A segment whose norm ``err`` is 1 or more is cut into
     ``max(2, ceil(err^(1/8) / SAFETY))`` pieces, at most :data:`MAX_PIECES`,
-    for the next round.  A checkpoint inside an accepted segment is read off
-    the segment's step polynomial (three more node evaluations), as is every
-    time when ``dense`` keeps the polynomials.
+    for the next round.  The accepted maps, in time order, are composed into
+    the maps at the segment starts by :func:`_prefix_products` (about ``2
+    sqrt(n)`` stacked products for ``n`` maps, equal to the serial ``m @ x``
+    loop up to roundoff).  A checkpoint inside an accepted segment is read
+    off the segment's step polynomial (three more node evaluations), as is
+    every time when ``dense`` keeps the polynomials.
 
     Returns the :class:`IvpResult` of the maps at the checkpoints, with the
     node evaluations as ``nfev`` and the accepted and rejected segments as
@@ -593,11 +626,7 @@ def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels
     starts, ends, maps = (np.concatenate(side) for side in zip(*accepted))
     order = np.argsort(starts, kind="stable")
     starts, ends, maps = starts[order], ends[order], maps[order]
-    n = maps.shape[-1]
-    at_start = np.empty((len(maps) + 1, n, n), dtype=complex)
-    x = at_start[0] = np.eye(n, dtype=complex)
-    for j, m in enumerate(maps, start=1):
-        x = at_start[j] = m @ x
+    at_start = _prefix_products(maps)
     # a checkpoint is a segment's start, the end, or inside a segment
     y = at_start[np.searchsorted(starts, knots)]
     for hit, owners, local in inside:

@@ -211,7 +211,9 @@ class AdiabaticFrame:
             return self._static_rates[None].repeat(len(t), axis=0), self.model.drive(t)
         anchor = None if self.model.analytic_spectral is not None else self.model.spectral_at(t)
         eigenvalues = self.model.eigenvalues_at(t) if anchor is None else anchor.eigenvalues
-        return self.model.gamma * eigenvalues, self.drive_at(t, anchor)
+        with np.errstate(over="ignore"):  # an infinite rate fails the integration that asked
+            rates = self.model.gamma * eigenvalues
+        return rates, self.drive_at(t, anchor)
 
     def rotated_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`split_at` with the drive in :attr:`basis`, ``V† C V``."""

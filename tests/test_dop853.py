@@ -277,6 +277,34 @@ def test_linear_rounds_ask_for_at_most_max_nodes_times_per_call():
     assert np.array_equal(sol.y[0], np.eye(2))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_prefix_products_are_the_serial_composition(dim):
+    rng = np.random.default_rng(dim)
+    for count in (1, 2, 3, 4, 16, 17, 1658):
+        z = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        maps = np.linalg.qr(z)[0]  # unitary, as the steps of a Schrödinger flow
+        serial = [np.eye(dim, dtype=complex)]
+        for m in maps:
+            serial.append(m @ serial[-1])
+        at_start = dop853._prefix_products(maps)
+        assert at_start.shape == (count + 1, dim, dim)
+        assert np.array_equal(at_start[0], np.eye(dim))
+        assert np.max(np.abs(at_start - np.array(serial))) <= 1e-14 * count
+
+
+def test_linear_dense_output_at_the_segment_starts_is_the_composed_maps():
+    generator, labels, max_step = lz_rotating_generator()
+    grid = np.linspace(-25.0, 25.0, 401)
+    dense = dop853.integrate_linear(
+        generator, grid, 1e-10, max_step=max_step, dense=True, labels=labels
+    ).dense
+    starts, at_start = dense._starts, dense._maps
+    assert len(starts) > 1000
+    # the first start is the identity; a later one ends the segment before it
+    assert np.array_equal(dense(starts[0]), np.eye(2))
+    assert np.max(np.abs(dense(starts) - at_start)) < 1e-12
+
+
 def test_linear_flow_of_a_constant_generator_is_its_exponential():
     h = np.array([[0.3, 1.0 - 0.5j], [1.0 + 0.5j, -0.7]])
     lam, vec = np.linalg.eigh(h)

@@ -515,6 +515,76 @@ def test_stack_primitives_equal_per_matrix_results():
     assert np.array_equal(offblock_norm(stack, basis), [offblock_norm(a, basis) for a in stack])
 
 
+# ------------------------------------------------------------ spectral_norm
+
+EPS = np.finfo(float).eps
+NORM_SHAPES = [(20, 1, 3), (20, 3, 1), (20, 1, 1), (20, 2, 2), (20, 3, 3), (20, 4, 4), (20, 6, 6)]
+
+
+def svd_norm(a):
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
+def norm_cases(shape, rng):
+    """Stacks of one shape: random, rank-1, exactly degenerate (three times a
+    partial isometry, whose singular values are all 3), zero, and random
+    scaled by 1e-200 and 1e200."""
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    *stack, rows, cols = shape
+    tall = rng.normal(size=(*stack, max(rows, cols), min(rows, cols)))
+    isometry = np.linalg.qr(tall + 1j * rng.normal(size=tall.shape))[0]
+    if rows < cols:
+        isometry = isometry.conj().swapaxes(-1, -2)
+    return {
+        "random": z,
+        "rank-1": z[..., :, :1] * z[..., :1, :],
+        "degenerate": 3.0 * isometry,
+        "zero": np.zeros(shape, dtype=complex),
+        "tiny": 1e-200 * z,
+        "huge": 1e200 * z,
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_spectral_norm_is_the_largest_singular_value(shape):
+    rng = np.random.default_rng(sum(shape))
+    for name, a in norm_cases(shape, rng).items():
+        got, want = spectral_norm(a), svd_norm(a)
+        assert np.all(np.abs(got - want) <= 4 * EPS * want), name
+        # a stack is its matrices one at a time, bit for bit
+        assert got.tobytes() == np.array([spectral_norm(m) for m in a]).tobytes(), name
+        assert all(isinstance(spectral_norm(m), float) for m in a[:2])
+
+
+def test_spectral_norm_of_views_is_that_of_their_copies():
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(30, 4, 4)) + 1j * rng.normal(size=(30, 4, 4))
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    labels, into, _ = block_basis([q[:, :1] @ q[:, :1].conj().T, q[:, 1:] @ q[:, 1:].conj().T])
+    assert labels.tolist() == [0, 1, 1, 1]
+    mv = into(a)
+    views = [mv[..., 1:, :1], mv[..., :1, 1:], mv[..., 1:, 1:]]  # block slices
+    views += [a[::3, ::2, 1:], a.swapaxes(-1, -2), a.real]
+    for view in views:
+        assert not view.flags.c_contiguous
+        got = spectral_norm(view)
+        assert got.tobytes() == spectral_norm(np.ascontiguousarray(view)).tobytes()
+        assert np.all(np.abs(got - svd_norm(view)) <= 4 * EPS * svd_norm(view))
+
+
+def test_spectral_norm_of_a_non_finite_matrix_is_never_finite():
+    a = np.eye(3, dtype=complex) * np.ones((4, 1, 1))
+    a[2, 0, 1] = np.nan
+    for x in (a, a[2]):
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral_norm(x)
+    a[2, 0, 1] = np.inf
+    assert not np.isfinite(spectral_norm(a[2]))
+    assert not np.isfinite(spectral_norm(a)[2])
+    assert spectral_norm(np.zeros((0, 2, 2))).shape == (0,)
+
+
 # ---------------------------------------------------------------- path tools
 
 def test_stacked_decompose_follows_the_lz_branches():
