@@ -26,6 +26,7 @@ certificate: the solution blows up exactly where a block loses rank.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,13 +43,8 @@ from .operators import (
     spectral_norm,
     stack_product,
 )
-from .propagation import (
-    PropagatorPath,
-    _checked_grid,
-    _estimate_max_step,
-    _rotating_system,
-    solve_matrix_ivp,
-)
+from .dop853 import Staged
+from .propagation import PropagatorPath, _checked_grid, _estimate_max_step, solve_matrix_ivp
 
 __all__ = [
     "BlochInitialCondition",
@@ -117,14 +113,12 @@ class BlochInitialCondition:
         """
         u0 = self.matrix
         gram = u0.conj().T @ u0
-        for k, p in enumerate(blocks):
-            for what, residue in (
-                ("initial condition violates the Bloch condition on block", p @ u0 @ p - p),
-                ("U0†U0 does not commute with block", gram @ p - p @ gram),
-            ):
-                defect = spectral_norm(residue)
-                if defect > IC_TOL:
-                    raise BadInitialCondition(f"{what} {k}: defect {defect:.3e} > {IC_TOL:.1e}")
+        residues = [r for p in blocks for r in (p @ u0 @ p - p, gram @ p - p @ gram)]
+        defects = spectral_norm(np.stack(residues))  # one call: each matrix as alone, bit for bit
+        what = ("initial condition violates the Bloch condition on", "U0†U0 does not commute with")
+        for i in np.flatnonzero(defects > IC_TOL)[:1]:  # the first failed block and check
+            defect = f"defect {defects[i]:.3e} > {IC_TOL:.1e}"
+            raise BadInitialCondition(f"{what[i % 2]} block {i // 2}: {defect}")
 
 
 def identity_ic(blocks) -> BlochInitialCondition:
@@ -282,9 +276,9 @@ def integrate_riccati(
 
     The flow is integrated in the rotating frame of the frozen blocks, ``U =
     D Ur D†`` (see :mod:`blochwave.propagation`): ``D`` commutes with every
-    ``P_k``, so ``Ur`` obeys the Riccati flow of the rotated drive, the
-    ``gamma B`` terms cancel, and the Bloch condition and the norm, hence the
-    event and the budget, carry over unchanged.  The right-hand side is
+    ``P_k``, so the state ``Ur`` obeys the Riccati flow of the rotated
+    generator ``frame.rotated_at``, and the Bloch condition and the norm,
+    hence the event and the budget, carry over unchanged.  The right-hand side is
     exactly tangent to the Bloch manifold and a Runge-Kutta step keeps every
     invariant its stages keep, so the condition is never re-imposed: the
     recorded Bloch defect is the integration's own.  The path is truncated
@@ -339,20 +333,32 @@ def integrate_riccati(
     if max_step is None:
         max_step = _estimate_max_step(frame.hamiltonian_at, t0, grid[-1])
 
-    def rotated_rhs(h, z, same_block):
-        # riccati_rhs in the frozen eigenbasis, where block_project is a mask
-        hz = h @ z
-        return hz - z @ (hz * same_block)
+    labels, into, out_of = frame.basis
+    same_block = (labels[:, None] == labels[None, :]).astype(complex)
 
-    to_states, rhs, back = _rotating_system(frame, rotated_rhs)
-    size = ics[0].matrix.size
+    @functools.lru_cache(maxsize=None)
+    def masks(count):  # one per state: a product that broadcasts costs twice as much
+        return np.repeat(same_block[None], count, axis=0)
+
+    def step(h, z):
+        # riccati_rhs of the rotated generator, where block_project is a mask
+        hz = h @ z
+        return hz - z @ (hz * masks(len(z)))
+
+    def rotation(times, sign):  # exp(sign (phi_i - phi_j)), 1 exactly within a block
+        phi = frame.phases_at(np.asarray(times, dtype=float))
+        return np.exp(sign * (phi[..., :, None] - phi[..., None, :]))
+
+    def back(states, times):  # U = V E Z E† V† from flattened states Z at their times
+        z = states.reshape(*states.shape[:-1], *ics[0].matrix.shape)
+        return out_of(z * rotation(times, 1))
 
     def blowup_event(t, y):  # the Frobenius norm as np.linalg.norm takes it, without its checks
-        u = y[:size]
-        return math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag)) - blowup_norm
+        return math.sqrt(y.real.dot(y.real) + y.imag.dot(y.imag)) - blowup_norm
 
-    def solve(starts, grids):
-        states = list(to_states(np.stack(starts)))
+    def solve(starts, grids):  # one grid per start
+        states = list(into(np.stack(starts)) * rotation([g[0] for g in grids], -1))
+        rhs = Staged(frame.rotated_at, step)
         return solve_matrix_ivp(rhs, states, grids, tol, max_step=max_step, event=blowup_event)
 
     runs = [_Windows([]) for _ in ics]
@@ -361,7 +367,7 @@ def integrate_riccati(
         runs = _parareal(solve, back, [c.matrix for c in ics], grid, bounds, m_path, frame.basis, tol)
     alone = [(run, condition.matrix) for run, condition in zip(runs, ics) if run.states is None]
     if alone:  # one pass over the whole grid
-        for (run, _), sol in zip(alone, solve([u0 for _, u0 in alone], grid)):
+        for (run, _), sol in zip(alone, solve([u0 for _, u0 in alone], [grid] * len(alone))):
             run.solves.append(sol)
             run.sweeps += 1
             run.states, run.event_time = np.ascontiguousarray(sol.y.T), sol.event_time
@@ -371,7 +377,7 @@ def integrate_riccati(
         counts = [sol.stats() for sol in run.solves]  # summed over every solve of the condition
         stats = {key: sum(c[key] for c in counts) for key in ("nfev", "n_accepted", "n_rejected")}
         stats.update(max_step=max_step, windows=run.windows, sweeps=run.sweeps, max_jump=run.max_jump)
-        mats = back(run.states)
+        mats = back(run.states, grid[: len(run.states)])
         mats[0] = condition.matrix
         defects = _bloch_defect(mats, frame.basis)
         failed = (defects > defect_budget) | (np.linalg.norm(mats, axis=(-2, -1)) > blowup_norm)
@@ -424,10 +430,10 @@ def _parareal(solve, back, ics, grid, bounds, m_path, basis, tol) -> list:
     each initial matrix of ``ics``, in the frame's frozen eigenbasis ``basis``.
 
     The fine map ``F`` is ``solve(starts, grids)``, the Riccati flow from
-    each start over its window, all in one lockstep call (``back`` maps its
-    states to matrices); the coarse map ``G`` is the closed form through
-    ``M(t_{n+1}) M(t_n)†``.  Sweep 0 starts the windows from the closed form
-    of ``M(t_n)``; a correction sets ``U_{n+1} = F(U_n^old) + G(U_n^new) -
+    each start over its window, all in one lockstep call (``back(states,
+    times)`` maps its states at their times to matrices); the coarse map
+    ``G`` is the closed form through ``M(t_{n+1}) M(t_n)†``.  Sweep 0 starts
+    the windows from the closed form of ``M(t_n)``; a correction sets ``U_{n+1} = F(U_n^old) + G(U_n^new) -
     G(U_n^old)`` and re-solves only the windows whose start moved.  A
     condition has converged once no window in use starts from the closed
     form and each starts within ``tol`` (spectral norm) of its predecessor's
@@ -471,7 +477,10 @@ def _parareal(solve, back, ics, grid, bounds, m_path, basis, tol) -> list:
             # the windows up to the first whose event fired; later ones are moot
             fired = [n for n, sol in enumerate(run.fine) if sol.event_time is not None]
             last = fired[0] if fired else len(grids) - 1
-            ends = back(np.stack([sol.y[:, -1] for sol in run.fine[: last + 1]]))[:last]
+            ends = back(
+                np.stack([sol.y[:, -1] for sol in run.fine[: last + 1]]),
+                [g[-1] for g in grids[: last + 1]],
+            )[:last]
             run.max_jump = float(np.max(spectral_norm(ends - run.starts[1 : last + 1]), initial=0))
             if (sweep or not last) and run.max_jump <= tol:  # converged
                 states = [run.fine[0].y.T] + [sol.y.T[1:] for sol in run.fine[1 : last + 1]]

@@ -30,6 +30,10 @@ Each accepted segment is a DOP853 step with the same tableau, error
 estimate and dense output, but the segments are not :func:`integrate`'s
 steps: a failed segment is refined in place instead of a step size being
 carried from one step to the next, so segments never grow.
+
+Both steppers take a plain generator.  A flow known in closed form, such as
+the adiabatic frame's rotation, is factored out by the caller, which hands
+over the rotated generator and applies the rotation to the results.
 """
 
 from __future__ import annotations
@@ -131,14 +135,14 @@ class Staged:
     """A right-hand side ``f(t, y) = step(coefficients(t), y)`` split at the
     state.
 
-    ``coefficients(ts)`` takes a 1-D array of times and returns one row per
-    time, in order (an array, or a tuple of arrays); it holds everything
-    that does not depend on the state.  ``step(c, y)`` is the rest, for a
+    ``coefficients(ts)`` takes a 1-D array of times and returns an array of
+    one row per time, in order; it holds everything that does not depend on
+    the state.  ``step(c, y)`` is the rest, for a
     stack of states ``y`` and the coefficients ``c`` at their times, one
     row each.
     """
 
-    coefficients: Callable[[np.ndarray], np.ndarray | tuple]
+    coefficients: Callable[[np.ndarray], np.ndarray]
     step: Callable[[object, np.ndarray], np.ndarray]
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -180,10 +184,8 @@ class IvpStack(tuple):
 
 
 def _by_stage(coefficients, count: int):
-    """Stage-major coefficients (an array, or a tuple of arrays, one row per
-    time) as ``count`` entries, one per stage, each with one row per problem."""
-    if isinstance(coefficients, tuple):
-        return list(zip(*[c.reshape(count, -1, *c.shape[1:]) for c in coefficients]))
+    """Stage-major coefficients (one row per time) as ``count`` entries, one
+    per stage, each with one row per problem."""
     c = np.asarray(coefficients)
     return c.reshape(count, -1, *c.shape[1:])
 
@@ -380,20 +382,17 @@ def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) ->
     )
 
 
-def _polynomial_maps(polynomials, rows, x, labels, n):
-    """The local maps ``diag(exp(phases))[labels] P`` of the step polynomials
-    ``polynomials[:, rows]`` (highest power first, over the entries of
-    ``P - 1`` and the phases) at the fractions ``x`` of their segments."""
+def _polynomial_maps(polynomials, rows, x, n):
+    """The local maps ``P`` of the step polynomials ``polynomials[:, rows]``
+    (highest power first, over the entries of ``P - 1``) at the fractions
+    ``x`` of their segments."""
     x = x[:, None]
     factors = (x, 1 - x)
     y = polynomials[0][rows] * x  # SciPy's Horner recurrence
     for i in range(1, len(polynomials)):
         y += polynomials[i][rows]
         y *= factors[i % 2]
-    local = y[:, : n * n].reshape(-1, n, n) + np.eye(n)
-    if labels is not None:
-        local *= np.exp(y[:, n * n :][:, labels])[:, :, None]
-    return local
+    return y.reshape(-1, n, n) + np.eye(n)
 
 
 class LinearDenseOutput:
@@ -401,8 +400,8 @@ class LinearDenseOutput:
     each segment's step polynomial, from the identity, times the map at the
     segment's start.  A segment boundary belongs to the earlier segment."""
 
-    def __init__(self, starts, widths, polynomials, maps, labels):
-        self._starts, self._widths, self._maps, self._labels = starts, widths, maps, labels
+    def __init__(self, starts, widths, polynomials, maps):
+        self._starts, self._widths, self._maps = starts, widths, maps
         self._polynomials = polynomials  # (7, segments, entries), highest power first
 
     def __call__(self, t) -> np.ndarray:
@@ -412,7 +411,7 @@ class LinearDenseOutput:
         np.clip(owner, 0, len(self._starts) - 1, out=owner)
         x = (flat - self._starts[owner]) / self._widths[owner]
         n = self._maps.shape[-1]
-        local = _polynomial_maps(self._polynomials, owner, x, self._labels, n)
+        local = _polynomial_maps(self._polynomials, owner, x, n)
         return stack_matmul(local, self._maps[owner]).reshape(*ts.shape, n, n)
 
 
@@ -426,23 +425,11 @@ def _split(lo: np.ndarray, hi: np.ndarray, pieces: np.ndarray):
     return a + width * (k / p), np.where(k + 1 == p, hi[owner], a + width * ((k + 1) / p))
 
 
-def _coefficients(generator, labels, nodes, lo, h):
-    """The generator at the nodes of each segment, node-major: the rates
-    ``(nodes, segments, blocks)`` (``None`` without ``labels``) and the
-    matrices ``(nodes, segments, n, n)``."""
-    ts = (lo + nodes[:, None] * h).ravel()
-    shape = (len(nodes), len(lo))
-    if labels is None:
-        g = np.asarray(generator(ts), dtype=complex)
-        return None, g.reshape(*shape, *g.shape[1:])
-    rates, drive = generator(ts)
-    return rates.reshape(*shape, -1), drive.reshape(*shape, *drive.shape[1:])
-
-
-def _rotate(drive, phases, labels):
-    """``E† C E`` with ``E = diag(exp(phases[labels]))``, per matrix."""
-    e = np.exp(phases[..., labels])
-    return drive * (e.conj()[..., :, None] * e[..., None, :])
+def _coefficients(generator, nodes, lo, h):
+    """The generator at the nodes of each segment, node-major: the matrices
+    ``(nodes, segments, n, n)``."""
+    g = np.asarray(generator((lo + nodes[:, None] * h).ravel()), dtype=complex)
+    return g.reshape(len(nodes), len(lo), *g.shape[1:])
 
 
 def _fill_stages(K, g, first, h, eye):
@@ -457,11 +444,7 @@ def _fill_stages(K, g, first, h, eye):
         K[s] = stack_matmul(g_s, y)
 
 
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    return (x.real**2 + x.imag**2).sum(axis=-1)
-
-
-def _attempt(generator, lo, hi, labels, atol, want):
+def _attempt(generator, lo, hi, atol, want):
     """One try at each segment ``[lo, hi]``.
 
     Returns its error norm, its map, and the step polynomials (highest power
@@ -469,52 +452,33 @@ def _attempt(generator, lo, hi, labels, atol, want):
     """
     h = hi - lo
     count = len(lo)
-    rates, drive = _coefficients(generator, labels, LINEAR_NODES, lo, h)
-    g = drive
-    if rates is not None:  # local phases: each segment's rotation starts at 1
-        g = _rotate(drive, h[:, None] * np.tensordot(_A[:N_STAGES, :N_STAGES], rates, 1), labels)
-    n = drive.shape[-1]
+    g = _coefficients(generator, LINEAR_NODES, lo, h)
+    n = g.shape[-1]
     eye = np.eye(n, dtype=complex)
     hs = h[:, None, None]
     K = np.empty((N_STAGES, count, n, n), dtype=complex)
     K[0] = g[0]
     _fill_stages(K, g[1:], 1, hs, eye)
     flat = K.reshape(N_STAGES, -1)
-    # each segment's estimates over the entries of its step and its phases
-    values = [flat] if rates is None else [flat, rates.reshape(N_STAGES, -1)]
-    size = sum(v.shape[1] for v in values) // count
     # a non-finite estimate (a huge generator) is a non-finite error, which
     # integrate_linear reports as its failure
     with np.errstate(over="ignore", invalid="ignore"):
-        err5, err3 = (
-            sum(_squared_norms((e[:N_STAGES] @ v).reshape(count, -1)) for v in values) / atol**2
-            for e in (_E5, _E3)
-        )
-        scale = np.sqrt((err5 + 0.01 * err3) * size)
+        estimates = ((e[:N_STAGES] @ flat).reshape(count, -1) for e in (_E5, _E3))
+        err5, err3 = ((x.real**2 + x.imag**2).sum(axis=-1) / atol**2 for x in estimates)
+        scale = np.sqrt((err5 + 0.01 * err3) * (n * n))
         error = h * err5 / np.maximum(scale, np.finfo(float).tiny)  # 0 for a zero estimate
-    phase = None if rates is None else h[:, None] * (_B @ values[1]).reshape(count, -1)
-    local = eye + hs * (_B @ flat).reshape(count, n, n)
-    maps = local if phase is None else np.exp(phase[:, labels])[:, :, None] * local
+    maps = eye + hs * (_B @ flat).reshape(count, n, n)
     mine = (error < 1) & want
     if not mine.any():
         return error, maps, None
 
     # the polynomial of each segment of mine, from three more stages
-    h, hs, local = h[mine], hs[mine], local[mine]
+    h, hs, local = h[mine], hs[mine], maps[mine]
     K = np.concatenate([K[:, mine], np.empty((4, len(h), n, n), dtype=complex)])
-    extra_rates, extra = _coefficients(generator, labels, DENSE_NODES, lo[mine], h)
-    if rates is None:
-        K[N_STAGES] = stack_matmul(drive[-1, mine], local)
-    else:
-        phase = phase[mine]
-        r = np.concatenate([rates[:, mine], rates[-1:, mine], extra_rates])
-        K[N_STAGES] = stack_matmul(_rotate(drive[-1, mine], phase, labels), local)
-        extra = _rotate(extra, h[:, None] * np.tensordot(_A[N_STAGES + 1 :], r, 1), labels)
-    _fill_stages(K, extra, N_STAGES + 1, hs, eye)
-    # the stage values and the increment of the local state [P, phases]
+    K[N_STAGES] = stack_matmul(g[-1, mine], local)
+    _fill_stages(K, _coefficients(generator, DENSE_NODES, lo[mine], h), N_STAGES + 1, hs, eye)
+    # the stage values and the increment of the local state P
     stage_values, delta = K.reshape(16, len(h), -1), (local - eye).reshape(len(h), -1)
-    if rates is not None:
-        stage_values, delta = np.concatenate([stage_values, r], axis=2), np.hstack([delta, phase])
     hv = h[:, None]
     k0, f = stage_values[0], stage_values[N_STAGES]
     F = np.empty((7, *delta.shape), dtype=complex)
@@ -549,25 +513,14 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
     return at_start
 
 
-def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels=None) -> IvpResult:
+def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False) -> IvpResult:
     """Integrate the linear flow ``X' = G(t) X`` with ``X(grid[0]) = 1`` over
     the strictly increasing checkpoint times ``grid``, a round at a time.
 
-    ``generator(ts)`` gives ``G`` at a 1-D array of times as a stack.  With
-    ``labels``, the block of each row, the flow is ``X' = (diag(r(t)[labels])
-    + C(t)) X`` and ``generator(ts)`` gives the rates ``r`` and ``C`` as a
-    pair of stacks.  The diagonal part is then integrated in its rotating
-    frame with local phases: a segment ``[a, a + h]`` takes the stage phases
-    ``psi_s = h sum_l A[s, l] r_l``, its stage matrices ``E_s† C_s E_s`` with
-    ``E_s = diag(exp(psi_s[labels]))``, and its map is ``diag(exp(h sum_l B_l
-    r_l))[labels] P`` with ``P`` the rotating step from the identity.  Up to
-    a constant diagonal change of variables this is the DOP853 step of the
-    state ``[Z, phases]``, but no global phase is carried, so refining one
-    segment never invalidates another.
-
-    The first round's segments cut ``[grid[0], grid[-1]]`` into equal pieces
+    ``generator(ts)`` gives ``G`` at a 1-D array of times as a stack.  The
+    first round's segments cut ``[grid[0], grid[-1]]`` into equal pieces
     of at most ``max_step``.  The error norm of a segment is DOP853's, on the
-    entries of its step from the identity and its phases, with the scale
+    entries of its step from the identity, with the scale
     ``atol``: for the step from a unitary ``X`` the error ``E X`` has ``‖E
     X‖_F = ‖E‖_F``.  A segment whose norm ``err`` is 1 or more is cut into
     ``max(2, ceil(err^(1/8) / SAFETY))`` pieces, at most :data:`MAX_PIECES`,
@@ -601,7 +554,7 @@ def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels
             a, b = lo[i : i + per_call], hi[i : i + per_call]
             want = np.searchsorted(knots, a, "right") < np.searchsorted(knots, b, "left")
             want |= dense
-            error, maps, polynomials = _attempt(generator, a, b, labels, atol, want)
+            error, maps, polynomials = _attempt(generator, a, b, atol, want)
             if not np.isfinite(error).all():
                 raise IntegratorFailure(f"non-finite step at t={a[~np.isfinite(error)][0]:g}")
             ok = error < 1
@@ -613,7 +566,7 @@ def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels
                 owner = np.maximum(np.searchsorted(mine_lo, knots, "right") - 1, 0)
                 hit = np.flatnonzero((knots > mine_lo[owner]) & (knots < mine_hi[owner]))
                 x = (knots[hit] - mine_lo[owner[hit]]) / (mine_hi - mine_lo)[owner[hit]]
-                local = _polynomial_maps(polynomials, owner[hit], x, labels, maps.shape[-1])
+                local = _polynomial_maps(polynomials, owner[hit], x, maps.shape[-1])
                 inside.append((hit, mine_lo[owner[hit]], local))
                 if dense:
                     kept.append(polynomials)
@@ -634,7 +587,7 @@ def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False, labels
     interpolant = None
     if dense:
         polynomials = np.concatenate(kept, axis=1)[:, order]
-        interpolant = LinearDenseOutput(starts, ends - starts, polynomials, at_start[:-1], labels)
+        interpolant = LinearDenseOutput(starts, ends - starts, polynomials, at_start[:-1])
     return IvpResult(
         y=y,
         nfev=nfev,

@@ -11,6 +11,11 @@ conditioned than a matrix inverse; the unitarity defect is recorded, not
 silently repaired).  Frame conjugation therefore preserves skew-Hermiticity
 exactly even when ``W`` carries integration error.
 
+The drift's flow ``D(t) = sum_k exp(gamma Phi_k(t)) P_k(t0)`` is known: the
+frame holds the gamma-free phases ``Phi_k = int_{t0}^t b_k`` (exact for a
+static drift or a model's ``analytic_phases``, else a spline's integral), and
+:meth:`AdiabaticFrame.rotated_at` gives the generator of the rotated flow.
+
 Every evaluation takes an array of times; without analytic spectral data
 one stacked :func:`~blochwave.operators.decompose` per call serves both the
 rates and the Kato term, which the transporter asks for once per batch of
@@ -26,11 +31,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import CrossingDetected
-from .models import GeneratorModel
+from .errors import CrossingDetected, IntegratorFailure
+from .models import GeneratorModel, _not_a_knot_spline
 # match_labels is unused here but stays importable from this module: the
 # benchmark's tracer (perfbench/tracer.py) wraps blochwave.frame.match_labels
 from .operators import (  # noqa: F401
@@ -145,13 +151,13 @@ class AdiabaticFrame:
     """Frozen-block picture of a generator model on ``[t0, t1]``.
 
     Exposes the frame drift, drive and full Hamiltonian as callables over the
-    span of the transporter path.  :meth:`split_at` gives the drift's rates
-    and the drive apart, so that the integrators can factor the drift out
-    exactly (see :mod:`blochwave.propagation`); ``basis`` is the
-    eigenbasis of the frozen projectors in which they do
-    (:func:`~blochwave.operators.block_basis`).  Frames are immutable once
-    built; distinct frames (different models or gammas) can be used
-    concurrently.
+    span of the transporter path; :meth:`split_at` gives the drift's rates
+    and the drive apart.  In ``basis``, the eigenbasis of the frozen
+    projectors (:func:`~blochwave.operators.block_basis`), the drift's flow
+    is ``E(t) = diag(exp(phases_at(t)))``; ``phases(ts)`` gives the gamma-free
+    ``Phi`` and ``Phi'`` (``None`` where ``Phi' = b`` exactly), one row per
+    time.  Frames are immutable once built; distinct frames (different
+    models or gammas) can be used concurrently.
     """
 
     model: GeneratorModel
@@ -160,6 +166,7 @@ class AdiabaticFrame:
     frozen: SpectralDecomposition
     w_path: PropagatorPath
     tol: float
+    phases: Callable[[np.ndarray], tuple]
 
     def __post_init__(self):
         # a static drift has constant rates gamma b_k, W = 1 and A = 0
@@ -215,16 +222,72 @@ class AdiabaticFrame:
             rates = self.model.gamma * eigenvalues
         return rates, self.drive_at(t, anchor)
 
-    def rotated_at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`split_at` with the drive in :attr:`basis`, ``V† C V``."""
+    @_times_or_time
+    def phases_at(self, t) -> np.ndarray:
+        """The phases ``gamma Phi(t)[labels]`` of ``E(t)``, one row per time."""
+        return self._scaled(self.phases(t)[0], t)
+
+    def _scaled(self, phi, t) -> np.ndarray:
+        """``gamma phi[:, labels]``, refused where an angle keeps no digit."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite phase is refused below
+            phases = self.model.gamma * phi[:, self.basis[0]]
+        lost = ~(np.abs(phases) <= 2.0**52).all(axis=1)  # beyond, float64 has no fraction
+        if lost.any():
+            raise IntegratorFailure(f"the drift's phase at t={t[lost][0]:g} keeps no digit in float64")
+        return phases
+
+    def rotated_at(self, t) -> np.ndarray:
+        """The generator ``E† (V† C V) E + gamma diag(b - Phi')[labels]`` of
+        ``Y = E† V† M V``, a stack over an array of times; the residual keeps
+        the rotation exact for interpolated phases (zero for exact ones)."""
         rates, drive = self.split_at(t)
-        return rates, self.basis[1](drive)
+        phi, slope = self.phases(t)
+        e = np.exp(self._scaled(phi, t))
+        out = self.basis[1](drive) * (e.conj()[:, :, None] * e[:, None, :])
+        if slope is not None:
+            i = np.arange(len(e[0]))
+            out[:, i, i] += (rates - self.model.gamma * slope)[:, self.basis[0]]
+        return out
 
     def hamiltonian_at(self, t) -> np.ndarray:
         """Full frame generator ``gamma B(t) + C(t)``, from :meth:`split_at`;
         a stack for an array of times."""
         rates, drive = self.split_at(t)
         return np.einsum("...k,kij->...ij", rates, self.frozen.projector_stack) + drive
+
+
+def _horner(coeffs, s):
+    """The polynomials with coefficients ``coeffs`` (highest power first) at ``s``."""
+    return functools.reduce(lambda y, c: y * s + c, coeffs)
+
+
+def _phase_integral(model: GeneratorModel, times: np.ndarray, stack=None):
+    """``ts -> (Phi(ts), Phi'(ts) or None)``, ``Phi_k(t) = int_{times[0]}^t b_k``:
+    exact for a static drift or ``analytic_phases``, else the integral of the
+    spline of ``stack.eigenvalues`` (at ``times``), its ends clamped to ``b_k'
+    = tr(P_k B') / m_k`` (not-a-knot ends are ten times less accurate)."""
+    t0 = times[0]
+    if model.static_drift:
+        rates = model.eigenvalues_at(t0)
+        return lambda ts: (np.multiply.outer(ts - t0, rates), None)
+    if model.analytic_phases is not None:
+        start = model.analytic_phases(t0)
+        return lambda ts: (model.analytic_phases(ts) - start, None)
+    stack = model.spectral_at(times) if stack is None else stack
+    ends = times[[0, -1]]
+    traces = np.einsum("tkij,tji->tk", stack.projector_stack[[0, -1]], model.drift_derivative(ends))
+    coeffs = _not_a_knot_spline(times, stack.eigenvalues, traces / np.array(stack.multiplicities))
+    # the antiderivative on each interval, its constant term the integral up to the interval
+    quartic = np.zeros((5, *coeffs.shape[1:]), dtype=complex)
+    quartic[:4] = coeffs / np.array([4.0, 3.0, 2.0, 1.0])[:, None, None]
+    quartic[4, 1:] = np.cumsum(_horner(quartic, np.diff(times)[:, None]), axis=0)[:-1]
+
+    def phases(ts):
+        row = np.clip(np.searchsorted(times, ts, "right") - 1, 0, len(times) - 2)
+        s = (ts - times[row])[:, None]
+        return _horner(quartic[:, row], s), _horner(coeffs[:, row], s)
+
+    return phases
 
 
 def _require_stacks(model: GeneratorModel, t0: float, t1: float) -> None:
@@ -241,6 +304,7 @@ def _require_stacks(model: GeneratorModel, t0: float, t1: float) -> None:
         "drift_derivative": (model.drift_derivative, matrix),
         "analytic_kato": (model.analytic_kato, matrix),
         "analytic_eigenvalues": (model.analytic_eigenvalues, (len(ts), None)),
+        "analytic_phases": (model.analytic_phases, (len(ts), None)),
         "analytic_transporter": (transporter and functools.partial(transporter, t0), matrix),
         "analytic_spectral": (
             spectral and (lambda ts: spectral(ts).projector_stack), (len(ts), None, *matrix[1:])
@@ -258,17 +322,8 @@ def _require_stacks(model: GeneratorModel, t0: float, t1: float) -> None:
             )
 
 
-def frozen_decomposition(model: GeneratorModel, t0: float, t1: float, checkpoints: int = 65):
-    """The drift's decomposition at ``t0`` that a frame over ``[t0, t1]``
-    freezes, its blocks in ascending order.  Without analytic spectral data
-    that labeling is checked at the transporter's ``checkpoints`` times, from
-    one stacked decomposition: each block keeps its eigenspace from one to the
-    next, ``tr(P_k(t_i) P_k(t_{i+1})) >= m_k - OVERLAP_SLACK``, or
-    ``CrossingDetected`` names the two times its levels cross between.  Levels
-    that cross and uncross between two checkpoints are not seen."""
-    if model.analytic_spectral is not None:
-        return model.spectral_at(t0)
-    times = np.linspace(t0, t1, checkpoints)
+def _checked_decomposition(model: GeneratorModel, times: np.ndarray) -> SpectralDecomposition:
+    """The drift's decomposition at ``times``, checked as :func:`frozen_decomposition` says."""
     stack = model.spectral_at(times)
     p = stack.projector_stack
     overlap = np.einsum("tkij,tkji->tk", p[:-1], p[1:]).real
@@ -279,7 +334,20 @@ def frozen_decomposition(model: GeneratorModel, t0: float, t1: float, checkpoint
             f"the drift's levels cross between t={times[i]:g} and t={times[i + 1]:g}: "
             f"block {k} keeps an overlap of {overlap[i, k]:.3f} with its eigenspace"
         )
-    return stack[0]
+    return stack
+
+
+def frozen_decomposition(model: GeneratorModel, t0: float, t1: float, checkpoints: int = 65):
+    """The drift's decomposition at ``t0`` that a frame over ``[t0, t1]``
+    freezes, its blocks in ascending order.  Without analytic spectral data
+    that labeling is checked at the transporter's ``checkpoints`` times, from
+    one stacked decomposition: each block keeps its eigenspace from one to the
+    next, ``tr(P_k(t_i) P_k(t_{i+1})) >= m_k - OVERLAP_SLACK``, or
+    ``CrossingDetected`` names the two times its levels cross between.  Levels
+    that cross and uncross between two checkpoints are not seen."""
+    if model.analytic_spectral is not None:
+        return model.spectral_at(t0)
+    return _checked_decomposition(model, np.linspace(t0, t1, checkpoints))[0]
 
 
 def build_frame(
@@ -294,6 +362,8 @@ def build_frame(
     The frozen blocks come from :func:`frozen_decomposition` at the
     transporter's ``checkpoints`` times, before the transporter is
     integrated: a drift whose levels cross raises ``CrossingDetected``.
+    Without closed-form phases, that same stacked decomposition gives the
+    knots of the phases' spline.
 
     A model's ``period`` is checked at ``t0`` and ``t1``
     (:meth:`~blochwave.models.GeneratorModel.validate`): the propagator
@@ -307,9 +377,14 @@ def build_frame(
     _require_stacks(model, t0, t1)
     if model.period is not None:
         model.validate(np.array([t0, t1]))
-    frozen = frozen_decomposition(model, t0, t1, checkpoints)
+    times = np.linspace(t0, t1, checkpoints)
+    stack = None if model.analytic_spectral is not None else _checked_decomposition(model, times)
+    frozen = model.spectral_at(t0) if stack is None else stack[0]
     w_path = transporter(model, t0, t1, tol=tol, checkpoints=checkpoints)
-    return AdiabaticFrame(model=model, t0=t0, t1=t1, frozen=frozen, w_path=w_path, tol=tol)
+    return AdiabaticFrame(
+        model=model, t0=t0, t1=t1, frozen=frozen, w_path=w_path, tol=tol,
+        phases=_phase_integral(model, times, stack),
+    )
 
 
 def intertwining_defect(frame: AdiabaticFrame, times=None) -> float:

@@ -89,7 +89,9 @@ class GeneratorModel:
     time derivative of ``drift``: with one decomposition of the drift it
     gives the Kato generator of the adiabatic frame.  ``analytic_kato`` and
     ``analytic_transporter``, when present, are closed forms used in place
-    of that generator and of its integration.
+    of that generator and of its integration.  ``analytic_phases``, an
+    antiderivative of ``analytic_eigenvalues``, gives the frame's rotation
+    phases ``Φ_k(t) = ∫_{t0}^t b_k`` in closed form.
 
     Every callable takes an array of times as well as one time and then
     returns a stack, one matrix (or eigenvalue row) per time: the frame asks
@@ -114,6 +116,7 @@ class GeneratorModel:
     analytic_eigenvalues: Callable[[float], np.ndarray] | None = None
     analytic_kato: Callable[[float], np.ndarray] | None = None
     analytic_transporter: Callable[[float, float], np.ndarray] | None = None
+    analytic_phases: Callable[[float], np.ndarray] | None = None
     static_drift: bool = False
     period: float | None = None
 
@@ -184,7 +187,8 @@ class GeneratorModel:
 def landau_zener_model(gamma: float) -> GeneratorModel:
     """Two-level avoided-crossing sweep: drift ``-i(X + tZ)``, zero drive.
 
-    Analytic attachments: eigenvalue tracks ``±i sqrt(1+t²)``, the projector
+    Analytic attachments: eigenvalue tracks ``±i sqrt(1+t²)`` and their
+    antiderivatives ``±i (t sqrt(1+t²) + asinh t)/2``, the projector
     family ``(1 ∓ (X+tZ)/sqrt(1+t²))/2``, the Kato generator
     ``iY / (2(1+t²))`` and the closed-form transporter
     ``exp(iY [arctan t - arctan t0] / 2)``.  Block 0 carries the
@@ -200,6 +204,10 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
     def eigenvalues(t) -> np.ndarray:
         s = np.hypot(1.0, t)
         return np.stack([-1j * s, 1j * s], axis=-1)
+
+    def phases(t) -> np.ndarray:
+        f = 0.5 * (t * np.hypot(1.0, t) + np.arcsinh(t))
+        return np.stack([-1j * f, 1j * f], axis=-1)
 
     def spectral(t) -> SpectralDecomposition:
         axis = (PAULI_X + _matrix_axes(t) * PAULI_Z) / _matrix_axes(np.hypot(1.0, t))
@@ -229,6 +237,7 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
         analytic_eigenvalues=eigenvalues,
         analytic_kato=kato,
         analytic_transporter=transporter,
+        analytic_phases=phases,
     )
 
 
@@ -406,6 +415,10 @@ def random_smooth_model(
     def tracks(t) -> np.ndarray:
         return base + osc_amp * np.sin(osc_freq * np.asarray(t)[..., None] + osc_phase)
 
+    def tracks_integral(t) -> np.ndarray:
+        t = np.asarray(t)[..., None]
+        return base * t - osc_amp / osc_freq * np.cos(osc_freq * t + osc_phase)
+
     def tracks_dot(t) -> np.ndarray:
         return osc_amp * osc_freq * np.cos(osc_freq * np.asarray(t)[..., None] + osc_phase)
 
@@ -485,6 +498,7 @@ def random_smooth_model(
         },
         analytic_spectral=spectral if analytic else None,
         analytic_eigenvalues=(lambda t: 1j * tracks(t)) if analytic else None,
+        analytic_phases=(lambda t: 1j * tracks_integral(t)) if analytic else None,
     )
 
 
@@ -536,11 +550,13 @@ def _tridiagonal_solve(dl, d, du, b):
     return b
 
 
-def _not_a_knot_spline(x, y):
+def _not_a_knot_spline(x, y, end_slopes=None):
     """Coefficients ``(4, n - 1, ...)``, highest power first, of the cubic
     spline through rows ``y`` (complex) at increasing times ``x`` with de Boor's
     not-a-knot ends: bit for bit those of SciPy 1.17.1's
-    ``CubicSpline(x, y, axis=0)``, whose arithmetic this replays.  Two rows
+    ``CubicSpline(x, y, axis=0)``, whose arithmetic this replays.  Given
+    ``end_slopes``, the derivatives at the first and last time, the ends are
+    clamped to them instead.  Two rows
     give the chord and three the parabola through them, as SciPy's special
     cases do; more give the end slopes from the tridiagonal system for the
     knot slopes, and each interval is the Hermite cubic of its two values and
@@ -553,7 +569,7 @@ def _not_a_knot_spline(x, y):
     dx = np.diff(x)
     dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
-    if n == 3:  # the two end conditions coincide
+    if n == 3 and end_slopes is None:  # the two end conditions coincide
         a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
         b = np.stack((2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]), 2 * slope[1]))
         s = np.linalg.solve(a, b.reshape(3, -1)).reshape(b.shape)
@@ -564,7 +580,11 @@ def _not_a_knot_spline(x, y):
         du[1:] = dx[:-1]
         dl[:-1] = dx[1:]
         b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        if n == 2:  # both ends take the chord's slope
+        if end_slopes is not None:
+            d[0] = d[-1] = 1.0
+            du[0] = dl[-1] = 0.0
+            b[0], b[-1] = end_slopes
+        elif n == 2:  # both ends take the chord's slope
             d[:] = 1.0
             b[0] = b[-1] = slope[0]
         else:

@@ -20,20 +20,17 @@ matrix per time, or an adiabatic frame; the Riccati route takes the frame
 only.  Handed a frame, the integrators factor its strong drift out exactly.
 In the frame the drift ``gamma B(t) = gamma sum_k b_k(t) P_k(t0)`` is
 block-scalar over frozen projectors, so its flow is ``D(t) = sum_k
-exp(phi_k(t)) P_k(t0)`` with ``phi_k' = gamma b_k(t)``.  Both integrators
-work in the frame's eigenbasis of the frozen projectors (``frame.basis``),
-where ``D`` is diagonal and a block projection is a mask.  :func:`propagate`
-hands the rates ``gamma b_k`` and the rotated drive ``V† C V`` to the round
-stepper, which integrates ``M = D Mr`` with ``Mr' = D† C D Mr`` on each
-segment with phases local to the segment.  The Riccati integrator carries
-the phases in its solver state next to the matrix and integrates ``U = D Ur
-D†`` with the Riccati flow of ``D† C D``; the loop asks the frame for the
-rates and rotated drive at all twelve stage times of one step of every
-initial condition in one batched call (:class:`~blochwave.dop853.Staged`).
-Either way the solver no longer resolves the fast phase of ``gamma B`` step
-by step, and the step cap stays that of the full frame Hamiltonian.  The
-step cap and the skew-Hermiticity check sample the frame Hamiltonian in one
-batched call each.
+exp(gamma Phi_k(t)) P_k(t0)`` with the frame's gamma-free phases ``Phi_k =
+int_{t0}^t b_k``.  In the frame's eigenbasis of the frozen projectors
+(``frame.basis``) ``D`` is the diagonal ``E(t)`` and a block projection is a
+mask.  Both integrators step the plain generator ``frame.rotated_at``, that
+of ``Y = E† V† M V``, one stack for all the node times of a call, and rotate
+with ``E`` at the times they report only: :func:`propagate` gives ``M = V E
+Y V†``, and the Riccati flow of the rotated generator gives ``U = V E Z E†
+V†``.  Either way the solver no longer resolves the fast phase of ``gamma
+B`` step by step, and the step cap stays that of the full frame Hamiltonian.
+The step cap and the skew-Hermiticity check sample the frame Hamiltonian in
+one batched call each.
 
 A frame whose Hamiltonian repeats with a period ``T`` (``frame.period``,
 model data) is integrated over one period only.  By Floquet's theorem
@@ -53,7 +50,6 @@ tolerance decades.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,60 +217,9 @@ def solve_matrix_ivp(
     return results if stacked else results[0]
 
 
-def _rotating_system(frame, matrix_rhs):
-    """Pack a matrix ODE driven by a frame Hamiltonian, with the two-sided
-    solution ``Y = D Z D†``, into the rotating frame of the frame's frozen
-    blocks.
-
-    The rotation ``D = sum_k exp(phi_k) P_k(t0)``, with ``phi_k' = gamma
-    b_k(t)``, is ``V E V†`` with ``E = diag(exp(phi[labels]))`` in the
-    frame's eigenbasis ``V`` (``frame.basis``).  The solver state is
-    ``[vec(Z), phi]`` and ``Y = V E Z E† V†``.  ``matrix_rhs(c, z,
-    same_block)`` is ``Z'`` for a stack of ``z``, given the rotated drives
-    in that basis, ``c = E† V† C V E``, and the masks of the index pairs in
-    one block, all three with one matrix per ``z``: the block-diagonal part
-    of ``x`` is ``x * same_block``.
-
-    Returns ``(states, rhs, back)``: ``states(y0)`` is the initial state of a
-    matrix, with the phases at 0 (a stack for a stack of matrices), ``rhs``
-    the solver's :class:`~blochwave.dop853.Staged` right-hand side and
-    ``back(states)`` maps a state or a stack of them to ``Y``.  The matrix
-    part is the first ``n * n`` entries of a state.  The right-hand side's
-    coefficients are the state-independent rates ``gamma b_k(t)`` and
-    rotated drive ``V† C V`` at all the times of one call; its step adds the
-    phases ``exp(phi)`` and the matrix products.
-    """
-    labels, into, out_of = frame.basis
-    shape = (frame.model.dim,) * 2
-    size, stack_shape = shape[0] * shape[1], (-1, *shape)
-    same_block = (labels[:, None] == labels[None, :]).astype(complex)
-
-    @functools.lru_cache(maxsize=None)
-    def masks(count):  # one per state: a product that broadcasts costs twice as much
-        return np.repeat(same_block[None], count, axis=0)
-
-    phases = size + labels  # where each column's phase sits in a state
-
-    def step(coefficient, y):
-        rates, drive = coefficient
-        e = np.exp(y.take(phases, axis=1))
-        c = drive * (e.conj()[:, :, None] * e[:, None, :])
-        z = matrix_rhs(c, y[:, :size].reshape(stack_shape), masks(len(y)))
-        return np.concatenate((z.reshape(len(y), size), rates), axis=1)
-
-    def back(states):
-        # exp(phi_i - phi_j), which is 1 exactly within a block
-        phi = states[..., size:][..., labels]
-        z = states[..., :size].reshape(*states.shape[:-1], *shape)
-        return out_of(z * np.exp(phi[..., :, None] - phi[..., None, :]))
-
-    def states(y0):
-        z0 = into(np.asarray(y0, dtype=complex))
-        lead = z0.shape[:-2]
-        phases0 = np.zeros((*lead, frame.frozen.n_blocks), dtype=complex)
-        return np.concatenate([z0.reshape(*lead, size), phases0], axis=-1)
-
-    return states, Staged(frame.rotated_at, step), back
+def _unrotated(frame, t, y: np.ndarray) -> np.ndarray:
+    """``M = V E(t) Y V†`` from the rotated flow ``Y`` at a time or times."""
+    return frame.basis[2](np.exp(frame.phases_at(t))[..., :, None] * y)
 
 
 def _fold(times: np.ndarray, t0: float, period: float | None):
@@ -318,8 +263,8 @@ def propagate(
         generator: a callable that maps a 1-D array of times to the stack
             of skew-Hermitian ``G(t)``, one matrix per time, so that every
             batch of node times is one call; or an adiabatic frame (an
-            object with ``split_at``, ``hamiltonian_at`` and ``frozen``
-            projectors), whose Hamiltonian is then integrated in the
+            object with ``rotated_at``, ``phases_at``, ``hamiltonian_at``
+            and ``basis``), whose Hamiltonian is then integrated in the
             rotating frame of its frozen blocks.  A frame with a ``period``
             ``T`` is integrated over ``[t0, min(t0 + T, grid[-1])]`` only, at
             the residues of the checkpoints, and the path is composed as
@@ -341,7 +286,7 @@ def propagate(
             matrix per time.
     """
     grid = _checked_grid(grid, t0)
-    rotating = hasattr(generator, "split_at")
+    rotating = hasattr(generator, "rotated_at")
     # dense output interpolates the steps of the whole grid
     period = None if dense else getattr(generator, "period", None)
     hamiltonians = generator.hamiltonian_at if rotating else generator
@@ -361,25 +306,22 @@ def propagate(
         max_step = _estimate_max_step(hamiltonians, t0, grid[-1])
 
     eye = np.eye(samples.shape[-1], dtype=complex)
-    labels, out_of, coefficients = None, None, hamiltonians
-    if rotating:  # the rates and the rotated drive, for the stepper's local phases
-        labels, _, out_of = generator.basis
-        coefficients = generator.rotated_at
+    coefficients = generator.rotated_at if rotating else hamiltonians
 
     # one integration over the residues, up to t0 + T once a checkpoint lies beyond
     laps, residues = _fold(grid, t0, period)
     periods = int(laps.max())
     knots = np.union1d(residues, [t0 + period]) if periods else np.unique(residues)
-    sol = integrate_linear(coefficients, knots, tol, max_step=max_step, dense=dense, labels=labels)
+    sol = integrate_linear(coefficients, knots, tol, max_step=max_step, dense=dense)
 
-    at_knots = out_of(sol.y) if rotating else sol.y
+    at_knots = _unrotated(generator, knots, sol.y) if rotating else sol.y
     at_knots[0] = eye
     mats = at_knots[np.searchsorted(knots, residues)]
     if periods:  # the monodromy F = M(t0 + T) is the last knot
         mats = mats @ _powers(at_knots[-1], laps)
     interpolant = None
     if dense:
-        interpolant = (lambda t: out_of(sol.dense(t))) if rotating else sol.dense
+        interpolant = (lambda t: _unrotated(generator, t, sol.dense(t))) if rotating else sol.dense
 
     stats = sol.stats()
     if period is not None:

@@ -17,7 +17,10 @@ tolerance and prints a PASS/FAIL line (visible with ``pytest -s``):
    most 1e-6 at tol 1e-10; the integrated transporter matches the closed
    form within 1e-8;
 8. stationary initial condition: vanishing initial derivative within
-   1e-8 * ||H(t0)||.
+   1e-8 * ||H(t0)||;
+9. the propagator agrees with an independent fixed-step Magnus propagator
+   of the lab-frame generator, ``‖F - W M‖`` within 1e-8, on the three-level
+   system, the two-level sweep and a tabulated model.
 """
 
 import csv
@@ -28,6 +31,8 @@ import pytest
 
 from blochwave import (
     build_frame,
+    propagate,
+    random_smooth_model,
     factorization_defect,
     intertwining_defect,
     landau_zener_model,
@@ -39,8 +44,9 @@ from blochwave import (
     unitarize,
 )
 from blochwave.cli import ExperimentConfig, run_experiment, sweep
+from blochwave.models import load_tabulated_model
 
-from tests.helpers import PipelineBundle, make_corpus
+from tests.helpers import PipelineBundle, magnus_propagator, make_corpus, write_tabulated
 
 NOISE = 1e-10  # numerical slack on exact inequalities
 
@@ -356,4 +362,26 @@ def test_criterion_8_stationary_initial_condition():
         "criterion 8 (stationary initial derivative, 1e-8 relative)",
         worst <= 1e-8,
         "defect/||H(t0)||: " + "; ".join(details),
+    )
+
+
+def test_criterion_9_independent_magnus_propagator(tmp_path):
+    table = tmp_path / "model.csv"
+    write_tabulated(table, random_smooth_model(4, 2, seed=12), np.linspace(-0.5, 3.5, 81))
+    cases = {  # (model, checkpoint grid, Magnus steps per checkpoint interval)
+        "three_level": (three_level_model(10.0, 1.0), np.linspace(0.0, 50.0, 251), 64),
+        "landau_zener": (landau_zener_model(2.0), np.linspace(-20.0, 20.0, 161), 100),
+        "tabulated": (load_tabulated_model(table, gamma=8.0), np.linspace(0.0, 3.0, 31), 100),
+    }
+    gaps = {}
+    for name, (model, grid, steps) in cases.items():
+        frame = build_frame(model, grid[0], grid[-1], tol=1e-10)
+        m_path = propagate(frame, grid[0], grid, tol=1e-10)
+        lab = magnus_propagator(model.full_generator, grid, steps)
+        # W is the identity for a static drift, the closed form for the sweep
+        gaps[name] = float(np.max(spectral_norm(lab - frame.w_path.at(grid) @ m_path.matrices)))
+    _criterion(
+        "criterion 9 (independent Magnus propagator, 1e-8)",
+        max(gaps.values()) <= 1e-8,
+        ", ".join(f"{name} {gap:.2e}" for name, gap in gaps.items()),
     )

@@ -131,13 +131,19 @@ def test_stationary_ic_refuses_a_singular_block():
 
 def test_custom_ic_validation():
     good = np.array([[1.0, 0.3], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(BadInitialCondition):
+    message = "U0†U0 does not commute with block 0: defect 3.000e-01 > 1.0e-08"
+    with pytest.raises(BadInitialCondition, match=f"^{message}$"):
         # gram of this matrix does not commute with the blocks
         custom_ic(good, DIAG_BLOCKS)
     bad_bloch = np.array([[1.1, 0.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(BadInitialCondition):
+    with pytest.raises(BadInitialCondition, match="Bloch condition on block 0: defect 1.000e-01"):
         custom_ic(bad_bloch, DIAG_BLOCKS)
     assert custom_ic(np.eye(2, dtype=complex), DIAG_BLOCKS).kind == "custom"
+    # the first offending block and check is named, after blocks that pass
+    blocks = [np.diag(np.eye(3)[k]).astype(complex) for k in range(3)]
+    u0 = np.diag([1.0, 1.2, 1.0]).astype(complex)
+    with pytest.raises(BadInitialCondition, match="Bloch condition on block 1: defect 2.000e-01"):
+        custom_ic(u0, blocks)
 
 
 # ------------------------------------------------------------------- routes

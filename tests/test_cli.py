@@ -1146,8 +1146,9 @@ def test_sweep_failed_propagation_fails_every_initial_condition(tmp_path, monkey
 @pytest.mark.parametrize("gamma", ["1e160", "1e308"])
 def test_a_huge_gamma_is_a_solver_failure_with_its_error_row(tmp_path, gamma):
     # at 1e308 gamma b overflows to inf in the frame Hamiltonian the step cap
-    # samples; at 1e160 it stays finite until the first round's error norms.
-    # Either overflow is the failure it reports, so it warns nowhere
+    # samples; at 1e160 it stays finite, but the rotation's phases gamma Phi
+    # keep no digit of their angles.  Either is the failure it reports, so it
+    # warns nowhere
     lz = Path("docs/examples/landau_zener.cfg").read_text()
     cfg = tmp_path / "lz.cfg"
     cfg.write_text(lz + f"\n[sweep]\ngamma = 2.0, {gamma}\n")

@@ -20,7 +20,7 @@ from blochwave import (
 from blochwave import dop853
 from blochwave.bloch import riccati_rhs
 from blochwave.dop853 import Staged
-from blochwave.propagation import _estimate_max_step, _rotating_system, solve_matrix_ivp
+from blochwave.propagation import _estimate_max_step, solve_matrix_ivp
 from tests.helpers import constant
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,16 +60,21 @@ def plain_case():
     return rhs, np.eye(4, dtype=complex), np.linspace(0.0, 3.0, 7), 1e-9, {}
 
 
+def rotated_riccati(frame):
+    """The Riccati flow of the rotated generator ``frame.rotated_at``, as
+    ``integrate_riccati`` hands it over: a block projection is a mask."""
+    labels = frame.basis[0]
+    same = (labels[:, None] == labels).astype(complex)
+    return Staged(frame.rotated_at, lambda h, z: h @ z - z @ ((h @ z) * same))
+
+
 def rotating_case(make, t0, t1, n, two_sided=False):
     def build():
         frame = build_frame(make(), t0, t1, tol=1e-10)
-        if two_sided:  # the Riccati flow, as integrate_riccati hands it over
-            matrix_rhs = lambda h, z, same: h @ z - z @ ((h @ z) * same)
-            y0 = identity_ic(frame.blocks).matrix
+        if two_sided:
+            rhs, y0 = rotated_riccati(frame), frame.basis[1](identity_ic(frame.blocks).matrix)
         else:
-            matrix_rhs, y0 = (lambda c, z, _: c @ z), np.eye(frame.model.dim, dtype=complex)
-        states, rhs, _ = _rotating_system(frame, matrix_rhs)
-        y0 = states(y0)
+            rhs, y0 = Staged(frame.rotated_at, np.matmul), np.eye(frame.model.dim, dtype=complex)
         max_step = _estimate_max_step(frame.hamiltonian_at, t0, t1)
         return rhs, y0, np.linspace(t0, t1, n), 1e-10, {"max_step": max_step}
 
@@ -195,10 +200,9 @@ def stacked_rotating_riccati():
         np.eye(3) + 0.4j * sum(p @ coupling @ (np.eye(3) - p) for p in frame.blocks),
         stationary_ic(frame.hamiltonian_at(0.0), frame.frozen, 10.0).matrix,
     ]
-    matrix_rhs = lambda h, z, same: h @ z - z @ ((h @ z) * same)
-    states, rhs, _ = _rotating_system(frame, matrix_rhs)
     max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, 20.0)
-    return rhs, list(states(np.stack(ics))), np.linspace(0.0, 20.0, 101), 1e-10, {"max_step": max_step}
+    y0s = list(frame.basis[1](np.stack(ics)))
+    return rotated_riccati(frame), y0s, np.linspace(0.0, 20.0, 101), 1e-10, {"max_step": max_step}
 
 
 def stacked_pole_event():
@@ -253,22 +257,23 @@ def test_step_underflow_raises():
 # ------------------------------------------------------------ linear flows
 
 def lz_rotating_generator(calls=None):
-    """The Landau-Zener frame as ``integrate_linear``'s rates and drive."""
+    """The Landau-Zener frame's rotated generator, as ``propagate`` hands it
+    to ``integrate_linear``."""
     frame = build_frame(landau_zener_model(2.0), -25.0, 25.0, tol=1e-10)
     def generator(ts):
         if calls is not None:
             calls.append(len(ts))
         return frame.rotated_at(ts)
 
-    return generator, frame.basis[0], _estimate_max_step(frame.hamiltonian_at, -25.0, 25.0)
+    return generator, _estimate_max_step(frame.hamiltonian_at, -25.0, 25.0)
 
 
 def test_linear_rounds_ask_for_at_most_max_nodes_times_per_call():
     assert 1000 <= dop853.MAX_NODES <= 2048
     calls = []
-    generator, labels, max_step = lz_rotating_generator(calls)
+    generator, max_step = lz_rotating_generator(calls)
     grid = np.linspace(-25.0, 25.0, 401)
-    sol = dop853.integrate_linear(generator, grid, 1e-10, max_step=max_step, labels=labels)
+    sol = dop853.integrate_linear(generator, grid, 1e-10, max_step=max_step)
     assert max(calls) <= dop853.MAX_NODES < sum(calls)
     assert sum(calls) == sol.nfev
     attempts = sol.n_accepted + sol.n_rejected
@@ -293,11 +298,9 @@ def test_prefix_products_are_the_serial_composition(dim):
 
 
 def test_linear_dense_output_at_the_segment_starts_is_the_composed_maps():
-    generator, labels, max_step = lz_rotating_generator()
+    generator, max_step = lz_rotating_generator()
     grid = np.linspace(-25.0, 25.0, 401)
-    dense = dop853.integrate_linear(
-        generator, grid, 1e-10, max_step=max_step, dense=True, labels=labels
-    ).dense
+    dense = dop853.integrate_linear(generator, grid, 1e-10, max_step=max_step, dense=True).dense
     starts, at_start = dense._starts, dense._maps
     assert len(starts) > 1000
     # the first start is the identity; a later one ends the segment before it
@@ -321,23 +324,46 @@ def test_linear_flow_of_a_constant_generator_is_its_exponential():
 
 
 def test_linear_diagonal_part_in_its_rotating_frame_matches_the_plain_flow():
-    # X' = (diag(r(t)[labels]) + C(t)) X, once with the diagonal factored out
+    # X' = (diag(r(t)[labels]) + C(t)) X, once with the diagonal factored out:
+    # X = E Y with E = diag(exp(phi[labels])) and Y' = (E† C E + diag(r -
+    # phi')[labels]) Y, for the exact phases phi' = r and for approximate ones
     labels = np.array([0, 1, 1])
     c = np.array([[0, 1, 0.5j], [-1, 0, 0.2], [0.5j, -0.2, 0]])
+    eye = np.eye(3)
 
-    def split(ts):
-        rates = np.stack([-5j * np.cos(ts), 3j * ts], axis=1)
-        return rates, np.broadcast_to(c * np.cos(2 * ts)[:, None, None], (len(ts), 3, 3))
+    def rates(ts):
+        return np.stack([-5j * np.cos(ts), 3j * ts], axis=1)
+
+    def drive(ts):
+        return c * np.cos(2 * ts)[:, None, None]
 
     def full(ts):
-        rates, drive = split(ts)
-        return drive + np.einsum("ti,ij->tij", rates[:, labels], np.eye(3))
+        return drive(ts) + rates(ts)[:, labels][:, :, None] * eye
+
+    def exact(ts):  # the integral of the rates from 0
+        return np.stack([-5j * np.sin(ts), 1.5j * ts**2], axis=1)
+
+    def approximate(ts):  # off by a smooth wobble, with its derivative
+        wobble = np.stack([0.3j * np.sin(3 * ts), -0.2j * ts**3], axis=1)
+        slope = np.stack([0.9j * np.cos(3 * ts), -0.6j * ts**2], axis=1)
+        return exact(ts) + wobble, rates(ts) + slope
+
+    def rotated(phases):
+        def generator(ts):
+            phi, slope = phases(ts)
+            e = np.exp(phi[:, labels])
+            residual = (rates(ts) - slope)[:, labels][:, :, None] * eye
+            return drive(ts) * (e.conj()[:, :, None] * e[:, None, :]) + residual
+
+        return generator
 
     grid = np.linspace(0.0, 3.0, 7)
-    rotating = dop853.integrate_linear(split, grid, 1e-11, max_step=0.1, labels=labels)
     plain = dop853.integrate_linear(full, grid, 1e-13, max_step=0.1)
-    assert np.max(np.abs(rotating.y - plain.y)) < 1e-9
-    assert rotating.nfev < plain.nfev
+    for phases in (lambda ts: (exact(ts), rates(ts)), approximate):
+        sol = dop853.integrate_linear(rotated(phases), grid, 1e-11, max_step=0.1)
+        x = np.exp(phases(grid)[0][:, labels])[:, :, None] * sol.y
+        assert np.max(np.abs(x - plain.y)) < 1e-9
+        assert sol.nfev < plain.nfev
 
 
 def test_linear_step_underflow_and_non_finite_generator_raise():

@@ -109,14 +109,13 @@ def numeric_frame(dim=4, n_blocks=3):
     ids=["numeric", "landau_zener"],
 )
 def test_frame_basis_diagonalizes_the_frozen_drift(make):
-    # in the frame's one eigenbasis the frozen drift is diag(rates[labels]),
-    # and the rotated drive is the rest of the frame Hamiltonian
+    # in the frame's one eigenbasis the frozen drift is diag(rates[labels])
     _, frame = make()
     labels, into, out_of = frame.basis
     ts = np.linspace(frame.t0, frame.t1, 7)
-    rates, drive = frame.rotated_at(ts)
+    rates, drive = frame.split_at(ts)
     hamiltonians = frame.hamiltonian_at(ts)
-    drift = into(hamiltonians) - drive
+    drift = into(hamiltonians - drive)
     assert np.max(np.abs(drift - rates[:, labels][:, :, None] * np.eye(frame.model.dim))) < 1e-12
     assert np.max(spectral_norm(out_of(into(hamiltonians)) - hamiltonians)) < 1e-12
     assert np.bincount(labels).tolist() == list(frame.frozen.multiplicities)
@@ -497,6 +496,45 @@ def test_batched_frame_evaluation_is_the_per_time_one_bit_for_bit(case, tmp_path
             assert frame.w_path.at(time).tobytes() == transporters[i].tobytes()
             for part in (model.drift, model.drive, model.drift_derivative):
                 assert part(time).tobytes() == part(ts)[i].tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_CASES))
+def test_rotated_generator_is_the_frame_hamiltonian_rotated_exactly(case, tmp_path):
+    # E (R + gamma diag(Phi'[labels])) E† = V† H V for the rotated generator
+    # R, with the phases' own derivative: b where they are exact, the spline
+    # where they are interpolated
+    model, t0, t1 = FRAME_CASES[case](tmp_path)
+    frame = build_frame(model, t0, t1, tol=1e-8, checkpoints=9)
+    labels, into, _ = frame.basis
+    ts = np.random.default_rng(1).uniform(t0, t1, 40)
+    phi, slope = frame.phases(ts)
+    assert np.array_equal(frame.phases(np.array([t0]))[0], np.zeros((1, len(frame.blocks))))
+    assert (slope is None) == (model.static_drift or model.analytic_phases is not None)
+    if slope is None:
+        slope = model.eigenvalues_at(ts)
+    e = np.exp(frame.phases_at(ts))
+    assert np.array_equal(e, np.exp(model.gamma * phi[:, labels]))
+    rotated = frame.rotated_at(ts) + model.gamma * slope[:, labels][:, :, None] * np.eye(model.dim)
+    back = e[:, :, None] * rotated * e.conj()[:, None, :]
+    hamiltonians = into(frame.hamiltonian_at(ts))
+    scale = np.max(spectral_norm(hamiltonians))
+    assert np.max(spectral_norm(back - hamiltonians)) < 1e-13 * scale
+
+
+def test_landau_zener_phases_are_the_integral_of_the_eigenvalues():
+    frame = build_frame(landau_zener_model(2.0), -20.0, 20.0)
+    ts = np.linspace(-20.0, 20.0, 41)
+    phi, slope = frame.phases(ts)
+    assert slope is None
+    # composite Simpson on 4,000 panels per checkpoint interval
+    fine = np.linspace(-20.0, 20.0, 40 * 8000 + 1)
+    b = frame.model.eigenvalues_at(fine)
+    h = 40.0 / (40 * 8000)
+    panels = h / 3 * (b[:-1:2] + 4 * b[1::2] + b[2::2])
+    # pairwise sums within an interval, so that roundoff does not grow with the panels
+    intervals = panels.reshape(40, 4000, 2).sum(axis=1)
+    quadrature = np.concatenate([[np.zeros(2)], np.cumsum(intervals, axis=0)])
+    assert np.max(np.abs(phi - quadrature) / np.maximum(1.0, np.abs(phi))) < 1e-12
 
 
 def test_tabulated_model_refuses_a_batch_reaching_outside_its_span(tmp_path):

@@ -17,11 +17,11 @@ from blochwave import (
     spectral_norm,
     three_level_model,
 )
-from blochwave.dop853 import LinearDenseOutput
+from blochwave.dop853 import LinearDenseOutput, Staged
 from blochwave.frame import AdiabaticFrame
 from blochwave.models import load_tabulated_model
 from blochwave.operators import stack_matmul
-from blochwave.propagation import _estimate_max_step, _rotating_system, solve_matrix_ivp
+from blochwave.propagation import _estimate_max_step, solve_matrix_ivp
 from tests.helpers import constant, write_tabulated
 
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -206,12 +206,26 @@ def test_rotating_frame_is_no_less_accurate_and_cheaper(case, monkeypatch):
 
 
 def sequential_rotating(frame, grid, tol, max_step):
-    """``M`` from the step-by-step DOP853 loop on the rotating state ``[Z,
-    phases]``: ``M = V E Z V†`` with ``E = diag(exp(phases[labels]))``."""
-    labels, _, out_of = frame.basis
+    """``M`` from the step-by-step DOP853 loop on the state ``[Z, phases]``,
+    the phases ``phi' = gamma b`` integrated next to the matrix: ``M = V E Z
+    V†`` with ``E = diag(exp(phases[labels]))``.  A reference that takes no
+    phase from the frame, unlike ``propagate``."""
+    labels, into, out_of = frame.basis
     n = frame.model.dim
-    y0, rhs, _ = _rotating_system(frame, lambda c, z, _: c @ z)
-    states = solve_matrix_ivp(rhs, y0(np.eye(n)), grid, tol, max_step=max_step).y.T
+    firsts = np.unique(labels, return_index=True)[1]  # a column of each block
+
+    def coefficients(ts):  # the rotated drive, with the rates of its columns as a last row
+        rates, drive = frame.split_at(ts)
+        return np.concatenate([into(drive), rates[:, None, labels]], axis=1)
+
+    def step(c, y):
+        drive, rates = c[:, :n], c[:, n, firsts]
+        e = np.exp(y[:, n * n :][:, labels])
+        z = (drive * (e.conj()[:, :, None] * e[:, None, :])) @ y[:, : n * n].reshape(-1, n, n)
+        return np.concatenate((z.reshape(len(y), -1), rates), axis=1)
+
+    y0 = np.concatenate([into(np.eye(n, dtype=complex)).ravel(), np.zeros(frame.frozen.n_blocks)])
+    states = solve_matrix_ivp(Staged(coefficients, step), y0, grid, tol, max_step=max_step).y.T
     z = states[:, : n * n].reshape(-1, n, n)
     return out_of(np.exp(states[:, n * n :][:, labels])[:, :, None] * z)
 
@@ -228,6 +242,10 @@ ACCURACY_CASES = {
     "random_analytic": lambda _: (build_frame(random_smooth_model(4, 2, seed=9), 0.0, 3.0), 31),
     "random_numeric": lambda _: (
         build_frame(random_smooth_model(4, 2, seed=9, analytic=False), 0.0, 3.0), 31
+    ),
+    # the phases' spline has its 65 knots 0.47 apart here, against 0.05 above
+    "random_numeric_long": lambda _: (
+        build_frame(random_smooth_model(4, 2, seed=9, analytic=False), 0.0, 30.0), 301
     ),
     "tabulated": lambda tmp_path: (tabulated_frame(tmp_path), 31),
 }
