@@ -59,7 +59,6 @@ from .models import (
     load_tabulated_model,
     lz_asymptotic_amplitude,
     random_smooth_model,
-    three_level_lab_frame,
     three_level_model,
 )
 from .operators import (

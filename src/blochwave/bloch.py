@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import AmbiguousClustering, BadInitialCondition, IntegratorFailure, SingularBlock
 from .operators import (
-    SpectralDecomposition,
     block_basis,
     block_project,
     offblock_norm,
@@ -134,19 +133,17 @@ def custom_ic(u0: np.ndarray, blocks) -> BlochInitialCondition:
     return ic
 
 
-def stationary_ic(
-    h0: np.ndarray,
-    strong: SpectralDecomposition,
-    gamma: float,
-) -> BlochInitialCondition:
-    """Solution of the time-independent Bloch problem at the initial time.
+def stationary_ic(frame) -> BlochInitialCondition:
+    """Solution of the time-independent Bloch problem at the initial time of
+    an adiabatic frame.
 
-    Builds the spectral projector of ``H(t0)`` onto the eigenvalue group
-    nearest ``gamma * b_k(t0)`` for each block and returns
-    ``U0 = sum_k Ptilde_k P_k [P_k Ptilde_k P_k]^{-1}``, whose Riccati
-    derivative vanishes for the frozen-generator problem: the wave operator
-    that ``G = sum_k Ptilde_k P_k`` carries the identity to, since
-    ``P_k G P_k = P_k Ptilde_k P_k``.
+    Builds the spectral projector of the frame Hamiltonian ``H(t0)`` onto
+    the eigenvalue group nearest ``gamma * b_k(t0)`` for each frozen block
+    ``P_k`` and returns ``U0 = sum_k Ptilde_k P_k [P_k Ptilde_k P_k]^{-1}``,
+    whose Riccati derivative vanishes for the frozen-generator problem: the
+    wave operator that ``G = sum_k Ptilde_k P_k`` carries the identity to,
+    since ``P_k G P_k = P_k Ptilde_k P_k``.  The blocks, their rates and
+    their eigenbasis are the frame's (``frame.frozen``, ``frame.basis``).
 
     Eigenvalues of ``H(t0)`` are assigned to blocks by nearest target, with an
     ambiguity margin of :data:`AMBIGUITY_FACTOR` ``* gamma * (min block gap)``.
@@ -159,6 +156,8 @@ def stationary_ic(
         SingularBlock: if some ``P_k Ptilde_k P_k`` has a singular value
             below :data:`SINGULAR_SV` on its block.
     """
+    h0 = frame.hamiltonian_at(np.array([frame.t0], dtype=float))[0]
+    strong, gamma = frame.frozen, frame.model.gamma
     lam, vec, _ = require_skew_hermitian(h0, what="stationary-ic Hamiltonian")
     targets = gamma * strong.eigenvalues.imag
     margin = AMBIGUITY_FACTOR * gamma * strong.min_gap()
@@ -181,15 +180,14 @@ def stationary_ic(
 
     blocks = strong.projectors
     g = sum((vec * (assigned == k)) @ vec.conj().T @ p for k, p in enumerate(blocks))
-    basis = block_basis(blocks)
-    gv, min_sv = _block_restrictions(g, basis)
+    gv, min_sv = _block_restrictions(g, frame.basis)
     smin = min_sv.min()
     if smin < SINGULAR_SV:
         raise SingularBlock(
             f"block restriction singular: min singular value {smin:.3e} < {SINGULAR_SV:.1e}"
         )
-    u0 = _wave_from(gv, basis)
-    defect = spectral_norm(riccati_rhs(np.asarray(h0, dtype=complex), u0, blocks))
+    u0 = _wave_from(gv, frame.basis)
+    defect = spectral_norm(riccati_rhs(h0, u0, blocks))
     ic = BlochInitialCondition(
         kind="stationary", matrix=u0, stationarity_defect=defect
     )

@@ -439,8 +439,7 @@ def _initial_condition(config: ExperimentConfig, kind: str, shared: dict) -> Blo
         if kind == "identity":
             built[kind] = identity_ic(frame.blocks)
         elif kind == "stationary":
-            h0 = frame.hamiltonian_at(config.t0)
-            built[kind] = stationary_ic(h0, frame.frozen, shared["model"].gamma)
+            built[kind] = stationary_ic(frame)
         else:
             built[kind] = _custom_ic(config.ic_path, frame.blocks)
     return built[kind]

@@ -16,10 +16,11 @@ frame holds the gamma-free phases ``Phi_k = int_{t0}^t b_k`` (exact for a
 static drift or a model's ``analytic_phases``, else a spline's integral), and
 :meth:`AdiabaticFrame.rotated_at` gives the generator of the rotated flow.
 
-Every evaluation takes an array of times; without analytic spectral data
-one stacked :func:`~blochwave.operators.decompose` per call serves both the
-rates and the Kato term, which the transporter asks for once per batch of
-segments.
+Every evaluation takes a 1-D array of times and returns one value per time.
+The drift's rates have one source, its stacked decomposition
+(``model.spectral_at(ts).eigenvalues``), which also serves the Kato term
+that the transporter asks for once per batch of segments; the rotated
+generator asks for the rates only where the phases are a spline.
 
 The end-to-end consistency check of the construction is the factorization
 defect ``‖F - W M‖`` between the directly propagated evolution and the
@@ -62,35 +63,19 @@ __all__ = [
 OVERLAP_SLACK = 0.5
 
 
-def _times_or_time(batched):
-    """Let a method written for a 1-D array of times (and, if it takes one,
-    the stacked decomposition of the drift there) also take a single time:
-    the one-element case, with the leading axis of each result dropped."""
-
-    @functools.wraps(batched)
-    def wrapper(owner, t, *anchor):
-        if np.ndim(t):
-            return batched(owner, np.asarray(t, dtype=float), *anchor)
-        out = batched(owner, np.array([t], dtype=float), *(a and a[None] for a in anchor))
-        return tuple(x[0] for x in out) if isinstance(out, tuple) else out[0]
-
-    return wrapper
-
-
-@_times_or_time
 def kato_generator(
     model: GeneratorModel,
     t,
     anchor: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Generator ``A(t) = (1/2) sum_k [P'_k(t), P_k(t)]`` of the adiabatic
-    transporter, skew-Hermitian; a stack for an array of times.
+    transporter, skew-Hermitian: one matrix per time of the 1-D array ``t``.
 
     Exact from one decomposition ``B = sum_k b_k P_k`` of the drift and its
     derivative ``B'`` (Kato's reduced-resolvent identity):
-    ``A = sum_{k != l} P_l B' P_k / (b_k - b_l)``.  Pass the decomposition at
-    ``t`` (stacked for an array) as ``anchor`` when the caller already holds
-    it, else it is taken here.  A model's ``analytic_kato`` closed form takes
+    ``A = sum_{k != l} P_l B' P_k / (b_k - b_l)``.  Pass the stacked
+    decomposition at ``t`` as ``anchor`` when the caller already holds it,
+    else it is taken here.  A model's ``analytic_kato`` closed form takes
     precedence.
     """
     if model.analytic_kato is not None:
@@ -150,14 +135,16 @@ def transporter(
 class AdiabaticFrame:
     """Frozen-block picture of a generator model on ``[t0, t1]``.
 
-    Exposes the frame drift, drive and full Hamiltonian as callables over the
-    span of the transporter path; :meth:`split_at` gives the drift's rates
-    and the drive apart.  In ``basis``, the eigenbasis of the frozen
-    projectors (:func:`~blochwave.operators.block_basis`), the drift's flow
-    is ``E(t) = diag(exp(phases_at(t)))``; ``phases(ts)`` gives the gamma-free
-    ``Phi`` and ``Phi'`` (``None`` where ``Phi' = b`` exactly), one row per
-    time.  Frames are immutable once built; distinct frames (different
-    models or gammas) can be used concurrently.
+    Every method takes a 1-D array of times in the span of the transporter
+    path and returns one row or matrix per time: the full Hamiltonian
+    (:meth:`hamiltonian_at`), the drift's rates and the drive apart
+    (:meth:`split_at`) and the rotated generator (:meth:`rotated_at`).  In
+    ``basis``, the eigenbasis of the frozen projectors
+    (:func:`~blochwave.operators.block_basis`), the drift's flow is
+    ``E(t) = diag(exp(phases_at(t)))``; ``phases(ts)`` gives the gamma-free
+    ``Phi`` and ``Phi'`` (``None`` where ``Phi' = b`` exactly).  Frames are
+    immutable once built; distinct frames (different models or gammas) can
+    be used concurrently.
     """
 
     model: GeneratorModel
@@ -169,12 +156,6 @@ class AdiabaticFrame:
     phases: Callable[[np.ndarray], tuple]
 
     def __post_init__(self):
-        # a static drift has constant rates gamma b_k, W = 1 and A = 0
-        self._static_rates = (
-            self.model.gamma * self.model.eigenvalues_at(self.t0)
-            if self.model.static_drift
-            else None
-        )
         self.basis = block_basis(self.frozen.projector_stack)
 
     @property
@@ -187,42 +168,33 @@ class AdiabaticFrame:
         repeats with the drive (``None`` if it does not)."""
         return self.model.period
 
-    def drift_at(self, t) -> np.ndarray:
-        """Frame drift ``B(t) = sum_k b_k(t) P_k(t0)``."""
-        eigenvalues = self.model.eigenvalues_at(t)
-        return np.einsum("...k,kij->...ij", eigenvalues, self.frozen.projector_stack)
-
-    @_times_or_time
-    def drive_at(self, t, anchor: SpectralDecomposition | None = None) -> np.ndarray:
-        """Frame drive ``C(t) = W†(t) [Cbar(t) - A(t)] W(t)``.
-
-        ``anchor`` is passed on to :func:`kato_generator`.
-        """
+    def _drive_at(self, t, anchor: SpectralDecomposition | None = None) -> np.ndarray:
+        """Frame drive ``C(t) = W†(t) [Cbar(t) - A(t)] W(t)``, the model drive
+        for a static drift; ``anchor`` is passed on to :func:`kato_generator`."""
+        if self.model.static_drift:
+            return self.model.drive(t)
         w = self.w_path.at(t)
         a = kato_generator(self.model, t, anchor)
         # (W† X) W in this order: on np.matmul (d > 2) the frame tests pin its bits
         x = stack_matmul(w.conj().swapaxes(-1, -2), self.model.drive(t) - a)
         return stack_matmul(x, w)
 
-    @_times_or_time
     def split_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """The rates ``gamma b_k(t)`` of the frame drift and the drive ``C(t)``,
-        as stacks over an array of times (one row each).
+        one row each per time.
 
-        Without analytic spectral data one stacked decomposition of the
-        drift serves both the eigenvalues ``b_k(t)`` and the Kato term.  A
-        static drift has constant rates, ``W = 1`` and ``A = 0``, so its
-        frame drive is the model drive.
+        One stacked decomposition of the drift serves both the eigenvalues
+        ``b_k(t)`` and the Kato term.  A static drift has the constant rates
+        of the frozen blocks, ``W = 1`` and ``A = 0``.
         """
-        if self._static_rates is not None:
-            return self._static_rates[None].repeat(len(t), axis=0), self.model.drive(t)
-        anchor = None if self.model.analytic_spectral is not None else self.model.spectral_at(t)
-        eigenvalues = self.model.eigenvalues_at(t) if anchor is None else anchor.eigenvalues
+        if self.model.static_drift:
+            rates = self.model.gamma * self.frozen.eigenvalues
+            return rates[None].repeat(len(t), axis=0), self._drive_at(t)
+        anchor = self.model.spectral_at(t)
         with np.errstate(over="ignore"):  # an infinite rate fails the integration that asked
-            rates = self.model.gamma * eigenvalues
-        return rates, self.drive_at(t, anchor)
+            rates = self.model.gamma * anchor.eigenvalues
+        return rates, self._drive_at(t, anchor)
 
-    @_times_or_time
     def phases_at(self, t) -> np.ndarray:
         """The phases ``gamma Phi(t)[labels]`` of ``E(t)``, one row per time."""
         return self._scaled(self.phases(t)[0], t)
@@ -238,10 +210,11 @@ class AdiabaticFrame:
 
     def rotated_at(self, t) -> np.ndarray:
         """The generator ``E† (V† C V) E + gamma diag(b - Phi')[labels]`` of
-        ``Y = E† V† M V``, a stack over an array of times; the residual keeps
-        the rotation exact for interpolated phases (zero for exact ones)."""
-        rates, drive = self.split_at(t)
+        ``Y = E† V† M V``, one matrix per time.  The residual keeps the
+        rotation exact for interpolated phases; exact ones (no slope) leave
+        none, so only the drive is formed for them, without the drift's rates."""
         phi, slope = self.phases(t)
+        rates, drive = (None, self._drive_at(t)) if slope is None else self.split_at(t)
         e = np.exp(self._scaled(phi, t))
         out = self.basis[1](drive) * (e.conj()[:, :, None] * e[:, None, :])
         if slope is not None:
@@ -250,8 +223,8 @@ class AdiabaticFrame:
         return out
 
     def hamiltonian_at(self, t) -> np.ndarray:
-        """Full frame generator ``gamma B(t) + C(t)``, from :meth:`split_at`;
-        a stack for an array of times."""
+        """Full frame generator ``gamma B(t) + C(t)`` from :meth:`split_at`,
+        one matrix per time."""
         rates, drive = self.split_at(t)
         return np.einsum("...k,kij->...ij", rates, self.frozen.projector_stack) + drive
 
@@ -261,19 +234,34 @@ def _horner(coeffs, s):
     return functools.reduce(lambda y, c: y * s + c, coeffs)
 
 
-def _phase_integral(model: GeneratorModel, times: np.ndarray, stack=None):
+def _phase_integral(model: GeneratorModel, times: np.ndarray, frozen, stack=None):
     """``ts -> (Phi(ts), Phi'(ts) or None)``, ``Phi_k(t) = int_{times[0]}^t b_k``:
-    exact for a static drift or ``analytic_phases``, else the integral of the
-    spline of ``stack.eigenvalues`` (at ``times``), its ends clamped to ``b_k'
-    = tr(P_k B') / m_k`` (not-a-knot ends are ten times less accurate)."""
+    exact for a static drift (the ``frozen`` rates) or ``analytic_phases``,
+    else the integral of the spline of ``stack.eigenvalues`` (at ``times``),
+    its ends clamped to ``b_k' = tr(P_k B') / m_k`` (not-a-knot ends are ten
+    times less accurate).
+
+    ``analytic_phases`` is checked at ``times``: its central difference with
+    ``h = 1e-6 (t1 - t0)`` must be ``b_k`` within ``1e-6 max(1, |b_k|)``, or
+    a ``ValueError`` names the model and the time.
+    """
     t0 = times[0]
     if model.static_drift:
-        rates = model.eigenvalues_at(t0)
-        return lambda ts: (np.multiply.outer(ts - t0, rates), None)
+        return lambda ts: (np.multiply.outer(ts - t0, frozen.eigenvalues), None)
+    stack = model.spectral_at(times) if stack is None else stack
     if model.analytic_phases is not None:
+        h = 1e-6 * (times[-1] - t0)
+        slope = (model.analytic_phases(times + h) - model.analytic_phases(times - h)) / (2 * h)
+        defect = np.abs(slope - stack.eigenvalues)
+        bad = np.argwhere(defect > 1e-6 * np.maximum(1.0, np.abs(stack.eigenvalues)))
+        if len(bad):
+            i, k = bad[0]
+            raise ValueError(
+                f"model {model.name!r}: analytic_phases is not the integral of the "
+                f"eigenvalues at t={times[i]:g} (block {k}: derivative off by {defect[i, k]:.2e})"
+            )
         start = model.analytic_phases(t0)
         return lambda ts: (model.analytic_phases(ts) - start, None)
-    stack = model.spectral_at(times) if stack is None else stack
     ends = times[[0, -1]]
     traces = np.einsum("tkij,tji->tk", stack.projector_stack[[0, -1]], model.drift_derivative(ends))
     coeffs = _not_a_knot_spline(times, stack.eigenvalues, traces / np.array(stack.multiplicities))
@@ -303,7 +291,6 @@ def _require_stacks(model: GeneratorModel, t0: float, t1: float) -> None:
         "drive": (model.drive, matrix),
         "drift_derivative": (model.drift_derivative, matrix),
         "analytic_kato": (model.analytic_kato, matrix),
-        "analytic_eigenvalues": (model.analytic_eigenvalues, (len(ts), None)),
         "analytic_phases": (model.analytic_phases, (len(ts), None)),
         "analytic_transporter": (transporter and functools.partial(transporter, t0), matrix),
         "analytic_spectral": (
@@ -371,8 +358,9 @@ def build_frame(
 
     Raises:
         ValueError: if a model callable returns a single value for an array
-            of times instead of a stack, or the model's period is
-            inconsistent.
+            of times instead of a stack, the model's period is
+            inconsistent, or its ``analytic_phases`` are not the integral of
+            its eigenvalues at the checkpoints.
     """
     _require_stacks(model, t0, t1)
     if model.period is not None:
@@ -383,7 +371,7 @@ def build_frame(
     w_path = transporter(model, t0, t1, tol=tol, checkpoints=checkpoints)
     return AdiabaticFrame(
         model=model, t0=t0, t1=t1, frozen=frozen, w_path=w_path, tol=tol,
-        phases=_phase_integral(model, times, stack),
+        phases=_phase_integral(model, times, frozen, stack),
     )
 
 

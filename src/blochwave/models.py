@@ -42,7 +42,6 @@ __all__ = [
     "landau_zener_model",
     "lz_asymptotic_amplitude",
     "three_level_model",
-    "three_level_lab_frame",
     "random_smooth_model",
     "load_tabulated_model",
     "builtin_model_names",
@@ -87,11 +86,14 @@ class GeneratorModel:
     ``drive(t)`` the weak one; the full-evolution generator is
     ``gamma * drift(t) + drive(t)``.  ``drift_derivative(t)`` is the exact
     time derivative of ``drift``: with one decomposition of the drift it
-    gives the Kato generator of the adiabatic frame.  ``analytic_kato`` and
-    ``analytic_transporter``, when present, are closed forms used in place
-    of that generator and of its integration.  ``analytic_phases``, an
-    antiderivative of ``analytic_eigenvalues``, gives the frame's rotation
-    phases ``Φ_k(t) = ∫_{t0}^t b_k`` in closed form.
+    gives the Kato generator of the adiabatic frame.  The optional
+    attachments are closed forms used in place of numerical work:
+    ``analytic_spectral``, the drift's decomposition (its eigenvalues are
+    the only source of the rates ``b_k``); ``analytic_kato`` and
+    ``analytic_transporter``, the Kato generator and its integration; and
+    ``analytic_phases``, an antiderivative of the eigenvalues, which gives
+    the frame's rotation phases ``Φ_k(t) = ∫_{t0}^t b_k`` (the frame checks
+    its derivative against them when it is built).
 
     Every callable takes an array of times as well as one time and then
     returns a stack, one matrix (or eigenvalue row) per time: the frame asks
@@ -113,7 +115,6 @@ class GeneratorModel:
     drift_derivative: Callable[[float], np.ndarray]
     params: dict = field(default_factory=dict)
     analytic_spectral: Callable[[float], SpectralDecomposition] | None = None
-    analytic_eigenvalues: Callable[[float], np.ndarray] | None = None
     analytic_kato: Callable[[float], np.ndarray] | None = None
     analytic_transporter: Callable[[float, float], np.ndarray] | None = None
     analytic_phases: Callable[[float], np.ndarray] | None = None
@@ -130,13 +131,6 @@ class GeneratorModel:
         if self.analytic_spectral is not None:
             return self.analytic_spectral(t)
         return decompose(self.drift(t), times=t)
-
-    def eigenvalues_at(self, t) -> np.ndarray:
-        """Block eigenvalues ``b_k(t)`` only (cheaper than a full
-        decomposition); one row per time for an array of times."""
-        if self.analytic_eigenvalues is not None:
-            return self.analytic_eigenvalues(t)
-        return self.spectral_at(t).eigenvalues
 
     def validate(self, times, tol: float = 1e-12) -> None:
         """Check skew-Hermiticity of samples, analytic-spectral consistency
@@ -234,7 +228,6 @@ def landau_zener_model(gamma: float) -> GeneratorModel:
         drift_derivative=_constant(-1j * PAULI_Z),
         params={"gamma": float(gamma)},
         analytic_spectral=spectral,
-        analytic_eigenvalues=eigenvalues,
         analytic_kato=kato,
         analytic_transporter=transporter,
         analytic_phases=phases,
@@ -329,35 +322,9 @@ def three_level_model(
         drift_derivative=_constant(np.zeros((3, 3), dtype=complex)),
         params={"gamma": float(gamma), "a": float(a), "omega": float(omega)},
         analytic_spectral=spectral,
-        analytic_eigenvalues=eigenvalues,
         static_drift=True,
         period=np.pi / omega if envelope is None else None,
     )
-
-
-def three_level_lab_frame(gamma: float, a: float, omega: float = 1.0):
-    """Lab-frame generator of the driven three-level system and the rotating
-    transformation linking it to the interaction picture.
-
-    Returns ``(generator, rotation)`` with ``generator(t)`` the skew-Hermitian
-    ``-i H(t)`` for ``H(t) = diag(0, w, w(2+gamma)) + a cos(w t) K`` and
-    ``rotation(t) = exp(-i t diag(0, w, 2w))``, stacked for an array of times
-    like the model callables.  Used to cross-check the analytic frame
-    transformation against direct numerical conjugation.
-    """
-    coupling = 1j * _three_level_coupling()  # Hermitian drive pattern
-    h0 = np.diag([0.0, omega, omega * (2.0 + gamma)]).astype(complex)
-    rot_freqs = np.array([0.0, omega, 2.0 * omega])
-
-    def generator(t) -> np.ndarray:
-        return -1j * (h0 + _matrix_axes(a * np.cos(omega * t)) * coupling)
-
-    def rotation(t) -> np.ndarray:
-        out = np.zeros((*np.shape(t), 3, 3), dtype=complex)
-        out[..., range(3), range(3)] = np.exp(-1j * rot_freqs * np.asarray(t)[..., None])
-        return out
-
-    return generator, rotation
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -497,7 +464,6 @@ def random_smooth_model(
             "rotation_scale": float(rotation_scale),
         },
         analytic_spectral=spectral if analytic else None,
-        analytic_eigenvalues=(lambda t: 1j * tracks(t)) if analytic else None,
         analytic_phases=(lambda t: 1j * tracks_integral(t)) if analytic else None,
     )
 

@@ -179,21 +179,6 @@ class SpectralDecomposition:
         """Sum of ``b_k P_k`` (per time for a stack)."""
         return np.einsum("...k,...kij->...ij", self.eigenvalues, self.projector_stack)
 
-    def validation_defects(self) -> dict[str, float]:
-        """Worst-case defect of each structural invariant (over every time
-        of a stack)."""
-        p = self.projector_stack
-        upper = np.triu_indices(self.n_blocks, 1)
-        products = p[..., upper[0], :, :] @ p[..., upper[1], :, :]
-        ranks = np.trace(p, axis1=-2, axis2=-1).real
-        return {
-            "hermiticity": float(np.max(spectral_norm(p.conj().swapaxes(-1, -2) - p))),
-            "idempotency": float(np.max(spectral_norm(p @ p - p))),
-            "orthogonality": float(np.max(spectral_norm(products), initial=0.0)),
-            "completeness": float(np.max(spectral_norm(p.sum(axis=-3) - np.eye(self.dim)))),
-            "rank": float(np.max(np.abs(ranks - self.multiplicities))),
-        }
-
     def min_gap(self) -> float:
         """Smallest distance between distinct block eigenvalues (over every
         time of a stack)."""

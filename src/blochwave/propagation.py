@@ -218,8 +218,8 @@ def solve_matrix_ivp(
 
 
 def _unrotated(frame, t, y: np.ndarray) -> np.ndarray:
-    """``M = V E(t) Y V†`` from the rotated flow ``Y`` at a time or times."""
-    return frame.basis[2](np.exp(frame.phases_at(t))[..., :, None] * y)
+    """``M = V E(t) Y V†`` from the rotated flow ``Y`` at a 1-D array of times."""
+    return frame.basis[2](np.exp(frame.phases_at(t))[:, :, None] * y)
 
 
 def _fold(times: np.ndarray, t0: float, period: float | None):
@@ -319,9 +319,12 @@ def propagate(
     mats = at_knots[np.searchsorted(knots, residues)]
     if periods:  # the monodromy F = M(t0 + T) is the last knot
         mats = mats @ _powers(at_knots[-1], laps)
-    interpolant = None
-    if dense:
-        interpolant = (lambda t: _unrotated(generator, t, sol.dense(t))) if rotating else sol.dense
+    interpolant = sol.dense
+    if dense and rotating:
+
+        def interpolant(t):  # a time or an array of times, as the frame takes a 1-D array
+            flat = np.reshape(np.asarray(t, dtype=float), -1)
+            return _unrotated(generator, flat, sol.dense(flat)).reshape(*np.shape(t), *eye.shape)
 
     stats = sol.stats()
     if period is not None:

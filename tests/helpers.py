@@ -13,9 +13,11 @@ from blochwave import (
     radon_wave,
     random_smooth_model,
     riccati_rhs,
+    spectral_norm,
 )
 from blochwave.bloch import BLOWUP_NORM
 from blochwave.dop853 import Staged
+from blochwave.models import _three_level_coupling
 from blochwave.propagation import _estimate_max_step, solve_matrix_ivp
 
 
@@ -59,6 +61,47 @@ class PipelineBundle:
                     ),
                 )
         return worst
+
+
+def validation_defects(dec):
+    """Worst-case defect of each structural invariant of a
+    :class:`~blochwave.SpectralDecomposition` (over every time of a stack)."""
+    p = dec.projector_stack
+    upper = np.triu_indices(dec.n_blocks, 1)
+    products = p[..., upper[0], :, :] @ p[..., upper[1], :, :]
+    ranks = np.trace(p, axis1=-2, axis2=-1).real
+    return {
+        "hermiticity": float(np.max(spectral_norm(p.conj().swapaxes(-1, -2) - p))),
+        "idempotency": float(np.max(spectral_norm(p @ p - p))),
+        "orthogonality": float(np.max(spectral_norm(products), initial=0.0)),
+        "completeness": float(np.max(spectral_norm(p.sum(axis=-3) - np.eye(dec.dim)))),
+        "rank": float(np.max(np.abs(ranks - dec.multiplicities))),
+    }
+
+
+def three_level_lab_frame(gamma, a, omega=1.0):
+    """Lab-frame generator of the driven three-level system and the rotating
+    transformation linking it to the interaction picture.
+
+    Returns ``(generator, rotation)`` with ``generator(t)`` the skew-Hermitian
+    ``-i H(t)`` for ``H(t) = diag(0, w, w(2+gamma)) + a cos(w t) K`` and
+    ``rotation(t) = exp(-i t diag(0, w, 2w))``, stacked for an array of times
+    like the model callables.  Used to cross-check the analytic frame
+    transformation against direct numerical conjugation.
+    """
+    coupling = 1j * _three_level_coupling()  # Hermitian drive pattern
+    h0 = np.diag([0.0, omega, omega * (2.0 + gamma)]).astype(complex)
+    rot_freqs = np.array([0.0, omega, 2.0 * omega])
+
+    def generator(t):
+        return -1j * (h0 + np.asarray(a * np.cos(omega * t))[..., None, None] * coupling)
+
+    def rotation(t):
+        out = np.zeros((*np.shape(t), 3, 3), dtype=complex)
+        out[..., range(3), range(3)] = np.exp(-1j * rot_freqs * np.asarray(t)[..., None])
+        return out
+
+    return generator, rotation
 
 
 def constant(h):

@@ -353,9 +353,8 @@ def test_criterion_8_stationary_initial_condition():
         (landau_zener_model(2.0), -20.0, 20.0),
     ):
         frame = build_frame(model, t0, t1, tol=1e-10)
-        h0 = frame.hamiltonian_at(t0)
-        ic = stationary_ic(h0, frame.frozen, model.gamma)
-        rel = ic.stationarity_defect / spectral_norm(h0)
+        ic = stationary_ic(frame)
+        rel = ic.stationarity_defect / spectral_norm(frame.hamiltonian_at(np.array([t0]))[0])
         worst = max(worst, rel)
         details.append(f"{model.name}: {rel:.2e}")
     _criterion(

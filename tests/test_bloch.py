@@ -9,7 +9,6 @@ from blochwave import (
     AmbiguousClustering,
     BadInitialCondition,
     SingularBlock,
-    SpectralDecomposition,
     bloch_effective_evolution,
     closed_form_wave,
     custom_ic,
@@ -50,10 +49,22 @@ def test_identity_ic_invariants():
         assert spectral_norm(gram @ p - p @ gram) == 0.0
 
 
+def static_frame(drift, drive, gamma):
+    """The frame over [0, 1] of a constant drift and drive."""
+    model = GeneratorModel(
+        name="static",
+        dim=len(drift),
+        gamma=gamma,
+        drift=constant(drift),
+        drive=constant(drive),
+        drift_derivative=constant(np.zeros_like(drift)),
+        static_drift=True,
+    )
+    return build_frame(model, 0.0, 1.0)
+
+
 def test_stationary_ic_unperturbed_is_identity():
-    model = three_level_model(10.0, 0.0)
-    strong = model.spectral_at(0.0)
-    ic = stationary_ic(model.full_generator(0.0), strong, model.gamma)
+    ic = stationary_ic(build_frame(three_level_model(10.0, 0.0), 0.0, 1.0))
     assert spectral_norm(ic.matrix - np.eye(3)) < 1e-12
     assert ic.stationarity_defect < 1e-12
 
@@ -63,12 +74,11 @@ def test_stationary_ic_two_level_exact_oracle():
     gamma, eps = 5.0, 0.4
     b = -1j * np.diag([0.0, 1.0]).astype(complex)
     h0 = gamma * b + (-1j * eps * X)
-    strong = SpectralDecomposition(
-        eigenvalues=np.array([-1j, 0.0j]),
-        projectors=(np.diag([0.0, 1.0]).astype(complex), np.diag([1.0, 0.0]).astype(complex)),
-        multiplicities=(1, 1),
-    )
-    ic = stationary_ic(h0, strong, gamma)
+    frame = static_frame(b, -1j * eps * X, gamma)
+    strong = frame.frozen
+    assert np.array_equal(strong.eigenvalues, [-1j, 0.0j])
+    assert np.array_equal(strong.projector_stack, [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+    ic = stationary_ic(frame)
     # the Riccati right-hand side vanishes for the frozen problem
     assert ic.stationarity_defect < 1e-12 * spectral_norm(h0)
     rhs = riccati_rhs(h0, ic.matrix, strong.projectors)
@@ -86,8 +96,7 @@ def test_stationary_ic_two_level_exact_oracle():
 
 
 def test_stationary_ic_three_level_close_to_identity():
-    model = three_level_model(10.0, 1.0)
-    ic = stationary_ic(model.full_generator(0.0), model.spectral_at(0.0), model.gamma)
+    ic = stationary_ic(build_frame(three_level_model(10.0, 1.0), 0.0, 1.0))
     dev = spectral_norm(ic.matrix - np.eye(3))
     assert dev <= 0.1  # O(a/gamma)
     assert dev > 1e-3  # genuinely non-identity
@@ -97,16 +106,16 @@ def test_stationary_ic_ambiguous_for_small_gamma():
     with pytest.warns(UserWarning, match="perturbative"):
         model = three_level_model(1.0, 10.0)
     with pytest.raises(AmbiguousClustering):
-        stationary_ic(model.full_generator(0.0), model.spectral_at(0.0), model.gamma)
+        stationary_ic(build_frame(model, 0.0, 1.0))
 
 
 def test_stationary_ic_matches_the_block_pseudo_inverse_formula():
     # U0 = sum_k Ptilde_k P_k [P_k Ptilde_k P_k]^+ with Moore-Penrose inverses,
     # on a model whose frozen projectors are not coordinate projectors
     model = random_smooth_model(6, 3, seed=4, gamma=20.0)
-    strong = model.spectral_at(0.0)
-    h0 = model.full_generator(0.0)
-    ic = stationary_ic(h0, strong, model.gamma)
+    frame = build_frame(model, 0.0, 1.0)
+    strong, h0 = frame.frozen, frame.hamiltonian_at(np.array([0.0]))[0]
+    ic = stationary_ic(frame)
     lam, vec = np.linalg.eigh(-1j * h0)
     targets = model.gamma * strong.eigenvalues.imag
     assigned = np.argmin(np.abs(lam[:, None] - targets[None, :]), axis=1)
@@ -119,14 +128,13 @@ def test_stationary_ic_matches_the_block_pseudo_inverse_formula():
 
 
 def test_stationary_ic_refuses_a_singular_block():
-    # the eigenvector nearest block 0's target gamma * (-1) lies in block 1,
-    # so P_0 Ptilde_0 P_0 = 0
-    strong = SpectralDecomposition(
-        eigenvalues=np.array([-1j, 0.0j]), projectors=DIAG_BLOCKS, multiplicities=(1, 1)
-    )
-    h0 = 1j * 5.0 * np.diag([0.0, -1.0]).astype(complex)
+    # H(t0) = 5i diag(0, -1): the eigenvector nearest block 0's target
+    # gamma * (-1) lies in block 1, so P_0 Ptilde_0 P_0 = 0
+    frame = static_frame(-1j * DIAG_BLOCKS[0], 5j * np.diag([1.0, -1.0]).astype(complex), 5.0)
+    assert np.array_equal(frame.frozen.projector_stack, DIAG_BLOCKS)
+    assert np.array_equal(frame.hamiltonian_at(np.array([0.0]))[0], 5j * np.diag([0.0, -1.0]))
     with pytest.raises(SingularBlock, match="singular"):
-        stationary_ic(h0, strong, 5.0)
+        stationary_ic(frame)
 
 
 def test_custom_ic_validation():
@@ -192,7 +200,7 @@ def test_algebraic_routes_start_exactly_at_the_initial_condition(route, kind):
     if kind == "identity":
         ic = identity_ic(frame.blocks)
     else:
-        ic = stationary_ic(frame.hamiltonian_at(-8.0), frame.frozen, frame.model.gamma)
+        ic = stationary_ic(frame)
     path = route(propagate(frame, -8.0, grid), ic, frame.blocks)
     assert np.array_equal(path.matrices[0], ic.matrix)
 
@@ -431,7 +439,7 @@ def windowed_case(name):
 @pytest.mark.parametrize("case", ["three_level", "three_level_gamma80", "landau_zener"])
 def test_windowed_riccati_matches_the_sequential_solve(case):
     frame, grid, max_step, tol, m_path = windowed_case(case)
-    ics = [identity_ic(frame.blocks), stationary_ic(frame.hamiltonian_at(grid[0]), frame.frozen, frame.model.gamma)]
+    ics = [identity_ic(frame.blocks), stationary_ic(frame)]
 
     def solve(ic, m=None):
         return integrate_riccati(frame, ic, grid[0], grid, tol=tol, max_step=max_step, m_path=m)
@@ -615,8 +623,7 @@ def test_effective_generator_block_diagonal_on_solution(random_bundle):
     frame = random_bundle.frame
     u_path = random_bundle.u_riccati
     for i in range(5, len(u_path.times), 17):
-        t = u_path.times[i]
-        h = frame.hamiltonian_at(t)
+        h = frame.hamiltonian_at(u_path.times[i : i + 1])[0]
         u = u_path.matrices[i]
         u_dot = riccati_rhs(h, u, random_bundle.blocks)
         h_eff = effective_generator(h, u, u_dot)

@@ -936,8 +936,8 @@ def test_route_all_runs_closed_form_once(tmp_path, monkeypatch):
 
 def test_a_run_takes_the_block_basis_once_with_its_frame(tmp_path, monkeypatch):
     # the frame diagonalizes its frozen projectors and the pipeline hands that
-    # basis down; only the public functions handed bare blocks (radon_wave,
-    # stationary_ic) take one of their own
+    # basis down (stationary_ic reads it off the frame); only radon_wave,
+    # handed bare blocks, takes one of its own
     import blochwave.operators
 
     calls = []
@@ -965,7 +965,7 @@ def test_a_run_takes_the_block_basis_once_with_its_frame(tmp_path, monkeypatch):
     lz = ["run.t0=-2", "run.t_final=2", "run.checkpoint_count=9"]
     assert count("docs/examples/landau_zener.cfg", lz, "lz") == 1  # closed form only
     sweep_cfg = write_cfg(tmp_path, BASE_CFG + "\n[sweep]\ngamma = 10.0, 20.0\n", name="sweep.cfg")
-    assert count(sweep_cfg, SHORT_SWEEP, "sweep") == 4  # per gamma, the frame and stationary_ic
+    assert count(sweep_cfg, SHORT_SWEEP, "sweep") == 2  # the frame of each gamma
 
 
 def test_step_cap_estimated_once_per_run_and_per_gamma(tmp_path, monkeypatch):

@@ -198,7 +198,7 @@ def stacked_rotating_riccati():
     ics = [
         identity_ic(frame.blocks).matrix,
         np.eye(3) + 0.4j * sum(p @ coupling @ (np.eye(3) - p) for p in frame.blocks),
-        stationary_ic(frame.hamiltonian_at(0.0), frame.frozen, 10.0).matrix,
+        stationary_ic(frame).matrix,
     ]
     max_step = _estimate_max_step(frame.hamiltonian_at, 0.0, 20.0)
     y0s = list(frame.basis[1](np.stack(ics)))

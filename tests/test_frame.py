@@ -39,7 +39,6 @@ def strip_analytic(model):
     return dataclasses.replace(
         model,
         analytic_spectral=None,
-        analytic_eigenvalues=None,
         analytic_kato=None,
         analytic_transporter=None,
     )
@@ -49,7 +48,7 @@ def strip_analytic(model):
 
 def test_kato_zero_for_static_model():
     model = three_level_model(10.0, 1.0)
-    assert spectral_norm(kato_generator(model, 2.0)) == 0.0
+    assert spectral_norm(kato_generator(model, np.array([2.0]))) == 0.0
 
 
 def test_kato_lz_closed_form_from_derivatives():
@@ -57,20 +56,19 @@ def test_kato_lz_closed_form_from_derivatives():
     model = dataclasses.replace(landau_zener_model(1.0), analytic_kato=None)
     for t in (-3.0, 0.0, 1.0, 2.5):
         expected = 1j * Y / (2.0 * (1.0 + t * t))
-        assert spectral_norm(kato_generator(model, t) - expected) < 1e-13
+        assert spectral_norm(kato_generator(model, np.array([t]))[0] - expected) < 1e-13
 
 
 def test_kato_lz_numeric_route():
     model = strip_analytic(landau_zener_model(1.0))
     for t in (-1.0, 0.4):
         expected = 1j * Y / (2.0 * (1.0 + t * t))
-        assert spectral_norm(kato_generator(model, t) - expected) < 1e-12
+        assert spectral_norm(kato_generator(model, np.array([t]))[0] - expected) < 1e-12
 
 
 def test_kato_skew_hermitian_random_model():
     model = random_smooth_model(4, 2, seed=6)
-    for t in (0.0, 1.3, 2.9):
-        a = kato_generator(model, t)
+    for a in kato_generator(model, np.array([0.0, 1.3, 2.9])):
         assert spectral_norm(a + a.conj().T) < 1e-10
 
 
@@ -86,7 +84,7 @@ def test_kato_generator_properties_random_models(dim, block_fraction, seed, anal
     n_blocks = 1 + int(block_fraction * (dim - 1))
     model = random_smooth_model(dim, n_blocks, seed=seed, analytic=analytic)
     twin = random_smooth_model(dim, n_blocks, seed=seed)  # analytic projectors
-    a = kato_generator(model, t)
+    a = kato_generator(model, np.array([t]))[0]
     assert spectral_norm(a + a.conj().T) < 1e-13
     h = 1e-5
     below, at, above = (twin.spectral_at(s).projectors for s in (t - h, t, t + h))
@@ -141,12 +139,12 @@ def test_shared_anchor_is_bit_identical_to_per_block_reference():
         proj_stack = np.stack(frame.blocks)
         for t in (0.3, 1.1, 1.7):
             anchor, kato = reference_kato(model, t)
-            assert np.array_equal(kato_generator(model, t), kato)
+            assert np.array_equal(kato_generator(model, np.array([t]))[0], kato)
             w = frame.w_path.at(t)
             expected = np.einsum(
                 "k,kij->ij", model.gamma * anchor.eigenvalues, proj_stack
             ) + w.conj().T @ (model.drive(t) - kato) @ w
-            assert np.array_equal(frame.hamiltonian_at(t), expected)
+            assert np.array_equal(frame.hamiltonian_at(np.array([t]))[0], expected)
 
 
 def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
@@ -166,10 +164,10 @@ def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
     counted(blochwave.models, "decompose")
     counted(blochwave.operators, "match_labels")
     counted(blochwave.frame, "match_labels")
-    frame.hamiltonian_at(0.9)
+    frame.hamiltonian_at(np.array([0.9]))
     assert calls == ["decompose"]  # at t only, and no label matching
     calls.clear()
-    kato_generator(model, 0.9)
+    kato_generator(model, np.array([0.9]))
     assert calls == ["decompose"]
     # a batch of n times is one decomposition of the n drifts, stacked
     ts = np.linspace(0.1, 1.9, 12)
@@ -179,7 +177,7 @@ def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
         assert calls == ["decompose"] and batches == [(12,)]
     calls.clear()
     analytic = random_smooth_model(4, 3, seed=8)
-    build_frame(analytic, 0.0, 2.0, tol=1e-8, checkpoints=9).hamiltonian_at(0.9)
+    build_frame(analytic, 0.0, 2.0, tol=1e-8, checkpoints=9).hamiltonian_at(np.array([0.9]))
     assert calls == []
 
 
@@ -207,10 +205,12 @@ def test_integrated_transporter_asks_for_the_kato_generator_once_per_chunk(monke
 
 
 def test_static_drift_hamiltonian_is_bit_identical_to_its_parts():
-    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 5.0)
-    for t in (0.0, 0.7, 3.3):
-        expected = frame.model.gamma * frame.drift_at(t) + frame.drive_at(t)
-        assert np.array_equal(frame.hamiltonian_at(t), expected)
+    model = three_level_model(10.0, 1.0)
+    frame = build_frame(model, 0.0, 5.0)
+    ts = np.array([0.0, 0.7, 3.3])
+    for t, h in zip(ts, frame.hamiltonian_at(ts)):
+        drift = np.einsum("k,kij->ij", model.spectral_at(t).eigenvalues, frame.frozen.projector_stack)
+        assert np.array_equal(h, model.gamma * drift + model.drive(t))
 
 
 def test_batch_straddling_a_block_merge_raises_crossing_detected():
@@ -316,25 +316,28 @@ def test_transporter_uses_closed_form_when_present(monkeypatch):
 def test_frame_generators_at_initial_time():
     model = landau_zener_model(2.0)
     frame = build_frame(model, -5.0, 5.0)
-    b, c = frame.drift_at(-5.0), frame.drive_at(-5.0)
-    a0 = kato_generator(model, -5.0)
-    assert spectral_norm(b - model.drift(-5.0)) < 1e-12
-    assert spectral_norm(c - (model.drive(-5.0) - a0)) < 1e-10
+    t0 = np.array([-5.0])
+    rates, c = frame.split_at(t0)
+    b = np.einsum("tk,kij->tij", rates / model.gamma, frame.frozen.projector_stack)
+    a0 = kato_generator(model, t0)
+    assert spectral_norm(b - model.drift(t0)) < 1e-12
+    assert spectral_norm(c - (model.drive(t0) - a0)) < 1e-10
 
 
 def test_frame_drive_lz_closed_form():
     model = landau_zener_model(2.0)
     frame = build_frame(model, -10.0, 10.0, tol=1e-11)
-    for t in (-10.0, -2.0, 0.0, 3.7, 10.0):
+    ts = np.array([-10.0, -2.0, 0.0, 3.7, 10.0])
+    for t, drive in zip(ts, frame.split_at(ts)[1]):
         expected = -1j * Y / (2.0 * (1.0 + t * t))
-        assert spectral_norm(frame.drive_at(t) - expected) < 1e-8
+        assert spectral_norm(drive - expected) < 1e-8
 
 
 def test_frame_drift_commutes_with_frozen_blocks():
     model = random_smooth_model(5, 3, seed=14)
     frame = build_frame(model, 0.0, 4.0)
-    for t in (0.0, 1.1, 2.6, 4.0):
-        b = frame.drift_at(t)
+    ts = np.array([0.0, 1.1, 2.6, 4.0])
+    for b in (frame.hamiltonian_at(ts) - frame.split_at(ts)[1]) / model.gamma:
         for p in frame.blocks:
             assert spectral_norm(b @ p - p @ b) < 1e-10
 
@@ -342,8 +345,7 @@ def test_frame_drift_commutes_with_frozen_blocks():
 def test_frame_hamiltonian_skew_hermitian():
     model = random_smooth_model(4, 2, seed=15)
     frame = build_frame(model, 0.0, 3.0)
-    for t in (0.2, 1.5, 2.9):
-        h = frame.hamiltonian_at(t)
+    for h in frame.hamiltonian_at(np.array([0.2, 1.5, 2.9])):
         assert spectral_norm(h + h.conj().T) < 1e-10
 
 
@@ -483,16 +485,19 @@ def test_batched_frame_evaluation_is_the_per_time_one_bit_for_bit(case, tmp_path
     ts = rng.permutation(np.concatenate([knots, between, rng.uniform(t0, t1, 8)]))
     rates, drives = frame.split_at(ts)
     hamiltonians = frame.hamiltonian_at(ts)
+    rotated = frame.rotated_at(ts)
     transporters = frame.w_path.at(ts)
     assert rates.shape == (len(ts), len(frame.blocks))
     stack = (len(ts), model.dim, model.dim)
-    assert drives.shape == hamiltonians.shape == transporters.shape == stack
+    assert drives.shape == hamiltonians.shape == rotated.shape == transporters.shape == stack
     for i, t in enumerate(ts):
+        one = ts[i : i + 1]  # the frame takes one time as a one-element batch
+        rate, drive = frame.split_at(one)
+        assert rate.tobytes() == rates[i : i + 1].tobytes()
+        assert drive.tobytes() == drives[i : i + 1].tobytes()
+        assert frame.hamiltonian_at(one).tobytes() == hamiltonians[i : i + 1].tobytes()
+        assert frame.rotated_at(one).tobytes() == rotated[i : i + 1].tobytes()
         for time in (t, float(t)):
-            rate, drive = frame.split_at(time)
-            assert rate.tobytes() == rates[i].tobytes()
-            assert drive.tobytes() == drives[i].tobytes()
-            assert frame.hamiltonian_at(time).tobytes() == hamiltonians[i].tobytes()
             assert frame.w_path.at(time).tobytes() == transporters[i].tobytes()
             for part in (model.drift, model.drive, model.drift_derivative):
                 assert part(time).tobytes() == part(ts)[i].tobytes()
@@ -511,7 +516,7 @@ def test_rotated_generator_is_the_frame_hamiltonian_rotated_exactly(case, tmp_pa
     assert np.array_equal(frame.phases(np.array([t0]))[0], np.zeros((1, len(frame.blocks))))
     assert (slope is None) == (model.static_drift or model.analytic_phases is not None)
     if slope is None:
-        slope = model.eigenvalues_at(ts)
+        slope = model.spectral_at(ts).eigenvalues
     e = np.exp(frame.phases_at(ts))
     assert np.array_equal(e, np.exp(model.gamma * phi[:, labels]))
     rotated = frame.rotated_at(ts) + model.gamma * slope[:, labels][:, :, None] * np.eye(model.dim)
@@ -528,13 +533,44 @@ def test_landau_zener_phases_are_the_integral_of_the_eigenvalues():
     assert slope is None
     # composite Simpson on 4,000 panels per checkpoint interval
     fine = np.linspace(-20.0, 20.0, 40 * 8000 + 1)
-    b = frame.model.eigenvalues_at(fine)
+    b = frame.model.spectral_at(fine).eigenvalues
     h = 40.0 / (40 * 8000)
     panels = h / 3 * (b[:-1:2] + 4 * b[1::2] + b[2::2])
     # pairwise sums within an interval, so that roundoff does not grow with the panels
     intervals = panels.reshape(40, 4000, 2).sum(axis=1)
     quadrature = np.concatenate([[np.zeros(2)], np.cumsum(intervals, axis=0)])
     assert np.max(np.abs(phi - quadrature) / np.maximum(1.0, np.abs(phi))) < 1e-12
+
+
+def test_build_frame_refuses_analytic_phases_that_are_not_the_integral_of_the_eigenvalues():
+    # exact phases add no residual to the rotated generator, so phases off by
+    # 0.1% would give a wrong M without an error
+    model = landau_zener_model(2.0)
+    scaled = dataclasses.replace(model, analytic_phases=lambda t: 1.001 * model.analytic_phases(t))
+    message = r"model 'landau_zener': analytic_phases .* at t=-25 \(block 0: derivative off by 2\.50e-02\)"
+    with pytest.raises(ValueError, match=message):
+        build_frame(scaled, -25.0, 25.0)
+    build_frame(model, -200.0, 200.0)  # the closed form passes on a wide span
+    for seed in range(3):
+        build_frame(random_smooth_model(4, 3, seed=seed), 0.0, 10.0)
+
+
+@pytest.mark.parametrize("case, calls", [("landau_zener", 0), ("three_level", 0), ("tabulated", 1)])
+def test_rotated_generator_asks_for_the_rates_only_for_spline_phases(case, calls, tmp_path, monkeypatch):
+    # exact phases leave no residual, so no decomposition is taken for its
+    # rates; spline phases take one stacked decomposition of all the times
+    model, t0, t1 = FRAME_CASES[case](tmp_path)
+    frame = build_frame(model, t0, t1, tol=1e-8, checkpoints=9)
+    sizes = []
+    spectral_at = GeneratorModel.spectral_at
+
+    def counted(self, t):
+        sizes.append(np.shape(t))
+        return spectral_at(self, t)
+
+    monkeypatch.setattr(GeneratorModel, "spectral_at", counted)
+    frame.rotated_at(np.linspace(t0, t1, 12))
+    assert sizes == [(12,)] * calls
 
 
 def test_tabulated_model_refuses_a_batch_reaching_outside_its_span(tmp_path):

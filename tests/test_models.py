@@ -20,10 +20,9 @@ from blochwave import (
     propagate,
     random_smooth_model,
     spectral_norm,
-    three_level_lab_frame,
     three_level_model,
 )
-from tests.helpers import lz_projector_derivative
+from tests.helpers import lz_projector_derivative, three_level_lab_frame
 from tests.helpers import write_tabulated as _write_tabulated
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -188,7 +187,7 @@ def test_random_model_gap_floor():
     model = random_smooth_model(6, 3, seed=5, min_gap=1.0)
     gaps = []
     for t in np.linspace(0.0, 20.0, 400):
-        lam = np.sort(model.eigenvalues_at(t).imag)
+        lam = np.sort(model.spectral_at(t).eigenvalues.imag)
         gaps.append(np.min(np.diff(lam)))
     assert min(gaps) >= 1.0
 

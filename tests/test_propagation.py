@@ -375,7 +375,7 @@ STEP_CAP_CASES = {
 def test_step_cap_is_the_per_time_formula_from_one_batched_call(case, tmp_path, monkeypatch):
     frame = STEP_CAP_CASES[case](tmp_path)
     t0, t1 = frame.t0, frame.t1
-    expected = per_time_max_step(frame.hamiltonian_at, t0, t1)
+    expected = per_time_max_step(lambda t: frame.hamiltonian_at(np.array([t]))[0], t0, t1)
     calls = []
     original = AdiabaticFrame.hamiltonian_at
 
