@@ -8,13 +8,12 @@ DOP853 operation by operation, so each problem's states and step times are
 bit-identical to SciPy's, with two exceptions.  The ``t0`` checkpoint is the
 initial state itself, and the terminal event's root is bisected on the step
 polynomial to about 4 eps (SciPy runs Brent's method to the same tolerance).
-Each problem keeps its own step size, controller, checkpoints and event; an
-iteration shares only the calls.  The right-hand side is :class:`Staged`: its
-state-independent part (the coefficients) is asked for once per iteration,
-at the twelve stage times of every running problem, and once more at the
-three extra stage times of the step polynomials it needs (for a checkpoint
-inside a step, or an event's root); only the cheap state-dependent part runs
-per stage, on the stacked states.
+Each problem keeps its own step size, scalar controller and event.  An
+iteration asks the :class:`Staged` right-hand side for its coefficients (the
+state-independent part) at the twelve stage times of every running problem
+and the three extra ones of each step polynomial it needs (for a checkpoint
+inside a step, or an event's root), and stacks the stages, the error norms
+and the checkpoint rows over the problems.
 
 :func:`integrate_linear` steps a linear flow ``X' = G(t) X`` a round at a
 time.  Its stage matrices do not depend on the state, so every segment's
@@ -190,36 +189,41 @@ def _by_stage(coefficients, count: int):
     return c.reshape(count, -1, *c.shape[1:])
 
 
-def _evaluate(step, ts: np.ndarray) -> np.ndarray:
-    """A step polynomial at a 1-D array of times, one row each, with SciPy's
-    Horner recurrence."""
-    t_old, h, coeffs, y_old, zero = step
-    x = ((ts - t_old) / h)[:, None]
+def _evaluate(polynomials, owner: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Row ``i``: the step polynomial of problem ``owner[i]`` (of the stacks of
+    :func:`_step_polynomials`) at ``ts[i]``, by SciPy's Horner recurrence."""
+    t_old, h, coeffs, y_old = polynomials
+    x = ((ts - t_old[owner]) / h[owner])[:, None]
     factors = (x.astype(complex), (1 - x).astype(complex))
-    y = (zero + coeffs[0]) * factors[0]
-    for i in range(1, len(coeffs)):
-        y += coeffs[i]
+    coeffs = coeffs[owner]
+    y = (coeffs[:, 0] + 0j) * factors[0]  # SciPy adds the first to zeros
+    for i in range(1, coeffs.shape[1]):
+        y += coeffs[:, i]
         y *= factors[i % 2]
-    y += y_old
+    y += y_old[owner]
     return y
 
 
-def _norm(x: np.ndarray) -> float:  # a complex vector's 2-norm, as np.linalg.norm computes it
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+def _squared_norms(x: np.ndarray) -> list:
+    """The squared 2-norms of a complex stack's rows as Python floats, each
+    ``x.real.dot(x.real) + x.imag.dot(x.imag)`` (``np.linalg.norm``'s) bit for bit."""
+    return (np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)).tolist()
 
 
-def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol) -> float:
-    """The starting step of Hairer, Nørsett & Wanner §II.4, as SciPy takes it."""
-    interval_length = abs(t_bound - t0)
+def _initial_steps(fun: Staged, grids, y0, f0, max_step, rtol, atol) -> list:
+    """The starting steps of Hairer, Nørsett & Wanner §II.4, as SciPy takes
+    them, of the problems over ``grids``, all probed in one call."""
     scale = atol + np.abs(y0) * rtol
-    root_n = y0.size**0.5
-    d0, d1 = _norm(y0 / scale) / root_n, _norm(f0 / scale) / root_n
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _norm((f1 - f0) / scale) / root_n / h0
-    small = d1 <= 1e-15 and d2 <= 1e-15
-    h1 = max(1e-6, h0 * 1e-3) if small else (0.01 / max(d1, d2)) ** (1 / 8)
-    return float(min(100 * h0, h1, interval_length, max_step))
+    root_n = y0.shape[1] ** 0.5
+    d0, d1 = ([math.sqrt(s) / root_n for s in _squared_norms(x / scale)] for x in (y0, f0))
+    spans = [abs(times[-1] - times[0]) for times in grids]
+    h0 = [min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, span) for a, b, span in zip(d0, d1, spans)]
+    probes = [times[0] + h for times, h in zip(grids, h0)]
+    f1 = fun.step(fun.coefficients(np.array(probes)), y0 + np.array(h0)[:, None] * f0)
+    d2 = [math.sqrt(s) / root_n / h for s, h in zip(_squared_norms((f1 - f0) / scale), h0)]
+    h1 = [max(1e-6, h * 1e-3) if a <= 1e-15 and b <= 1e-15 else (0.01 / max(a, b)) ** (1 / 8)
+          for h, a, b in zip(h0, d1, d2)]
+    return [float(min(100 * h, h_1, span, max_step)) for h, h_1, span in zip(h0, h1, spans)]
 
 
 def _per_problem(K: np.ndarray) -> np.ndarray:
@@ -227,9 +231,9 @@ def _per_problem(K: np.ndarray) -> np.ndarray:
     return K.transpose(1, 2, 0)
 
 
-def _step_polynomials(fun: Staged, K, t_old, h, y_old, y, f) -> list:
-    """The polynomials of accepted steps ``t_old -> t_old + h`` (one problem
-    per column of the stages ``K``), from three more stages each."""
+def _step_polynomials(fun: Staged, K, t_old, h, y_old, y, f) -> tuple:
+    """The polynomials of accepted steps ``t_old -> t_old + h`` (a problem per
+    column of ``K``) as stacks ``(t_old, h, coefficients, y_old)``, highest power first."""
     hs = np.empty(y.shape, dtype=complex)
     hs[:] = h[:, None]  # complex, as SciPy's scalar h is cast, and unbroadcast
     nodes = _by_stage(fun.coefficients((t_old + DENSE_COLUMN * h).ravel()), 3)
@@ -239,8 +243,7 @@ def _step_polynomials(fun: Staged, K, t_old, h, y_old, y, f) -> list:
     delta_y = y - y_old
     F[:, 0], F[:, 1], F[:, 2] = delta_y, hs * K[0] - delta_y, 2 * delta_y - hs * (f + K[0])
     F[:, 3:] = hs[:, None] * np.matmul(_D, K.swapaxes(0, 1))
-    zero = np.zeros(y.shape[1], dtype=complex)
-    return [(a, b, c[::-1], d, zero) for a, b, c, d in zip(t_old.tolist(), h.tolist(), F, y_old)]
+    return t_old, h, F[:, ::-1], y_old
 
 
 class _Problem:
@@ -257,6 +260,16 @@ class _Problem:
         self.n_accepted = self.n_rejected = self.n_dense = 0
 
 
+def _grids(grid, count: int) -> list:
+    """The checkpoint times of ``count`` problems, from one grid or one each."""
+    one = len(grid) == 0 or np.ndim(grid[0]) == 0
+    grids = [np.asarray(g, dtype=float) for g in ([grid] if one else grid)]
+    bad = any(g.ndim != 1 or len(g) < 2 or not np.all(np.diff(g) > 0) for g in grids)
+    if bad or not one and len(grids) != count:
+        raise ValueError("need one grid, or one per problem, of at least two strictly increasing times")
+    return [grids[0].tolist()] * count if one else [g.tolist() for g in grids]
+
+
 def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) -> IvpStack:
     """Integrate ``y' = fun(t, y)`` for each row of ``y0``, a stack of
     independent complex vector problems, over strictly increasing checkpoint
@@ -266,25 +279,24 @@ def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) ->
 
     The problems step in lockstep, each under its own control: an iteration
     attempts one step of every running problem, at its own time and step
-    size, with one ``coefficients`` call at all their stage times and
-    stacked stage arithmetic.  Error norms, step controllers, checkpoints
-    and events stay per problem, so each result is bit for bit the one the
-    problem gets alone.  A problem retires at its last checkpoint or its
-    event.
+    size, with one call per kind of work (the ``coefficients`` at all stage
+    times, the stages, the error norms, the checkpoint rows of every step
+    polynomial).  The scalar controllers (Python floats, as SciPy's) and
+    events stay per problem, so each result is bit for bit the one the
+    problem gets alone.  A problem retires at its last checkpoint or event.
 
     Raises:
+        ValueError: for a malformed grid, or not one grid per problem.
         IntegratorFailure: when a step falls below 10 ulp of its problem's ``t``.
     """
     coefficients, stage = fun.coefficients, fun.step
     y = np.array(y0, dtype=complex)
     n = y.shape[1]
-    one_grid = isinstance(grid, np.ndarray) and grid.ndim == 1
-    grids = [g.tolist() for g in ([grid] * len(y) if one_grid else grid)]
+    grids = _grids(grid, len(y))
     f = stage(coefficients(np.array([times[0] for times in grids])), y)
     problems = [
-        _Problem(times, _initial_step(fun, times[0], y_p, times[-1], max_step, f_p, rtol, atol),
-                 y_p, None if event is None else event(times[0], y_p))
-        for times, y_p, f_p in zip(grids, y, f)
+        _Problem(times, h_p, y_p, None if event is None else event(times[0], y_p))
+        for times, h_p, y_p in zip(grids, _initial_steps(fun, grids, y, f, max_step, rtol, atol), y)
     ]
     active, K = problems, None
     while active:
@@ -315,9 +327,9 @@ def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) ->
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err5 = np.matmul(k_error, _E5) / scale
         err3 = np.matmul(k_error, _E3) / scale
-        for p, e5, e3 in zip(active, err5, err3):
-            # Python floats: the IEEE operations of NumPy's scalars, at less cost
-            err5_2, err3_2 = _norm(e5) ** 2, _norm(e3) ** 2
+        for p, s5, s3 in zip(active, _squared_norms(err5), _squared_norms(err3)):
+            # Python floats: NumPy's array ** differs from Python's in the last bit
+            err5_2, err3_2 = math.sqrt(s5) ** 2, math.sqrt(s3) ** 2
             if err5_2 == 0 and err3_2 == 0:
                 error_norm = 0.0
             else:
@@ -353,24 +365,27 @@ def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) ->
                 if p.g <= 0 <= g_new:
                     fired.append(j)
                 p.g = g_new
-            if j in fired or bisect_right(p.times, p.t) > len(p.rows):
+            if j in fired or p.times[len(p.rows)] <= p.t:
                 need.append(j)
         if need:
             some = slice(None) if len(need) == len(active) else need
             polynomials = _step_polynomials(fun, K[:, some], t[some], h[some], y_old[some], y[some], f[some])
-            for j, step in zip(need, polynomials):
+            ts, owner = [], []  # the checkpoints each step passes, in one stack
+            for k, j in enumerate(need):
                 p = active[j]
                 p.n_dense += 1
                 if j in fired:
-                    lo, hi = step[0], p.t  # bisect down to about 4 eps
+                    lo, hi, mine = float(polynomials[0][k]), p.t, np.array([k])  # bisect to ~4 eps
                     while hi - lo > 4 * np.finfo(float).eps * (1.0 + abs(hi)):
                         mid = 0.5 * (lo + hi)
-                        y_mid = _evaluate(step, np.array([mid]))[0]
+                        y_mid = _evaluate(polynomials, mine, np.array([mid]))[0]
                         lo, hi = (mid, hi) if event(mid, y_mid) < 0 else (lo, mid)
                     p.event_time = p.t = float(0.5 * (lo + hi))
-                i_new = bisect_right(p.times, p.t)
-                if i_new > len(p.rows):
-                    p.rows.extend(_evaluate(step, np.array(p.times[len(p.rows) : i_new])))
+                new = p.times[len(p.rows) : bisect_right(p.times, p.t)]
+                ts += new
+                owner += [k] * len(new)
+            for k, row in zip(owner, _evaluate(polynomials, np.array(owner, dtype=int), np.array(ts))):
+                active[need[k]].rows.append(row)
         if fired or ended:  # retire the problems that are done
             running = [j for j, p in enumerate(active) if p.event_time is None and p.t < p.t_bound]
             active, y, f = [active[j] for j in running], y[running], f[running]

@@ -247,6 +247,82 @@ def test_stacked_problems_each_match_their_solo_run_bit_for_bit(case, count):
             assert count == 2 or (times[2] is None and stack[2].y.shape[1] == len(grids[2]))
 
 
+def dense_steps(sol):
+    """The step polynomials a solve built: what its ``nfev`` leaves over."""
+    return (sol.nfev - 2 - 12 * (sol.n_accepted + sol.n_rejected)) // 3
+
+
+def test_parareal_windows_each_match_their_solo_run_bit_for_bit():
+    # the production shape: 16 windows of one checkpoint grid, each from its
+    # own start time and state; where the checkpoints are dense a step
+    # passes several of them, where they are sparse most steps pass none
+    rhs, y0s, _, tol, kwargs = stacked_rotating_riccati()
+    times = np.concatenate([np.linspace(0.0, 10.0, 401)[:-1], np.linspace(10.0, 20.0, 26)])
+    cuts = np.sort(np.random.default_rng(3).choice(np.arange(1, len(times) - 1), 15, replace=False))
+    cuts = [0, *cuts.tolist(), len(times) - 1]
+    grids = [times[a : b + 1] for a, b in zip(cuts, cuts[1:])]
+    starts = [y0s[w % len(y0s)] for w in range(len(grids))]
+    solos = [solve_matrix_ivp(rhs, y0, g, tol, **kwargs) for y0, g in zip(starts, grids)]
+    stack = solve_matrix_ivp(rhs, starts, grids, tol, **kwargs)
+    for ours, solo in zip(stack, solos):
+        assert ours.y.shape == solo.y.shape and ours.y.tobytes() == solo.y.tobytes()
+        assert ours.stats() == solo.stats()
+    assert any(dense_steps(solo) < len(g) - 1 for solo, g in zip(solos, grids))
+    assert any(dense_steps(solo) < solo.n_accepted for solo in solos)
+
+    # the pole stack on fine grids, the problem without a pole first: an
+    # event fires in an iteration in which an earlier problem needs rows too
+    rhs, y0s, _, tol, kwargs = stacked_pole_event()
+    fine = np.linspace(0.0, 3.0, 3001)
+    y0s, grids = y0s[::-1], [np.linspace(0.0, 12.0, 12001), fine[200:], fine]
+    log = []  # the size of each coefficients batch, and None for each event call
+
+    def coefficients(ts):
+        log.append(len(ts))
+        return rhs.coefficients(ts)
+
+    def event(t, y):
+        log.append(None)
+        return kwargs["event"](t, y)
+
+    solos = [solve_matrix_ivp(rhs, y0, g, tol, **kwargs) for y0, g in zip(y0s, grids)]
+    stack = solve_matrix_ivp(Staged(coefficients, rhs.step), y0s, grids, tol, event=event)
+    for ours, solo in zip(stack, solos):
+        assert ours.y.shape == solo.y.shape and ours.y.tobytes() == solo.y.tobytes()
+        assert ours.stats() == solo.stats() and ours.event_time == solo.event_time
+    # with three problems an attempt asks for 12 to 36 times and the step
+    # polynomials for 3 per problem; a bisection follows the latter
+    firing = [size for size, after in zip(log[2:], log[3:]) if size is not None and size < 12 and after is None]
+    assert len(firing) == 2 and max(firing) > 3
+
+
+def test_stacked_squared_norms_are_the_per_row_dot_products_bit_for_bit():
+    # the premise that lets the lockstep loop take every problem's error norm
+    # in one call and still replay SciPy's np.linalg.norm of each
+    rng = np.random.default_rng(11)
+    for n in (4, 9, 36, 39, 111):
+        for rows in (1, 3, 64):
+            magnitude = 10.0 ** rng.uniform(-12, 3, (rows, 1))
+            x = magnitude * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+            expected = [row.real.dot(row.real) + row.imag.dot(row.imag) for row in x]
+            assert dop853._squared_norms(x) == [float(s) for s in expected]
+
+
+def test_integrate_reads_a_sequence_of_times_as_one_grid_and_refuses_bad_grids():
+    rhs, y0, grid, tol, _ = plain_case()
+    ref = solve_matrix_ivp(rhs, y0, grid, tol)
+    assert solve_matrix_ivp(rhs, y0, grid.tolist(), tol).y.tobytes() == ref.y.tobytes()
+    assert solve_matrix_ivp(rhs, y0, [0.0, 1.0, 2.0], 1e-8).y.shape == (16, 3)
+    stack = solve_matrix_ivp(rhs, [y0, y0], [grid.tolist(), grid[2:].tolist()], tol)
+    assert stack[0].y.tobytes() == ref.y.tobytes() and stack[1].y.shape == (16, len(grid) - 2)
+    bad = ([0.0, 1.0, 1.0], [0.0], [], [[0.0, 1.0], [1.0, 2.0]], [0.0, np.nan, 2.0], [2.0, 1.0])
+    for grid_ in bad:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            solve_matrix_ivp(rhs, y0, np.array(grid_), tol)
+    with pytest.raises(ValueError, match="one per problem"):
+        solve_matrix_ivp(rhs, [y0, y0], [grid, grid, grid], tol)
+
+
 def test_step_underflow_raises():
     # u' = u^2 with u(0) = 1 blows up at t = 1
     with pytest.raises(IntegratorFailure, match="spacing between numbers"):
