@@ -260,14 +260,20 @@ class _Problem:
         self.n_accepted = self.n_rejected = self.n_dense = 0
 
 
+def _checked_times(grid) -> np.ndarray:
+    """``grid`` as a 1-D float array of at least two finite, strictly increasing times."""
+    times = np.asarray(grid, dtype=float)
+    if times.ndim != 1 or len(times) < 2 or not np.isfinite(times).all() or (np.diff(times) <= 0).any():
+        raise ValueError("grid must hold at least two finite, strictly increasing times")
+    return times
+
+
 def _grids(grid, count: int) -> list:
     """The checkpoint times of ``count`` problems, from one grid or one each."""
-    one = len(grid) == 0 or np.ndim(grid[0]) == 0
-    grids = [np.asarray(g, dtype=float) for g in ([grid] if one else grid)]
-    bad = any(g.ndim != 1 or len(g) < 2 or not np.all(np.diff(g) > 0) for g in grids)
-    if bad or not one and len(grids) != count:
+    grids = [grid] * count if len(grid) == 0 or np.ndim(grid[0]) == 0 else list(grid)
+    if len(grids) != count:
         raise ValueError("need one grid, or one per problem, of at least two strictly increasing times")
-    return [grids[0].tolist()] * count if one else [g.tolist() for g in grids]
+    return [_checked_times(g).tolist() for g in grids]
 
 
 def integrate(fun: Staged, y0, grid, rtol, atol, max_step=np.inf, event=None) -> IvpStack:
@@ -551,10 +557,11 @@ def integrate_linear(generator, grid, atol, max_step=np.inf, dense=False) -> Ivp
     steps; ``dense`` is a :class:`LinearDenseOutput`.
 
     Raises:
+        ValueError: for a malformed grid (see :func:`_checked_times`).
         IntegratorFailure: when a segment falls below 10 ulp of its start,
             or its error norm is not finite.
     """
-    knots = np.asarray(grid, dtype=float)
+    knots = _checked_times(grid)
     per_call = MAX_NODES // N_STAGES
     span = knots[-1:] - knots[0]
     lo, hi = _split(knots[:1], knots[-1:], np.maximum(1, np.ceil(span / max_step)))

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CrossingDetected, IntegratorFailure
-from .models import GeneratorModel, _not_a_knot_spline
+from .models import GeneratorModel, _cubic_spline
 # match_labels is unused here but stays importable from this module: the
 # benchmark's tracer (perfbench/tracer.py) wraps blochwave.frame.match_labels
 from .operators import (  # noqa: F401
@@ -264,7 +264,7 @@ def _phase_integral(model: GeneratorModel, times: np.ndarray, frozen, stack=None
         return lambda ts: (model.analytic_phases(ts) - start, None)
     ends = times[[0, -1]]
     traces = np.einsum("tkij,tji->tk", stack.projector_stack[[0, -1]], model.drift_derivative(ends))
-    coeffs = _not_a_knot_spline(times, stack.eigenvalues, traces / np.array(stack.multiplicities))
+    coeffs = _cubic_spline(times, stack.eigenvalues, traces / np.array(stack.multiplicities))
     # the antiderivative on each interval, its constant term the integral up to the interval
     quartic = np.zeros((5, *coeffs.shape[1:]), dtype=complex)
     quartic[:4] = coeffs / np.array([4.0, 3.0, 2.0, 1.0])[:, None, None]

@@ -468,99 +468,54 @@ def random_smooth_model(
     )
 
 
-def _tridiagonal_solve(dl, d, du, b):
-    """Solve ``tridiag(dl, d, du) s = b`` for the rows of ``b`` (``(n, m)``
-    complex, overwritten) as LAPACK's ``zgtsv`` does, operation by operation:
-    Gaussian elimination with a row interchange wherever the subdiagonal entry
-    is the larger in ``|re| + |im|``, then back substitution.
-
-    The real matrix is held in Python complex numbers, whose products and
-    quotients are Fortran's formulas (Smith's quotient).  Their imaginary
-    parts stay signed zeros, so NumPy's products of them with ``b`` round as
-    Fortran's do, fused or not; the quotients are taken in real arithmetic,
-    because NumPy divides by a complex through its reciprocal.
-    """
-    n = len(d)
-    dl, d, du = ([complex(v) for v in diag] for diag in (dl, d, du))
-    for k in range(n - 1):
-        if dl[k] == 0:  # nothing to eliminate (the two-row chord)
-            continue
-        if abs(d[k].real) + abs(d[k].imag) >= abs(dl[k].real) + abs(dl[k].imag):
-            mult = dl[k] / d[k]
-            d[k + 1] -= mult * du[k]
-            b[k + 1] -= mult * b[k]
-            if k < n - 2:
-                dl[k] = 0j
-        else:
-            mult = d[k] / dl[k]
-            below = d[k + 1]
-            d[k], d[k + 1] = dl[k], du[k] - mult * below
-            if k < n - 2:
-                dl[k] = du[k + 1]
-                du[k + 1] = -(mult * dl[k])
-            du[k] = below
-            b[k], b[k + 1] = b[k + 1].copy(), b[k] - mult * b[k + 1]
-
-    def divide(v, c):
-        # Smith: (v.real + v.imag r, v.imag - v.real r) / (c.real + c.imag r)
-        # with r = c.imag / c.real, a signed zero, so the product is exact
-        ratio = c.imag / c.real
-        out = v * complex(1.0, -ratio)
-        out.view(float)[...] /= c.imag * ratio + c.real
-        return out
-
-    b[-1] = divide(b[-1], d[-1])
-    b[-2] = divide(b[-2] - du[-1] * b[-1], d[-2])
-    for k in range(n - 3, -1, -1):
-        b[k] = divide(b[k] - du[k] * b[k + 1] - dl[k] * b[k + 2], d[k])
-    return b
-
-
-def _not_a_knot_spline(x, y, end_slopes=None):
+def _cubic_spline(x, y, end_slopes=None):
     """Coefficients ``(4, n - 1, ...)``, highest power first, of the cubic
-    spline through rows ``y`` (complex) at increasing times ``x`` with de Boor's
-    not-a-knot ends: bit for bit those of SciPy 1.17.1's
-    ``CubicSpline(x, y, axis=0)``, whose arithmetic this replays.  Given
-    ``end_slopes``, the derivatives at the first and last time, the ends are
-    clamped to them instead.  Two rows
-    give the chord and three the parabola through them, as SciPy's special
-    cases do; more give the end slopes from the tridiagonal system for the
-    knot slopes, and each interval is the Hermite cubic of its two values and
-    slopes.  The parabola's slopes come from ``numpy.linalg.solve``, which is
-    SciPy's LAPACK solve bit for bit except for a single column (1×1
-    samples), where SciPy's one-right-hand-side path can differ in the last
-    bit.
+    spline through rows ``y`` (complex) at increasing times ``x``, with de
+    Boor's not-a-knot ends or, given ``end_slopes`` (the derivatives at the
+    first and last time), clamped ends.  Each interval is the Hermite cubic
+    of its values and knot slopes.  Not-a-knot ends give the chord through
+    two rows and the parabola through three.  Otherwise each not-a-knot end
+    row is folded into its neighbour, which leaves a strictly diagonally
+    dominant tridiagonal system for the interior slopes, solved in O(n) by
+    elimination without interchanges (stable: Higham, *Accuracy and Stability
+    of Numerical Algorithms*, §9.5).  The spline agrees with SciPy's
+    ``CubicSpline`` to roundoff, and as it takes only real multiples and sums
+    of rows, skew-Hermitian samples give an exactly skew-Hermitian spline.
     """
     n = len(x)
     dx = np.diff(x)
     dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
-    if n == 3 and end_slopes is None:  # the two end conditions coincide
-        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
-        b = np.stack((2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]), 2 * slope[1]))
-        s = np.linalg.solve(a, b.reshape(3, -1)).reshape(b.shape)
-    else:
-        dl, d, du = np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
-        b = np.empty((n,) + y.shape[1:], dtype=complex)
-        d[1:-1] = 2 * (dx[:-1] + dx[1:])
-        du[1:] = dx[:-1]
-        dl[:-1] = dx[1:]
-        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        if end_slopes is not None:
-            d[0] = d[-1] = 1.0
-            du[0] = dl[-1] = 0.0
-            b[0], b[-1] = end_slopes
-        elif n == 2:  # both ends take the chord's slope
-            d[:] = 1.0
-            b[0] = b[-1] = slope[0]
-        else:
-            span = x[2] - x[0]
-            d[0], du[0] = dx[1], span
-            b[0] = ((dxr[0] + 2 * span) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / span
-            span = x[-1] - x[-3]
-            d[-1], dl[-1] = dx[-2], span
-            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * span + dxr[-1]) * dxr[-2] * slope[-1]) / span
-        s = _tridiagonal_solve(dl, d, du, b.reshape(n, -1)).reshape(b.shape)
+    s = np.empty(y.shape, dtype=complex)
+    if end_slopes is not None:
+        s[0], s[-1] = end_slopes
+    if end_slopes is None and n < 4:
+        bend = (slope[-1] - slope[0]) / (x[-1] - x[0])  # zero for the chord
+        s[:-1] = slope - dxr * bend
+        s[-1] = slope[-1] + dxr[-1] * bend
+    elif n > 2:
+        h = dx.tolist()
+        # row k: h[k+1] s[k] + 2 (h[k] + h[k+1]) s[k+1] + h[k] s[k+2] = rhs[k]
+        diag = [2 * (a + b) for a, b in zip(h, h[1:])]
+        rhs = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        ends = ((0, 1), (-1, -2))  # each end's index, and the index next to it
+        for o, i in ends:
+            if end_slopes is not None:
+                rhs[o] -= h[i] * s[o]
+            else:  # fold: the row next to the end, less the end row
+                diag[o] = h[o] + h[i]
+                rhs[o] = (h[i] ** 2 * slope[o] + h[o] * (2 * h[o] + 3 * h[i]) * slope[i]) / diag[o]
+        for k in range(1, n - 2):
+            w = h[k + 1] / diag[k - 1]
+            diag[k] -= w * h[k - 1]
+            rhs[k] -= w * rhs[k - 1]
+        s[-2] = rhs[-1] / diag[-1]
+        for k in range(n - 4, -1, -1):
+            s[k + 1] = (rhs[k] - h[k] * s[k + 2]) / diag[k]
+        if end_slopes is None:  # each end row gives its end slope
+            for o, i in ends:
+                r = h[o] / h[i]
+                s[o] = ((3 * r + 2) * slope[o] - (2 * r + 1) * s[i] + r * r * (slope[i] - s[i])) / (r + 1)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
 
@@ -610,7 +565,8 @@ def _piecewise_cubic(coeffs, x):
 
 def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     """Custom model from a tabulated-matrix CSV file, interpolated by the
-    not-a-knot cubic spline of :func:`_not_a_knot_spline`.
+    not-a-knot cubic spline of :func:`_cubic_spline`: an O(n) fit that
+    agrees with SciPy's ``CubicSpline`` to roundoff.
 
     Format: one header line ``time,B_00,B_01,...,C_00,...`` followed by rows
     of a strictly increasing time column and the row-major complex entries of
@@ -666,7 +622,7 @@ def load_tabulated_model(path, gamma: float) -> GeneratorModel:
     # one cubic with coefficients (power, interval, [B, C, B'], row, column):
     # B = a s^3 + b s^2 + c s + d on an interval gives B' = 3a s^2 + 2b s + c
     coeffs = np.zeros((4, len(times) - 1, 3, dim, dim), dtype=complex)
-    coeffs[:, :, :2] = _not_a_knot_spline(times, samples)
+    coeffs[:, :, :2] = _cubic_spline(times, samples)
     coeffs[1:, :, 2] = coeffs[:-1, :, 0] * np.array([3.0, 2.0, 1.0])[:, None, None, None]
     table = _piecewise_cubic(coeffs, times)
     between = (times[:-1, None] + np.diff(times)[:, None] * np.array([0.25, 0.5, 0.75])).ravel()

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dop853 import IvpResult, IvpStack, Staged, integrate, integrate_linear
+from .dop853 import IvpResult, IvpStack, Staged, _checked_times, integrate, integrate_linear
 from .errors import IntegratorFailure
 from .operators import require_skew_hermitian, spectral_norm, stack_matmul
 
@@ -161,11 +161,8 @@ def _estimate_max_step(generator, t0: float, t1: float, samples: int = 33) -> fl
 
 
 def _checked_grid(grid, t0: float) -> np.ndarray:
-    """``grid`` as a float array, refused unless it holds at least two
-    strictly increasing times, one-dimensional, starting at ``t0``."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must contain at least two strictly increasing times")
+    """``grid`` as :func:`~blochwave.dop853._checked_times` checks it, starting at ``t0``."""
+    grid = _checked_times(grid)
     if grid[0] != t0:
         raise ValueError(f"grid[0] = {grid[0]!r} must equal t0 = {t0!r}")
     return grid

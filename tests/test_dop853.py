@@ -323,6 +323,17 @@ def test_integrate_reads_a_sequence_of_times_as_one_grid_and_refuses_bad_grids()
         solve_matrix_ivp(rhs, [y0, y0], [grid, grid, grid], tol)
 
 
+def test_one_grid_check_refuses_non_finite_times():
+    # checked without stepping: an infinite last time never retires a problem
+    with pytest.raises(ValueError, match="finite, strictly increasing"):
+        dop853._checked_times([0.0, 1.0, np.inf])
+    with pytest.raises(ValueError, match="finite, strictly increasing"):
+        dop853._grids([0.0, 1.0, np.inf], 1)
+    # a NaN checkpoint was given some finite map
+    with pytest.raises(ValueError, match="finite, strictly increasing"):
+        dop853.integrate_linear(constant(-1j * np.eye(2)), [0.0, np.nan, 2.0], 1e-8)
+
+
 def test_step_underflow_raises():
     # u' = u^2 with u(0) = 1 blows up at t = 1
     with pytest.raises(IntegratorFailure, match="spacing between numbers"):

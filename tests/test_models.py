@@ -356,7 +356,9 @@ def test_tabulated_loader_accepts_a_sample_exactly_when_decompose_does(tmp_path,
 
 
 def test_tabulated_accessors_equal_separate_splines_bit_for_bit(tmp_path):
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicSpline, PPoly
+
+    from blochwave.models import _cubic_spline
 
     source = random_smooth_model(4, 2, seed=11)
     times = np.linspace(-0.5, 3.5, 81)
@@ -364,26 +366,33 @@ def test_tabulated_accessors_equal_separate_splines_bit_for_bit(tmp_path):
     _write_tabulated(file, source, times)
     loaded = load_tabulated_model(file, gamma=source.gamma)
 
-    def spline(f):
-        return CubicSpline(times, np.stack([f(t) for t in times]), axis=0, extrapolate=False)
+    def splines(f):  # the loader's own piecewise cubic, and SciPy's spline
+        samples = np.stack([f(t) for t in times])
+        own = PPoly(_cubic_spline(times, samples), times, extrapolate=False)
+        return own, CubicSpline(times, samples, axis=0, extrapolate=False)
 
-    drift = spline(source.drift)
+    (drift, scipy_drift), drive = splines(source.drift), splines(source.drive)
     reference = {
-        "drift": drift,
-        "drive": spline(source.drive),
-        "drift_derivative": drift.derivative(),
+        "drift": (drift, scipy_drift),
+        "drive": drive,
+        "drift_derivative": (drift.derivative(), scipy_drift.derivative()),
     }
     rng = np.random.default_rng(5)
     calls = [(t, name) for t in rng.uniform(-0.5, 3.5, 20) for name in reference]
     for i in rng.permutation(len(calls)):
         t, name = calls[i]
+        own, scipys = reference[name]
         value = getattr(loaded, name)(t)
-        assert np.array_equal(value, reference[name](t))
+        assert value.tobytes() == own(t).tobytes()
+        # the knots are evenly spaced: SciPy's spline agrees to roundoff
+        assert np.abs(value - scipys(t)).max() <= 1e-12 * np.abs(scipys(times)).max()
         assert not value.flags.writeable
 
 
-# The spline is SciPy's CubicSpline replayed in NumPy; SciPy stays the
-# reference here, compared byte for byte, signed zeros included.
+# The spline agrees with SciPy's CubicSpline to roundoff, and SciPy stays the
+# reference: the knot slopes are compared on every knot set, the values on
+# evenly spaced knots.  The piecewise cubic is PPoly's, byte for byte, signed
+# zeros included.
 
 
 def spline_knots(rows, spacing, rng):
@@ -391,8 +400,8 @@ def spline_knots(rows, spacing, rng):
         return np.linspace(-0.5, 3.5, rows)
     gaps = np.exp(rng.uniform(-7.0, 3.0, rows - 1))
     if rows > 3:
-        # a third gap above the first two together makes zgtsv interchange
-        # the second and third rows of the not-a-knot system
+        # a third gap above the first two together makes a pivoting solve
+        # of the not-a-knot system (SciPy's) interchange its second and third rows
         gaps[2] = 100.0 * (gaps[0] + gaps[1])
     return rng.uniform(-1.0, 1.0) + np.concatenate(([0.0], np.cumsum(gaps)))
 
@@ -422,28 +431,31 @@ def times_to_ask(knots, rng):
 def test_spline_is_scipys_cubic_spline_bit_for_bit(rows, spacing):
     from scipy.interpolate import CubicSpline, PPoly
 
-    from blochwave.models import _not_a_knot_spline, _piecewise_cubic
+    from blochwave.models import _cubic_spline, _piecewise_cubic
 
     rng = np.random.default_rng(rows)
     knots = spline_knots(rows, spacing, rng)
     samples = with_signed_zeros(
         rng.normal(size=(rows, 2, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2, 2)), rng
     )
-    coeffs = _not_a_knot_spline(knots, samples)
+    coeffs = _cubic_spline(knots, samples)
+    spline = CubicSpline(knots, samples, axis=0, extrapolate=False)
+    assert np.abs(coeffs[2] - spline.c[2]).max() <= 1e-11 * np.abs(spline.c[2]).max()
     table = _piecewise_cubic(coeffs, knots)
-    for k in (0, 1):
-        spline = CubicSpline(knots, samples[:, k], axis=0, extrapolate=False)
-        assert np.ascontiguousarray(coeffs[:, :, k]).tobytes() == spline.c.tobytes()
-        for t in times_to_ask(knots, rng):
-            assert table(t)[..., k, :, :].tobytes() == spline(t).tobytes()
+    ppoly = PPoly(coeffs, knots, extrapolate=False)
     # the NaN of a time outside the span is PPoly's too
     outside = np.array([np.nextafter(knots[0], -np.inf), np.nextafter(knots[-1], np.inf)])
-    assert table(outside).tobytes() == PPoly(coeffs, knots, extrapolate=False)(outside).tobytes()
+    for t in [*times_to_ask(knots, rng), outside]:
+        assert table(t).tobytes() == ppoly(t).tobytes()
+        if spacing == "uniform" and t is not outside:
+            assert np.abs(table(t) - spline(t)).max() <= 1e-12 * np.abs(samples).max()
 
 
 @pytest.mark.parametrize("rows", [2, 3, 4, 5, 81])
 def test_tabulated_model_is_scipys_spline_and_derivative_bit_for_bit(tmp_path, rows):
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicSpline, PPoly
+
+    from blochwave.models import _cubic_spline
 
     rng = np.random.default_rng(100 + rows)
     knots = spline_knots(rows, "non_uniform", rng)
@@ -457,16 +469,77 @@ def test_tabulated_model_is_scipys_spline_and_derivative_bit_for_bit(tmp_path, r
     file.write_text("\n".join(lines) + "\n")
     loaded = load_tabulated_model(file, gamma=1.0)
 
-    drift = CubicSpline(knots, samples[:, 0], axis=0, extrapolate=False)
+    own = PPoly(_cubic_spline(knots, samples), knots, extrapolate=False)
+    scipys = CubicSpline(knots, samples, axis=0, extrapolate=False)
     reference = {
-        "drift": drift,
-        "drive": CubicSpline(knots, samples[:, 1], axis=0, extrapolate=False),
-        "drift_derivative": drift.derivative(),
+        "drift": (lambda t: own(t)[..., 0, :, :], lambda t: scipys(t)[..., 0, :, :]),
+        "drive": (lambda t: own(t)[..., 1, :, :], lambda t: scipys(t)[..., 1, :, :]),
+        "drift_derivative": (
+            lambda t: own.derivative()(t)[..., 0, :, :],
+            lambda t: scipys.derivative()(t)[..., 0, :, :],
+        ),
     }
-    for t in times_to_ask(knots, rng):
-        for name, spline in reference.items():
-            assert getattr(loaded, name)(t).tobytes() == spline(t).tobytes(), name
+    asked = times_to_ask(knots, rng)
+    for name, (ours, theirs) in reference.items():
+        # from four rows on, the knots are far apart and the spline overshoots
+        # the samples by orders of magnitude: scale by its own size
+        scale = max(np.abs(theirs(t)).max() for t in asked)
+        for t in asked:
+            value = getattr(loaded, name)(t)
+            assert value.tobytes() == ours(t).tobytes(), name
+            assert np.abs(value - theirs(t)).max() <= 1e-12 * scale, name
     for name in reference:
         for t in (np.nextafter(knots[0], -np.inf), np.nextafter(knots[-1], np.inf)):
             with pytest.raises(ConfigError, match="outside its span"):
                 getattr(loaded, name)(t)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5, 65])
+def test_clamped_spline_is_scipys_cubic_spline(rows):
+    # the frame's phase integral clamps the spline of the block rates at its
+    # checkpoints to their derivatives at the ends
+    from scipy.interpolate import CubicSpline
+
+    from blochwave.models import _cubic_spline
+
+    rng = np.random.default_rng(rows)
+    even = np.linspace(-3.0, 47.0, rows)
+    for knots in (even, even + rng.uniform(-0.2, 0.2, rows) * (even[1] - even[0])):
+        rates = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+        ends = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        coeffs = _cubic_spline(knots, rates, ends)
+        spline = CubicSpline(knots, rates, axis=0, bc_type=((1, ends[0]), (1, ends[1])))
+        assert np.abs(coeffs - spline.c).max() <= 1e-14 * np.abs(spline.c).max()
+
+
+def test_spline_of_skew_hermitian_samples_is_exactly_skew_hermitian():
+    from blochwave.models import _cubic_spline, _piecewise_cubic
+
+    for case in range(50):
+        rng = np.random.default_rng(case)
+        rows, dim = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+        knots = np.cumsum(np.exp(rng.uniform(-5.0, 2.0, rows)))
+        z = rng.normal(size=(rows, dim, dim)) + 1j * rng.normal(size=(rows, dim, dim))
+        samples = with_signed_zeros(z - z.conj().swapaxes(-1, -2), rng)
+        table = _piecewise_cubic(_cubic_spline(knots, samples), knots)
+        v = table(np.concatenate((knots, rng.uniform(knots[0], knots[-1], 200))))
+        assert not np.any(v + v.conj().swapaxes(-1, -2)), case
+
+
+def test_spline_fit_memory_is_linear_in_the_knots():
+    # a dense 4001 x 4001 system alone would take 128 MB
+    import tracemalloc
+
+    from blochwave.models import _cubic_spline
+
+    rows = 4001
+    rng = np.random.default_rng(0)
+    samples = rng.normal(size=(rows, 1, 1)) + 1j * rng.normal(size=(rows, 1, 1))
+    knots = np.linspace(0.0, 100.0, rows)
+    tracemalloc.start()
+    try:
+        _cubic_spline(knots, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

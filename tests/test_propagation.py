@@ -140,6 +140,15 @@ def test_rejects_bad_grid():
         propagate(gen, 0.5, np.array([0.0, 1.0]), tol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grid_with_a_non_finite_time_is_refused_before_stepping(bad):
+    # NaN compares False, so a strictly-increasing check alone lets it pass
+    frame = build_frame(three_level_model(10.0, 1.0), 0.0, 2.0)
+    grid = [0.0, bad, 2.0] if np.isnan(bad) else [0.0, 1.0, bad]
+    with pytest.raises(ValueError, match="finite, strictly increasing"):
+        propagate(frame, 0.0, grid)
+
+
 def test_dense_output_interpolates():
     model = landau_zener_model(1.0)
     grid = np.linspace(0.0, 2.0, 5)
