@@ -272,7 +272,8 @@ def _grids(grid, count: int) -> list:
     """The checkpoint times of ``count`` problems, from one grid or one each."""
     grids = [grid] * count if len(grid) == 0 or np.ndim(grid[0]) == 0 else list(grid)
     if len(grids) != count:
-        raise ValueError("need one grid, or one per problem, of at least two strictly increasing times")
+        problems = f"{count} problem{'s' * (count != 1)}"
+        raise ValueError(f"{len(grids)} grids for {problems}: need one grid, or one per problem")
     return [_checked_times(g).tolist() for g in grids]
 
 

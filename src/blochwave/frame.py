@@ -17,9 +17,9 @@ static drift or a model's ``analytic_phases``, else a spline's integral), and
 :meth:`AdiabaticFrame.rotated_at` gives the generator of the rotated flow.
 
 Every evaluation takes a 1-D array of times and returns one value per time.
-The drift's rates have one source, its stacked decomposition
-(``model.spectral_at(ts).eigenvalues``), which also serves the Kato term
-that the transporter asks for once per batch of segments; the rotated
+A drift is decomposed once per batch (``model.spectral_at(ts)``, one
+``eigh``): its eigenvalues are the rates, and its eigenvectors give the Kato
+term that the transporter asks for once per batch of segments; the rotated
 generator asks for the rates only where the phases are a spline.
 
 The end-to-end consistency check of the construction is the factorization
@@ -71,27 +71,26 @@ def kato_generator(
     """Generator ``A(t) = (1/2) sum_k [P'_k(t), P_k(t)]`` of the adiabatic
     transporter, skew-Hermitian: one matrix per time of the 1-D array ``t``.
 
-    Exact from one decomposition ``B = sum_k b_k P_k`` of the drift and its
-    derivative ``B'`` (Kato's reduced-resolvent identity):
-    ``A = sum_{k != l} P_l B' P_k / (b_k - b_l)``.  Pass the stacked
-    decomposition at ``t`` as ``anchor`` when the caller already holds it,
-    else it is taken here.  A model's ``analytic_kato`` closed form takes
-    precedence.
+    Exact from one decomposition of the drift and its derivative ``B'``:
+    Kato's ``A = sum_{k != l} P_l B' P_k / (b_k - b_l)`` in the drift's
+    eigenbasis ``Q``, ``A = Q (Q† B' Q ∘ G) Q†`` with ``G_ij = 1 / (b_k(j) -
+    b_l(i))`` between blocks and 0 within one (unchanged by rotations within
+    a block).  Pass the stacked decomposition at ``t`` as ``anchor`` when the
+    caller already holds it, else it is taken here.  A model's
+    ``analytic_kato`` closed form takes precedence.
     """
     if model.analytic_kato is not None:
         return model.analytic_kato(t)
     if anchor is None:
         anchor = model.spectral_at(t)
-    proj, b = anchor.projector_stack, anchor.eigenvalues
-    bdot = model.drift_derivative(t)
-    out = np.zeros_like(bdot, dtype=complex)
-    blocks = range(b.shape[1])
-    for l in blocks:  # pair by pair: one matrix per time in memory, not K^2
-        left = stack_matmul(proj[:, l], bdot)
-        for k in blocks:
-            if k != l:
-                out += stack_matmul(left, proj[:, k]) / (b[:, k] - b[:, l])[:, None, None]
-    return out
+    q, b, labels = anchor.eigenvectors, anchor.eigenvalues, anchor.labels
+    gaps = b[:, None, :] - b[:, :, None]  # b_k - b_l at [l, k]
+    weights = np.divide(1.0, gaps, out=np.zeros_like(gaps), where=~np.eye(len(b[0]), dtype=bool))
+    q_h = q.conj().swapaxes(-1, -2)
+    inner = stack_matmul(stack_matmul(q_h, model.drift_derivative(t)), q)
+    inner *= weights[:, labels[:, None], labels]
+    inner = stack_matmul(q, inner)  # rebound, so that three stacks at most are alive
+    return stack_matmul(inner, q_h)
 
 
 def transporter(
@@ -173,10 +172,10 @@ class AdiabaticFrame:
         for a static drift; ``anchor`` is passed on to :func:`kato_generator`."""
         if self.model.static_drift:
             return self.model.drive(t)
-        w = self.w_path.at(t)
-        a = kato_generator(self.model, t, anchor)
-        # (W† X) W in this order: on np.matmul (d > 2) the frame tests pin its bits
-        x = stack_matmul(w.conj().swapaxes(-1, -2), self.model.drive(t) - a)
+        x = self.model.drive(t) - kato_generator(self.model, t, anchor)
+        w = self.w_path.at(t)  # after the Kato term, whose temporaries are gone
+        # (W† X) W in this order, which the written outputs' bits depend on
+        x = stack_matmul(w.conj().swapaxes(-1, -2), x)
         return stack_matmul(x, w)
 
     def split_at(self, t) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +270,7 @@ def _phase_integral(model: GeneratorModel, times: np.ndarray, frozen, stack=None
     quartic[4, 1:] = np.cumsum(_horner(quartic, np.diff(times)[:, None]), axis=0)[:-1]
 
     def phases(ts):
-        row = np.clip(np.searchsorted(times, ts, "right") - 1, 0, len(times) - 2)
+        row = np.searchsorted(times[1:-1], ts, "right")  # the end intervals extended
         s = (ts - times[row])[:, None]
         return _horner(quartic[:, row], s), _horner(coeffs[:, row], s)
 

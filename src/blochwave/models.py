@@ -440,12 +440,8 @@ def random_smooth_model(
         )
 
     def spectral(t) -> SpectralDecomposition:
-        r = rotation(t)[..., None, :, :]  # one rotation per time, for every block
-        return SpectralDecomposition(
-            eigenvalues=1j * tracks(t),
-            projectors=r @ frozen @ r.conj().swapaxes(-1, -2),
-            multiplicities=tuple(int(m) for m in mults),
-        )
+        multiplicities = tuple(int(m) for m in mults)  # q's columns run block by block
+        return SpectralDecomposition(1j * tracks(t), None, multiplicities, eigenvectors=rotation(t) @ q)
 
     return GeneratorModel(
         name="random_smooth",

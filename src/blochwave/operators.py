@@ -8,7 +8,8 @@ restriction is a slice (:func:`block_basis`).  Everything here is a pure
 function of its inputs; the returned objects are treated as immutable.
 
 The spectral layer is batched: :func:`decompose` takes a stack of matrices
-(one per time) in one pass, a single matrix being the one-element case.
+(one per time) in one pass, a single matrix being the one-element case; it
+keeps the eigenvectors and forms the projectors only when they are read.
 
 Conventions
 -----------
@@ -21,7 +22,7 @@ Under the non-crossing assumption this ordering is the continuous labeling;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
@@ -123,8 +124,8 @@ def require_skew_hermitian(a: np.ndarray, tol: float = SKEW_TOL, what: str = "ma
     finite = np.isfinite(a).reshape(-1, a.shape[-1] ** 2).all(axis=1)
     if not finite.all():
         raise NotSkewHermitian(f"{subject(int(np.argmin(finite)))} contains non-finite entries")
+    defect = np.linalg.norm(a.conj().swapaxes(-1, -2) + a, axis=(-2, -1))  # its temporaries go first
     lam, vec = np.linalg.eigh(-1j * a)
-    defect = np.linalg.norm(a.conj().swapaxes(-1, -2) + a, axis=(-2, -1))
     # the largest |lam| is ‖a‖ for a skew-Hermitian a; eigh reads one triangle
     # only, so otherwise it may exceed ‖a‖ by up to half the defect, which the
     # scale takes off to never exceed that of a spectral-norm check
@@ -139,37 +140,58 @@ def require_skew_hermitian(a: np.ndarray, tol: float = SKEW_TOL, what: str = "ma
     return lam, vec, scale
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Grouped spectral decomposition of a skew-Hermitian matrix, or of a
     stack of them (one per time) sharing one block structure.
 
     ``eigenvalues[..., k]`` is the purely imaginary value ``b_k`` shared by
-    block ``k`` (the mean over the grouped cluster), ``projector_stack[...,
-    k, :, :]`` the Hermitian orthogonal projector onto its eigenspace, and
-    ``multiplicities[k]`` its rank.  Blocks are ordered by ascending
-    imaginary part.  ``projectors`` may be passed as a sequence or as the
-    projector stack, and is kept as the tuple of per-block views of it.
-    Indexing picks times like an array (``None`` makes a one-element stack).
+    block ``k`` (the mean over the grouped cluster) and ``multiplicities[k]``
+    its rank; blocks ascend by imaginary part.  ``eigenvectors`` is an
+    orthonormal eigenbasis whose columns run block by block (``labels``), and
+    ``projector_stack[..., k, :, :]`` the projector onto block ``k``
+    (``projectors`` its per-block views).  Given one of the two (projectors
+    as a sequence or a stack), the other is formed when first read: the
+    projectors as :func:`decompose` forms them, the eigenvectors as the
+    eigenbasis of ``sum_k k P_k``.  Indexing picks times like an array
+    (``None`` makes a one-element stack).
     """
 
-    eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-    multiplicities: tuple[int, ...]
-    projector_stack: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        stack = np.asarray(self.projectors)
-        object.__setattr__(self, "projector_stack", stack)
-        object.__setattr__(self, "projectors", tuple(np.moveaxis(stack, -3, 0)))
+    def __init__(self, eigenvalues, projectors, multiplicities, eigenvectors=None):
+        if projectors is None and eigenvectors is None:
+            raise ValueError("a decomposition needs its projectors or its eigenvectors")
+        self.eigenvalues, self.multiplicities = eigenvalues, tuple(multiplicities)
+        if projectors is not None:
+            self.projector_stack = np.asarray(projectors)
+        if eigenvectors is not None:
+            self.eigenvectors = eigenvectors
 
     def __getitem__(self, index) -> SpectralDecomposition:
-        stack = self.projector_stack[index]
-        return SpectralDecomposition(self.eigenvalues[index], stack, self.multiplicities)
+        formed = [self.__dict__.get(name) for name in ("projector_stack", "eigenvectors")]
+        projectors, vectors = (None if x is None else x[index] for x in formed)
+        return SpectralDecomposition(self.eigenvalues[index], projectors, self.multiplicities, vectors)
+
+    @functools.cached_property
+    def projector_stack(self) -> np.ndarray:
+        vec, members = self.eigenvectors, self.labels == np.arange(self.n_blocks)[:, None]
+        stack = (vec[..., None, :, :] * members[:, None, :]) @ vec.conj().swapaxes(-1, -2)[..., None, :, :]
+        return 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        weights = np.arange(self.n_blocks, dtype=float)
+        return np.linalg.eigh(np.einsum("k,...kij->...ij", weights, self.projector_stack))[1]
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.moveaxis(self.projector_stack, -3, 0))
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_blocks), self.multiplicities)
 
     @property
     def dim(self) -> int:
-        return self.projector_stack.shape[-1]
+        return sum(self.multiplicities)
 
     @property
     def n_blocks(self) -> int:
@@ -196,12 +218,12 @@ def decompose(
     grouping; of a stack ``(n, d, d)`` in one pass.
 
     Eigenvalues closer than ``gap_tol`` (default ``1e-8 * ‖a‖``) merge into a
-    single degenerate block; each block's projector is the sum of outer
-    products of its orthonormal eigenvectors, so no eigenvector phase
-    convention leaks into the result.  The precondition is
+    single degenerate block; each block's projector, formed when read, is
+    the sum of outer products of its orthonormal eigenvectors, so no
+    eigenvector phase convention leaks into it.  The precondition is
     :func:`require_skew_hermitian`.  A stack takes one batched ``eigh``, one
     skew check and one clustering pass, and gives one stacked decomposition
-    (eigenvalues ``(n, K)``, projector stack ``(n, K, d, d)``) whose
+    (eigenvalues ``(n, K)``, eigenvectors ``(n, d, d)``) whose
     multiplicities all its matrices share.  ``times``, the stack's sample
     times, name the offending matrix in errors.
 
@@ -231,16 +253,13 @@ def decompose(
         )
     labels = np.concatenate(([0], np.cumsum(jumps[0])))
     counts = tuple(np.bincount(labels).tolist())
-    members = labels == np.arange(len(counts))[:, None]  # (block, eigenvector)
-    projectors = (vec[:, None] * members[:, None, :]) @ vec.conj().swapaxes(-1, -2)[:, None]
-    projectors = 0.5 * (projectors + projectors.conj().swapaxes(-1, -2))
     # one bincount over all times sums each block's eigenvalues in order
     bins = (labels + len(counts) * np.arange(len(stack))[:, None]).ravel()
     sums = np.bincount(bins, weights=lam.ravel(), minlength=len(stack) * len(counts))
     eigenvalues = 1j * (sums.reshape(-1, len(counts)) / counts)
-    if a.ndim == 2:  # the one-element case, owning its projector stack
-        eigenvalues, projectors = eigenvalues[0], projectors[0].copy()
-    return SpectralDecomposition(eigenvalues, projectors, counts)
+    if a.ndim == 2:
+        eigenvalues, vec = eigenvalues[0], vec[0]
+    return SpectralDecomposition(eigenvalues, None, counts, eigenvectors=vec)
 
 
 def match_labels(

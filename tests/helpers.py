@@ -7,6 +7,7 @@ from blochwave import (
     bloch_effective_evolution,
     build_frame,
     closed_form_wave,
+    decompose,
     identity_ic,
     integrate_riccati,
     propagate,
@@ -77,6 +78,21 @@ def validation_defects(dec):
         "completeness": float(np.max(spectral_norm(p.sum(axis=-3) - np.eye(dec.dim)))),
         "rank": float(np.max(np.abs(ranks - dec.multiplicities))),
     }
+
+
+def reference_kato(model, t):
+    """Kato's generator at one time ``t`` as the pair sum ``sum_{k != l}
+    P_l B' P_k / (b_k - b_l)`` over the drift's decomposition: the oracle
+    for the eigenbasis formula of :func:`~blochwave.kato_generator`.
+    Returns the decomposition and the sum."""
+    anchor = decompose(model.drift(t))
+    bdot = model.drift_derivative(t)
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for l, (b_l, p_l) in enumerate(zip(anchor.eigenvalues, anchor.projectors)):
+        for k, (b_k, p_k) in enumerate(zip(anchor.eigenvalues, anchor.projectors)):
+            if k != l:
+                out += p_l @ bdot @ p_k / (b_k - b_l)
+    return anchor, out
 
 
 def three_level_lab_frame(gamma, a, omega=1.0):

@@ -315,12 +315,23 @@ def test_integrate_reads_a_sequence_of_times_as_one_grid_and_refuses_bad_grids()
     assert solve_matrix_ivp(rhs, y0, [0.0, 1.0, 2.0], 1e-8).y.shape == (16, 3)
     stack = solve_matrix_ivp(rhs, [y0, y0], [grid.tolist(), grid[2:].tolist()], tol)
     assert stack[0].y.tobytes() == ref.y.tobytes() and stack[1].y.shape == (16, len(grid) - 2)
-    bad = ([0.0, 1.0, 1.0], [0.0], [], [[0.0, 1.0], [1.0, 2.0]], [0.0, np.nan, 2.0], [2.0, 1.0])
+    bad = ([0.0, 1.0, 1.0], [0.0], [], [0.0, np.nan, 2.0], [2.0, 1.0])
     for grid_ in bad:
         with pytest.raises(ValueError, match="strictly increasing"):
             solve_matrix_ivp(rhs, y0, np.array(grid_), tol)
+    with pytest.raises(ValueError, match="2 grids for 1 problem"):
+        solve_matrix_ivp(rhs, y0, np.array([[0.0, 1.0], [1.0, 2.0]]), tol)
     with pytest.raises(ValueError, match="one per problem"):
         solve_matrix_ivp(rhs, [y0, y0], [grid, grid, grid], tol)
+
+
+def test_a_grid_count_that_is_not_the_problem_count_names_both_counts():
+    # two strictly increasing grids for one problem are not a bad grid
+    rhs, y0, _, tol, _ = plain_case()
+    with pytest.raises(ValueError, match="2 grids for 1 problem: need one grid, or one per problem"):
+        solve_matrix_ivp(rhs, y0, [[0.0, 1.0], [1.0, 2.0]], tol)
+    with pytest.raises(ValueError, match="3 grids for 2 problems"):
+        dop853._grids([[0.0, 1.0]] * 3, 2)
 
 
 def test_one_grid_check_refuses_non_finite_times():

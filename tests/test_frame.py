@@ -15,8 +15,8 @@ from blochwave import (
     ConfigError,
     CrossingDetected,
     GeneratorModel,
+    SpectralDecomposition,
     build_frame,
-    decompose,
     factorization_defect,
     frozen_decomposition,
     intertwining_defect,
@@ -30,7 +30,7 @@ from blochwave import (
 from blochwave.dop853 import MAX_NODES
 from blochwave.models import load_tabulated_model
 
-from tests.helpers import crossing_model, write_tabulated
+from tests.helpers import crossing_model, reference_kato, write_tabulated
 
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -119,32 +119,71 @@ def test_frame_basis_diagonalizes_the_frozen_drift(make):
     assert np.bincount(labels).tolist() == list(frame.frozen.multiplicities)
 
 
-def reference_kato(model, t):
-    """``sum_{k != l} P_l B' P_k / (b_k - b_l)`` pair by pair, as a reference."""
-    anchor = decompose(model.drift(t))
-    bdot = model.drift_derivative(t)
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for l, (b_l, p_l) in enumerate(zip(anchor.eigenvalues, anchor.projectors)):
-        for k, (b_k, p_k) in enumerate(zip(anchor.eigenvalues, anchor.projectors)):
-            if k != l:
-                out += p_l @ bdot @ p_k / (b_k - b_l)
-    return anchor, out
+#: the eigenbasis Kato term against the pair sum, in units of ‖B'‖ / min gap
+#: (both are that exact up to a few roundoffs; 1.3 eps was the largest seen)
+KATO_ROUNDOFF = 1e-14
+
+
+def kato_scale(model, anchor, t):
+    """``‖B'(t)‖ / min gap``, the size of Kato's generator at ``t``."""
+    return spectral_norm(model.drift_derivative(t)) / anchor.min_gap()
 
 
 def test_shared_anchor_is_bit_identical_to_per_block_reference():
-    # above the summed dimensions of stack_matmul the frame's products are
-    # np.matmul's, associated as in the reference: (W† X) W
+    # the eigenbasis formula agrees with the pair sum, and the frame
+    # Hamiltonian with the one built from the pair sum, to roundoff
     for dim, n_blocks in [(4, 3), (6, 4)]:
         model, frame = numeric_frame(dim, n_blocks)
         proj_stack = np.stack(frame.blocks)
         for t in (0.3, 1.1, 1.7):
             anchor, kato = reference_kato(model, t)
-            assert np.array_equal(kato_generator(model, np.array([t]))[0], kato)
+            scale = kato_scale(model, anchor, t)
+            assert spectral_norm(kato_generator(model, np.array([t]))[0] - kato) <= KATO_ROUNDOFF * scale
             w = frame.w_path.at(t)
             expected = np.einsum(
                 "k,kij->ij", model.gamma * anchor.eigenvalues, proj_stack
             ) + w.conj().T @ (model.drive(t) - kato) @ w
-            assert np.array_equal(frame.hamiltonian_at(np.array([t]))[0], expected)
+            gap = spectral_norm(frame.hamiltonian_at(np.array([t]))[0] - expected)
+            assert gap <= KATO_ROUNDOFF * (scale + spectral_norm(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(2, 6),
+    block_fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 10_000),
+    t=st.floats(0.0, 10.0),
+)
+def test_eigenbasis_kato_term_is_the_pair_sum(dim, block_fraction, seed, t):
+    # degenerate blocks included: random_smooth spreads dim over n_blocks
+    n_blocks = 1 + int(block_fraction * (dim - 1))
+    model = random_smooth_model(dim, n_blocks, seed=seed, analytic=False)
+    anchor, pairs = reference_kato(model, t)
+    kato = kato_generator(model, np.array([t]))[0]
+    if n_blocks == 1:  # no pair: every weight is zero, and so is the sum
+        assert not kato.any()
+    else:
+        assert spectral_norm(kato - pairs) <= KATO_ROUNDOFF * kato_scale(model, anchor, t)
+
+
+def test_kato_term_is_the_same_in_any_eigenbasis_of_a_degenerate_block():
+    # a decomposition given its projectors alone takes its eigenvectors from
+    # sum_k k P_k: another basis of each degenerate block than the drift's eigh
+    model = random_smooth_model(5, 2, seed=4, analytic=False)
+    ts = np.array([0.3, 1.7])
+    anchor = model.spectral_at(ts)
+    assert max(anchor.multiplicities) > 1
+    rebuilt = SpectralDecomposition(anchor.eigenvalues, anchor.projector_stack, anchor.multiplicities)
+    q = rebuilt.eigenvectors
+    assert np.max(spectral_norm(q.conj().swapaxes(-1, -2) @ q - np.eye(5))) < 1e-14
+    for k in range(rebuilt.n_blocks):
+        columns = q[:, :, rebuilt.labels == k]
+        assert np.max(np.abs(rebuilt.projector_stack[:, k] @ columns - columns)) < 1e-14
+    scale = max(kato_scale(model, anchor[i], t) for i, t in enumerate(ts))
+    gap = spectral_norm(kato_generator(model, ts, rebuilt) - kato_generator(model, ts, anchor))
+    assert np.max(gap) <= KATO_ROUNDOFF * scale
+    with pytest.raises(ValueError, match="needs its projectors or its eigenvectors"):
+        SpectralDecomposition(anchor.eigenvalues, None, anchor.multiplicities)
 
 
 def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
@@ -179,6 +218,31 @@ def test_numeric_frame_evaluation_decomposes_once(monkeypatch):
     analytic = random_smooth_model(4, 3, seed=8)
     build_frame(analytic, 0.0, 2.0, tol=1e-8, checkpoints=9).hamiltonian_at(np.array([0.9]))
     assert calls == []
+
+
+def test_numeric_frame_call_memory_holds_no_projector_stack(tmp_path):
+    # propagate asks for up to 600 node times at once: each (600, 6, 6)
+    # complex stack is 0.35 MB, and the spline's values of drift, drive and
+    # derivative 1.04 MB.  With a projector stack per call and the Kato term
+    # summed pair by pair the two calls below peaked at 3.68 and 3.64 MB;
+    # from the eigenvectors they take 2.86 and 2.65 MB
+    import tracemalloc
+
+    table = tmp_path / "model.csv"
+    write_tabulated(table, random_smooth_model(6, 2, seed=3), np.linspace(-0.5, 1.5, 81))
+    model = load_tabulated_model(table, gamma=16.0)
+    frame = build_frame(model, 0.0, 1.0, tol=1e-8)
+    rng = np.random.default_rng(0)
+    for call in (frame.rotated_at, lambda t: kato_generator(model, t)):
+        call(rng.uniform(0.0, 1.0, 600))
+        ts = rng.uniform(0.0, 1.0, 600)  # new times: the spline is evaluated in the call
+        tracemalloc.start()
+        try:
+            call(ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2e6
 
 
 @pytest.mark.parametrize("analytic", [True, False])
